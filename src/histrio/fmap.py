@@ -8,19 +8,27 @@ that; all mutators return fresh maps.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from typing import Any, Iterator, Optional, TypeVar
-
-K = TypeVar("K")
-V = TypeVar("V")
+from typing import Any, Iterable, Iterator, Optional
 
 
-class FrozenMap(Mapping):
-    """A hashable finite map.  Keys must be mutually orderable."""
+class FrozenMap:
+    """A hashable finite map.  Keys must be mutually orderable.
+
+    The read-only mapping surface is ``m[k]``, ``k in m``, ``len(m)``,
+    iteration over keys, ``get``, ``keys``, ``items`` and ``values``;
+    the last three return the underlying dict's own (read-only) views,
+    so ``dict(m)`` and view set operations work as for a dict.  It is
+    deliberately not a ``collections.abc.Mapping``: the ABC routes every
+    ``isinstance`` test on the map classes through ``ABCMeta`` and its
+    views through Python-level code, both on the explorer's hot path.
+
+    Two maps are equal when their contents are, whatever the insertion
+    order; a map never equals a plain ``dict``.
+    """
 
     __slots__ = ("_d", "_hash")
 
-    def __init__(self, items: Mapping | Iterable[tuple[Any, Any]] = ()):
+    def __init__(self, items: FrozenMap | dict | Iterable[tuple[Any, Any]] = ()):
         if isinstance(items, FrozenMap):
             self._d = items._d
             self._hash = items._hash
@@ -40,18 +48,31 @@ class FrozenMap(Mapping):
     def __contains__(self, key) -> bool:
         return key in self._d
 
+    def get(self, key, default=None):
+        return self._d.get(key, default)
+
+    def keys(self):
+        return self._d.keys()
+
+    def items(self):
+        return self._d.items()
+
+    def values(self):
+        return self._d.values()
+
     def __eq__(self, other) -> bool:
         if isinstance(other, FrozenMap):
             return self._d == other._d
         return NotImplemented
 
     def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        if isinstance(other, FrozenMap):
+            return self._d != other._d
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._d.items(), key=lambda kv: kv[0])))
+            self._hash = hash(frozenset(self._d.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -73,10 +94,14 @@ class FrozenMap(Mapping):
 
     def merge_disjoint(self, other: "FrozenMap") -> Optional["FrozenMap"]:
         """Union of two maps, or ``None`` when their key sets overlap."""
-        if self._d.keys() & other._d.keys():
+        a, b = self._d, other._d
+        if not b:
+            return self if type(self) is FrozenMap else FrozenMap(self)
+        if not a:
+            return other if type(other) is FrozenMap else FrozenMap(other)
+        d = {**a, **b}
+        if len(d) != len(a) + len(b):
             return None
-        d = dict(self._d)
-        d.update(other._d)
         return FrozenMap(d)
 
     def restrict(self, keys) -> "FrozenMap":

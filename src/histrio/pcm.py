@@ -173,6 +173,13 @@ class Hist:
     ``"stack"`` histories store tuples of stack elements (top first).
     Histories of different kinds never join; that is a usage error, not
     an undefined join.
+
+    Entries are validated at the boundary: every ``Hist(...)`` and
+    ``Hist.of(...)`` checks that each stamp is a non-negative int and
+    each entry a (pre, post) pair, and raises ``ValueError`` otherwise.
+    ``join``, ``subtract`` and ``unit_like`` build their results from
+    histories that passed that check, so they use ``_trusted``, which
+    skips it.
     """
 
     kind: str
@@ -184,6 +191,14 @@ class Hist:
                 raise ValueError(f"bad timestamp {t!r}")
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise ValueError(f"bad history entry at {t}: {pair!r}")
+
+    @classmethod
+    def _trusted(cls, kind: str, entries: FrozenMap) -> "Hist":
+        """A history whose entries are already known to be well formed."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "kind", kind)
+        object.__setattr__(h, "entries", entries)
+        return h
 
     def __repr__(self):
         inner = ", ".join(
@@ -237,44 +252,47 @@ UNIT = _Unit()
 # ---------------------------------------------------------------------------
 
 def _same_carrier(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Hist) and a.kind != b.kind:
-        return False
-    return True
+    t = type(a)
+    return t is type(b) and (t is not Hist or a.kind == b.kind)
 
 
 def join(a, b):
     """``a • b``: the PCM join, or ``None`` when undefined.
 
     Raises :class:`PcmMismatchError` when ``a`` and ``b`` do not belong
-    to the same carrier.
+    to the same carrier.  Carriers are told apart by exact type, the most
+    frequent first.
     """
     if not _same_carrier(a, b):
         raise PcmMismatchError(f"cannot join {a!r} with {b!r}")
-    if isinstance(a, Heap):
-        merged = a.merge_disjoint(b)
-        return None if merged is None else Heap(merged)
-    if isinstance(a, Hist):
-        merged = a.entries.merge_disjoint(b.entries)
-        return None if merged is None else Hist(a.kind, merged)
-    if isinstance(a, Mutex):
-        if a is NOT_OWN:
-            return b
-        if b is NOT_OWN:
-            return a
-        return None
-    if isinstance(a, IdSet):
-        if a.ids & b.ids:
-            return None
-        return IdSet(a.ids | b.ids)
-    if isinstance(a, Triple):
+    t = type(a)
+    if t is Triple:
         ids = join(a.ids, b.ids)
         mx = join(a.mx, b.mx)
         aux = join(a.aux, b.aux)
         if ids is None or mx is None or aux is None:
             return None
         return Triple(ids, mx, aux)
+    if t is Hist:
+        if not b.entries:
+            return a
+        if not a.entries:
+            return b
+        merged = a.entries.merge_disjoint(b.entries)
+        return None if merged is None else Hist._trusted(a.kind, merged)
+    if t is Mutex:
+        if a is NOT_OWN:
+            return b
+        if b is NOT_OWN:
+            return a
+        return None
+    if t is IdSet:
+        if not a.ids.isdisjoint(b.ids):
+            return None
+        return IdSet(a.ids | b.ids)
+    if t is Heap:
+        merged = a.merge_disjoint(b)
+        return None if merged is None else Heap(merged)
     if a is UNIT:
         return UNIT
     raise PcmMismatchError(f"{a!r} is not a PCM element")
@@ -285,7 +303,7 @@ def unit_like(x):
     if isinstance(x, Heap):
         return EMPTY_HEAP
     if isinstance(x, Hist):
-        return Hist(x.kind)
+        return Hist._trusted(x.kind, EMPTY_MAP)
     if isinstance(x, Mutex):
         return NOT_OWN
     if isinstance(x, IdSet):
@@ -323,7 +341,7 @@ def subtract(whole, part):
         if len(rest) + len(pm) != len(wm):
             return None  # part has keys outside whole
         if isinstance(whole, Hist):
-            return Hist(whole.kind, FrozenMap(rest))
+            return Hist._trusted(whole.kind, FrozenMap(rest))
         return Heap(rest)
     if isinstance(whole, Mutex):
         if part is NOT_OWN:

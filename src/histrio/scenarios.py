@@ -363,8 +363,8 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
     def step_invariant(w, w2):
         if fc.LB not in w.self_:
             return None
-        g1 = fc.total_aux(shape, w.restrict(fc.HOME))
-        g2 = fc.total_aux(shape, w2.restrict(fc.HOME))
+        g1 = fc.total_aux(shape, w)
+        g2 = fc.total_aux(shape, w2)
         if g1 is None or g2 is None:
             return "cumulative contribution undefined"
         if not pcm_order(g1, g2):

@@ -280,7 +280,19 @@ class Event:
     action: str
     transition: str
     result: Any
-    delta: str
+    before: SubjState = field(repr=False)
+    after: SubjState = field(repr=False)
+
+    @property
+    def delta(self) -> str:
+        """The labels whose self or joint the step changed, with their new
+        contents; rendered on demand, since only traces show it."""
+        w, w2 = self.before, self.after
+        delta = []
+        for lbl in sorted(w.labels()):
+            if w.self_[lbl] != w2.self_[lbl] or w.joint[lbl] != w2.joint[lbl]:
+                delta.append(f"{lbl}: <{render(w2.self_[lbl])} | {render(w2.joint[lbl])}>")
+        return "; ".join(delta)
 
     def as_row(self) -> tuple:
         return (self.index, self.tid, self.action, self.transition,
@@ -323,7 +335,7 @@ class ExplorationReport:
 
     @property
     def verdict(self) -> str:
-        if self.violations:
+        if self.violations or self.violating:
             return "violation"
         if self.complete == 0:
             return "inconclusive"
@@ -349,11 +361,13 @@ class _Ctx:
         self.scenario = scenario
         self.loop_bound = loop_bound
         self.max_violations = max_violations
-        self.violations: list[Violation] = []
+        self.violations: list[Violation] = []  # the first max_violations
+        self.reported = 0  # every violation, recorded or not
         self.path: list[tuple] = []  # (tid, action, result)
         self.checked_finals: dict = {}
 
     def report(self, check: str, expected: str, actual: str, tid: int):
+        self.reported += 1
         if len(self.violations) >= self.max_violations:
             return
         self.violations.append(
@@ -649,15 +663,10 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
         return None
     if not _check_step(cfg, leaf, action, w, w2, ctx):
         return None
-    delta = []
-    for lbl in sorted(w.labels()):
-        if w.self_[lbl] != w2.self_[lbl] or w.joint[lbl] != w2.joint[lbl]:
-            delta.append(f"{lbl}: <{render(w2.self_[lbl])} | {render(w2.joint[lbl])}>")
     nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, None, ("v", res))
     cfg2 = Config(replace_leaf(cfg.tree, leaf.tid, nxt), w2.joint,
                   cfg.root_other, cfg.conc, sctx.next_loc, cfg.next_tid)
-    event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res,
-                  "; ".join(delta))
+    event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2)
     return cfg2, event
 
 
@@ -742,7 +751,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
             return s
         complete = inconclusive = violating = 0
         for leaf in ready:
-            before = len(ctx.violations)
+            before = ctx.reported
             outcome = step_action(cfg, leaf, ctx)
             report.edges += 1
             if outcome is None:
@@ -751,7 +760,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
             cfg2, event = outcome
             ctx.path.append((leaf.tid, event.action, render(event.result)))
             cfg2 = normalize(cfg2, ctx)
-            if len(ctx.violations) > before:
+            if ctx.reported > before:
                 violating += 1
                 ctx.path.pop()
                 continue
@@ -793,13 +802,13 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
         events.append(event)
         cfg = normalize(cfg, ctx)
         used += 1
-    if ctx.violations:
+    if ctx.reported:
         verdict = "violation"
     elif isinstance(cfg.tree, Leaf) and cfg.tree.status == DONE:
         if ctx.scenario.final_oracle is not None:
             for msg in ctx.scenario.final_oracle(cfg, cfg.tree.result):
                 ctx.report("final", scenario.name, msg, 0)
-        verdict = "violation" if ctx.violations else "pass"
+        verdict = "violation" if ctx.reported else "pass"
     else:
         verdict = "inconclusive"
     results = cfg.tree.result if isinstance(cfg.tree, Leaf) else None

@@ -16,11 +16,10 @@ environment part.  Framing moves a PCM-map between the two sides
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, ClassVar, Optional
 
 from .fmap import EMPTY_MAP, FrozenMap
 from .pcm import (
-    EMPTY_HEAP,
     Heap,
     Triple,
     map_pointwise_join,
@@ -34,21 +33,35 @@ class StateError(ValueError):
     """A structurally invalid state operation (bad split, no common env...)."""
 
 
+_UNSET = object()
+
+
 @dataclass(frozen=True)
 class SubjState:
     self_: FrozenMap  # label -> PCM element
     joint: FrozenMap  # label -> arbitrary (heap, or (heap, aux-array))
     other: FrozenMap  # label -> PCM element
 
+    # What ``validate`` and ``flatten`` found for this very object (a state
+    # is immutable, so neither can change).  Kept per object, never per
+    # equal state: equality does not tell a Heap from a plain FrozenMap.
+    _valid: ClassVar[bool] = False
+    _flat: ClassVar[Any] = _UNSET
+
     def labels(self):
         return self.self_.keys()
 
     def restrict(self, labels) -> "SubjState":
-        return SubjState(
+        r = SubjState(
             self.self_.restrict(labels),
             self.joint.restrict(labels),
             self.other.restrict(labels),
         )
+        if self._valid:
+            # equal domains, a defined join and disjoint heaps all survive
+            # dropping labels
+            object.__setattr__(r, "_valid", True)
+        return r
 
     def without(self, labels) -> "SubjState":
         return SubjState(
@@ -78,35 +91,40 @@ class SubjState:
 EMPTY_STATE = SubjState(EMPTY_MAP, EMPTY_MAP, EMPTY_MAP)
 
 
-def heaps_of(value) -> list[Heap]:
-    """All heaps stored inside a component value (recursing into tuples)."""
+def _collect_heaps(value, out: list) -> None:
+    """Append every heap stored inside a component value (recursing into
+    tuples and triples) to ``out``."""
     if isinstance(value, Heap):
-        return [value]
-    if isinstance(value, tuple):
-        out = []
+        out.append(value)
+    elif isinstance(value, tuple):
         for v in value:
-            out.extend(heaps_of(v))
-        return out
-    if isinstance(value, Triple):
-        return heaps_of(value.aux)
-    return []
+            _collect_heaps(v, out)
+    elif isinstance(value, Triple):
+        _collect_heaps(value.aux, out)
 
 
 def flatten(w: SubjState) -> Optional[Heap]:
     """Disjoint union of every heap in ``w``; ``None`` on overlap."""
-    acc = EMPTY_HEAP
+    if w._flat is not _UNSET:
+        return w._flat
+    heaps: list[Heap] = []
     for m in (w.self_, w.joint, w.other):
         for v in m.values():
-            for h in heaps_of(v):
-                merged = acc.merge_disjoint(h)
-                if merged is None:
-                    return None
-                acc = Heap(merged)
-    return acc
+            _collect_heaps(v, heaps)
+    cells: dict = {}
+    size = 0
+    for h in heaps:
+        cells.update(h.items())
+        size += len(h)
+    flat = Heap(cells) if len(cells) == size else None
+    object.__setattr__(w, "_flat", flat)
+    return flat
 
 
 def validate(w: SubjState) -> bool:
     """Equal label domains, ``self ∘ other`` defined, heaps disjoint."""
+    if w._valid:
+        return True
     if not (w.self_.keys() == w.joint.keys() == w.other.keys()):
         return False
     try:
@@ -114,7 +132,10 @@ def validate(w: SubjState) -> bool:
             return False
     except TypeError:
         return False
-    return flatten(w) is not None
+    if flatten(w) is None:
+        return False
+    object.__setattr__(w, "_valid", True)
+    return True
 
 
 def transpose(w: SubjState) -> SubjState:

@@ -19,7 +19,7 @@ deltas mirroring the lock-free stack's.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..actions import ActionFamily, AtomicAction, Read, Rmw, Write, cas
@@ -70,16 +70,26 @@ class FcFunc:
 
 @dataclass
 class FcShape:
-    """Construction parameters: slot count, resource invariant, functions."""
+    """Construction parameters: slot count, resource invariant, functions.
+
+    ``slots`` (the publication-array cells) and ``skip`` (those cells plus
+    the lock bit: the joint heap's non-resource part) follow from ``n``.
+    """
 
     n: int
     inv: Callable[[Hist, Heap], bool]
     carve: Callable[[Heap], Optional[Heap]]
     aux_unit: Hist
     funcs: dict[str, FcFunc]
+    slots: tuple = field(init=False, repr=False)
+    skip: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.slots = tuple(Loc(AP_BASE + i) for i in range(self.n))
+        self.skip = frozenset(self.slots) | {LK}
 
     def slot(self, i: int) -> Loc:
-        return Loc(AP_BASE + i)
+        return self.slots[i]
 
 
 def parse_fc(shape: FcShape, jv) -> Optional[tuple]:
@@ -89,22 +99,28 @@ def parse_fc(shape: FcShape, jv) -> Optional[tuple]:
     jh, gp = jv
     if not isinstance(jh, Heap) or not isinstance(gp, tuple) or len(gp) != shape.n:
         return None
-    if LK not in jh or not isinstance(jh[LK], bool):
+    locked = jh.get(LK)
+    if not isinstance(locked, bool):
         return None
     slots = []
-    for i in range(shape.n):
-        cell = jh.get(shape.slot(i))
+    for loc in shape.slots:
+        cell = jh.get(loc)
         if cell is None or not (cell is INIT or isinstance(cell, (Req, Resp))):
             return None
         slots.append(cell)
-    skip = {LK} | {shape.slot(i) for i in range(shape.n)}
+    skip = shape.skip
     hr = Heap({loc: v for loc, v in jh.items() if loc not in skip})
-    return jh[LK], tuple(slots), hr, gp
+    return locked, tuple(slots), hr, gp
 
 
-def total_aux(shape: FcShape, w: SubjState) -> Optional[Hist]:
-    """The cumulative contribution: every slot joined with self and other."""
-    _, _, _, gp = parse_fc(shape, w.joint[LB])
+def total_aux(shape: FcShape, w: SubjState, gp: Optional[tuple] = None) -> Optional[Hist]:
+    """The cumulative contribution: every slot joined with self and other.
+
+    ``gp`` is the slot array of ``w``'s joint when the caller has already
+    parsed it; otherwise the joint is parsed here.
+    """
+    if gp is None:
+        gp = parse_fc(shape, w.joint[LB])[3]
     acc = w.self_[LB].aux
     for g in gp:
         acc = join(acc, g)
@@ -113,29 +129,36 @@ def total_aux(shape: FcShape, w: SubjState) -> Optional[Hist]:
     return join(acc, w.other[LB].aux)
 
 
+def _coherent_parse(shape: FcShape, w: SubjState) -> Optional[tuple]:
+    """``parse_fc`` of the joint when ``w`` is coherent, else ``None``."""
+    if set(w.labels()) != {LB} or not validate(w):
+        return None
+    s, o = w.self_[LB], w.other[LB]
+    if not (isinstance(s, Triple) and isinstance(o, Triple)):
+        return None
+    parsed = parse_fc(shape, w.joint[LB])
+    if parsed is None:
+        return None
+    locked, slots, hr, gp = parsed
+    for i in range(shape.n):
+        if not is_unit(gp[i]) and not isinstance(slots[i], Resp):
+            return None
+    mx = join(s.mx, o.mx)
+    if mx is None:
+        return None
+    g_all = total_aux(shape, w, gp)
+    if g_all is None:
+        return None
+    if locked:
+        ok = not hr and mx is OWN
+    else:
+        ok = mx is NOT_OWN and shape.inv(g_all, hr)
+    return parsed if ok else None
+
+
 def coherent_for(shape: FcShape):
     def coherent(w: SubjState) -> bool:
-        if set(w.labels()) != {LB} or not validate(w):
-            return False
-        s, o = w.self_[LB], w.other[LB]
-        if not (isinstance(s, Triple) and isinstance(o, Triple)):
-            return False
-        parsed = parse_fc(shape, w.joint[LB])
-        if parsed is None:
-            return False
-        locked, slots, hr, gp = parsed
-        for i in range(shape.n):
-            if not is_unit(gp[i]) and not isinstance(slots[i], Resp):
-                return False
-        mx = join(s.mx, o.mx)
-        if mx is None:
-            return False
-        g_all = total_aux(shape, w)
-        if g_all is None:
-            return False
-        if locked:
-            return not hr and mx is OWN
-        return mx is NOT_OWN and shape.inv(g_all, hr)
+        return _coherent_parse(shape, w) is not None
 
     return coherent
 
@@ -191,7 +214,7 @@ def _help_member(shape: FcShape):
             return False
         if not is_unit(gp1[i]):
             return False
-        g_all = total_aux(shape, w)
+        g_all = total_aux(shape, w, gp1)
         if g_all is None:
             return False
         fspec = shape.funcs[req.fn].f_spec
@@ -270,7 +293,7 @@ def _unlock_member(shape: FcShape):
             return False
         if not (s1.mx is OWN and s2 == Triple(s1.ids, NOT_OWN, s1.aux)):
             return False
-        g_all = total_aux(shape, w2)
+        g_all = total_aux(shape, w2, gp2)
         return g_all is not None and shape.inv(g_all, h)
 
     return member
@@ -280,18 +303,21 @@ def _unlock_member(shape: FcShape):
 # Actions
 # ---------------------------------------------------------------------------
 
-def _safe_home(shape: FcShape, w: SubjState) -> bool:
-    return LB in w.self_ and coherent_for(shape)(w.restrict(HOME))
+def _safe_home(shape: FcShape, w: SubjState) -> Optional[tuple]:
+    """The parsed joint when ``w``'s home part is coherent, else ``None``."""
+    if LB not in w.self_:
+        return None
+    return _coherent_parse(shape, w.restrict(HOME))
 
 
 def req_help(shape: FcShape, tid: int, fname: str, arg) -> AtomicAction:
     cell = shape.slot(tid)
 
     def safe(w):
-        if not _safe_home(shape, w) or tid not in w.self_[LB].ids.ids:
+        parsed = _safe_home(shape, w)
+        if parsed is None or tid not in w.self_[LB].ids.ids:
             return False
-        _, slots, _, _ = parse_fc(shape, w.joint[LB])
-        return slots[tid] is INIT and fname in shape.funcs
+        return parsed[1][tid] is INIT and fname in shape.funcs
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
@@ -312,7 +338,7 @@ def read_req(shape: FcShape, i: int) -> AtomicAction:
         return w, jh[cell], ctx
 
     return AtomicAction(
-        f"readReq({i})", HOME, "value", lambda w: _safe_home(shape, w), step, "id",
+        f"readReq({i})", HOME, "value", lambda w: _safe_home(shape, w) is not None, step, "id",
         Read(cell),
     )
 
@@ -321,7 +347,7 @@ def fc_trylock(shape: FcShape) -> AtomicAction:
     def safe(w):
         return (
             pv.LB in w.self_
-            and _safe_home(shape, w)
+            and _safe_home(shape, w) is not None
             and pv.coherent(w.restrict(frozenset([pv.LB])))
         )
 
@@ -353,18 +379,19 @@ def do_help(shape: FcShape, i: int, result, fname: str, arg) -> AtomicAction:
     cell = shape.slot(i)
 
     def safe(w):
-        if not _safe_home(shape, w) or w.self_[LB].mx is not OWN:
+        parsed = _safe_home(shape, w)
+        if parsed is None or w.self_[LB].mx is not OWN:
             return False
-        _, slots, _, _ = parse_fc(shape, w.joint[LB])
+        _, slots, _, gp = parsed
         if slots[i] != Req(fname, arg):
             return False
-        g_all = total_aux(shape, w)
+        g_all = total_aux(shape, w, gp)
         func = shape.funcs[fname]
         return g_all is not None and func.f_spec(arg, result, g_all, func.delta(g_all, arg))
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
-        g_all = total_aux(shape, w)
+        g_all = total_aux(shape, w, gp)
         delta = shape.funcs[fname].delta(g_all, arg)
         gp2 = gp[:i] + (delta,) + gp[i + 1 :]
         jv = (Heap(jh.set(cell, Resp(result))), gp2)
@@ -418,7 +445,7 @@ def try_collect(shape: FcShape, tid: int) -> AtomicAction:
     cell = shape.slot(tid)
 
     def safe(w):
-        return _safe_home(shape, w) and tid in w.self_[LB].ids.ids
+        return _safe_home(shape, w) is not None and tid in w.self_[LB].ids.ids
 
     def step(w, ctx):
         jh, gp = w.joint[LB]

@@ -1,0 +1,66 @@
+"""FrozenMap: the read-only mapping surface, equality and hashing."""
+
+import pytest
+
+from histrio.fmap import EMPTY_MAP, FrozenMap
+from histrio.pcm import Heap, Loc
+
+
+@pytest.mark.parametrize("cls", [FrozenMap, Heap])
+def test_mapping_surface(cls):
+    m = cls({Loc(2): "b", Loc(1): "a"})
+    assert m[Loc(1)] == "a"
+    with pytest.raises(KeyError):
+        m[Loc(3)]
+    assert Loc(2) in m and Loc(3) not in m
+    assert len(m) == 2 and len(cls()) == 0
+    assert list(m) == [Loc(2), Loc(1)]
+    assert set(m.keys()) == {Loc(1), Loc(2)}
+    assert set(m.items()) == {(Loc(1), "a"), (Loc(2), "b")}
+    assert sorted(m.values()) == ["a", "b"]
+    assert m.get(Loc(1)) == "a"
+    assert m.get(Loc(3)) is None
+    assert m.get(Loc(3), 0) == 0
+    assert dict(m) == {Loc(1): "a", Loc(2): "b"}
+    assert m.keys() - {Loc(1)} == {Loc(2)}
+    assert not hasattr(m.keys(), "add")
+
+
+@pytest.mark.parametrize("cls", [FrozenMap, Heap])
+def test_equality_and_hash_ignore_insertion_order(cls):
+    a = cls({Loc(1): "a", Loc(2): "b"})
+    b = cls([(Loc(2), "b"), (Loc(1), "a")])
+    assert a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert a != cls({Loc(1): "a"})
+    assert a != cls({Loc(1): "a", Loc(2): "c"})
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", [FrozenMap, Heap])
+def test_never_equal_to_a_plain_dict(cls):
+    d = {Loc(1): "a"}
+    m = cls(d)
+    assert (m == d) is False and (d == m) is False
+    assert m != d
+    assert cls() != {}
+
+
+def test_mutators_return_fresh_maps():
+    m = FrozenMap({"x": 1})
+    assert m.set("y", 2) == FrozenMap({"x": 1, "y": 2})
+    assert m.remove("x") == EMPTY_MAP
+    assert m.restrict({"x"}) == m and m.without({"x"}) == EMPTY_MAP
+    assert m == FrozenMap({"x": 1})
+
+
+def test_merge_disjoint():
+    a, b = FrozenMap({"x": 1}), FrozenMap({"y": 2})
+    assert a.merge_disjoint(b) == FrozenMap({"x": 1, "y": 2})
+    assert a.merge_disjoint(FrozenMap({"x": 1})) is None
+    assert a.merge_disjoint(EMPTY_MAP) == a
+    assert EMPTY_MAP.merge_disjoint(a) == a
+    # the union of two heaps is a plain map, whichever operand is empty
+    h = Heap({Loc(1): 0})
+    assert type(h.merge_disjoint(Heap())) is FrozenMap
+    assert type(Heap().merge_disjoint(h)) is FrozenMap

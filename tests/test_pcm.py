@@ -182,3 +182,36 @@ def test_pointwise_join_forms_a_pcm_over_fixed_labels():
         m2 = FrozenMap({"tb": STACK_HIST_PCM.sample(rng), "pv": HEAP_PCM.sample(rng)})
         assert map_pointwise_join(m, unit_map_like(m)) == m
         assert map_pointwise_join(m, m2) == map_pointwise_join(m2, m)
+
+
+def test_hist_entries_are_checked_at_construction():
+    with pytest.raises(ValueError, match="bad timestamp"):
+        Hist(STACK, FrozenMap({-1: ((), ())}))
+    with pytest.raises(ValueError, match="bad timestamp"):
+        Hist.of(STACK, {"t": ((), ())})
+    with pytest.raises(ValueError, match="bad history entry"):
+        Hist.of(STACK, {0: "x"})
+    with pytest.raises(ValueError, match="bad history entry"):
+        Hist.of(STACK, {0: ((), (), ())})
+
+
+def test_unchecked_results_equal_checked_histories():
+    """join, subtract and unit_like skip the entry check; what they build
+    is indistinguishable from the same history built the checked way."""
+    a = Hist.of(STACK, {0: ((), ("a",))})
+    b = Hist.of(STACK, {1: (("a",), ())})
+    ab = Hist.of(STACK, {0: ((), ("a",)), 1: (("a",), ())})
+    for got, want in [
+        (join(a, b), ab),
+        (join(b, a), ab),
+        (join(a, Hist(STACK)), a),
+        (join(Hist(STACK), b), b),
+        (subtract(ab, a), b),
+        (subtract(ab, ab), Hist(STACK)),
+        (unit_like(ab), Hist(STACK)),
+        (unit_like(Hist.of(SNAPSHOT, {})), Hist(SNAPSHOT)),
+    ]:
+        assert got == want and hash(got) == hash(want)
+        assert got.kind == want.kind and got.entries == want.entries
+        assert repr(got) == repr(want)
+    assert join(a, Hist.of(STACK, {0: ((), ("b",))})) is None

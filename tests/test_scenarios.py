@@ -152,12 +152,12 @@ def test_single_thread_flat_combine_serializes_itself():
         assert total == Hist.of(STACK, {0: ((), ()), 1: ((), ("e0",))})
 
 
-def test_naive_read_pair_is_caught_by_the_spec():
-    """Dropping the version re-check admits pairs that never coexisted;
-    some interleaving with two writers must expose it."""
+def _naive_read_pair_scenario():
+    """A reader that reads x then y with no version re-check, racing two
+    writers."""
     from histrio.program import ActN, Ret, do
     from histrio.scenarios import par_chain, split_take
-    from histrio.scheduler import Scenario, explore
+    from histrio.scheduler import Scenario
     from histrio.specs import read_pair_spec
     from histrio.program import SpecedN
     from histrio.structures import snapshot as sp
@@ -175,10 +175,28 @@ def test_naive_read_pair_is_caught_by_the_spec():
         [split_take({sp.LB: Hist(sp.SNAPSHOT)}),
          split_take({sp.LB: root.self_[sp.LB]})],
     )
-    sc = Scenario("naive-reader", sp.concurroid(), root, program)
+    return Scenario("naive-reader", sp.concurroid(), root, program)
+
+
+def test_naive_read_pair_is_caught_by_the_spec():
+    """Dropping the version re-check admits pairs that never coexisted;
+    some interleaving with two writers must expose it."""
+    sc = _naive_read_pair_scenario()
     rep = explore(sc, step_bound=40, loop_bound=3)
     assert rep.verdict == "violation"
     assert any(v.check == "spec:readPair" for v in rep.violations)
     # the counterexample is replayable and small
     v = next(v for v in rep.violations if v.check == "spec:readPair")
     assert len(v.schedule) <= 10
+
+
+def test_violation_cap_does_not_change_path_counts():
+    """The cap bounds the recorded violations only: a path that fails a
+    spec post during normalization stays violating after the cap is hit."""
+    sc = _naive_read_pair_scenario()
+    capped = explore(sc, step_bound=40, loop_bound=3, max_violations=1)
+    uncapped = explore(sc, step_bound=40, loop_bound=3, max_violations=10**6)
+    assert len(capped.violations) == 1
+    assert (uncapped.complete, uncapped.violating) == (64, 26)
+    assert (capped.complete, capped.violating) == (64, 26)
+    assert capped.verdict == uncapped.verdict == "violation"

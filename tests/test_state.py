@@ -145,3 +145,29 @@ def test_split_join_roundtrip_fuzzed(case):
     assert validate(c1) and validate(c2)
     assert flatten(c1) == flatten(w)  # splitting repartitions, never changes heaps
     assert subjective_join(c1, c2) == w
+
+
+def test_validity_is_remembered_per_object_not_per_equal_state():
+    """A Heap and a plain FrozenMap with the same cells compare equal, but
+    only the heap joins with a heap: the verdict must follow the object."""
+    heap_self = SubjState(FrozenMap({"pv": Heap({Loc(1): 0})}),
+                          FrozenMap({"pv": EMPTY_HEAP}), FrozenMap({"pv": EMPTY_HEAP}))
+    map_self = SubjState(FrozenMap({"pv": FrozenMap({Loc(1): 0})}),
+                         FrozenMap({"pv": EMPTY_HEAP}), FrozenMap({"pv": EMPTY_HEAP}))
+    assert heap_self == map_self and hash(heap_self) == hash(map_self)
+    assert validate(heap_self)
+    assert not validate(map_self)
+    assert validate(heap_self)
+    assert flatten(heap_self) == Heap({Loc(1): 0})
+    assert flatten(map_self) == EMPTY_HEAP
+
+
+def test_restrictions_of_a_valid_state_are_valid():
+    w = mkstate({Loc(1): 3}, {Loc(9): 0}, {Loc(2): 1})
+    assert validate(w)
+    for labels in ({"pv"}, {"tb"}, set(), {"pv", "tb"}):
+        r = w.restrict(labels)
+        assert validate(r)
+        fresh = SubjState(r.self_, r.joint, r.other)
+        assert validate(fresh)
+        assert flatten(r) == flatten(fresh)
