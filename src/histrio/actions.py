@@ -146,11 +146,6 @@ class AtomicAction:
         return f"<action {self.name}>"
 
 
-def erase(a: AtomicAction) -> Primitive:
-    """The primitive atomic whose heap behavior the action refines."""
-    return a.primitive
-
-
 def run_atomic(a: AtomicAction, w: SubjState, ctx: StepCtx):
     """Step the action, faulting when invoked outside its safety predicate."""
     if not a.safe(w):

@@ -16,20 +16,27 @@ import sys
 import time
 from typing import Optional
 
+from . import scenarios as S
 from .scheduler import explore, run_random, run_replay
 
-SCENARIO_NAMES = [
-    "pair-snapshot",
-    "treiber",
-    "producer-consumer",
-    "flat-combiner",
-    "seq-recovery",
-    "laws",
-    "concurroid-check",
-    "action-check",
-]
-
 REPORT_VERSION = 1
+
+
+def _treiber(args):
+    elems = tuple("abcdef"[: max(1, args.threads - 1)])
+    return S.treiber_scenario(pushers=len(elems), elems=elems)
+
+
+# name -> (build the scenario from the parsed arguments, default step bound)
+SCENARIOS = {
+    "pair-snapshot": (
+        lambda args: S.pair_snapshot_scenario(writers=max(1, args.threads - 1)), 40),
+    "treiber": (_treiber, 60),
+    "producer-consumer": (
+        lambda args: S.producer_consumer_scenario(n=args.ops_per_thread), 60),
+    "flat-combiner": (lambda args: S.flat_combiner_scenario(threads=args.threads), 120),
+    "seq-recovery": (lambda args: S.seq_recovery_scenario(), 30),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Explore interleavings of fine-grained concurrent "
         "structures and check their history-based specifications.",
     )
-    p.add_argument("--scenario", choices=SCENARIO_NAMES)
+    p.add_argument("--scenario", choices=[*SCENARIOS, *CHECKS])
     p.add_argument("--mode", choices=["exhaustive", "random", "native"],
                    default="exhaustive")
     p.add_argument("--threads", type=int, default=3)
@@ -63,31 +70,8 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _default_step_bound(name: str) -> int:
-    return {
-        "pair-snapshot": 40,
-        "treiber": 60,
-        "producer-consumer": 60,
-        "flat-combiner": 120,
-        "seq-recovery": 30,
-    }.get(name, 60)
-
-
 def _build_scenario(name: str, args):
-    from . import scenarios as S
-
-    if name == "pair-snapshot":
-        return S.pair_snapshot_scenario(writers=max(1, args.threads - 1))
-    if name == "treiber":
-        elems = tuple("abcdef"[: max(1, args.threads - 1)])
-        return S.treiber_scenario(pushers=len(elems), elems=elems)
-    if name == "producer-consumer":
-        return S.producer_consumer_scenario(n=args.ops_per_thread)
-    if name == "flat-combiner":
-        return S.flat_combiner_scenario(threads=args.threads)
-    if name == "seq-recovery":
-        return S.seq_recovery_scenario()
-    raise ValueError(name)
+    return SCENARIOS[name][0](args)
 
 
 def _all_action_families():
@@ -177,6 +161,14 @@ def _run_action_check(args) -> dict:
     }
 
 
+# the sampled obligation suites, run in place of a scenario
+CHECKS = {
+    "laws": _run_laws,
+    "concurroid-check": _run_concurroid_check,
+    "action-check": _run_action_check,
+}
+
+
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
@@ -212,12 +204,8 @@ def main(argv: Optional[list] = None) -> int:
     }
     started = time.time()
 
-    if args.scenario == "laws":
-        body = _run_laws(args)
-    elif args.scenario == "concurroid-check":
-        body = _run_concurroid_check(args)
-    elif args.scenario == "action-check":
-        body = _run_action_check(args)
+    if args.scenario in CHECKS:
+        body = CHECKS[args.scenario](args)
     elif args.mode == "native":
         if args.scenario != "treiber":
             return _usage_error("native mode supports only the treiber scenario")
@@ -232,7 +220,7 @@ def main(argv: Optional[list] = None) -> int:
         }
     else:
         scenario = _build_scenario(args.scenario, args)
-        step_bound = args.step_bound or _default_step_bound(args.scenario)
+        step_bound = args.step_bound or SCENARIOS[args.scenario][1]
         config["step_bound"] = step_bound  # exhaustive mode always runs bounded
         if args.mode == "exhaustive":
             rep = explore(scenario, step_bound, args.loop_bound)
@@ -275,7 +263,7 @@ def _do_replay(args) -> int:
         return _usage_error(f"cannot read replay file: {exc}")
     cfg = old.get("config", {})
     name = cfg.get("scenario")
-    if name not in SCENARIO_NAMES or name in ("laws", "concurroid-check", "action-check"):
+    if name not in SCENARIOS:
         return _usage_error("replay file does not name a runnable scenario")
     schedule = None
     for v in old.get("violations", []):

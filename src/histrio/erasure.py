@@ -1,227 +1,57 @@
-"""Replay of a recorded schedule with all auxiliary state stripped.
+"""Erasure commutation: auxiliary state does not steer the concrete run.
 
-The erased machine runs the same program trees over a bare mutable heap:
-atomic actions execute their primitive erasures, forks do not split
-anything, spec/inject/hide wrappers are transparent.  Under the same
-schedule the instrumented and erased runs must produce identical
-results and identical final concrete heaps; ``compare_erased`` checks
-both, which is the operational content of erasure soundness.
+``compare_erased`` draws one seeded schedule through the instrumented
+scheduler, then replays the primitive each step erased to (``Read``,
+``Write``, ``Rmw``, ``Alloc``, ...) on a bare mutable heap that starts
+from the scenario's flattened initial state.  Every primitive must
+return exactly the result the instrumented action returned, and the
+final concrete heap must equal the flattening of the instrumented final
+state.
+
+Equal per-step results are enough to pin the control path as well: a
+program reads nothing but its environment, and the environment holds
+nothing but action results (and values computed from them), so the
+erased program would take the same branches, retry the same loops and
+return the same values as the instrumented one.  Comparing each result,
+rather than only the run's final values, also catches an action whose
+result disagrees with its primitive's even when the program happens to
+ignore it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from .actions import exec_primitive
-from .program import (
-    ActN,
-    HideN,
-    IfN,
-    LoopN,
-    LOOP_RETRY,
-    ParN,
-    Ret,
-    Seq,
-    SpecedN,
-    InjectN,
-)
-from .scheduler import Scenario, Trace, initial_config
+from .scheduler import Trace, initial_config, leaf_view, leaves, run_random
 from .state import flatten
 
 
-@dataclass
-class _ELeaf:
-    tid: int
-    node: Any
-    env: Any
-    kont: list
-    status: str = "run"
-    result: Any = None
-    pending: Optional[tuple] = None
-
-
-@dataclass
-class _EPar:
-    left: Any
-    right: Any
-    tid: int
-    env: Any
-    kont: list
-
-
-class ErasedRun:
-    def __init__(self, scenario: Scenario, loop_bound: int):
-        cfg = initial_config(scenario)
-        self.heap = dict(flatten(scenario.root))
-        self.next_loc = cfg.next_loc
-        self.next_tid = 1
-        self.loop_bound = loop_bound
-        self.tree = _ELeaf(0, scenario.program, cfg.tree.env, [])
-        self._normalize()
-
-    # -- tree plumbing ----------------------------------------------------
-    def _leaves(self, tree=None):
-        tree = self.tree if tree is None else tree
-        if isinstance(tree, _ELeaf):
-            return [tree]
-        return self._leaves(tree.left) + self._leaves(tree.right)
-
-    def _replace(self, tree, tid, repl):
-        if isinstance(tree, _ELeaf):
-            return repl if tree.tid == tid else tree
-        tree.left = self._replace(tree.left, tid, repl)
-        tree.right = self._replace(tree.right, tid, repl)
-        return tree
-
-    # -- reduction ---------------------------------------------------------
-    def _deliver(self, leaf):
-        value = leaf.pending[1]
-        leaf.pending = None
-        while True:
-            if not leaf.kont:
-                leaf.status, leaf.result, leaf.node = "done", value, None
-                return
-            frame = leaf.kont.pop()
-            kind = frame[0]
-            if kind == "seq":
-                _, var, rest, env = frame
-                leaf.env = env.set(var, value) if var else env
-                leaf.node = rest
-                return
-            if kind == "loop":
-                _, loop, env, remaining = frame
-                if value is LOOP_RETRY:
-                    if remaining <= 0:
-                        leaf.status, leaf.node = "stuck", None
-                        return
-                    leaf.kont.append(("loop", loop, env, remaining - 1))
-                    leaf.env, leaf.node = env, loop.body
-                    return
-                continue
-            # inject / spec / hide wrappers are transparent when erased
-
-    def _reduce(self, leaf):
-        node = leaf.node
-        if isinstance(node, Ret):
-            leaf.node, leaf.pending = None, ("v", node.fn(leaf.env))
-            self._deliver(leaf)
-        elif isinstance(node, Seq):
-            leaf.kont.append(("seq", node.var, node.rest, leaf.env))
-            leaf.node = node.first
-        elif isinstance(node, IfN):
-            leaf.node = node.then if node.cond(leaf.env) else node.els
-        elif isinstance(node, LoopN):
-            leaf.kont.append(("loop", node, leaf.env, self.loop_bound - 1))
-            leaf.node = node.body
-        elif isinstance(node, (InjectN, SpecedN, HideN)):
-            leaf.kont.append(("wrap",))
-            leaf.node = node.body
-        elif isinstance(node, ParN):
-            left = _ELeaf(leaf.tid, node.left, leaf.env, [])
-            right = _ELeaf(self.next_tid, node.right, leaf.env, [])
-            self.next_tid += 1
-            par = _EPar(left, right, leaf.tid, leaf.env, leaf.kont)
-            self.tree = self._replace(self.tree, leaf.tid, par)
-        else:
-            raise RuntimeError(f"cannot reduce erased node {node!r}")
-
-    def _collapse(self):
-        def find(tree):
-            if isinstance(tree, _ELeaf):
-                return None
-            if (isinstance(tree.left, _ELeaf) and tree.left.status == "done"
-                    and isinstance(tree.right, _ELeaf) and tree.right.status == "done"):
-                return tree
-            return find(tree.left) or find(tree.right)
-
-        par = find(self.tree)
-        if par is None:
-            return False
-        merged = _ELeaf(par.tid, None, par.env, par.kont, "run", None,
-                        ("v", (par.left.result, par.right.result)))
-
-        def rebuild(tree):
-            if tree is par:
-                return merged
-            if isinstance(tree, _EPar):
-                tree.left = rebuild(tree.left)
-                tree.right = rebuild(tree.right)
-            return tree
-
-        self.tree = rebuild(self.tree)
-        self._deliver(merged)
-        return True
-
-    def _normalize(self):
-        while True:
-            progressed = False
-            for leaf in self._leaves():
-                if leaf.status != "run":
-                    continue
-                if leaf.node is None and leaf.pending is not None:
-                    self._deliver(leaf)
-                    progressed = True
-                    break
-                if leaf.node is not None and not isinstance(leaf.node, ActN):
-                    self._reduce(leaf)
-                    progressed = True
-                    break
-            if progressed:
-                continue
-            if self._collapse():
-                continue
-            return
-
-    # -- driving -----------------------------------------------------------
-    def step(self, tid: int):
-        for leaf in self._leaves():
-            if leaf.tid == tid and leaf.status == "run" and isinstance(leaf.node, ActN):
-                action = leaf.node.build(leaf.env)
-                res, self.next_loc = exec_primitive(
-                    action.primitive, self.heap, self.next_loc
-                )
-                leaf.node, leaf.pending = None, ("v", res)
-                self._normalize()
-                return res
-        raise RuntimeError(f"erased replay: thread {tid} not ready")
-
-    def run(self, schedule):
-        for tid in schedule:
-            self.step(tid)
-        root = self.tree
-        result = root.result if isinstance(root, _ELeaf) else None
-        return result, dict(self.heap)
-
-
 def compare_erased(scenario_builder, seed: int, budget: int, loop_bound: int) -> Optional[str]:
-    """Run one seeded schedule instrumented, replay it erased, compare."""
-    from .scheduler import run_random
-
+    """Run one seeded schedule instrumented, replay its primitives, compare."""
     scenario = scenario_builder()
     trace: Trace = run_random(scenario, seed, budget, loop_bound)
     if trace.verdict == "violation":
         return f"instrumented run violated its checks (seed {seed})"
-    erased = ErasedRun(scenario_builder(), loop_bound)
-    try:
-        result, heap = erased.run(trace.schedule)
-    except RuntimeError as exc:
-        return f"erased replay diverged: {exc}"
+    heap = dict(flatten(scenario.root))
+    next_loc = initial_config(scenario).next_loc
+    for event in trace.events:
+        try:
+            res, next_loc = exec_primitive(event.primitive, heap, next_loc)
+        except KeyError as exc:
+            return (f"erased replay diverged at step {event.index} under seed "
+                    f"{seed}: {event.action} touched absent cell {exc}")
+        if res != event.result:
+            return (f"results differ at step {event.index} under seed {seed}: "
+                    f"{event.action} erased {res!r}, instrumented {event.result!r}")
     inst_heap = dict(flatten(_final_view(trace)))
     if heap != inst_heap:
         return (f"final heaps differ under seed {seed}: erased {len(heap)} cells, "
                 f"instrumented {len(inst_heap)}")
-    from .scheduler import Leaf
-
-    if isinstance(trace.final.tree, Leaf) and trace.final.tree.status == "done":
-        if result != trace.results:
-            return f"results differ under seed {seed}: {result!r} vs {trace.results!r}"
     return None
 
 
 def _final_view(trace: Trace):
     """Any leaf's view flattens to the whole concrete heap exactly once."""
-    from .scheduler import leaf_view, leaves
-
     cfg = trace.final
     return leaf_view(cfg, leaves(cfg.tree)[0])

@@ -28,13 +28,6 @@ def lookup_end(tau: Hist, t: int):
         raise AbsentTimestampError(t) from None
 
 
-def lookup_pair(tau: Hist, t: int) -> tuple:
-    try:
-        return tau.entries[t]
-    except KeyError:
-        raise AbsentTimestampError(t) from None
-
-
 def upper_bounds(tau: Hist, t: int) -> bool:
     """``τ ≤ t``: every stamp in τ is at most ``t``."""
     return all(t2 <= t for t2 in tau.stamps())

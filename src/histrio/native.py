@@ -7,13 +7,14 @@ operation to the log.  Workers run the usual push/pop loops (allocate,
 link, CAS; read head, CAS it out), so every interleaving the OS
 scheduler produces is a real one.
 
-Validation is post hoc over the timestamped log, replaying it against
-the history predicates incrementally: stamps must be gap-free from the
-initial entry (completeness), each event's pre-state must equal the
-running state (continuity), each event must push or pop a single
-element (stack-likeness), and the push/pop multisets must account for
-the final stack contents.  A failed CAS publishes nothing, so the log
-contains exactly the committed operations.
+Validation is post hoc: the timestamped log is read as a stack history
+and checked by the same predicates the modeled runs use
+(``specs.stack_accounting`` and ``history.lemma2_oracle``): stamps must be
+gap-free from the initial entry (completeness), each event's pre-state
+must equal the previous post-state (continuity), each event must push
+or pop a single element (stack-likeness), and the push/pop multisets
+must account for the final stack contents.  A failed CAS publishes
+nothing, so the log contains exactly the committed operations.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
+
+from .fmap import FrozenMap
+from .history import lemma2_oracle
+from .pcm import STACK, Hist
+from .specs import stack_accounting
 
 
 class NativeStack:
@@ -108,42 +114,18 @@ class NativeReport:
 
 
 def validate_log(log: list, final: tuple, report: NativeReport):
-    """Replay the log against the stack history predicates."""
-    state: tuple = ()
-    pushed: Counter = Counter()
-    popped: Counter = Counter()
-    expected_stamp = 1
-    for stamp, op, elem in log:
-        if stamp != expected_stamp:
-            report.violations.append(
-                f"history incomplete: stamp {stamp} after {expected_stamp - 1}"
-            )
-            return
-        expected_stamp += 1
-        if op == "push":
-            state = (elem,) + state  # entry (l, e::l): continuous & stacklike
-            pushed[elem] += 1
-        elif op == "pop":
-            if not state or state[0] != elem:
-                report.violations.append(
-                    f"stamp {stamp}: pop of {elem!r} does not match state head"
-                )
-                return
-            state = state[1:]
-            popped[elem] += 1
-        else:
-            report.violations.append(f"stamp {stamp}: unknown op {op!r}")
-            return
-    if state != final:
-        report.violations.append(
-            f"log replay ends with {state!r} but the stack holds {final!r}"
-        )
-    if pushed - popped != Counter(final):
-        report.violations.append("push/pop multisets do not account for the stack")
-    if sum(pushed.values()) == sum(popped.values()) and pushed != popped:
+    """Check the log, read as a stack history, against the history
+    predicates and the final stack contents."""
+    try:
+        tau = log_as_history(log)
+    except ValueError as exc:
+        report.violations.append(str(exc))
+        return
+    report.violations.extend(stack_accounting(tau, final))
+    if not lemma2_oracle(tau):
         report.violations.append("balanced run with unequal push/pop multisets")
-    report.pushes = sum(pushed.values())
-    report.pops = sum(popped.values())
+    ops = Counter(op for _, op, _ in log)
+    report.pushes, report.pops = ops["push"], ops["pop"]
     report.committed = len(log)
 
 
@@ -185,18 +167,19 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0,
     return report
 
 
-def log_as_history(log: list):
-    """The recorded log as a real history value (small runs only)."""
-    from .fmap import FrozenMap
-    from .pcm import Hist, STACK
-
+def log_as_history(log: list) -> Hist:
+    """The recorded log as a stack history.  A pop of ``e`` is recorded as
+    ``(e::post, post)``, so popping anything but the head breaks
+    continuity."""
     state: tuple = ()
     entries = {0: ((), ())}
     for stamp, op, elem in log:
         if op == "push":
             entries[stamp] = (state, (elem,) + state)
             state = (elem,) + state
-        else:
-            entries[stamp] = (state, state[1:])
+        elif op == "pop":
             state = state[1:]
+            entries[stamp] = ((elem,) + state, state)
+        else:
+            raise ValueError(f"stamp {stamp}: unknown op {op!r}")
     return Hist(STACK, FrozenMap(entries))

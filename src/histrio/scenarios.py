@@ -470,11 +470,3 @@ def counting_scenario(threads: int = 2, steps: int = 2) -> Scenario:
         program=par_chain(programs, splits),
     )
 
-
-SCENARIOS = {
-    "pair-snapshot": pair_snapshot_scenario,
-    "treiber": treiber_scenario,
-    "producer-consumer": producer_consumer_scenario,
-    "flat-combiner": flat_combiner_scenario,
-    "seq-recovery": seq_recovery_scenario,
-}

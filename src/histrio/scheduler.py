@@ -169,15 +169,6 @@ def leaf_view(cfg: Config, leaf: Leaf) -> SubjState:
     return SubjState(leaf.self_, cfg.joint, other)
 
 
-def global_total(cfg: Config) -> FrozenMap:
-    total = cfg.root_other
-    for l2 in leaves(cfg.tree):
-        total = map_pointwise_join(l2.self_, total)
-        if total is None:
-            raise SchedulerError("subjective accounting broken: selves do not join")
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Hiding
 # ---------------------------------------------------------------------------
@@ -282,6 +273,7 @@ class Event:
     result: Any
     before: SubjState = field(repr=False)
     after: SubjState = field(repr=False)
+    primitive: Any = field(repr=False)  # the action's erasure, replayed by compare_erased
 
     @property
     def delta(self) -> str:
@@ -666,7 +658,8 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, None, ("v", res))
     cfg2 = Config(replace_leaf(cfg.tree, leaf.tid, nxt), w2.joint,
                   cfg.root_other, cfg.conc, sctx.next_loc, cfg.next_tid)
-    event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2)
+    event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
+                  action.primitive)
     return cfg2, event
 
 

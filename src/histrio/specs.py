@@ -347,7 +347,7 @@ def stack_accounting(total: Hist, contents: tuple) -> list:
     push/pop conservation."""
     out = []
     if not is_complete(total):
-        out.append("history not complete")
+        out.append("history incomplete")
     if not is_continuous(total):
         out.append("history not continuous")
     if not is_stacklike(total):

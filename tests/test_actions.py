@@ -14,7 +14,6 @@ from histrio.actions import (
     Write,
     cas,
     check_action_properties,
-    erase,
     exec_primitive,
     run_atomic,
     StepCtx,
@@ -54,11 +53,11 @@ def test_exec_primitives():
 
 
 def test_erasures_of_the_shipped_actions():
-    assert erase(sp.read_x()) == Read(sp.X)
+    assert sp.read_x().primitive == Read(sp.X)
     a = tb.try_push(Loc(0), Loc(5))
-    assert isinstance(erase(a), Rmw) and erase(a).loc == tb.SNT
-    assert isinstance(erase(sp.write_x("B")), Rmw)
-    assert erase(pv.write(Loc(3), 1)) == Write(Loc(3), 1)
+    assert isinstance(a.primitive, Rmw) and a.primitive.loc == tb.SNT
+    assert isinstance(sp.write_x("B").primitive, Rmw)
+    assert pv.write(Loc(3), 1).primitive == Write(Loc(3), 1)
 
 
 def test_run_atomic_faults_outside_safety():

@@ -93,29 +93,42 @@ def test_erasure_commutation_smoke():
 
 
 def test_erasure_mismatch_is_detected():
-    """Sabotaged primitive: the erased run diverges and the check says so."""
+    """Sabotaged primitive: the erased run diverges and the check says so.
 
-    def broken():
-        sc = treiber_scenario()
-        from histrio.actions import Skip
-        from histrio.program import ActN
+    The second sabotage writes the same cell as ``linkNode`` but returns a
+    different result, which the program ignores: only a per-step result
+    comparison sees it.
+    """
+    from histrio.actions import Rmw, Skip
+    from histrio.program import ActN
 
-        def patch(node):
-            if isinstance(node, ActN) and node.label == "alloc":
-                orig = node.build
+    def sabotaged(label, replace):
+        def broken():
+            sc = treiber_scenario()
 
-                def build(env):
-                    a = orig(env)
-                    a.primitive = Skip()  # erasure no longer matches
-                    return a
+            def patch(node):
+                if isinstance(node, ActN) and node.label == label:
+                    orig = node.build
 
-                node.build = build
+                    def build(env):
+                        a = orig(env)
+                        a.primitive = replace(a.primitive)  # erasure no longer matches
+                        return a
 
-        _walk_nodes(sc.program, patch)
-        return sc
+                    node.build = build
 
-    msgs = [compare_erased(broken, seed, 120, 3) for seed in range(3)]
-    assert any(m is not None for m in msgs)
+            _walk_nodes(sc.program, patch)
+            return sc
+
+        return broken
+
+    for broken in (
+        sabotaged("alloc", lambda prim: Skip()),
+        sabotaged("linkNode",
+                  lambda prim: Rmw(prim.loc, lambda v, val=prim.val: val, lambda v: "junk")),
+    ):
+        msgs = [compare_erased(broken, seed, 120, 3) for seed in range(3)]
+        assert any(m is not None for m in msgs)
 
 
 def _walk_nodes(node, fn, seen=None):
