@@ -8,14 +8,20 @@ root map, and the installed concurroid.  Administrative reductions
 performed eagerly and deterministically; the only branching points are
 atomic actions, so interleaving counts are exact.
 
-Exhaustive mode runs a depth-first search over configurations, merging
-on (configuration, steps-used) so converging interleavings share their
-subtrees while path counts stay exact.  Random mode draws one schedule
-from a seeded generator.  Every step checks post-state coherence,
-claimed-transition membership, the guarantee (the stepping thread never
-touches its environment's state), injection scoping, and monotone
-growth of history-valued self components; method specs are evaluated at
-their return points.
+Exhaustive mode runs a depth-first search over configurations on an
+explicit stack, so its depth is not limited by Python's recursion limit.
+Converging interleavings share their subtrees through a memo keyed on
+the configuration alone, while path counts stay exact: an entry is
+reused only where the step bound cannot cut the subtree differently
+from when it was explored, and a subtree it did cut is keyed on the
+budget too.  Inconclusive paths are counted by cause: cut
+by the step bound, or ended with a thread out of loop iterations.
+Random mode draws one schedule from a seeded generator.
+
+Every step checks post-state coherence, claimed-transition membership,
+the guarantee (the stepping thread never touches its environment's
+state), injection scoping, and monotone growth of history-valued self
+components; method specs are evaluated at their return points.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ class HideK:
 RUN, DONE, STUCK = "run", "done", "stuck"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     tid: int
     node: Optional[Node]
@@ -103,25 +109,46 @@ class Leaf:
     status: str = RUN
     result: Any = None
     pending: Optional[tuple] = None  # ("v", value) awaiting continuation
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.tid, self.node, self.env, self.kont, self.self_,
+                      self.status, self.result, self.pending))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParT:
     left: Any
     right: Any
     tid: int
     env: FrozenMap
     kont: tuple
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.left, self.right, self.tid, self.env, self.kont))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Config:
+    """A machine configuration.  Its hash, like its tree nodes' hashes, is
+    computed once and kept, since configurations key the explorer's memo."""
+
     tree: Any
     joint: FrozenMap
     root_other: FrozenMap
     conc: Concurroid
     next_loc: int
     next_tid: int
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __eq__(self, other):
         return (
@@ -135,10 +162,12 @@ class Config:
         )
 
     def __hash__(self):
-        return hash(
-            (self.tree, self.joint, self.root_other, id(self.conc),
-             self.next_loc, self.next_tid)
-        )
+        h = self._hash
+        if h is None:
+            h = hash((self.tree, self.joint, self.root_other, id(self.conc),
+                      self.next_loc, self.next_tid))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def leaves(tree) -> list[Leaf]:
@@ -157,6 +186,12 @@ def replace_leaf(tree, tid: int, repl):
     if right is not tree.right:
         return ParT(tree.left, right, tree.tid, tree.env, tree.kont)
     return tree
+
+
+def _with_leaf(cfg: Config, leaf: Leaf) -> Config:
+    """The configuration with the leaf of the same thread id replaced."""
+    return Config(replace_leaf(cfg.tree, leaf.tid, leaf), cfg.joint,
+                  cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid)
 
 
 def leaf_view(cfg: Config, leaf: Leaf) -> SubjState:
@@ -314,7 +349,8 @@ class Trace:
 class ExplorationReport:
     scenario: str
     complete: int = 0
-    inconclusive: int = 0
+    inconclusive_step_bound: int = 0  # paths cut by the step bound
+    inconclusive_loop_bound: int = 0  # paths ending with a thread out of loop iterations
     violating: int = 0
     violations: list = field(default_factory=list)
     finals: set = field(default_factory=set)
@@ -324,6 +360,10 @@ class ExplorationReport:
     @property
     def interleavings(self) -> int:
         return self.complete
+
+    @property
+    def inconclusive(self) -> int:
+        return self.inconclusive_step_bound + self.inconclusive_loop_bound
 
     @property
     def verdict(self) -> str:
@@ -342,7 +382,12 @@ class ExplorationReport:
             "violating_paths": self.violating,
             "distinct_final_states": len(self.finals),
             "violations": [v.as_dict() for v in self.violations[:20]],
-            "stats": {"nodes": self.nodes, "edges": self.edges},
+            "stats": {
+                "nodes": self.nodes,
+                "edges": self.edges,
+                "inconclusive_step_bound": self.inconclusive_step_bound,
+                "inconclusive_loop_bound": self.inconclusive_loop_bound,
+            },
         }
 
 
@@ -379,46 +424,81 @@ class _Ctx:
 # Normalization: administrative reductions
 # ---------------------------------------------------------------------------
 
-def _deliver(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
-    """Pop one continuation frame for a leaf carrying a pending value."""
-    value = leaf.pending[1]
-    if not leaf.kont:
-        done = Leaf(leaf.tid, None, leaf.env, (), leaf.self_, DONE, value, None)
-        return Config(replace_leaf(cfg.tree, leaf.tid, done), cfg.joint,
-                      cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid)
-    frame, rest = leaf.kont[-1], leaf.kont[:-1]
-    if isinstance(frame, SeqK):
-        env = frame.env.set(frame.var, value) if frame.var else frame.env
-        nxt = Leaf(leaf.tid, frame.rest, env, rest, leaf.self_)
-    elif isinstance(frame, LoopK):
-        if value is LOOP_RETRY:
+def _advance(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Optional[Leaf]:
+    """One thread-local reduction of a reducible leaf, or ``None`` when its
+    next reduction is structural (fork, hide, completion, loop exhaustion).
+
+    Local reductions change only the leaf's node, environment and
+    continuation, never its self map or any other part of ``cfg``; so
+    ``leaf_view(cfg, leaf)`` is the thread's view without splicing the leaf
+    into the tree first.
+    """
+    node = leaf.node
+    if node is None:
+        if not leaf.kont:
+            return None
+        frame, rest, value = leaf.kont[-1], leaf.kont[:-1], leaf.pending[1]
+        if isinstance(frame, SeqK):
+            env = frame.env.set(frame.var, value) if frame.var else frame.env
+            return Leaf(leaf.tid, frame.rest, env, rest, leaf.self_)
+        if isinstance(frame, LoopK):
+            if value is not LOOP_RETRY:
+                return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_,
+                            RUN, None, ("v", value))
             if frame.remaining <= 0:
-                return Config(
-                    replace_leaf(cfg.tree, leaf.tid,
-                                 Leaf(leaf.tid, None, leaf.env, leaf.kont,
-                                      leaf.self_, STUCK, None, None)),
-                    cfg.joint, cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid)
-            nxt = Leaf(
-                leaf.tid, frame.loop.body, frame.env,
-                rest + (LoopK(frame.loop, frame.env, frame.remaining - 1),),
-                leaf.self_)
-        else:
-            nxt = Leaf(leaf.tid, None, leaf.env, rest, leaf.self_,
-                       RUN, None, ("v", value))
-    elif isinstance(frame, InjectK):
-        nxt = Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
-    elif isinstance(frame, SpecK):
-        view = leaf_view(cfg, leaf)
-        msg = frame.spec.post(frame.caps, view, value)
-        if msg is not None:
-            ctx.report(f"spec:{frame.spec.name}", frame.spec.name, msg, leaf.tid)
-        nxt = Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
-    elif isinstance(frame, HideK):
-        return _hide_exit(cfg, leaf, frame, rest, value, ctx)
-    else:
-        raise SchedulerError(f"unknown frame {frame!r}")
-    return Config(replace_leaf(cfg.tree, leaf.tid, nxt), cfg.joint,
-                  cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid)
+                return None
+            return Leaf(leaf.tid, frame.loop.body, frame.env,
+                        rest + (LoopK(frame.loop, frame.env, frame.remaining - 1),),
+                        leaf.self_)
+        if isinstance(frame, InjectK):
+            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
+        if isinstance(frame, SpecK):
+            msg = frame.spec.post(frame.caps, leaf_view(cfg, leaf), value)
+            if msg is not None:
+                ctx.report(f"spec:{frame.spec.name}", frame.spec.name, msg, leaf.tid)
+            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
+        return None
+    if isinstance(node, Ret):
+        return Leaf(leaf.tid, None, leaf.env, leaf.kont, leaf.self_,
+                    RUN, None, ("v", node.fn(leaf.env)))
+    if isinstance(node, Seq):
+        return Leaf(leaf.tid, node.first, leaf.env,
+                    leaf.kont + (SeqK(node.var, node.rest, leaf.env),), leaf.self_)
+    if isinstance(node, IfN):
+        return Leaf(leaf.tid, node.then if node.cond(leaf.env) else node.els,
+                    leaf.env, leaf.kont, leaf.self_)
+    if isinstance(node, LoopN):
+        return Leaf(leaf.tid, node.body, leaf.env,
+                    leaf.kont + (LoopK(node, leaf.env, ctx.loop_bound - 1),), leaf.self_)
+    if isinstance(node, InjectN):
+        return Leaf(leaf.tid, node.body, leaf.env,
+                    leaf.kont + (InjectK(node.home),), leaf.self_)
+    if isinstance(node, SpecedN):
+        caps = node.spec.capture(leaf_view(cfg, leaf), leaf.env)
+        return Leaf(leaf.tid, node.body, leaf.env,
+                    leaf.kont + (SpecK(node.spec, caps),), leaf.self_)
+    return None
+
+
+def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
+    """The structural reduction of a leaf that ``_advance`` cannot reduce."""
+    node = leaf.node
+    if isinstance(node, ParN):
+        return _fork(cfg, leaf, node, ctx)
+    if isinstance(node, HideN):
+        return _hide_enter(cfg, leaf, node, ctx)
+    if node is not None:
+        raise SchedulerError(f"cannot reduce node {node!r}")
+    if not leaf.kont:
+        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, (), leaf.self_,
+                                    DONE, leaf.pending[1], None))
+    frame = leaf.kont[-1]
+    if isinstance(frame, LoopK):  # a retry with no iterations left
+        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, leaf.kont,
+                                    leaf.self_, STUCK, None, None))
+    if isinstance(frame, HideK):
+        return _hide_exit(cfg, leaf, frame, leaf.kont[:-1], leaf.pending[1], ctx)
+    raise SchedulerError(f"unknown frame {frame!r}")
 
 
 def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
@@ -479,37 +559,6 @@ def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _
                   cfg.next_loc, cfg.next_tid)
 
 
-def _reduce(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
-    node = leaf.node
-    if isinstance(node, Ret):
-        nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, leaf.self_,
-                   RUN, None, ("v", node.fn(leaf.env)))
-    elif isinstance(node, Seq):
-        nxt = Leaf(leaf.tid, node.first, leaf.env,
-                   leaf.kont + (SeqK(node.var, node.rest, leaf.env),), leaf.self_)
-    elif isinstance(node, IfN):
-        nxt = Leaf(leaf.tid, node.then if node.cond(leaf.env) else node.els,
-                   leaf.env, leaf.kont, leaf.self_)
-    elif isinstance(node, LoopN):
-        nxt = Leaf(leaf.tid, node.body, leaf.env,
-                   leaf.kont + (LoopK(node, leaf.env, ctx.loop_bound - 1),), leaf.self_)
-    elif isinstance(node, InjectN):
-        nxt = Leaf(leaf.tid, node.body, leaf.env,
-                   leaf.kont + (InjectK(node.home),), leaf.self_)
-    elif isinstance(node, SpecedN):
-        caps = node.spec.capture(leaf_view(cfg, leaf), leaf.env)
-        nxt = Leaf(leaf.tid, node.body, leaf.env,
-                   leaf.kont + (SpecK(node.spec, caps),), leaf.self_)
-    elif isinstance(node, ParN):
-        return _fork(cfg, leaf, node, ctx)
-    elif isinstance(node, HideN):
-        return _hide_enter(cfg, leaf, node, ctx)
-    else:
-        raise SchedulerError(f"cannot reduce node {node!r}")
-    return Config(replace_leaf(cfg.tree, leaf.tid, nxt), cfg.joint,
-                  cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid)
-
-
 def _fork(cfg: Config, leaf: Leaf, node: ParN, ctx: _Ctx) -> Config:
     view = leaf_view(cfg, leaf)
     a, b = node.split(leaf.env, view)
@@ -567,28 +616,37 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
                   cfg.next_loc, cfg.next_tid)
 
 
+def _first_reducible(tree) -> Optional[Leaf]:
+    if isinstance(tree, Leaf):
+        return tree if tree.status == RUN and not isinstance(tree.node, ActN) else None
+    return _first_reducible(tree.left) or _first_reducible(tree.right)
+
+
 def normalize(cfg: Config, ctx: _Ctx) -> Config:
-    """Drive every thread to an atomic action, completion, or a stuck state."""
+    """Drive every thread to an atomic action, completion, or a stuck state.
+
+    The first reducible leaf is driven through its thread-local reductions
+    on its own and spliced into the tree once, when it reaches an action or
+    a structural reduction; then the tree is scanned again.  Joins wait
+    until no leaf can reduce.
+    """
     while True:
-        progressed = False
-        for leaf in leaves(cfg.tree):
-            if leaf.status != RUN:
-                continue
-            if leaf.node is None:
-                cfg = _deliver(cfg, leaf, ctx)
-                progressed = True
-                break
-            if not isinstance(leaf.node, ActN):
-                cfg = _reduce(cfg, leaf, ctx)
-                progressed = True
-                break
-        if progressed:
-            continue
-        collapsed = _try_collapse(cfg, ctx)
-        if collapsed is not None:
+        leaf = _first_reducible(cfg.tree)
+        if leaf is None:
+            collapsed = _try_collapse(cfg, ctx)
+            if collapsed is None:
+                return cfg
             cfg = collapsed
             continue
-        return cfg
+        while True:
+            nxt = _advance(cfg, leaf, ctx)
+            if nxt is None:
+                cfg = _restructure(cfg, leaf, ctx)
+                break
+            leaf = nxt
+            if isinstance(leaf.node, ActN):
+                cfg = _with_leaf(cfg, leaf)
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -704,72 +762,133 @@ def _finish_path(cfg: Config, ctx: _Ctx, report: ExplorationReport) -> str:
 # Exploration drivers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Summary:
     complete: int
-    inconclusive: int
+    bounded: int  # inconclusive: cut by the step bound
+    stuck: int  # inconclusive: a thread ran out of loop iterations
     violating: int
+
+
+# by _finish_path's verdict; a path that ends short of DONE has a stuck thread
+_FINISHED = {
+    "complete": _Summary(1, 0, 0, 0),
+    "inconclusive": _Summary(0, 0, 1, 0),
+    "violation": _Summary(0, 0, 0, 1),
+}
+_CUT = _Summary(0, 1, 0, 0)
+
+
+class _Frame:
+    """A configuration being expanded: its ready leaves, the index of the
+    next one to step, and the sums and height of the subtrees below the
+    leaves already stepped."""
+
+    __slots__ = ("cfg", "used", "ready", "next", "complete", "bounded",
+                 "stuck", "violating", "height")
+
+    def __init__(self, cfg: Config, used: int, ready: list):
+        self.cfg, self.used, self.ready, self.next = cfg, used, ready, 0
+        self.complete = self.bounded = self.stuck = self.violating = self.height = 0
+
+    def add(self, s: _Summary, height: int):
+        """Account for one edge whose subtree has summary ``s`` and height
+        ``height``; a violating edge is a subtree of height 0."""
+        self.complete += s.complete
+        self.bounded += s.bounded
+        self.stuck += s.stuck
+        self.violating += s.violating
+        if height >= self.height:
+            self.height = height + 1
+
+    def summary(self) -> _Summary:
+        return _Summary(self.complete, self.bounded, self.stuck, self.violating)
 
 
 def explore(scenario: Scenario, step_bound: int, loop_bound: int,
             max_violations: int = 50) -> ExplorationReport:
     """Depth-first enumeration of every interleaving up to ``step_bound``
-    action steps, ties broken by ascending thread id."""
+    action steps, ties broken by ascending thread id.
+
+    A subtree that the step bound cut nowhere is remembered by its
+    configuration with its height (the longest path below, in steps) and
+    reused at any remaining budget of at least that height: the subtree is
+    then the same.  A subtree the bound did cut is remembered by its
+    configuration and the budget it was explored with, and reused at that
+    budget only.
+    """
     if step_bound < 1:
         raise ValueError("step bound must be >= 1")
     ctx = _Ctx(scenario, loop_bound, max_violations)
     report = ExplorationReport(scenario.name)
-    cfg0 = normalize(initial_config(scenario), ctx)
-    memo: dict = {}
+    uncut: dict = {}  # cfg -> (summary, height)
+    cut: dict = {}  # (cfg, budget) -> (summary, height)
 
-    def go(cfg: Config, used: int) -> _Summary:
-        key = (cfg, used)
-        hit = memo.get(key)
+    def remember(cfg: Config, left: int, s: _Summary, height: int) -> tuple:
+        entry = (s, height)
+        if s.bounded:
+            cut[cfg, left] = entry
+        else:
+            uncut[cfg] = entry
+        return entry
+
+    def visit(cfg: Config, used: int):
+        """A new frame for ``cfg``, or (summary, height) when its subtree
+        needs no expansion."""
+        left = step_bound - used
+        hit = uncut.get(cfg)
+        if hit is not None and left >= hit[1]:
+            return hit
+        hit = cut.get((cfg, left)) if cut else None
         if hit is not None:
             return hit
         report.nodes += 1
         ready = ready_leaves(cfg)
-        if not ready:
-            kind = _finish_path(cfg, ctx, report)
-            s = _Summary(
-                1 if kind == "complete" else 0,
-                1 if kind == "inconclusive" else 0,
-                1 if kind == "violation" else 0,
-            )
-            memo[key] = s
-            return s
-        if used >= step_bound:
-            s = _Summary(0, 1, 0)
-            memo[key] = s
-            return s
-        complete = inconclusive = violating = 0
-        for leaf in ready:
-            before = ctx.reported
-            outcome = step_action(cfg, leaf, ctx)
-            report.edges += 1
-            if outcome is None:
-                violating += 1
-                continue
-            cfg2, event = outcome
-            ctx.path.append((leaf.tid, event.action, render(event.result)))
-            cfg2 = normalize(cfg2, ctx)
-            if ctx.reported > before:
-                violating += 1
-                ctx.path.pop()
-                continue
-            sub = go(cfg2, used + 1)
-            ctx.path.pop()
-            complete += sub.complete
-            inconclusive += sub.inconclusive
-            violating += sub.violating
-        s = _Summary(complete, inconclusive, violating)
-        memo[key] = s
-        return s
+        if ready and left > 0:
+            return _Frame(cfg, used, ready)
+        s = _CUT if ready else _FINISHED[_finish_path(cfg, ctx, report)]
+        return remember(cfg, left, s, 0)
 
-    total = go(cfg0, 0)
-    report.complete = total.complete
-    report.inconclusive = total.inconclusive
-    report.violating = total.violating
+    root = visit(normalize(initial_config(scenario), ctx), 0)
+    stack = [root] if isinstance(root, _Frame) else []
+    total = root
+    while stack:
+        f = stack[-1]
+        if f.next == len(f.ready):
+            stack.pop()
+            entry = remember(f.cfg, step_bound - f.used, f.summary(), f.height)
+            if not stack:
+                total = entry
+                break
+            ctx.path.pop()
+            stack[-1].add(*entry)
+            continue
+        leaf = f.ready[f.next]
+        f.next += 1
+        before = ctx.reported
+        outcome = step_action(f.cfg, leaf, ctx)
+        report.edges += 1
+        if outcome is None:
+            f.add(_FINISHED["violation"], 0)
+            continue
+        cfg2, event = outcome
+        ctx.path.append((leaf.tid, event.action, render(event.result)))
+        cfg2 = normalize(cfg2, ctx)
+        if ctx.reported > before:
+            f.add(_FINISHED["violation"], 0)
+            ctx.path.pop()
+            continue
+        sub = visit(cfg2, f.used + 1)
+        if isinstance(sub, _Frame):
+            stack.append(sub)
+        else:
+            ctx.path.pop()
+            f.add(*sub)
+    s = total[0]
+    report.complete = s.complete
+    report.inconclusive_step_bound = s.bounded
+    report.inconclusive_loop_bound = s.stuck
+    report.violating = s.violating
     report.violations = ctx.violations
     return report
 

@@ -8,21 +8,31 @@ from histrio.actions import AtomicAction, Skip, Write
 from histrio.pcm import Heap, Hist, Loc
 from histrio.program import ActN, InjectN, LoopN, RETRY, const, do
 from histrio.scheduler import (
+    DONE,
+    Leaf,
     Scenario,
     SchedulerError,
+    _Ctx,
     explore,
+    initial_config,
     leaves,
+    normalize,
+    ready_leaves,
     run_random,
     run_replay,
+    step_action,
 )
 from histrio.scenarios import (
     counting_scenario,
+    flat_combiner_scenario,
+    pair_snapshot_scenario,
     par_chain,
+    producer_consumer_scenario,
     seq_recovery_scenario,
     split_take,
     treiber_scenario,
 )
-from histrio.state import SubjState
+from histrio.state import SubjState, flatten
 from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
 from histrio.structures import treiber as tb
@@ -234,3 +244,112 @@ def test_history_growth_check_catches_shrinking_histories():
 def test_zero_budget_random_run_is_an_empty_inconclusive_trace():
     t = run_random(treiber_scenario(), 3, 0, 3)
     assert t.events == [] and t.verdict == "inconclusive"
+
+
+def test_deep_runs_do_not_exhaust_the_recursion_limit():
+    # one step per frame of the explorer's own stack, not of Python's
+    rep = explore(counting_scenario(1, 1200), step_bound=1300, loop_bound=3)
+    assert rep.complete == 1
+
+
+def test_inconclusive_paths_are_split_by_cause():
+    cut = explore(counting_scenario(2, 2), step_bound=1, loop_bound=3)
+    assert (cut.inconclusive_step_bound, cut.inconclusive_loop_bound) == (2, 0)
+    spin = Scenario("spin", pv.concurroid(), pv.initial_state(), LoopN(RETRY))
+    stuck = explore(spin, step_bound=10, loop_bound=1)
+    assert (stuck.inconclusive_step_bound, stuck.inconclusive_loop_bound) == (0, 1)
+    for rep in (cut, stuck):
+        d = rep.as_dict()
+        assert (d["stats"]["inconclusive_step_bound"]
+                + d["stats"]["inconclusive_loop_bound"]) == d["inconclusive_count"]
+
+
+def reference_explore(scenario, step_bound, loop_bound):
+    """Every interleaving walked one by one, with no memo: the complete,
+    inconclusive and violating path counts and the distinct final states."""
+    ctx = _Ctx(scenario, loop_bound)
+    counts = {"complete": 0, "inconclusive": 0, "violating": 0}
+    finals = set()
+
+    def walk(cfg, used):
+        ready = ready_leaves(cfg)
+        if not ready:
+            done = isinstance(cfg.tree, Leaf) and cfg.tree.status == DONE
+            if done and scenario.final_oracle is not None and list(
+                    scenario.final_oracle(cfg, cfg.tree.result)):
+                counts["violating"] += 1
+            elif done:
+                counts["complete"] += 1
+                finals.add(cfg)
+            else:
+                counts["inconclusive"] += 1
+            return
+        if used == step_bound:
+            counts["inconclusive"] += 1
+            return
+        for leaf in ready:
+            before = ctx.reported
+            outcome = step_action(cfg, leaf, ctx)
+            if outcome is None:
+                counts["violating"] += 1
+                continue
+            nxt = normalize(outcome[0], ctx)
+            if ctx.reported > before:
+                counts["violating"] += 1
+                continue
+            walk(nxt, used + 1)
+
+    walk(normalize(initial_config(scenario), ctx), 0)
+    return counts, finals
+
+
+def _racing_counters():
+    """Two counting threads; a step invariant rejects the paths on which the
+    second runs two writes ahead of the first, at varying depths."""
+    sc = counting_scenario(2, 3)
+
+    def second_not_ahead(w, w2):
+        h = flatten(w2)
+        return "second writer ran ahead" if h[Loc(200)] > h[Loc(100)] + 1 else None
+
+    sc.step_invariants.append(second_not_ahead)
+    return sc
+
+
+# step bounds below a scenario's longest path cut some paths; the others
+# let every path end on its own
+@pytest.mark.parametrize("build,step_bounds", [
+    (lambda: counting_scenario(2, 2), (1, 2, 40)),
+    (_racing_counters, (3, 40)),
+    (lambda: treiber_scenario(pushers=1, elems=("a",)), (6, 40)),
+    (treiber_scenario, (8,)),
+    (lambda: pair_snapshot_scenario(writers=2), (10, 40)),
+    (lambda: flat_combiner_scenario(2), (10, 13)),
+], ids=["counting", "racing", "treiber-1", "treiber", "pair-snapshot", "flat-combiner"])
+@pytest.mark.parametrize("loop_bound", [1, 2, 3])
+def test_the_memo_matches_a_memo_free_walk(build, step_bounds, loop_bound):
+    for step_bound in step_bounds:
+        sc = build()
+        counts, finals = reference_explore(sc, step_bound, loop_bound)
+        rep = explore(sc, step_bound, loop_bound)
+        assert (rep.complete, rep.inconclusive, rep.violating) == (
+            counts["complete"], counts["inconclusive"], counts["violating"]), step_bound
+        assert rep.finals == finals
+
+
+def test_each_producer_consumer_configuration_is_expanded_once():
+    rep = explore(producer_consumer_scenario(3), step_bound=60, loop_bound=3)
+    assert rep.nodes == 733
+    assert (rep.complete, rep.inconclusive) == (102_513_159, 109_424_105)
+    assert rep.inconclusive_loop_bound == rep.inconclusive
+
+
+def test_subtrees_cut_by_the_step_bound_are_remembered_per_budget():
+    # a configuration reached at several depths, with paths cut below it,
+    # is expanded once per budget, never twice at the same budget: a memo
+    # keyed on (configuration, depth) expands 2,733 nodes here, and one
+    # that replaced each configuration's entry at a new budget 3,240
+    rep = explore(producer_consumer_scenario(3), step_bound=30, loop_bound=3)
+    assert rep.nodes == 2_377
+    assert (rep.complete, rep.inconclusive_step_bound, rep.inconclusive_loop_bound) == (
+        399_754, 41_470_730, 2_658_530)
