@@ -22,8 +22,12 @@ class FrozenMap:
     ``isinstance`` test on the map classes through ``ABCMeta`` and its
     views through Python-level code, both on the explorer's hot path.
 
-    Two maps are equal when their contents are, whatever the insertion
-    order; a map never equals a plain ``dict``.
+    Two maps are equal when they are of the same class and their contents
+    are equal, whatever the insertion order: a ``Heap`` never equals a
+    plain ``FrozenMap`` with the same cells, since only the heap joins as a
+    heap, and no map equals a plain ``dict``.  ``set``, ``remove``,
+    ``restrict`` and ``without`` keep the class; ``merge_disjoint``
+    returns a plain map.
     """
 
     __slots__ = ("_d", "_hash")
@@ -62,12 +66,12 @@ class FrozenMap:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FrozenMap):
-            return self._d == other._d
+            return type(self) is type(other) and self._d == other._d
         return NotImplemented
 
     def __ne__(self, other) -> bool:
         if isinstance(other, FrozenMap):
-            return self._d != other._d
+            return type(self) is not type(other) or self._d != other._d
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -85,12 +89,12 @@ class FrozenMap:
     def set(self, key, value) -> "FrozenMap":
         d = dict(self._d)
         d[key] = value
-        return FrozenMap(d)
+        return type(self)(d)
 
     def remove(self, key) -> "FrozenMap":
         d = dict(self._d)
         del d[key]
-        return FrozenMap(d)
+        return type(self)(d)
 
     def merge_disjoint(self, other: "FrozenMap") -> Optional["FrozenMap"]:
         """Union of two maps, or ``None`` when their key sets overlap."""
@@ -105,10 +109,10 @@ class FrozenMap:
         return FrozenMap(d)
 
     def restrict(self, keys) -> "FrozenMap":
-        return FrozenMap({k: v for k, v in self._d.items() if k in keys})
+        return type(self)({k: v for k, v in self._d.items() if k in keys})
 
     def without(self, keys) -> "FrozenMap":
-        return FrozenMap({k: v for k, v in self._d.items() if k not in keys})
+        return type(self)({k: v for k, v in self._d.items() if k not in keys})
 
 
 EMPTY_MAP = FrozenMap()

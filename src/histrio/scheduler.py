@@ -21,7 +21,15 @@ Random mode draws one schedule from a seeded generator.
 Every step checks post-state coherence, claimed-transition membership,
 the guarantee (the stepping thread never touches its environment's
 state), injection scoping, and monotone growth of history-valued self
-components; method specs are evaluated at their return points.
+components; method specs are evaluated at their return points.  A step
+is a function of its input: the action's node and environment, the
+injected labels in force, the thread's view, the concurroid and the next
+fresh location.  So every driver runs the action and its checks once per
+distinct input and remembers the post-state of each step that passed
+them all; a step that failed a check is run again wherever it recurs, so
+that its reports carry that path's step index and schedule.  The memo
+is sound because map equality is type-exact: equal views are equally
+coherent.
 """
 
 from __future__ import annotations
@@ -356,6 +364,7 @@ class ExplorationReport:
     finals: set = field(default_factory=set)
     nodes: int = 0
     edges: int = 0
+    steps_run: int = 0  # edges whose action and checks ran, not remembered
 
     @property
     def interleavings(self) -> int:
@@ -385,6 +394,7 @@ class ExplorationReport:
             "stats": {
                 "nodes": self.nodes,
                 "edges": self.edges,
+                "steps_run": self.steps_run,
                 "inconclusive_step_bound": self.inconclusive_step_bound,
                 "inconclusive_loop_bound": self.inconclusive_loop_bound,
             },
@@ -402,6 +412,10 @@ class _Ctx:
         self.reported = 0  # every violation, recorded or not
         self.path: list[tuple] = []  # (tid, action, result)
         self.checked_finals: dict = {}
+        # step input -> (self, joint, result, next_loc) after a step that
+        # passed every check; see step_action
+        self.steps: dict = {}
+        self.steps_run = 0  # steps run through the action and the checks
 
     def report(self, check: str, expected: str, actual: str, tid: int):
         self.reported += 1
@@ -573,16 +587,31 @@ def _fork(cfg: Config, leaf: Leaf, node: ParN, ctx: _Ctx) -> Config:
                   cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid + 1)
 
 
-def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
-    def find(tree):
-        if isinstance(tree, Leaf):
-            return None
-        if (isinstance(tree.left, Leaf) and tree.left.status == DONE
-                and isinstance(tree.right, Leaf) and tree.right.status == DONE):
-            return tree
-        return find(tree.left) or find(tree.right)
+def _done_pair(tree) -> Optional[ParT]:
+    """The first fork whose two threads have both finished."""
+    if isinstance(tree, Leaf):
+        return None
+    if (isinstance(tree.left, Leaf) and tree.left.status == DONE
+            and isinstance(tree.right, Leaf) and tree.right.status == DONE):
+        return tree
+    return _done_pair(tree.left) or _done_pair(tree.right)
 
-    par = find(cfg.tree)
+
+def _replace_node(tree, old, new):
+    """``tree`` with the subtree ``old`` (found by identity) replaced."""
+    if tree is old:
+        return new
+    if isinstance(tree, Leaf):
+        return tree
+    left = _replace_node(tree.left, old, new)
+    right = _replace_node(tree.right, old, new)
+    if left is tree.left and right is tree.right:
+        return tree
+    return ParT(left, right, tree.tid, tree.env, tree.kont)
+
+
+def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
+    par = _done_pair(cfg.tree)
     if par is None:
         return None
     c1 = leaf_view(cfg, par.left)
@@ -600,20 +629,8 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
             ctx.report("join:check", ctx.scenario.name, msg, par.tid)
     value = (par.left.result, par.right.result)
     merged = Leaf(par.tid, None, par.env, par.kont, joined.self_, RUN, None, ("v", value))
-
-    def rebuild(tree):
-        if tree is par:
-            return merged
-        if isinstance(tree, Leaf):
-            return tree
-        left = rebuild(tree.left)
-        right = rebuild(tree.right)
-        if left is tree.left and right is tree.right:
-            return tree
-        return ParT(left, right, tree.tid, tree.env, tree.kont)
-
-    return Config(rebuild(cfg.tree), cfg.joint, cfg.root_other, cfg.conc,
-                  cfg.next_loc, cfg.next_tid)
+    return Config(_replace_node(cfg.tree, par, merged), cfg.joint, cfg.root_other,
+                  cfg.conc, cfg.next_loc, cfg.next_tid)
 
 
 def _first_reducible(tree) -> Optional[Leaf]:
@@ -703,19 +720,38 @@ def _check_step(cfg: Config, leaf: Leaf, action: AtomicAction,
 
 def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     """Fire the leaf's pending action; returns (config, event) or None on
-    a violating step."""
+    a violating step.
+
+    A step whose input passed every check before is not run again: its
+    remembered post-state is reused.  The entry holds only the new self
+    and joint maps, the result and the next location, not states or the
+    action, so the memo does not keep their cached flattenings and
+    closures alive.  The thread id is not part of the input; only
+    reports use it.
+    """
     action: AtomicAction = leaf.node.build(leaf.env)
     w = leaf_view(cfg, leaf)
-    try:
-        w2, res, sctx = run_atomic(action, w, StepCtx(cfg.next_loc))
-    except ActionSafetyError as exc:
-        ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
-        return None
-    if not _check_step(cfg, leaf, action, w, w2, ctx):
-        return None
+    key = (leaf.node, leaf.env, _active_homes(leaf), w.self_, w.joint, w.other,
+           id(cfg.conc), cfg.next_loc)
+    hit = ctx.steps.get(key)
+    if hit is None:
+        ctx.steps_run += 1
+        try:
+            w2, res, sctx = run_atomic(action, w, StepCtx(cfg.next_loc))
+        except ActionSafetyError as exc:
+            ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
+            return None
+        if not _check_step(cfg, leaf, action, w, w2, ctx):
+            return None
+        next_loc = sctx.next_loc
+        ctx.steps[key] = (w2.self_, w2.joint, res, next_loc)
+    else:
+        self2, joint2, res, next_loc = hit
+        # the guarantee check passed, so the step left ``other`` as it was
+        w2 = SubjState(self2, joint2, w.other)
     nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, None, ("v", res))
     cfg2 = Config(replace_leaf(cfg.tree, leaf.tid, nxt), w2.joint,
-                  cfg.root_other, cfg.conc, sctx.next_loc, cfg.next_tid)
+                  cfg.root_other, cfg.conc, next_loc, cfg.next_tid)
     event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
                   action.primitive)
     return cfg2, event
@@ -890,6 +926,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
     report.inconclusive_loop_bound = s.stuck
     report.violating = s.violating
     report.violations = ctx.violations
+    report.steps_run = ctx.steps_run
     return report
 
 

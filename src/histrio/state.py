@@ -43,8 +43,9 @@ class SubjState:
     other: FrozenMap  # label -> PCM element
 
     # What ``validate`` and ``flatten`` found for this very object (a state
-    # is immutable, so neither can change).  Kept per object, never per
-    # equal state: equality does not tell a Heap from a plain FrozenMap.
+    # is immutable, so neither can change).  Kept on the object, not in a
+    # table keyed on equal states, so it costs no lookup and lives no
+    # longer than the state.
     _valid: ClassVar[bool] = False
     _flat: ClassVar[Any] = _UNSET
 

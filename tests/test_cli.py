@@ -1,18 +1,25 @@
 """CLI surface: exit codes, report schema, determinism, replay."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from histrio.cli import main
 
 RUN = [sys.executable, "-m", "histrio.cli"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True)
+    # the child interpreter imports histrio from this checkout's src/, as
+    # pytest's own pythonpath setting does not reach it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(RUN + list(args), capture_output=True, text=True, env=env)
 
 
 def test_unknown_scenario_is_a_usage_error():

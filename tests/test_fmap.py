@@ -64,3 +64,20 @@ def test_merge_disjoint():
     h = Heap({Loc(1): 0})
     assert type(h.merge_disjoint(Heap())) is FrozenMap
     assert type(Heap().merge_disjoint(h)) is FrozenMap
+
+
+def test_a_heap_never_equals_a_plain_map_with_the_same_cells():
+    h, m = Heap({Loc(1): 0}), FrozenMap({Loc(1): 0})
+    assert h != m and m != h
+    assert not (h == m) and not (m == h)
+    assert Heap() != EMPTY_MAP
+    assert len({FrozenMap({"pv": h}), FrozenMap({"pv": m})}) == 2
+
+
+def test_mutators_keep_the_heap_class():
+    h = Heap({Loc(1): 0, Loc(2): 1})
+    for m in (h.set(Loc(3), 2), h.remove(Loc(1)), h.restrict({Loc(1)}),
+              h.without({Loc(1)})):
+        assert type(m) is Heap
+    assert h.restrict({Loc(1)}) == Heap({Loc(1): 0})
+    assert h.without({Loc(1)}) == Heap({Loc(2): 1})

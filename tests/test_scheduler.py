@@ -1,14 +1,18 @@
 """Explorer behavior: counting, determinism, faults, injection, hiding."""
 
+import gc
 import math
 
 import pytest
 
+from histrio import scheduler
 from histrio.actions import AtomicAction, Skip, Write
+from histrio.fmap import FrozenMap
 from histrio.pcm import Heap, Hist, Loc
 from histrio.program import ActN, InjectN, LoopN, RETRY, const, do
 from histrio.scheduler import (
     DONE,
+    Config,
     Leaf,
     Scenario,
     SchedulerError,
@@ -265,7 +269,8 @@ def test_inconclusive_paths_are_split_by_cause():
 
 
 def reference_explore(scenario, step_bound, loop_bound):
-    """Every interleaving walked one by one, with no memo: the complete,
+    """Every interleaving walked one by one, with no memo of configurations
+    or of steps (every step runs its action and checks): the complete,
     inconclusive and violating path counts and the distinct final states."""
     ctx = _Ctx(scenario, loop_bound)
     counts = {"complete": 0, "inconclusive": 0, "violating": 0}
@@ -289,6 +294,7 @@ def reference_explore(scenario, step_bound, loop_bound):
             return
         for leaf in ready:
             before = ctx.reported
+            ctx.steps.clear()
             outcome = step_action(cfg, leaf, ctx)
             if outcome is None:
                 counts["violating"] += 1
@@ -353,3 +359,43 @@ def test_subtrees_cut_by_the_step_bound_are_remembered_per_budget():
     assert rep.nodes == 2_377
     assert (rep.complete, rep.inconclusive_step_bound, rep.inconclusive_loop_bound) == (
         399_754, 41_470_730, 2_658_530)
+
+
+def test_configurations_holding_a_heap_or_a_plain_map_are_distinct_memo_keys():
+    conc = pv.concurroid()
+    tree = Leaf(0, None, FrozenMap(), (), FrozenMap())
+    heap = Config(tree, FrozenMap({"pv": Heap({Loc(1): 0})}), FrozenMap(), conc, 2, 1)
+    plain = Config(tree, FrozenMap({"pv": FrozenMap({Loc(1): 0})}), FrozenMap(), conc, 2, 1)
+    assert heap != plain
+    assert len({heap: "heap", plain: "plain"}) == 2
+
+
+def test_each_distinct_step_is_run_once(monkeypatch):
+    # 14,135 edges from 3,733 distinct step inputs: the action and its
+    # checks run once per input, and the counts are those of a walk that
+    # runs every step
+    calls = []
+    run_atomic = scheduler.run_atomic
+
+    def counted(*args):
+        calls.append(None)
+        return run_atomic(*args)
+
+    monkeypatch.setattr(scheduler, "run_atomic", counted)
+    rep = explore(flat_combiner_scenario(3), step_bound=120, loop_bound=1)
+    assert (rep.edges, len(calls)) == (14_135, 3_733)
+    assert rep.as_dict()["stats"]["steps_run"] == 3_733
+    assert rep.nodes == 7_371
+    assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
+    assert len(rep.finals) == 6
+
+
+def test_collapsing_forks_leaves_no_reference_cycles():
+    sc = treiber_scenario()
+    gc.collect()
+    gc.disable()
+    try:
+        explore(sc, step_bound=60, loop_bound=3)
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
