@@ -209,6 +209,8 @@ def main(argv: Optional[list] = None) -> int:
     elif args.mode == "native":
         if args.scenario != "treiber":
             return _usage_error("native mode supports only the treiber scenario")
+        if args.threads < 1 or args.ops_per_thread < 1:
+            return _usage_error("native mode needs --threads and --ops-per-thread of at least 1")
         from .native import stress
 
         rep = stress(threads=args.threads, ops=args.ops_per_thread, seed=args.seed)

@@ -1,20 +1,22 @@
-"""Native stress mode: real OS threads hammering a lock-free stack.
+"""Native stress mode: real OS threads run the verified Treiber programs.
 
-The shared structure lives in ordinary mutable cells; the only
-synchronization primitive is a compare-and-swap that atomically also
-draws a timestamp from one global counter and appends the committed
-operation to the log.  Workers run the usual push/pop loops (allocate,
-link, CAS; read head, CAS it out), so every interleaving the OS
-scheduler produces is a real one.
+Each worker thread runs ``treiber.push_program`` and ``treiber.pop_program``,
+the programs the explorer verifies, through the explorer's own
+thread-local reducer (``scheduler.run_local``).  Every atomic action's
+primitive runs with ``actions.exec_primitive`` under one lock, on one shared
+concrete heap that starts as the treiber root's flattening; so every
+interleaving of primitives the OS scheduler produces is a real one, and the
+stack under test is the verified code itself.
 
-Validation is post hoc: the timestamped log is read as a stack history
-and checked by the same predicates the modeled runs use
-(``specs.stack_accounting`` and ``history.lemma2_oracle``): stamps must be
-gap-free from the initial entry (completeness), each event's pre-state
-must equal the previous post-state (continuity), each event must push
-or pop a single element (stack-likeness), and the push/pop multisets
-must account for the final stack contents.  A failed CAS publishes
-nothing, so the log contains exactly the committed operations.
+Validation is post hoc.  A push that returns, or a pop that returns
+``SOME(e)``, is logged at the index of its last primitive, which is its
+successful compare-and-swap.  The log, ordered by that index and renumbered
+from 1, is read as a stack history and checked by the same predicates the
+modeled runs use (``specs.stack_accounting`` and ``history.lemma2_oracle``):
+stamps must be gap-free from the initial entry (completeness), each event's
+pre-state must equal the previous post-state (continuity), each event must
+push or pop a single element (stack-likeness), and the push/pop multisets
+must account for the final stack contents, parsed from the shared heap.
 """
 
 from __future__ import annotations
@@ -24,68 +26,17 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
+from .actions import exec_primitive
 from .fmap import FrozenMap
 from .history import lemma2_oracle
-from .pcm import STACK, Hist
+from .pcm import NONE, STACK, Heap, Hist, some_value
+from .scheduler import run_local
 from .specs import stack_accounting
+from .state import flatten
+from .structures import treiber as tb
 
-
-class NativeStack:
-    """Treiber stack over mutable cells with a logging CAS."""
-
-    def __init__(self):
-        self._cas_lock = threading.Lock()
-        self._alloc_lock = threading.Lock()
-        self.top: Optional[int] = None  # node id or None
-        self.nodes: dict[int, tuple] = {}  # id -> (elem, next id or None)
-        self._next = 1
-        self.log: list[tuple] = []  # (stamp, "push"|"pop", elem)
-        self._stamp = 1
-
-    def alloc(self, elem, nxt) -> int:
-        with self._alloc_lock:
-            nid = self._next
-            self._next += 1
-        self.nodes[nid] = (elem, nxt)
-        return nid
-
-    def cas_top(self, expected, desired, op, elem) -> bool:
-        """One hardware-style atomic: compare, swap, stamp, and log."""
-        with self._cas_lock:
-            if self.top != expected:
-                return False
-            self.top = desired
-            self.log.append((self._stamp, op, elem))
-            self._stamp += 1
-            return True
-
-    def push(self, elem):
-        nid = self.alloc(elem, self.top)
-        while True:
-            top = self.top
-            self.nodes[nid] = (elem, top)
-            if self.cas_top(top, nid, "push", elem):
-                return
-
-    def pop(self):
-        while True:
-            top = self.top
-            if top is None:
-                return None
-            elem, nxt = self.nodes[top]
-            if self.cas_top(top, nxt, "pop", elem):
-                return elem
-
-    def contents(self) -> tuple:
-        out = []
-        cur = self.top
-        while cur is not None:
-            elem, nxt = self.nodes[cur]
-            out.append(elem)
-            cur = nxt
-        return tuple(out)
+PUSH_RATIO = 0.6  # the share of operations that are pushes
 
 
 @dataclass
@@ -129,22 +80,45 @@ def validate_log(log: list, final: tuple, report: NativeReport):
     report.committed = len(log)
 
 
-def stress(threads: int = 4, ops: int = 1000, seed: int = 0,
-           push_ratio: float = 0.6) -> NativeReport:
-    stack = NativeStack()
+def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
+    """Run ``ops`` random pushes and pops on each of ``threads`` OS threads
+    over one shared heap, then validate the log of committed operations."""
     report = NativeReport(threads, ops)
+    heap = dict(flatten(tb.initial_state()))
+    next_loc = max(loc.n for loc in heap) + 1
+    clock = 0  # primitives run so far
+    lock = threading.Lock()
+    # a CAS fails only after another thread's commit, so no retry loop
+    # runs more than once per operation of the whole run
+    loop_bound = threads * ops + 1
+    logs: list = [[] for _ in range(threads)]  # (clock at the CAS, op, elem)
     barrier = threading.Barrier(threads)
     errors: list = []
 
     def worker(tid: int):
         rng = random.Random((seed << 8) | tid)
+        pop = tb.pop_program()
+        last = 0  # the clock at this thread's latest primitive
+
+        def execute(prim):
+            nonlocal next_loc, clock, last
+            with lock:
+                res, next_loc = exec_primitive(prim, heap, next_loc)
+                clock += 1
+                last = clock
+            return res
+
         try:
             barrier.wait()
             for i in range(ops):
-                if rng.random() < push_ratio:
-                    stack.push((tid, i))
+                if rng.random() < PUSH_RATIO:
+                    e = (tid, i)
+                    run_local(tb.push_program(lambda env, e=e: e), loop_bound, execute)
+                    logs[tid].append((last, "push", e))
                 else:
-                    stack.pop()
+                    r = run_local(pop, loop_bound, execute)
+                    if r != NONE:
+                        logs[tid].append((last, "pop", some_value(r)))
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             errors.append(f"thread {tid}: {exc!r}")
 
@@ -163,7 +137,13 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0,
     if errors:
         report.violations.extend(errors)
         return report
-    validate_log(stack.log, stack.contents(), report)
+    merged = sorted((entry for mine in logs for entry in mine), key=lambda entry: entry[0])
+    log = [(n, op, e) for n, (_, op, e) in enumerate(merged, 1)]
+    parsed = tb.parse_stack(Heap(heap))
+    if parsed is None:
+        report.violations.append("shared heap holds no stack")
+        return report
+    validate_log(log, parsed[1], report)
     return report
 
 

@@ -131,7 +131,7 @@ def treiber_scenario(pushers: int = 2, elems: tuple = ("a", "b")) -> Scenario:
     conc = entangle(pv.concurroid(), tb.concurroid())
     root = _merge_roots(pv.initial_state(), tb.initial_state(()))
     programs = [
-        tb.push_program(e, push_spec(e)) for e in elems[:pushers]
+        tb.push_program(lambda env, e=e: e, push_spec(e)) for e in elems[:pushers]
     ] + [tb.pop_program(pop_spec())]
     init_hist = root.self_[tb.LB]
     splits = [split_take({tb.LB: init_hist})]  # first pusher carries the init event
@@ -248,22 +248,6 @@ def _array_heap(base: int, values: tuple) -> Heap:
     return Heap({Loc(base + i): v for i, v in enumerate(values)})
 
 
-def _push_of(var: str):
-    """push(e) where e comes from the environment."""
-    body = do(
-        ("p1", InjectN(ActN(lambda env: tb.read_sentinel(), "readSentinel"), tb.HOME)),
-        (None, InjectN(
-            ActN(lambda env, v=var: pv.write(env["p"], (env[v], env["p1"])), "linkNode"),
-            frozenset([pv.LB]))),
-        ("ok", ActN(lambda env: tb.try_push(env["p1"], env["p"]), "tryPush")),
-        ret=IfN(lambda env: env["ok"], const(()), RETRY),
-    )
-    return do(
-        ("p", InjectN(ActN(lambda env: pv.alloc(), "alloc"), frozenset([pv.LB]))),
-        ret=LoopN(body),
-    )
-
-
 def consume_program(n: int):
     node = Ret(lambda env: tuple(env[f"c{i}"] for i in range(n)))
     for i in reversed(range(n)):
@@ -333,7 +317,7 @@ def _produce_body(n: int):
         node = do(
             (f"e{i}", InjectN(ActN(lambda env, i=i: pv.read(Loc(AP_BASE + i)), f"ap[{i}]"),
                               frozenset([pv.LB]))),
-            (None, _push_of(f"e{i}")),
+            (None, tb.push_program(lambda env, v=f"e{i}": env[v])),
             ret=node,
         )
     return node
@@ -405,7 +389,7 @@ def seq_recovery_scenario(contents: tuple = ("b", "c"), elem: str = "a") -> Scen
     conc = pv.concurroid()
     root = pv.initial_state(tb.layout(contents))
     phi = make_treiber_phi(contents)
-    program = HideN(phi, tb.push_program(elem, push_spec(elem)))
+    program = HideN(phi, tb.push_program(lambda env: elem, push_spec(elem)))
 
     expected_hist = Hist.of(
         STACK, {0: (contents, contents), 1: (contents, (elem,) + contents)}

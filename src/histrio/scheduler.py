@@ -494,6 +494,31 @@ def _advance(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Optional[Leaf]:
     return None
 
 
+def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any:
+    """Run a thread program with no specs, forks or hiding by itself, and
+    return its value.
+
+    Every reduction but an atomic step is ``_advance``'s; an action's step
+    is ``execute(primitive)`` of the action built from the environment, and
+    what ``execute`` returns is the step's result.  So the caller decides
+    where the program's primitives run, for example on a concrete heap.
+    """
+    ctx = _Ctx(None, loop_bound)
+    leaf = Leaf(0, node, EMPTY_MAP, (), EMPTY_MAP)
+    while True:
+        if isinstance(leaf.node, ActN):
+            res = execute(leaf.node.build(leaf.env).primitive)
+            leaf = Leaf(0, None, leaf.env, leaf.kont, EMPTY_MAP, RUN, None, ("v", res))
+            continue
+        nxt = _advance(None, leaf, ctx)
+        if nxt is None:
+            if leaf.node is None and not leaf.kont:
+                return leaf.pending[1]
+            raise SchedulerError(f"cannot run {leaf.node!r} alone" if leaf.node is not None
+                                 else "a retry loop ran out of iterations")
+        leaf = nxt
+
+
 def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
     """The structural reduction of a leaf that ``_advance`` cannot reduce."""
     node = leaf.node
@@ -932,7 +957,6 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
     ctx = _Ctx(scenario, loop_bound)
-    report = ExplorationReport(scenario.name)
     cfg = normalize(initial_config(scenario), ctx)
     events: list[Event] = []
     used = 0

@@ -49,11 +49,13 @@ from ..pcm import (
 from ..program import ActN, IfN, InjectN, LoopN, Ret, RETRY, SpecedN, const, do
 from ..state import SubjState, validate
 from . import private_heap as pv
+from . import treiber as tb
 
 LB = "fc"
 LK = Loc(3001)
 AP_BASE = 3010
 SNT = Loc(3101)
+NODE_BASE = 3102  # the first node of a laid-out resource stack
 HOME = frozenset([LB])
 FC_LOCK_HOME = frozenset([LB, pv.LB])
 
@@ -476,52 +478,25 @@ def try_collect(shape: FcShape, tid: int) -> AtomicAction:
 # The stack instantiation
 # ---------------------------------------------------------------------------
 
-def parse_seq_stack(h: Heap) -> Optional[tuple]:
-    """A garbage-free sequential stack: sentinel plus exactly its chain."""
-    if SNT not in h:
-        return None
-    p = h[SNT]
-    contents, seen = [], set()
-    while p != NULL:
-        if p in seen or p not in h:
-            return None
-        cell = h[p]
-        if not (isinstance(cell, tuple) and len(cell) == 2 and isinstance(cell[1], Loc)):
-            return None
-        seen.add(p)
-        contents.append(cell[0])
-        p = cell[1]
-    if set(h.keys()) != seen | {SNT}:
-        return None
-    return tuple(contents), seen
-
-
 def seq_stack_inv(total: Hist, h: Heap) -> bool:
-    parsed = parse_seq_stack(h)
-    if parsed is None:
+    """``h`` is a garbage-free sequential stack, the sentinel plus exactly
+    its list, holding the last entry of the complete, continuous and
+    stacklike history ``total``."""
+    parsed = tb.parse_stack(h, SNT)
+    if parsed is None or parsed[3]:
         return False
-    contents, _ = parsed
     if not (is_complete(total) and is_continuous(total) and is_stacklike(total)):
         return False
-    return lookup_end(total, last_stamp(total)) == contents
+    return lookup_end(total, last_stamp(total)) == parsed[1]
 
 
 def seq_stack_carve(h: Heap) -> Optional[Heap]:
-    if SNT not in h:
+    """The sentinel and its list, out of a heap that may hold other cells."""
+    parsed = tb.parse_stack(h, SNT)
+    if parsed is None:
         return None
-    cells = {SNT: h[SNT]}
-    p = h[SNT]
-    seen = set()
-    while p != NULL:
-        if p in seen or p not in h:
-            return None
-        cell = h[p]
-        if not (isinstance(cell, tuple) and len(cell) == 2 and isinstance(cell[1], Loc)):
-            return None
-        seen.add(p)
-        cells[p] = cell
-        p = cell[1]
-    return Heap(cells)
+    p, _, cells, _ = parsed
+    return Heap({SNT: p, **cells})
 
 
 def _push_delta(g_all: Hist, arg) -> Hist:
@@ -600,10 +575,7 @@ def initial_state(shape: FcShape, contents: tuple = ()) -> SubjState:
     cells = {LK: False}
     for i in range(shape.n):
         cells[shape.slot(i)] = INIT
-    locs = [Loc(3102 + i) for i in range(len(contents))]
-    for i, e in enumerate(contents):
-        cells[locs[i]] = (e, locs[i + 1] if i + 1 < len(locs) else NULL)
-    cells[SNT] = locs[0] if contents else NULL
+    cells.update(tb.layout(contents, NODE_BASE, SNT))
     gp = tuple(shape.aux_unit for _ in range(shape.n))
     init_hist = Hist.of(STACK, {0: (contents, contents)})
     return SubjState(
@@ -658,10 +630,7 @@ def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
     for i in range(shape.n):
         cells[shape.slot(i)] = slots[i]
     if not locked:
-        locs = [Loc(3102 + i) for i in range(len(contents))]
-        for i, e in enumerate(contents):
-            cells[locs[i]] = (e, locs[i + 1] if i + 1 < len(locs) else NULL)
-        cells[SNT] = locs[0] if contents else NULL
+        cells.update(tb.layout(contents, NODE_BASE, SNT))
         mx_s = NOT_OWN
         mx_o = NOT_OWN
     else:
@@ -860,12 +829,7 @@ def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
             if locked and w.self_[LB].mx is OWN:
                 g_all = total_aux(shape, w)
                 l = lookup_end(g_all, last_stamp(g_all))
-                locs = [Loc(3102 + i) for i in range(len(l))]
-                cells = dict(hs)
-                for i, e in enumerate(l):
-                    cells[locs[i]] = (e, locs[i + 1] if i + 1 < len(locs) else NULL)
-                cells[SNT] = locs[0] if l else NULL
-                hs = Heap(cells)
+                hs = Heap({**hs, **tb.layout(l, NODE_BASE, SNT)})
             return SubjState(
                 w.self_.set(pv.LB, hs),
                 w.joint.set(pv.LB, Heap()),
@@ -949,10 +913,6 @@ def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
             mine = [i for i in range(shape.n) if i in ids]
             if mine:
                 return try_collect(shape, rng.choice(mine)), w
-
-    def fc_unit_frames(f):
-        part = f.get(LB)
-        return part is None or (is_unit(part.aux) if isinstance(part, Triple) else False) or part == Triple(EMPTY_IDSET, NOT_OWN, Hist(STACK))
 
     return [
         ActionFamily("fc.reqHelp", conc, sample_req, bad_req),

@@ -33,17 +33,18 @@ PUSH_HOME = frozenset([LB, pv.LB])
 NODE_BASE = 2002
 
 
-def parse_stack(jh: Heap) -> Optional[tuple]:
-    """Split the joint heap into (head, contents, list cells, garbage)."""
-    if not isinstance(jh, Heap) or SNT not in jh:
+def parse_stack(jh: Heap, snt: Loc = SNT) -> Optional[tuple]:
+    """Split the heap into (head, contents, list cells, garbage), reading
+    the list from the sentinel ``snt``."""
+    if not isinstance(jh, Heap) or snt not in jh:
         return None
-    p = jh[SNT]
+    p = jh[snt]
     if not isinstance(p, Loc):
         return None
     contents, cells, seen = [], {}, set()
     cur = p
     while cur != NULL:
-        if cur in seen or cur not in jh or cur == SNT:
+        if cur in seen or cur not in jh or cur == snt:
             return None
         node = jh[cur]
         if not (isinstance(node, tuple) and len(node) == 2 and isinstance(node[1], Loc)):
@@ -52,7 +53,7 @@ def parse_stack(jh: Heap) -> Optional[tuple]:
         contents.append(node[0])
         cells[cur] = node
         cur = node[1]
-    grb = {loc: v for loc, v in jh.items() if loc != SNT and loc not in seen}
+    grb = {loc: v for loc, v in jh.items() if loc != snt and loc not in seen}
     return p, tuple(contents), Heap(cells), Heap(grb)
 
 
@@ -220,14 +221,15 @@ def try_pop(p: Loc, p1: Loc) -> AtomicAction:
 # Construction and sampling
 # ---------------------------------------------------------------------------
 
-def layout(contents: tuple, base: int = NODE_BASE) -> Heap:
-    """Deterministic heap realizing a stack with the given contents."""
+def layout(contents: tuple, base: int = NODE_BASE, snt: Loc = SNT) -> Heap:
+    """Deterministic heap realizing a stack with the given contents: nodes
+    from ``base`` on, then the sentinel ``snt``."""
     cells = {}
     locs = [Loc(base + i) for i in range(len(contents))]
     for i, e in enumerate(contents):
         nxt = locs[i + 1] if i + 1 < len(contents) else NULL
         cells[locs[i]] = (e, nxt)
-    cells[SNT] = locs[0] if contents else NULL
+    cells[snt] = locs[0] if contents else NULL
     return Heap(cells)
 
 
@@ -342,11 +344,12 @@ def _inj_pv(node: ActN) -> InjectN:
     return InjectN(node, frozenset([pv.LB]))
 
 
-def push_program(e, spec=None):
-    """push(e): allocate a node, then loop read-sentinel / link / CAS."""
+def push_program(elem, spec=None):
+    """push(e) with ``e = elem(env)``: allocate a node, then loop
+    read-sentinel / link / CAS."""
     body = do(
         ("p1", _inj_t(ActN(lambda env: read_sentinel(), "readSentinel"))),
-        (None, _inj_pv(ActN(lambda env, _e=e: pv.write(env["p"], (_e, env["p1"])), "linkNode"))),
+        (None, _inj_pv(ActN(lambda env: pv.write(env["p"], (elem(env), env["p1"])), "linkNode"))),
         ("ok", ActN(lambda env: try_push(env["p1"], env["p"]), "tryPush")),
         ret=IfN(lambda env: env["ok"], const(()), RETRY),
     )

@@ -88,6 +88,12 @@ def test_native_mode_only_for_treiber(tmp_path):
     assert code == 0
 
 
+def test_native_mode_needs_a_thread_and_an_operation():
+    for flag in ("--threads", "--ops-per-thread"):
+        assert main(["--scenario", "treiber", "--mode", "native", "--seed", "1",
+                     flag, "0"]) == 2
+
+
 def test_random_mode_emits_replayable_schedule(tmp_path):
     out = tmp_path / "r.json"
     code = main(["--scenario", "treiber", "--mode", "random", "--seed", "3",

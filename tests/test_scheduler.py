@@ -22,6 +22,7 @@ from histrio.scheduler import (
     leaves,
     normalize,
     ready_leaves,
+    run_local,
     run_random,
     run_replay,
     step_action,
@@ -94,6 +95,25 @@ def test_loop_budget_exhaustion_is_inconclusive_not_failing():
     rep = explore(sc, step_bound=10, loop_bound=3)
     assert rep.verdict == "inconclusive"
     assert rep.complete == 0 and rep.violations == []
+
+
+def test_run_local_runs_a_program_on_the_callers_heap():
+    from histrio.actions import exec_primitive
+    from histrio.pcm import NONE, SOME
+
+    heap = dict(flatten(tb.initial_state()))
+    next_loc = [3000]
+
+    def execute(prim):
+        res, next_loc[0] = exec_primitive(prim, heap, next_loc[0])
+        return res
+
+    assert run_local(tb.pop_program(), 3, execute) == NONE
+    assert run_local(tb.push_program(lambda env: "a"), 3, execute) == ()
+    assert heap[tb.SNT] == Loc(3000) and heap[Loc(3000)] == ("a", tb.NULL)
+    assert run_local(tb.pop_program(), 3, execute) == SOME("a")
+    with pytest.raises(SchedulerError):
+        run_local(LoopN(RETRY), 3, execute)
 
 
 def test_guarantee_violation_is_caught_with_a_counterexample():

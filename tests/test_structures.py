@@ -118,8 +118,8 @@ def test_sequential_push_push_pop_is_lifo():
         pv.concurroid(), tb.concurroid())
     root = _merge_roots(pv.initial_state(), tb.initial_state(()))
     prog = do(
-        (None, tb.push_program("x", push_spec("x"))),
-        (None, tb.push_program("y", push_spec("y"))),
+        (None, tb.push_program(lambda env: "x", push_spec("x"))),
+        (None, tb.push_program(lambda env: "y", push_spec("y"))),
         ("r", tb.pop_program(pop_spec())),
         ret=const(()),
     )
