@@ -10,13 +10,17 @@ stack under test is the verified code itself.
 
 Validation is post hoc.  A push that returns, or a pop that returns
 ``SOME(e)``, is logged at the index of its last primitive, which is its
-successful compare-and-swap.  The log, ordered by that index and renumbered
-from 1, is read as a stack history and checked by the same predicates the
-modeled runs use (``specs.stack_accounting`` and ``history.lemma2_oracle``):
-stamps must be gap-free from the initial entry (completeness), each event's
-pre-state must equal the previous post-state (continuity), each event must
-push or pop a single element (stack-likeness), and the push/pop multisets
-must account for the final stack contents, parsed from the shared heap.
+successful compare-and-swap.  A pop that returns ``NONE`` is logged at the
+index of its last primitive too, the read that found the stack empty, as
+an observation.  The log, ordered by that index, is read as a stack history
+with its pushes and pops stamped from 1, and checked by the same predicates
+the modeled runs use (``specs.stack_accounting`` and
+``history.lemma2_oracle``): stamps must be gap-free from the initial entry
+(completeness), each event's pre-state must equal the previous post-state
+(continuity), each event must push or pop a single element
+(stack-likeness), and the push/pop multisets must account for the final
+stack contents, parsed from the shared heap.  Observations take no stamp:
+the stack must be empty at each one's place in the order.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ class NativeReport:
     committed: int = 0
     pushes: int = 0
     pops: int = 0
+    empty_pops: int = 0  # pops that answered "empty", checked as observations
     violations: list = field(default_factory=list)
 
     @property
@@ -59,6 +64,7 @@ class NativeReport:
             "committed": self.committed,
             "pushes": self.pushes,
             "pops": self.pops,
+            "empty_pops": self.empty_pops,
             "verdict": self.verdict,
             "violations": self.violations[:20],
         }
@@ -66,7 +72,8 @@ class NativeReport:
 
 def validate_log(log: list, final: tuple, report: NativeReport):
     """Check the log, read as a stack history, against the history
-    predicates and the final stack contents."""
+    predicates and the final stack contents, and check that the stack is
+    empty wherever a pop observed it empty."""
     try:
         tau = log_as_history(log)
     except ValueError as exc:
@@ -75,9 +82,25 @@ def validate_log(log: list, final: tuple, report: NativeReport):
     report.violations.extend(stack_accounting(tau, final))
     if not lemma2_oracle(tau):
         report.violations.append("balanced run with unequal push/pop multisets")
+    report.violations.extend(_empty_observation_errors(log))
     ops = Counter(op for _, op, _ in log)
-    report.pushes, report.pops = ops["push"], ops["pop"]
-    report.committed = len(log)
+    report.pushes, report.pops, report.empty_pops = ops["push"], ops["pop"], ops["empty"]
+    report.committed = report.pushes + report.pops
+
+
+def _empty_observation_errors(log: list) -> list:
+    """Each ``empty`` observation whose place in the log has elements on
+    the stack."""
+    errors, size, last = [], 0, 0
+    for stamp, op, _ in log:
+        if op == "empty":
+            if size:
+                errors.append(f"a pop answered empty after stamp {last}, "
+                              f"when the stack held {size}")
+            continue
+        size += 1 if op == "push" else -1
+        last = stamp
+    return errors
 
 
 def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
@@ -91,7 +114,7 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
     # a CAS fails only after another thread's commit, so no retry loop
     # runs more than once per operation of the whole run
     loop_bound = threads * ops + 1
-    logs: list = [[] for _ in range(threads)]  # (clock at the CAS, op, elem)
+    logs: list = [[] for _ in range(threads)]  # (clock at the last primitive, op, elem)
     barrier = threading.Barrier(threads)
     errors: list = []
 
@@ -119,6 +142,8 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
                     r = run_local(pop, loop_bound, execute)
                     if r != NONE:
                         logs[tid].append((last, "pop", some_value(r)))
+                    else:
+                        logs[tid].append((last, "empty", None))
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             errors.append(f"thread {tid}: {exc!r}")
 
@@ -138,7 +163,13 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
         report.violations.extend(errors)
         return report
     merged = sorted((entry for mine in logs for entry in mine), key=lambda entry: entry[0])
-    log = [(n, op, e) for n, (_, op, e) in enumerate(merged, 1)]
+    log, stamp = [], 0
+    for _, op, e in merged:
+        if op == "empty":
+            log.append((None, op, e))
+        else:
+            stamp += 1
+            log.append((stamp, op, e))
     parsed = tb.parse_stack(Heap(heap))
     if parsed is None:
         report.violations.append("shared heap holds no stack")
@@ -150,7 +181,7 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
 def log_as_history(log: list) -> Hist:
     """The recorded log as a stack history.  A pop of ``e`` is recorded as
     ``(e::post, post)``, so popping anything but the head breaks
-    continuity."""
+    continuity.  ``empty`` observations are not events of the history."""
     state: tuple = ()
     entries = {0: ((), ())}
     for stamp, op, elem in log:
@@ -160,6 +191,6 @@ def log_as_history(log: list) -> Hist:
         elif op == "pop":
             state = state[1:]
             entries[stamp] = ((elem,) + state, state)
-        else:
+        elif op != "empty":
             raise ValueError(f"stamp {stamp}: unknown op {op!r}")
     return Hist(STACK, FrozenMap(entries))

@@ -29,7 +29,19 @@ distinct input and remembers the post-state of each step that passed
 them all; a step that failed a check is run again wherever it recurs, so
 that its reports carry that path's step index and schedule.  The memo
 is sound because map equality is type-exact: equal views are equally
-coherent.
+coherent.  Each distinct self or joint map a step produced is kept as one
+object, so the memos mostly compare the maps in their keys by identity.
+
+The reductions around a step are remembered the same way, each keyed on
+exactly the inputs it reads.  A thread's ``other`` is the join of the
+root map and its siblings' self maps (``leaf_view``).  A thread-local run
+of administrative reductions, spec captures and posts included, reads
+only its leaf, the leaf's view and the loop bound, and stops at the leaf
+where ``normalize`` splices it in or restructures the tree.  A join of two
+finished threads reads only their fork and their views.  A run or join
+that reported a violation is run again wherever it recurs, as a failed
+step is.  Random runs remember steps and views only: one schedule meets
+too few local runs and joins twice to repay their keys.
 """
 
 from __future__ import annotations
@@ -202,13 +214,26 @@ def _with_leaf(cfg: Config, leaf: Leaf) -> Config:
                   cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid)
 
 
-def leaf_view(cfg: Config, leaf: Leaf) -> SubjState:
-    other = cfg.root_other
-    for l2 in leaves(cfg.tree):
-        if l2.tid != leaf.tid:
-            other = map_pointwise_join(l2.self_, other)
+def leaf_view(cfg: Config, leaf: Leaf, others: Optional[dict] = None) -> SubjState:
+    """The thread's view: its own self map, the joint map, and as ``other``
+    the root map joined with every sibling thread's self map.
+
+    The join is a function of those operands alone, so with ``others`` it
+    is remembered there, keyed on the root map and the siblings' self maps.
+    """
+    if isinstance(cfg.tree, Leaf) and cfg.tree.tid == leaf.tid:
+        return SubjState(leaf.self_, cfg.joint, cfg.root_other)
+    sibs = tuple(l2.self_ for l2 in leaves(cfg.tree) if l2.tid != leaf.tid)
+    key = (cfg.root_other, sibs)
+    other = others.get(key) if others is not None else None
+    if other is None:
+        other = cfg.root_other
+        for self_ in sibs:
+            other = map_pointwise_join(self_, other)
             if other is None:
                 raise SchedulerError("sibling self maps do not join")
+        if others is not None:
+            others[key] = other
     return SubjState(leaf.self_, cfg.joint, other)
 
 
@@ -365,6 +390,7 @@ class ExplorationReport:
     nodes: int = 0
     edges: int = 0
     steps_run: int = 0  # edges whose action and checks ran, not remembered
+    local_runs: int = 0  # thread-local runs driven through _advance, not remembered
 
     @property
     def interleavings(self) -> int:
@@ -395,6 +421,7 @@ class ExplorationReport:
                 "nodes": self.nodes,
                 "edges": self.edges,
                 "steps_run": self.steps_run,
+                "local_runs": self.local_runs,
                 "inconclusive_step_bound": self.inconclusive_step_bound,
                 "inconclusive_loop_bound": self.inconclusive_loop_bound,
             },
@@ -402,20 +429,35 @@ class ExplorationReport:
 
 
 class _Ctx:
-    """Mutable exploration context: bounds, sinks, and the current path."""
+    """Mutable exploration context: bounds, sinks, the current path, and the
+    memos of pure reductions.  ``runs`` and ``joins`` are ``None`` where a
+    run visits too few configurations twice to repay them (random runs)."""
 
-    def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50):
+    def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50,
+                 remember_runs: bool = True):
         self.scenario = scenario
         self.loop_bound = loop_bound
         self.max_violations = max_violations
         self.violations: list[Violation] = []  # the first max_violations
         self.reported = 0  # every violation, recorded or not
-        self.path: list[tuple] = []  # (tid, action, result)
+        self.path: list[tuple] = []  # (tid, action, result), rendered on report
         self.checked_finals: dict = {}
         # step input -> (self, joint, result, next_loc) after a step that
         # passed every check; see step_action
         self.steps: dict = {}
         self.steps_run = 0  # steps run through the action and the checks
+        # one object per distinct self or joint map a step produced, so that
+        # memo lookups on the configurations' equal maps compare identities
+        self.maps: dict = {}
+        # (root other, sibling self maps) -> their join; see leaf_view
+        self.others: dict = {}
+        # (leaf, joint, other) -> the leaf where its local run stops, for
+        # runs that reported nothing; see _local_run
+        self.runs: Optional[dict] = {} if remember_runs else None
+        self.local_runs = 0  # local runs driven through _advance
+        # (fork, joint, left other, right other) -> the merged leaf, for
+        # joins that reported nothing; see _try_collapse
+        self.joins: Optional[dict] = {} if remember_runs else None
 
     def report(self, check: str, expected: str, actual: str, tid: int):
         self.reported += 1
@@ -429,7 +471,7 @@ class _Ctx:
                 expected=expected,
                 actual=actual,
                 schedule=tuple(t for t, _, _ in self.path),
-                trace=tuple(self.path),
+                trace=tuple((t, a, render(r)) for t, a, r in self.path),
             )
         )
 
@@ -467,7 +509,7 @@ def _advance(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Optional[Leaf]:
         if isinstance(frame, InjectK):
             return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
         if isinstance(frame, SpecK):
-            msg = frame.spec.post(frame.caps, leaf_view(cfg, leaf), value)
+            msg = frame.spec.post(frame.caps, leaf_view(cfg, leaf, ctx.others), value)
             if msg is not None:
                 ctx.report(f"spec:{frame.spec.name}", frame.spec.name, msg, leaf.tid)
             return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
@@ -488,7 +530,7 @@ def _advance(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Optional[Leaf]:
         return Leaf(leaf.tid, node.body, leaf.env,
                     leaf.kont + (InjectK(node.home),), leaf.self_)
     if isinstance(node, SpecedN):
-        caps = node.spec.capture(leaf_view(cfg, leaf), leaf.env)
+        caps = node.spec.capture(leaf_view(cfg, leaf, ctx.others), leaf.env)
         return Leaf(leaf.tid, node.body, leaf.env,
                     leaf.kont + (SpecK(node.spec, caps),), leaf.self_)
     return None
@@ -564,7 +606,7 @@ def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
         joint2 = joint2.set(lbl, joint_frag[lbl])
     nxt = Leaf(leaf.tid, node.body, leaf.env, leaf.kont + (HideK(phi, cfg.conc),), self2)
     cfg2 = Config(nxt, joint2, other2, inner, cfg.next_loc, cfg.next_tid)
-    hidden = leaf_view(cfg2, nxt).restrict(phi.labels)
+    hidden = leaf_view(cfg2, nxt, ctx.others).restrict(phi.labels)
     if not phi.membership(phi.g0, hidden):
         ctx.report("hide:install", f"Phi({render(phi.g0)})", hidden.render(), leaf.tid)
     return cfg2
@@ -574,7 +616,7 @@ def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _
     phi = frame.phi
     if not isinstance(cfg.tree, Leaf):
         raise SchedulerError("hide exit requires a solo thread")
-    w = leaf_view(cfg, leaf)
+    w = leaf_view(cfg, leaf, ctx.others)
     hidden = w.restrict(phi.labels)
     for lbl in phi.labels:
         if hidden.other[lbl] != unit_like(hidden.other[lbl]):
@@ -599,7 +641,7 @@ def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _
 
 
 def _fork(cfg: Config, leaf: Leaf, node: ParN, ctx: _Ctx) -> Config:
-    view = leaf_view(cfg, leaf)
+    view = leaf_view(cfg, leaf, ctx.others)
     a, b = node.split(leaf.env, view)
     try:
         c1, c2 = subjective_split(view, a, b)
@@ -636,24 +678,33 @@ def _replace_node(tree, old, new):
 
 
 def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
+    """Merge the first fork whose threads have both finished.  The merged
+    leaf is a function of the fork and its two threads' views, so a join
+    that reported nothing is remembered by exactly those."""
     par = _done_pair(cfg.tree)
     if par is None:
         return None
-    c1 = leaf_view(cfg, par.left)
-    c2 = leaf_view(cfg, par.right)
-    try:
-        joined = subjective_join(c1, c2)
-    except StateError as exc:
-        ctx.report("join", "sibling views with a common environment part",
-                   str(exc), par.tid)
-        joined = SubjState(
-            map_pointwise_join(c1.self_, c2.self_) or c1.self_, cfg.joint,
-            cfg.root_other)
-    if ctx.scenario.on_join is not None:
-        for msg in ctx.scenario.on_join(c1, c2, joined):
-            ctx.report("join:check", ctx.scenario.name, msg, par.tid)
-    value = (par.left.result, par.right.result)
-    merged = Leaf(par.tid, None, par.env, par.kont, joined.self_, RUN, None, ("v", value))
+    c1 = leaf_view(cfg, par.left, ctx.others)
+    c2 = leaf_view(cfg, par.right, ctx.others)
+    key = (par, cfg.joint, c1.other, c2.other)
+    merged = ctx.joins.get(key) if ctx.joins is not None else None
+    if merged is None:
+        before = ctx.reported
+        try:
+            joined = subjective_join(c1, c2)
+        except StateError as exc:
+            ctx.report("join", "sibling views with a common environment part",
+                       str(exc), par.tid)
+            joined = SubjState(
+                map_pointwise_join(c1.self_, c2.self_) or c1.self_, cfg.joint,
+                cfg.root_other)
+        if ctx.scenario.on_join is not None:
+            for msg in ctx.scenario.on_join(c1, c2, joined):
+                ctx.report("join:check", ctx.scenario.name, msg, par.tid)
+        value = (par.left.result, par.right.result)
+        merged = Leaf(par.tid, None, par.env, par.kont, joined.self_, RUN, None, ("v", value))
+        if ctx.joins is not None and ctx.reported == before:
+            ctx.joins[key] = merged
     return Config(_replace_node(cfg.tree, par, merged), cfg.joint, cfg.root_other,
                   cfg.conc, cfg.next_loc, cfg.next_tid)
 
@@ -664,13 +715,43 @@ def _first_reducible(tree) -> Optional[Leaf]:
     return _first_reducible(tree.left) or _first_reducible(tree.right)
 
 
+def _local_run(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Leaf:
+    """The leaf where the thread-local reductions of ``leaf`` stop: at an
+    action, or where the next reduction is structural.
+
+    A local run reads only its leaf, the leaf's view and the loop bound
+    (see ``_advance``), so where runs are remembered, one that reported
+    nothing is not driven again from an equal leaf, joint and environment.
+    A run whose spec post failed is driven again wherever it recurs, so
+    that its report carries that path's step index and schedule.
+    """
+    if ctx.runs is not None:
+        key = (leaf, cfg.joint, leaf_view(cfg, leaf, ctx.others).other)
+        stop = ctx.runs.get(key)
+        if stop is not None:
+            return stop
+    before = ctx.reported
+    ctx.local_runs += 1
+    stop = leaf
+    while True:
+        nxt = _advance(cfg, stop, ctx)
+        if nxt is None:
+            break
+        stop = nxt
+        if isinstance(stop.node, ActN):
+            break
+    if ctx.runs is not None and ctx.reported == before:
+        ctx.runs[key] = stop
+    return stop
+
+
 def normalize(cfg: Config, ctx: _Ctx) -> Config:
     """Drive every thread to an atomic action, completion, or a stuck state.
 
     The first reducible leaf is driven through its thread-local reductions
-    on its own and spliced into the tree once, when it reaches an action or
-    a structural reduction; then the tree is scanned again.  Joins wait
-    until no leaf can reduce.
+    on its own (``_local_run``) and spliced into the tree once, when it
+    reaches an action or a structural reduction; then the tree is scanned
+    again.  Joins wait until no leaf can reduce.
     """
     while True:
         leaf = _first_reducible(cfg.tree)
@@ -680,15 +761,11 @@ def normalize(cfg: Config, ctx: _Ctx) -> Config:
                 return cfg
             cfg = collapsed
             continue
-        while True:
-            nxt = _advance(cfg, leaf, ctx)
-            if nxt is None:
-                cfg = _restructure(cfg, leaf, ctx)
-                break
-            leaf = nxt
-            if isinstance(leaf.node, ActN):
-                cfg = _with_leaf(cfg, leaf)
-                break
+        stop = _local_run(cfg, leaf, ctx)
+        if isinstance(stop.node, ActN):
+            cfg = _with_leaf(cfg, stop)
+        else:
+            cfg = _restructure(cfg, stop, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +832,7 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     reports use it.
     """
     action: AtomicAction = leaf.node.build(leaf.env)
-    w = leaf_view(cfg, leaf)
+    w = leaf_view(cfg, leaf, ctx.others)
     key = (leaf.node, leaf.env, _active_homes(leaf), w.self_, w.joint, w.other,
            id(cfg.conc), cfg.next_loc)
     hit = ctx.steps.get(key)
@@ -769,6 +846,9 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
         if not _check_step(cfg, leaf, action, w, w2, ctx):
             return None
         next_loc = sctx.next_loc
+        canon = ctx.maps
+        w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
+                       canon.setdefault(w2.joint, w2.joint), w2.other)
         ctx.steps[key] = (w2.self_, w2.joint, res, next_loc)
     else:
         self2, joint2, res, next_loc = hit
@@ -933,7 +1013,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
             f.add(_FINISHED["violation"], 0)
             continue
         cfg2, event = outcome
-        ctx.path.append((leaf.tid, event.action, render(event.result)))
+        ctx.path.append((leaf.tid, event.action, event.result))
         cfg2 = normalize(cfg2, ctx)
         if ctx.reported > before:
             f.add(_FINISHED["violation"], 0)
@@ -952,11 +1032,13 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
     report.violating = s.violating
     report.violations = ctx.violations
     report.steps_run = ctx.steps_run
+    report.local_runs = ctx.local_runs
     return report
 
 
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
-    ctx = _Ctx(scenario, loop_bound)
+    # one schedule meets few local runs or joins twice: remember neither
+    ctx = _Ctx(scenario, loop_bound, remember_runs=False)
     cfg = normalize(initial_config(scenario), ctx)
     events: list[Event] = []
     used = 0
@@ -971,7 +1053,7 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
         if outcome is None:
             break
         cfg, event = outcome
-        ctx.path.append((leaf.tid, event.action, render(event.result)))
+        ctx.path.append((leaf.tid, event.action, event.result))
         events.append(event)
         cfg = normalize(cfg, ctx)
         used += 1

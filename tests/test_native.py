@@ -6,7 +6,8 @@ import random
 from histrio.actions import cas
 from histrio.history import is_complete, is_continuous, is_stacklike
 from histrio.native import NativeReport, log_as_history, stress, validate_log
-from histrio.pcm import NULL
+from histrio.pcm import NONE, NULL
+from histrio.program import ActN, const, do
 from histrio.specs import stack_accounting
 from histrio.structures import treiber as tb
 
@@ -72,3 +73,29 @@ def test_stress_runs_the_verified_pop(monkeypatch):
     rep = stress(threads=2, ops=40, seed=11)
     assert rep.verdict == "violation"
     assert any("heap contents" in v for v in rep.violations)
+
+
+def test_a_pop_that_answers_empty_is_checked_against_the_stack(monkeypatch):
+    """A pop that reads the sentinel and answers ``NONE`` whatever it read
+    is caught: its answer is an observation that the stack was empty."""
+    def empty_pop():
+        return do(("p", ActN(lambda env: tb.read_sentinel(), "readSentinel")),
+                  ret=const(NONE))
+
+    monkeypatch.setattr(tb, "pop_program", empty_pop)
+    rep = stress(threads=2, ops=40, seed=11)
+    assert rep.verdict == "violation"
+    assert rep.pops == 0 and rep.empty_pops > 0
+    assert any("answered empty" in v for v in rep.violations)
+
+
+def test_empty_observations_take_no_stamp():
+    log = [(None, "empty", None), (1, "push", "a"), (2, "pop", "a"), (None, "empty", None)]
+    rep = NativeReport(1, 4)
+    validate_log(log, (), rep)
+    assert rep.verdict == "pass", rep.violations
+    assert (rep.committed, rep.empty_pops) == (2, 2)
+    early = [(1, "push", "a"), (None, "empty", None), (2, "pop", "a")]
+    rep2 = NativeReport(1, 3)
+    validate_log(early, (), rep2)
+    assert rep2.violations == ["a pop answered empty after stamp 1, when the stack held 1"]

@@ -9,7 +9,7 @@ from histrio import scheduler
 from histrio.actions import AtomicAction, Skip, Write
 from histrio.fmap import FrozenMap
 from histrio.pcm import Heap, Hist, Loc
-from histrio.program import ActN, InjectN, LoopN, RETRY, const, do
+from histrio.program import ActN, InjectN, LoopN, Node, RETRY, SpecedN, const, do
 from histrio.scheduler import (
     DONE,
     Config,
@@ -289,9 +289,10 @@ def test_inconclusive_paths_are_split_by_cause():
 
 
 def reference_explore(scenario, step_bound, loop_bound):
-    """Every interleaving walked one by one, with no memo of configurations
-    or of steps (every step runs its action and checks): the complete,
-    inconclusive and violating path counts and the distinct final states."""
+    """Every interleaving walked one by one, with no memo of configurations,
+    steps, views, local runs or joins (every step runs its action and
+    checks, and every reduction runs): the complete, inconclusive and
+    violating path counts and the distinct final states."""
     ctx = _Ctx(scenario, loop_bound)
     counts = {"complete": 0, "inconclusive": 0, "violating": 0}
     finals = set()
@@ -314,7 +315,8 @@ def reference_explore(scenario, step_bound, loop_bound):
             return
         for leaf in ready:
             before = ctx.reported
-            ctx.steps.clear()
+            for memo in (ctx.steps, ctx.maps, ctx.others, ctx.runs, ctx.joins):
+                memo.clear()
             outcome = step_action(cfg, leaf, ctx)
             if outcome is None:
                 counts["violating"] += 1
@@ -406,6 +408,51 @@ def test_each_distinct_step_is_run_once(monkeypatch):
     assert (rep.edges, len(calls)) == (14_135, 3_733)
     assert rep.as_dict()["stats"]["steps_run"] == 3_733
     assert rep.nodes == 7_371
+    assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
+    assert len(rep.finals) == 6
+
+
+def _count_spec_posts(node, calls, seen=None):
+    """Wrap the post of every method spec in the program to count its calls."""
+    seen = set() if seen is None else seen
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if isinstance(node, SpecedN):
+        post = node.spec.post
+
+        def counted(*args, post=post):
+            calls.append(None)
+            return post(*args)
+
+        node.spec.post = counted
+    for cls in type(node).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            child = getattr(node, slot, None)
+            if isinstance(child, Node):
+                _count_spec_posts(child, calls, seen)
+
+
+def test_each_distinct_local_run_is_driven_once(monkeypatch):
+    # 3,774 local runs from 14,135 edges: a run, with its spec captures and
+    # posts, is driven once per (leaf, joint, environment), and a join once
+    # per fork and views; re-running them every time takes 4,691 posts and
+    # 1,406 joins
+    joins = []
+    subjective_join = scheduler.subjective_join
+
+    def counted(*args):
+        joins.append(None)
+        return subjective_join(*args)
+
+    monkeypatch.setattr(scheduler, "subjective_join", counted)
+    sc = flat_combiner_scenario(3)
+    posts = []
+    _count_spec_posts(sc.program, posts)
+    rep = explore(sc, step_bound=120, loop_bound=1)
+    assert rep.as_dict()["stats"]["local_runs"] == 3_774
+    assert (len(posts), len(joins)) == (1_126, 384)
+    assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
     assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
     assert len(rep.finals) == 6
 
