@@ -30,6 +30,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .actions import exec_primitive
 from .fmap import FrozenMap
@@ -74,33 +75,19 @@ def validate_log(log: list, final: tuple, report: NativeReport):
     """Check the log, read as a stack history, against the history
     predicates and the final stack contents, and check that the stack is
     empty wherever a pop observed it empty."""
+    empty_errors: list = []
     try:
-        tau = log_as_history(log)
+        tau = log_as_history(log, empty_errors)
     except ValueError as exc:
         report.violations.append(str(exc))
         return
     report.violations.extend(stack_accounting(tau, final))
     if not lemma2_oracle(tau):
         report.violations.append("balanced run with unequal push/pop multisets")
-    report.violations.extend(_empty_observation_errors(log))
+    report.violations.extend(empty_errors)
     ops = Counter(op for _, op, _ in log)
     report.pushes, report.pops, report.empty_pops = ops["push"], ops["pop"], ops["empty"]
     report.committed = report.pushes + report.pops
-
-
-def _empty_observation_errors(log: list) -> list:
-    """Each ``empty`` observation whose place in the log has elements on
-    the stack."""
-    errors, size, last = [], 0, 0
-    for stamp, op, _ in log:
-        if op == "empty":
-            if size:
-                errors.append(f"a pop answered empty after stamp {last}, "
-                              f"when the stack held {size}")
-            continue
-        size += 1 if op == "push" else -1
-        last = stamp
-    return errors
 
 
 def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
@@ -178,12 +165,15 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
     return report
 
 
-def log_as_history(log: list) -> Hist:
+def log_as_history(log: list, empty_errors: Optional[list] = None) -> Hist:
     """The recorded log as a stack history.  A pop of ``e`` is recorded as
     ``(e::post, post)``, so popping anything but the head breaks
-    continuity.  ``empty`` observations are not events of the history."""
+    continuity.  ``empty`` observations are not events of the history;
+    each one made where the replayed stack is not empty is described in
+    ``empty_errors``."""
     state: tuple = ()
     entries = {0: ((), ())}
+    last = 0
     for stamp, op, elem in log:
         if op == "push":
             entries[stamp] = (state, (elem,) + state)
@@ -191,6 +181,12 @@ def log_as_history(log: list) -> Hist:
         elif op == "pop":
             state = state[1:]
             entries[stamp] = ((elem,) + state, state)
-        elif op != "empty":
+        elif op == "empty":
+            if state and empty_errors is not None:
+                empty_errors.append(f"a pop answered empty after stamp {last}, "
+                                    f"when the stack held {len(state)}")
+            continue
+        else:
             raise ValueError(f"stamp {stamp}: unknown op {op!r}")
+        last = stamp
     return Hist(STACK, FrozenMap(entries))

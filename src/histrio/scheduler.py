@@ -37,11 +37,11 @@ exactly the inputs it reads.  A thread's ``other`` is the join of the
 root map and its siblings' self maps (``leaf_view``).  A thread-local run
 of administrative reductions, spec captures and posts included, reads
 only its leaf, the leaf's view and the loop bound, and stops at the leaf
-where ``normalize`` splices it in or restructures the tree.  A join of two
-finished threads reads only their fork and their views.  A run or join
-that reported a violation is run again wherever it recurs, as a failed
-step is.  Random runs remember steps and views only: one schedule meets
-too few local runs and joins twice to repay their keys.
+where ``normalize`` splices it in or restructures the tree.  A step
+leaves its own thread's ``other`` as it was, so the run after a step
+takes it from the step's view.  A join of two finished threads reads
+only their fork and their views.  A run or join that reported a
+violation is run again wherever it recurs, as a failed step is.
 """
 
 from __future__ import annotations
@@ -430,11 +430,9 @@ class ExplorationReport:
 
 class _Ctx:
     """Mutable exploration context: bounds, sinks, the current path, and the
-    memos of pure reductions.  ``runs`` and ``joins`` are ``None`` where a
-    run visits too few configurations twice to repay them (random runs)."""
+    memos of pure reductions."""
 
-    def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50,
-                 remember_runs: bool = True):
+    def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50):
         self.scenario = scenario
         self.loop_bound = loop_bound
         self.max_violations = max_violations
@@ -453,11 +451,11 @@ class _Ctx:
         self.others: dict = {}
         # (leaf, joint, other) -> the leaf where its local run stops, for
         # runs that reported nothing; see _local_run
-        self.runs: Optional[dict] = {} if remember_runs else None
+        self.runs: dict = {}
         self.local_runs = 0  # local runs driven through _advance
         # (fork, joint, left other, right other) -> the merged leaf, for
         # joins that reported nothing; see _try_collapse
-        self.joins: Optional[dict] = {} if remember_runs else None
+        self.joins: dict = {}
 
     def report(self, check: str, expected: str, actual: str, tid: int):
         self.reported += 1
@@ -480,14 +478,14 @@ class _Ctx:
 # Normalization: administrative reductions
 # ---------------------------------------------------------------------------
 
-def _advance(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Optional[Leaf]:
+def _advance(leaf: Leaf, joint, other, ctx: _Ctx) -> Optional[Leaf]:
     """One thread-local reduction of a reducible leaf, or ``None`` when its
     next reduction is structural (fork, hide, completion, loop exhaustion).
 
     Local reductions change only the leaf's node, environment and
-    continuation, never its self map or any other part of ``cfg``; so
-    ``leaf_view(cfg, leaf)`` is the thread's view without splicing the leaf
-    into the tree first.
+    continuation, never its self map or any other part of the configuration;
+    so the thread's view is its self map, ``joint`` and ``other`` throughout
+    the run, with no need to splice the leaf into the tree first.
     """
     node = leaf.node
     if node is None:
@@ -509,7 +507,7 @@ def _advance(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Optional[Leaf]:
         if isinstance(frame, InjectK):
             return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
         if isinstance(frame, SpecK):
-            msg = frame.spec.post(frame.caps, leaf_view(cfg, leaf, ctx.others), value)
+            msg = frame.spec.post(frame.caps, SubjState(leaf.self_, joint, other), value)
             if msg is not None:
                 ctx.report(f"spec:{frame.spec.name}", frame.spec.name, msg, leaf.tid)
             return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
@@ -530,7 +528,7 @@ def _advance(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Optional[Leaf]:
         return Leaf(leaf.tid, node.body, leaf.env,
                     leaf.kont + (InjectK(node.home),), leaf.self_)
     if isinstance(node, SpecedN):
-        caps = node.spec.capture(leaf_view(cfg, leaf, ctx.others), leaf.env)
+        caps = node.spec.capture(SubjState(leaf.self_, joint, other), leaf.env)
         return Leaf(leaf.tid, node.body, leaf.env,
                     leaf.kont + (SpecK(node.spec, caps),), leaf.self_)
     return None
@@ -552,7 +550,7 @@ def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any
             res = execute(leaf.node.build(leaf.env).primitive)
             leaf = Leaf(0, None, leaf.env, leaf.kont, EMPTY_MAP, RUN, None, ("v", res))
             continue
-        nxt = _advance(None, leaf, ctx)
+        nxt = _advance(leaf, None, None, ctx)
         if nxt is None:
             if leaf.node is None and not leaf.kont:
                 return leaf.pending[1]
@@ -687,7 +685,7 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
     c1 = leaf_view(cfg, par.left, ctx.others)
     c2 = leaf_view(cfg, par.right, ctx.others)
     key = (par, cfg.joint, c1.other, c2.other)
-    merged = ctx.joins.get(key) if ctx.joins is not None else None
+    merged = ctx.joins.get(key)
     if merged is None:
         before = ctx.reported
         try:
@@ -703,7 +701,7 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
                 ctx.report("join:check", ctx.scenario.name, msg, par.tid)
         value = (par.left.result, par.right.result)
         merged = Leaf(par.tid, None, par.env, par.kont, joined.self_, RUN, None, ("v", value))
-        if ctx.joins is not None and ctx.reported == before:
+        if ctx.reported == before:
             ctx.joins[key] = merged
     return Config(_replace_node(cfg.tree, par, merged), cfg.joint, cfg.root_other,
                   cfg.conc, cfg.next_loc, cfg.next_tid)
@@ -715,43 +713,46 @@ def _first_reducible(tree) -> Optional[Leaf]:
     return _first_reducible(tree.left) or _first_reducible(tree.right)
 
 
-def _local_run(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Leaf:
+def _local_run(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
     """The leaf where the thread-local reductions of ``leaf`` stop: at an
     action, or where the next reduction is structural.
 
-    A local run reads only its leaf, the leaf's view and the loop bound
-    (see ``_advance``), so where runs are remembered, one that reported
-    nothing is not driven again from an equal leaf, joint and environment.
-    A run whose spec post failed is driven again wherever it recurs, so
-    that its report carries that path's step index and schedule.
+    A local run reads only its leaf, the leaf's view (``joint`` and the
+    environment ``other``) and the loop bound (see ``_advance``), so one
+    that reported nothing is not driven again from an equal leaf, joint and
+    environment.  A run whose spec post failed is driven again wherever it
+    recurs, so that its report carries that path's step index and schedule.
     """
-    if ctx.runs is not None:
-        key = (leaf, cfg.joint, leaf_view(cfg, leaf, ctx.others).other)
-        stop = ctx.runs.get(key)
-        if stop is not None:
-            return stop
+    key = (leaf, joint, other)
+    stop = ctx.runs.get(key)
+    if stop is not None:
+        return stop
     before = ctx.reported
     ctx.local_runs += 1
     stop = leaf
     while True:
-        nxt = _advance(cfg, stop, ctx)
+        nxt = _advance(stop, joint, other, ctx)
         if nxt is None:
             break
         stop = nxt
         if isinstance(stop.node, ActN):
             break
-    if ctx.runs is not None and ctx.reported == before:
+    if ctx.reported == before:
         ctx.runs[key] = stop
     return stop
 
 
-def normalize(cfg: Config, ctx: _Ctx) -> Config:
+def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config:
     """Drive every thread to an atomic action, completion, or a stuck state.
 
     The first reducible leaf is driven through its thread-local reductions
     on its own (``_local_run``) and spliced into the tree once, when it
     reaches an action or a structural reduction; then the tree is scanned
     again.  Joins wait until no leaf can reduce.
+
+    ``stepped`` is ``(tid, other)`` of the thread whose step made ``cfg``.
+    A step changes no sibling's self map and not the root map, so that
+    thread's first local run takes ``other`` from it, not from a new view.
     """
     while True:
         leaf = _first_reducible(cfg.tree)
@@ -761,7 +762,12 @@ def normalize(cfg: Config, ctx: _Ctx) -> Config:
                 return cfg
             cfg = collapsed
             continue
-        stop = _local_run(cfg, leaf, ctx)
+        if stepped is not None and stepped[0] == leaf.tid:
+            other = stepped[1]
+        else:
+            other = leaf_view(cfg, leaf, ctx.others).other
+        stepped = None
+        stop = _local_run(leaf, cfg.joint, other, ctx)
         if isinstance(stop.node, ActN):
             cfg = _with_leaf(cfg, stop)
         else:
@@ -1014,7 +1020,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
             continue
         cfg2, event = outcome
         ctx.path.append((leaf.tid, event.action, event.result))
-        cfg2 = normalize(cfg2, ctx)
+        cfg2 = normalize(cfg2, ctx, (leaf.tid, event.before.other))
         if ctx.reported > before:
             f.add(_FINISHED["violation"], 0)
             ctx.path.pop()
@@ -1037,8 +1043,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 
 
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
-    # one schedule meets few local runs or joins twice: remember neither
-    ctx = _Ctx(scenario, loop_bound, remember_runs=False)
+    ctx = _Ctx(scenario, loop_bound)
     cfg = normalize(initial_config(scenario), ctx)
     events: list[Event] = []
     used = 0
@@ -1055,7 +1060,7 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
         cfg, event = outcome
         ctx.path.append((leaf.tid, event.action, event.result))
         events.append(event)
-        cfg = normalize(cfg, ctx)
+        cfg = normalize(cfg, ctx, (leaf.tid, event.before.other))
         used += 1
     if ctx.reported:
         verdict = "violation"
