@@ -21,6 +21,10 @@ the modeled runs use (``specs.stack_accounting`` and
 (stack-likeness), and the push/pop multisets must account for the final
 stack contents, parsed from the shared heap.  Observations take no stamp:
 the stack must be empty at each one's place in the order.
+
+The report counts the primitives run and the compare-and-swaps that
+failed, each of which sent an operation round its retry loop, so a run
+whose threads seldom raced shows it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .actions import exec_primitive
+from .actions import Rmw, exec_primitive
 from .fmap import FrozenMap
 from .history import lemma2_oracle
 from .pcm import NONE, STACK, Heap, Hist, some_value
@@ -52,6 +56,8 @@ class NativeReport:
     pushes: int = 0
     pops: int = 0
     empty_pops: int = 0  # pops that answered "empty", checked as observations
+    primitives: int = 0  # primitives run on the shared heap
+    failed_cas: int = 0  # compare-and-swaps that lost a race, so an operation retried
     violations: list = field(default_factory=list)
 
     @property
@@ -66,6 +72,8 @@ class NativeReport:
             "pushes": self.pushes,
             "pops": self.pops,
             "empty_pops": self.empty_pops,
+            "primitives": self.primitives,
+            "failed_cas": self.failed_cas,
             "verdict": self.verdict,
             "violations": self.violations[:20],
         }
@@ -97,6 +105,7 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
     heap = dict(flatten(tb.initial_state()))
     next_loc = max(loc.n for loc in heap) + 1
     clock = 0  # primitives run so far
+    failed_cas = 0
     lock = threading.Lock()
     # a CAS fails only after another thread's commit, so no retry loop
     # runs more than once per operation of the whole run
@@ -111,11 +120,14 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
         last = 0  # the clock at this thread's latest primitive
 
         def execute(prim):
-            nonlocal next_loc, clock, last
+            nonlocal next_loc, clock, last, failed_cas
             with lock:
                 res, next_loc = exec_primitive(prim, heap, next_loc)
                 clock += 1
                 last = clock
+                # the Treiber programs' only read-modify-writes are CASes, answering a bool
+                if isinstance(prim, Rmw) and res is False:
+                    failed_cas += 1
             return res
 
         try:
@@ -146,6 +158,7 @@ def stress(threads: int = 4, ops: int = 1000, seed: int = 0) -> NativeReport:
             t.join()
     finally:
         sys.setswitchinterval(old_interval)
+    report.primitives, report.failed_cas = clock, failed_cas
     if errors:
         report.violations.extend(errors)
         return report

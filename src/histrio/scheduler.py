@@ -24,13 +24,19 @@ state), injection scoping, and monotone growth of history-valued self
 components; method specs are evaluated at their return points.  A step
 is a function of its input: the action's node and environment, the
 injected labels in force, the thread's view, the concurroid and the next
-fresh location.  So every driver runs the action and its checks once per
-distinct input and remembers the post-state of each step that passed
-them all; a step that failed a check is run again wherever it recurs, so
-that its reports carry that path's step index and schedule.  The memo
+fresh location.  So every driver runs the action once per distinct input
+and remembers the post-state of each step that passed every check; a
+step that failed a check is run again wherever it recurs, so that its
+reports carry that path's step index and schedule.  The memo
 is sound because map equality is type-exact: equal views are equally
 coherent.  Each distinct self or joint map a step produced is kept as one
 object, so the memos mostly compare the maps in their keys by identity.
+The checks themselves decide a property of the transition, not of the
+step input: they read the concurroid, the claimed transition, the
+injected labels and the pre- and post-states.  Many step inputs make one
+transition, so a step that runs is checked only if its transition has
+not passed the checks before; a transition that failed one is checked
+and reported again wherever it recurs.
 
 The reductions around a step are remembered the same way, each keyed on
 exactly the inputs it reads.  A thread's ``other`` is the join of the
@@ -42,6 +48,13 @@ leaves its own thread's ``other`` as it was, so the run after a step
 takes it from the step's view.  A join of two finished threads reads
 only their fork and their views.  A run or join that reported a
 violation is run again wherever it recurs, as a failed step is.
+
+Every configuration a driver holds is normal: no leaf but those at an
+action can reduce, and no fork waits to be joined.  So after a step only
+the stepped thread can reduce: ``normalize`` drives its run first and,
+when the run stops at the next action, splices the leaf into the tree
+once, with no scan of the tree.  Only a fork, completion, loop exhaustion
+or hiding sends it on to scan and restructure the tree.
 """
 
 from __future__ import annotations
@@ -389,7 +402,8 @@ class ExplorationReport:
     finals: set = field(default_factory=set)
     nodes: int = 0
     edges: int = 0
-    steps_run: int = 0  # edges whose action and checks ran, not remembered
+    steps_run: int = 0  # edges whose action ran, not remembered
+    transitions_checked: int = 0  # steps whose checks ran, not remembered
     local_runs: int = 0  # thread-local runs driven through _advance, not remembered
 
     @property
@@ -421,6 +435,7 @@ class ExplorationReport:
                 "nodes": self.nodes,
                 "edges": self.edges,
                 "steps_run": self.steps_run,
+                "transitions_checked": self.transitions_checked,
                 "local_runs": self.local_runs,
                 "inconclusive_step_bound": self.inconclusive_step_bound,
                 "inconclusive_loop_bound": self.inconclusive_loop_bound,
@@ -443,7 +458,12 @@ class _Ctx:
         # step input -> (self, joint, result, next_loc) after a step that
         # passed every check; see step_action
         self.steps: dict = {}
-        self.steps_run = 0  # steps run through the action and the checks
+        self.steps_run = 0  # steps whose action ran
+        # (id(conc), claimed transition, injected labels, pre-state maps,
+        # post-state maps) of each transition that passed every check; see
+        # step_action
+        self.checked: set = set()
+        self.transitions_checked = 0  # _check_step runs
         # one object per distinct self or joint map a step produced, so that
         # memo lookups on the configurations' equal maps compare identities
         self.maps: dict = {}
@@ -750,10 +770,23 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
     reaches an action or a structural reduction; then the tree is scanned
     again.  Joins wait until no leaf can reduce.
 
-    ``stepped`` is ``(tid, other)`` of the thread whose step made ``cfg``.
-    A step changes no sibling's self map and not the root map, so that
-    thread's first local run takes ``other`` from it, not from a new view.
+    With ``stepped``, ``(leaf, joint, next_loc, other)`` from
+    ``step_action``, ``cfg`` is the normal configuration the step was taken
+    in, and the result is the one after the step.  No other leaf of a
+    normal configuration can reduce and no fork waits to be joined, so the
+    stepped leaf's run comes first; a step changes no sibling's self map
+    and not the root map, so the run takes ``other`` from the step's view.
+    When the run stops at an action, that one splice finishes the step
+    with no scan of the tree.
     """
+    if stepped is not None:
+        leaf, joint, next_loc, other = stepped
+        stop = _local_run(leaf, joint, other, ctx)
+        cfg = Config(replace_leaf(cfg.tree, leaf.tid, stop), joint, cfg.root_other,
+                     cfg.conc, next_loc, cfg.next_tid)
+        if isinstance(stop.node, ActN):
+            return cfg
+        cfg = _restructure(cfg, stop, ctx)
     while True:
         leaf = _first_reducible(cfg.tree)
         if leaf is None:
@@ -762,11 +795,7 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
                 return cfg
             cfg = collapsed
             continue
-        if stepped is not None and stepped[0] == leaf.tid:
-            other = stepped[1]
-        else:
-            other = leaf_view(cfg, leaf, ctx.others).other
-        stepped = None
+        other = leaf_view(cfg, leaf, ctx.others).other
         stop = _local_run(leaf, cfg.joint, other, ctx)
         if isinstance(stop.node, ActN):
             cfg = _with_leaf(cfg, stop)
@@ -786,28 +815,31 @@ def _active_homes(leaf: Leaf) -> Optional[frozenset]:
     return homes
 
 
-def _check_step(cfg: Config, leaf: Leaf, action: AtomicAction,
+def _check_step(conc: Concurroid, tid: int, action: AtomicAction, homes: Optional[frozenset],
                 w: SubjState, w2: SubjState, ctx: _Ctx) -> bool:
+    """Every check of the step from ``w`` to ``w2``.  What they decide reads
+    only the concurroid, the claimed transition, the injected labels, the
+    two states and the scenario's step invariants; the action's name and
+    ``tid`` appear in reports only."""
     ok = True
     if w2.other != w.other:
         ctx.report("guarantee", "environment component untouched",
-                   f"{action.name} changed other", leaf.tid)
+                   f"{action.name} changed other", tid)
         ok = False
-    if not validate(w2) or not cfg.conc.coherent(w2):
-        ctx.report("coherence", f"post-state in {cfg.conc.name}",
-                   f"{action.name} -> {w2.render()}", leaf.tid)
+    if not validate(w2) or not conc.coherent(w2):
+        ctx.report("coherence", f"post-state in {conc.name}",
+                   f"{action.name} -> {w2.render()}", tid)
         ok = False
-    msg = step_matches_claim(cfg.conc, action, w, w2)
+    msg = step_matches_claim(conc, action, w, w2)
     if msg is not None:
-        ctx.report("transition", action.claimed, msg, leaf.tid)
+        ctx.report("transition", action.claimed, msg, tid)
         ok = False
-    homes = _active_homes(leaf)
     if homes is not None:
         outside = set(w.labels()) - homes
         for lbl in outside:
             if w2.self_.get(lbl) != w.self_.get(lbl) or w2.joint.get(lbl) != w.joint.get(lbl):
                 ctx.report("inject", f"labels {sorted(homes)} only",
-                           f"{action.name} touched {lbl}", leaf.tid)
+                           f"{action.name} touched {lbl}", tid)
                 ok = False
     for lbl in w.labels():
         old, new = w.self_[lbl], w2.self_[lbl]
@@ -816,31 +848,37 @@ def _check_step(cfg: Config, leaf: Leaf, action: AtomicAction,
         if isinstance(old_h, Hist) and isinstance(new_h, Hist):
             if not pcm_order(old_h, new_h):
                 ctx.report("history-growth", f"{lbl} self history grows",
-                           f"{action.name} shrank it", leaf.tid)
+                           f"{action.name} shrank it", tid)
                 ok = False
     for inv in ctx.scenario.step_invariants:
         msg = inv(w, w2)
         if msg is not None:
-            ctx.report("invariant", ctx.scenario.name, msg, leaf.tid)
+            ctx.report("invariant", ctx.scenario.name, msg, tid)
             ok = False
     return ok
 
 
 def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
-    """Fire the leaf's pending action; returns (config, event) or None on
-    a violating step.
+    """Fire the leaf's pending action; returns (stepped, event) or None on
+    a violating step.  ``stepped`` is ``(leaf, joint, next_loc, other)``:
+    the thread's leaf after the step, the joint map and next fresh
+    location after it, and the thread's unchanged ``other``, which
+    ``normalize`` takes to finish the step in ``cfg``.
 
     A step whose input passed every check before is not run again: its
     remembered post-state is reused.  The entry holds only the new self
     and joint maps, the result and the next location, not states or the
     action, so the memo does not keep their cached flattenings and
     closures alive.  The thread id is not part of the input; only
-    reports use it.
+    reports use it.  A step that runs is checked only if its transition
+    (concurroid, claimed transition, injected labels and both states) has
+    not passed the checks before; a failed check runs again wherever it
+    recurs.
     """
     action: AtomicAction = leaf.node.build(leaf.env)
     w = leaf_view(cfg, leaf, ctx.others)
-    key = (leaf.node, leaf.env, _active_homes(leaf), w.self_, w.joint, w.other,
-           id(cfg.conc), cfg.next_loc)
+    homes = _active_homes(leaf)
+    key = (leaf.node, leaf.env, homes, w.self_, w.joint, w.other, id(cfg.conc), cfg.next_loc)
     hit = ctx.steps.get(key)
     if hit is None:
         ctx.steps_run += 1
@@ -849,23 +887,26 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
         except ActionSafetyError as exc:
             ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
             return None
-        if not _check_step(cfg, leaf, action, w, w2, ctx):
-            return None
-        next_loc = sctx.next_loc
         canon = ctx.maps
         w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
                        canon.setdefault(w2.joint, w2.joint), w2.other)
+        checked = (id(cfg.conc), action.claimed, homes, w.self_, w.joint, w.other,
+                   w2.self_, w2.joint, w2.other)
+        if checked not in ctx.checked:
+            ctx.transitions_checked += 1
+            if not _check_step(cfg.conc, leaf.tid, action, homes, w, w2, ctx):
+                return None
+            ctx.checked.add(checked)
+        next_loc = sctx.next_loc
         ctx.steps[key] = (w2.self_, w2.joint, res, next_loc)
     else:
         self2, joint2, res, next_loc = hit
         # the guarantee check passed, so the step left ``other`` as it was
         w2 = SubjState(self2, joint2, w.other)
     nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, None, ("v", res))
-    cfg2 = Config(replace_leaf(cfg.tree, leaf.tid, nxt), w2.joint,
-                  cfg.root_other, cfg.conc, next_loc, cfg.next_tid)
     event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
                   action.primitive)
-    return cfg2, event
+    return (nxt, w2.joint, next_loc, w.other), event
 
 
 def ready_leaves(cfg: Config) -> list[Leaf]:
@@ -1018,9 +1059,9 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
         if outcome is None:
             f.add(_FINISHED["violation"], 0)
             continue
-        cfg2, event = outcome
+        stepped, event = outcome
         ctx.path.append((leaf.tid, event.action, event.result))
-        cfg2 = normalize(cfg2, ctx, (leaf.tid, event.before.other))
+        cfg2 = normalize(f.cfg, ctx, stepped)
         if ctx.reported > before:
             f.add(_FINISHED["violation"], 0)
             ctx.path.pop()
@@ -1038,6 +1079,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
     report.violating = s.violating
     report.violations = ctx.violations
     report.steps_run = ctx.steps_run
+    report.transitions_checked = ctx.transitions_checked
     report.local_runs = ctx.local_runs
     return report
 
@@ -1057,10 +1099,10 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
         outcome = step_action(cfg, leaf, ctx)
         if outcome is None:
             break
-        cfg, event = outcome
+        stepped, event = outcome
         ctx.path.append((leaf.tid, event.action, event.result))
         events.append(event)
-        cfg = normalize(cfg, ctx, (leaf.tid, event.before.other))
+        cfg = normalize(cfg, ctx, stepped)
         used += 1
     if ctx.reported:
         verdict = "violation"

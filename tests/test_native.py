@@ -23,6 +23,17 @@ def test_single_threaded_log_is_valid():
     assert one.committed > 0
 
 
+def test_a_single_thread_runs_every_primitive_once_and_loses_no_cas():
+    rep = stress(threads=1, ops=60, seed=3)
+    assert rep.verdict == "pass", rep.violations[:3]
+    # uncontended: a push allocates, reads, links and swaps; a pop reads the
+    # sentinel and the node and swaps, or reads the sentinel and answers empty
+    assert rep.failed_cas == 0
+    assert rep.primitives == 4 * rep.pushes + 3 * rep.pops + rep.empty_pops
+    assert rep.as_dict()["primitives"] == rep.primitives > 0
+    assert rep.as_dict()["failed_cas"] == 0
+
+
 def test_streaming_checks_agree_with_the_history_predicates():
     rep = stress(threads=2, ops=40, seed=11)
     assert rep.verdict == "pass"

@@ -22,6 +22,7 @@ from histrio.scheduler import (
     leaves,
     normalize,
     ready_leaves,
+    replace_leaf,
     run_local,
     run_random,
     run_replay,
@@ -290,9 +291,11 @@ def test_inconclusive_paths_are_split_by_cause():
 
 def reference_explore(scenario, step_bound, loop_bound):
     """Every interleaving walked one by one, with no memo of configurations,
-    steps, views, local runs or joins (every step runs its action and
-    checks, and every reduction runs): the complete, inconclusive and
-    violating path counts and the distinct final states."""
+    steps, checked transitions, views, local runs or joins (every step runs
+    its action and checks, and every reduction runs), each step finished by
+    ``normalize``'s scan of the tree rather than its one splice: the
+    complete, inconclusive and violating path counts and the distinct final
+    states."""
     ctx = _Ctx(scenario, loop_bound)
     counts = {"complete": 0, "inconclusive": 0, "violating": 0}
     finals = set()
@@ -315,13 +318,15 @@ def reference_explore(scenario, step_bound, loop_bound):
             return
         for leaf in ready:
             before = ctx.reported
-            for memo in (ctx.steps, ctx.maps, ctx.others, ctx.runs, ctx.joins):
+            for memo in (ctx.steps, ctx.checked, ctx.maps, ctx.others, ctx.runs, ctx.joins):
                 memo.clear()
             outcome = step_action(cfg, leaf, ctx)
             if outcome is None:
                 counts["violating"] += 1
                 continue
-            nxt = normalize(outcome[0], ctx)
+            stepped, joint, next_loc, _ = outcome[0]
+            nxt = normalize(Config(replace_leaf(cfg.tree, leaf.tid, stepped), joint,
+                                   cfg.root_other, cfg.conc, next_loc, cfg.next_tid), ctx)
             if ctx.reported > before:
                 counts["violating"] += 1
                 continue
@@ -410,6 +415,44 @@ def test_each_distinct_step_is_run_once(monkeypatch):
     assert rep.nodes == 7_371
     assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
     assert len(rep.finals) == 6
+
+
+def test_each_distinct_transition_is_checked_once(monkeypatch):
+    # the 3,733 steps that run make 1,880 distinct transitions, each
+    # checked once; the counts are those of every step checked
+    calls = []
+    check_step = scheduler._check_step
+
+    def counted(*args):
+        calls.append(None)
+        return check_step(*args)
+
+    monkeypatch.setattr(scheduler, "_check_step", counted)
+    rep = explore(flat_combiner_scenario(3), step_bound=120, loop_bound=1)
+    assert len(calls) == 1_880
+    assert rep.as_dict()["stats"]["transitions_checked"] == 1_880
+    assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
+    assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
+    assert len(rep.finals) == 6
+
+
+def test_a_failing_transition_is_reported_on_every_path_that_takes_it():
+    # thread 0's write makes the same transition before and after thread
+    # 1's read, which changes no state, from two distinct configurations
+    root = pv.initial_state(Heap({Loc(100): 0, Loc(200): 0}))
+    prog = par_chain([ActN(lambda env: pv.write(Loc(100), 1), "w"),
+                      ActN(lambda env: pv.read(Loc(200)), "r")],
+                     [split_take({pv.LB: Heap({Loc(100): 0})})])
+
+    def unwritten(w, w2):
+        return "first cell written" if flatten(w2)[Loc(100)] == 1 else None
+
+    sc = Scenario("written", pv.concurroid(), root, prog, step_invariants=[unwritten])
+    rep = explore(sc, step_bound=5, loop_bound=3)
+    assert [(v.check, v.thread, v.schedule) for v in rep.violations] == [
+        ("invariant", 0, ()), ("invariant", 0, (1,))]
+    assert (rep.violating, rep.complete) == (2, 0)
+    assert (rep.steps_run, rep.transitions_checked) == (3, 3)
 
 
 def _count_spec_posts(node, calls, seen=None):
