@@ -136,7 +136,6 @@ class StepCtx:
 class AtomicAction:
     name: str
     home: frozenset  # labels the action may touch
-    result_kind: str  # unit | bool | value | value-pair | opt-value
     safe: Callable[[SubjState], bool]
     step: Callable[[SubjState, StepCtx], tuple[SubjState, Any, StepCtx]]
     claimed: str  # transition this action refines

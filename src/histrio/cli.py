@@ -12,12 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from typing import Optional
 
 from . import scenarios as S
+from .actions import check_action_properties
+from .concurroid import check_concurroid
+from .pcm import SHIPPED_INSTANCES, check_pcm_laws
 from .scheduler import explore, run_random, run_replay
+from .structures import flatcombiner, private_heap, snapshot, spinlock, treiber
 
 REPORT_VERSION = 1
 
@@ -74,91 +79,40 @@ def _build_scenario(name: str, args):
     return SCENARIOS[name][0](args)
 
 
-def _all_action_families():
-    from .structures import flatcombiner, private_heap, snapshot, spinlock, treiber
-
-    return (
-        snapshot.action_families()
-        + private_heap.action_families()
-        + treiber.action_families()
-        + spinlock.action_families()
-        + flatcombiner.action_families()
-    )
-
-
-def _all_concurroids():
-    from .structures import flatcombiner, private_heap, snapshot, spinlock, treiber
-
-    return [
-        snapshot.concurroid(),
-        private_heap.concurroid(),
-        treiber.concurroid(),
-        spinlock.concurroid(),
-        flatcombiner.concurroid(flatcombiner.stack_shape(3)),
-    ]
+def _suite_report(rows: list, stats: dict) -> dict:
+    """The report of a sampled obligation suite, from one row per check."""
+    return {
+        "verdict": "pass" if all(r["ok"] for r in rows) else "violation",
+        "interleavings": 0,
+        "violations": [r for r in rows if not r["ok"]],
+        "stats": stats,
+    }
 
 
 def _run_laws(args) -> dict:
-    import random
-
-    from .pcm import SHIPPED_INSTANCES, check_pcm_laws
-
-    rng = random.Random(args.seed if args.seed is not None else 0)
-    suites = []
-    ok = True
-    for inst in SHIPPED_INSTANCES:
-        rep = check_pcm_laws(inst, max(1, args.samples), rng)
-        suites.append(rep.as_dict())
-        ok = ok and rep.ok
-    return {
-        "verdict": "pass" if ok else "violation",
-        "interleavings": 0,
-        "violations": [s for s in suites if not s["ok"]],
-        "stats": {"suites": suites},
-    }
+    rng = random.Random(args.seed or 0)
+    rows = [check_pcm_laws(inst, max(1, args.samples), rng).as_dict()
+            for inst in SHIPPED_INSTANCES]
+    return _suite_report(rows, {"suites": rows})
 
 
 def _run_concurroid_check(args) -> dict:
-    import random
-
-    from .concurroid import check_concurroid
-
-    rng = random.Random(args.seed if args.seed is not None else 0)
-    rows = []
-    ok = True
-    for conc in _all_concurroids():
-        for rep in check_concurroid(conc, max(1, args.samples), rng):
-            row = rep.as_dict()
-            row["concurroid"] = conc.name
-            rows.append(row)
-            ok = ok and rep.ok
-    return {
-        "verdict": "pass" if ok else "violation",
-        "interleavings": 0,
-        "violations": [r for r in rows if not r["ok"]],
-        "stats": {"checks": len(rows)},
-    }
+    rng = random.Random(args.seed or 0)
+    concs = [snapshot.concurroid(), private_heap.concurroid(), treiber.concurroid(),
+             spinlock.concurroid(), flatcombiner.concurroid(flatcombiner.stack_shape(3))]
+    rows = [{**rep.as_dict(), "concurroid": conc.name}
+            for conc in concs for rep in check_concurroid(conc, max(1, args.samples), rng)]
+    return _suite_report(rows, {"checks": len(rows)})
 
 
 def _run_action_check(args) -> dict:
-    import random
-
-    from .actions import check_action_properties
-
-    rows = []
-    ok = True
-    for fam in _all_action_families():
-        rng = random.Random(args.seed if args.seed is not None else 0)
-        for rep in check_action_properties(fam, max(1, args.samples), rng):
-            row = rep.as_dict()
-            rows.append(row)
-            ok = ok and rep.ok
-    return {
-        "verdict": "pass" if ok else "violation",
-        "interleavings": 0,
-        "violations": [r for r in rows if not r["ok"]],
-        "stats": {"checks": len(rows)},
-    }
+    families = [fam for module in (snapshot, private_heap, treiber, spinlock, flatcombiner)
+                for fam in module.action_families()]
+    # each family draws from a generator of its own
+    rows = [rep.as_dict() for fam in families
+            for rep in check_action_properties(fam, max(1, args.samples),
+                                               random.Random(args.seed or 0))]
+    return _suite_report(rows, {"checks": len(rows)})
 
 
 # the sampled obligation suites, run in place of a scenario
@@ -185,6 +139,10 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.scenario is None:
         return _usage_error("--scenario is required")
+    for name in ("threads", "ops_per_thread", "loop_bound", "step_bound"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            return _usage_error(f"--{name.replace('_', '-')} must be at least 1")
     if args.mode in ("random", "native") and args.seed is None:
         env_seed = os.environ.get("HISTRIO_SEED")
         if env_seed is None:
@@ -209,8 +167,6 @@ def main(argv: Optional[list] = None) -> int:
     elif args.mode == "native":
         if args.scenario != "treiber":
             return _usage_error("native mode supports only the treiber scenario")
-        if args.threads < 1 or args.ops_per_thread < 1:
-            return _usage_error("native mode needs --threads and --ops-per-thread of at least 1")
         from .native import stress
 
         rep = stress(threads=args.threads, ops=args.ops_per_thread, seed=args.seed)
@@ -222,12 +178,11 @@ def main(argv: Optional[list] = None) -> int:
         }
     else:
         scenario = _build_scenario(args.scenario, args)
-        step_bound = args.step_bound or SCENARIOS[args.scenario][1]
+        step_bound = (args.step_bound if args.step_bound is not None
+                      else SCENARIOS[args.scenario][1])
         config["step_bound"] = step_bound  # exhaustive mode always runs bounded
         if args.mode == "exhaustive":
-            rep = explore(scenario, step_bound, args.loop_bound)
-            body = rep.as_dict()
-            body["interleavings"] = rep.interleavings
+            body = explore(scenario, step_bound, args.loop_bound).as_dict()
         else:
             trace = run_random(scenario, args.seed, step_bound, args.loop_bound)
             body = {

@@ -319,7 +319,7 @@ def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckRep
 # Entanglement
 # ---------------------------------------------------------------------------
 
-def _lift_internal(t: Transition, side_labels, other_labels, coherent) -> Transition:
+def _lift_internal(t: Transition, side_labels, other_labels) -> Transition:
     def member(w, w2):
         if w.labels() != w2.labels():
             return False
@@ -376,13 +376,12 @@ def entangle(u: Concurroid, v: Concurroid) -> Concurroid:
 
     internals: dict[str, Transition] = {}
     for name, t in u.internals.items():
-        internals[name] = _lift_internal(t, u.labels, v.labels, coherent)
+        internals[name] = _lift_internal(t, u.labels, v.labels)
     for name, t in v.internals.items():
         if name == "id":
             continue
-        internals[name] = _lift_internal(t, v.labels, u.labels, coherent)
+        internals[name] = _lift_internal(t, v.labels, u.labels)
     internals["id"] = identity_transition()
-    internals["id"].sampler = None
 
     for ua, _ur in u.externals:
         for _va, vr in v.externals:

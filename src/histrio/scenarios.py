@@ -119,7 +119,6 @@ def pair_snapshot_scenario(writers: int = 2) -> Scenario:
         root=root,
         program=program,
         final_oracle=final_oracle,
-        meta={"writers": writers},
     )
 
 
@@ -168,7 +167,6 @@ def treiber_scenario(pushers: int = 2, elems: tuple = ("a", "b")) -> Scenario:
         root=root,
         program=program,
         final_oracle=final_oracle,
-        meta={"pushers": pushers, "elems": elems},
     )
 
 
@@ -307,7 +305,6 @@ def producer_consumer_scenario(n: int = 3) -> Scenario:
         program=program,
         on_join=on_join,
         final_oracle=final_oracle,
-        meta={"n": n, "ap": ap_vals},
     )
 
 
@@ -377,7 +374,6 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
         program=program,
         step_invariants=[step_invariant],
         final_oracle=final_oracle,
-        meta={"threads": threads, "elems": elems},
     )
 
 
@@ -422,7 +418,6 @@ def seq_recovery_scenario(contents: tuple = ("b", "c"), elem: str = "a") -> Scen
         program=program,
         on_hide_exit=on_hide_exit,
         final_oracle=final_oracle,
-        meta={"contents": contents, "elem": elem},
     )
 
 

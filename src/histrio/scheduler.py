@@ -140,15 +140,14 @@ class Leaf:
     kont: tuple
     self_: FrozenMap
     status: str = RUN
-    result: Any = None
-    pending: Optional[tuple] = None  # ("v", value) awaiting continuation
+    result: Any = None  # a finished thread's value, or with no node the one awaiting kont
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash((self.tid, self.node, self.env, self.kont, self.self_,
-                      self.status, self.result, self.pending))
+                      self.status, self.result))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -320,7 +319,6 @@ class Scenario:
     on_join: Optional[Callable[[SubjState, SubjState, SubjState], list]] = None
     on_hide_exit: Optional[Callable[[PhiSpec, Any, SubjState], list]] = None
     final_oracle: Optional[Callable[[Config, Any], list]] = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -407,10 +405,6 @@ class ExplorationReport:
     local_runs: int = 0  # thread-local runs driven through _advance, not remembered
 
     @property
-    def interleavings(self) -> int:
-        return self.complete
-
-    @property
     def inconclusive(self) -> int:
         return self.inconclusive_step_bound + self.inconclusive_loop_bound
 
@@ -454,7 +448,6 @@ class _Ctx:
         self.violations: list[Violation] = []  # the first max_violations
         self.reported = 0  # every violation, recorded or not
         self.path: list[tuple] = []  # (tid, action, result), rendered on report
-        self.checked_finals: dict = {}
         # step input -> (self, joint, result, next_loc) after a step that
         # passed every check; see step_action
         self.steps: dict = {}
@@ -511,30 +504,28 @@ def _advance(leaf: Leaf, joint, other, ctx: _Ctx) -> Optional[Leaf]:
     if node is None:
         if not leaf.kont:
             return None
-        frame, rest, value = leaf.kont[-1], leaf.kont[:-1], leaf.pending[1]
+        frame, rest, value = leaf.kont[-1], leaf.kont[:-1], leaf.result
         if isinstance(frame, SeqK):
             env = frame.env.set(frame.var, value) if frame.var else frame.env
             return Leaf(leaf.tid, frame.rest, env, rest, leaf.self_)
         if isinstance(frame, LoopK):
             if value is not LOOP_RETRY:
-                return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_,
-                            RUN, None, ("v", value))
+                return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, value)
             if frame.remaining <= 0:
                 return None
             return Leaf(leaf.tid, frame.loop.body, frame.env,
                         rest + (LoopK(frame.loop, frame.env, frame.remaining - 1),),
                         leaf.self_)
         if isinstance(frame, InjectK):
-            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
+            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, value)
         if isinstance(frame, SpecK):
             msg = frame.spec.post(frame.caps, SubjState(leaf.self_, joint, other), value)
             if msg is not None:
                 ctx.report(f"spec:{frame.spec.name}", frame.spec.name, msg, leaf.tid)
-            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, None, ("v", value))
+            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, value)
         return None
     if isinstance(node, Ret):
-        return Leaf(leaf.tid, None, leaf.env, leaf.kont, leaf.self_,
-                    RUN, None, ("v", node.fn(leaf.env)))
+        return Leaf(leaf.tid, None, leaf.env, leaf.kont, leaf.self_, RUN, node.fn(leaf.env))
     if isinstance(node, Seq):
         return Leaf(leaf.tid, node.first, leaf.env,
                     leaf.kont + (SeqK(node.var, node.rest, leaf.env),), leaf.self_)
@@ -558,25 +549,21 @@ def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any
     """Run a thread program with no specs, forks or hiding by itself, and
     return its value.
 
-    Every reduction but an atomic step is ``_advance``'s; an action's step
+    Every reduction but an atomic step is ``_local_run``'s; an action's step
     is ``execute(primitive)`` of the action built from the environment, and
     what ``execute`` returns is the step's result.  So the caller decides
     where the program's primitives run, for example on a concrete heap.
     """
     ctx = _Ctx(None, loop_bound)
-    leaf = Leaf(0, node, EMPTY_MAP, (), EMPTY_MAP)
-    while True:
-        if isinstance(leaf.node, ActN):
-            res = execute(leaf.node.build(leaf.env).primitive)
-            leaf = Leaf(0, None, leaf.env, leaf.kont, EMPTY_MAP, RUN, None, ("v", res))
-            continue
-        nxt = _advance(leaf, None, None, ctx)
-        if nxt is None:
-            if leaf.node is None and not leaf.kont:
-                return leaf.pending[1]
-            raise SchedulerError(f"cannot run {leaf.node!r} alone" if leaf.node is not None
-                                 else "a retry loop ran out of iterations")
-        leaf = nxt
+    leaf = _local_run(Leaf(0, node, EMPTY_MAP, (), EMPTY_MAP), None, None, ctx)
+    while isinstance(leaf.node, ActN):
+        res = execute(leaf.node.build(leaf.env).primitive)
+        leaf = _local_run(Leaf(0, None, leaf.env, leaf.kont, EMPTY_MAP, RUN, res),
+                          None, None, ctx)
+    if leaf.node is None and not leaf.kont:
+        return leaf.result
+    raise SchedulerError(f"cannot run {leaf.node!r} alone" if leaf.node is not None
+                         else "a retry loop ran out of iterations")
 
 
 def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
@@ -589,14 +576,12 @@ def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
     if node is not None:
         raise SchedulerError(f"cannot reduce node {node!r}")
     if not leaf.kont:
-        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, (), leaf.self_,
-                                    DONE, leaf.pending[1], None))
+        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, (), leaf.self_, DONE, leaf.result))
     frame = leaf.kont[-1]
     if isinstance(frame, LoopK):  # a retry with no iterations left
-        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, leaf.kont,
-                                    leaf.self_, STUCK, None, None))
+        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, leaf.kont, leaf.self_, STUCK))
     if isinstance(frame, HideK):
-        return _hide_exit(cfg, leaf, frame, leaf.kont[:-1], leaf.pending[1], ctx)
+        return _hide_exit(cfg, leaf, frame, leaf.kont[:-1], leaf.result, ctx)
     raise SchedulerError(f"unknown frame {frame!r}")
 
 
@@ -652,7 +637,7 @@ def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _
     if pv_self is None:
         raise SchedulerError("hide exit: returned heap overlaps private heap")
     self2 = leaf.self_.without(phi.labels).set("pv", Heap(pv_self))
-    nxt = Leaf(leaf.tid, None, leaf.env, rest, self2, RUN, None, ("v", value))
+    nxt = Leaf(leaf.tid, None, leaf.env, rest, self2, RUN, value)
     return Config(nxt, cfg.joint.without(phi.labels),
                   cfg.root_other.without(phi.labels), frame.outer,
                   cfg.next_loc, cfg.next_tid)
@@ -720,7 +705,7 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
             for msg in ctx.scenario.on_join(c1, c2, joined):
                 ctx.report("join:check", ctx.scenario.name, msg, par.tid)
         value = (par.left.result, par.right.result)
-        merged = Leaf(par.tid, None, par.env, par.kont, joined.self_, RUN, None, ("v", value))
+        merged = Leaf(par.tid, None, par.env, par.kont, joined.self_, RUN, value)
         if ctx.reported == before:
             ctx.joins[key] = merged
     return Config(_replace_node(cfg.tree, par, merged), cfg.joint, cfg.root_other,
@@ -903,7 +888,7 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
         self2, joint2, res, next_loc = hit
         # the guarantee check passed, so the step left ``other`` as it was
         w2 = SubjState(self2, joint2, w.other)
-    nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, None, ("v", res))
+    nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res)
     event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
                   action.primitive)
     return (nxt, w2.joint, next_loc, w.other), event
@@ -925,25 +910,18 @@ def initial_config(scenario: Scenario) -> Config:
                   scenario.conc, top + 1, 1)
 
 
-def _finish_path(cfg: Config, ctx: _Ctx, report: ExplorationReport) -> str:
-    """Classify a frontier-less configuration; runs final oracles once per
-    distinct final state (the verdict is cached and reused)."""
-    if isinstance(cfg.tree, Leaf) and cfg.tree.status == DONE:
-        msgs = ctx.checked_finals.get(cfg)
-        if msgs is None:
-            msgs = (
-                list(ctx.scenario.final_oracle(cfg, cfg.tree.result))
-                if ctx.scenario.final_oracle is not None
-                else []
-            )
-            ctx.checked_finals[cfg] = msgs
-            for msg in msgs:
-                ctx.report("final", ctx.scenario.name, msg, 0)
-        if msgs:
-            return "violation"
-        report.finals.add(cfg)
-        return "complete"
-    return "inconclusive"
+def _finish_path(cfg: Config, ctx: _Ctx) -> str:
+    """Classify a configuration with no thread ready to step, running the
+    scenario's final oracles on a finished one.  ``explore`` remembers every
+    such configuration on its first visit, so the oracles run once per
+    distinct final configuration."""
+    if not (isinstance(cfg.tree, Leaf) and cfg.tree.status == DONE):
+        return "inconclusive"
+    before = ctx.reported
+    if ctx.scenario.final_oracle is not None:
+        for msg in ctx.scenario.final_oracle(cfg, cfg.tree.result):
+            ctx.report("final", ctx.scenario.name, msg, 0)
+    return "violation" if ctx.reported > before else "complete"
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +1012,9 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
         ready = ready_leaves(cfg)
         if ready and left > 0:
             return _Frame(cfg, used, ready)
-        s = _CUT if ready else _FINISHED[_finish_path(cfg, ctx, report)]
+        s = _CUT if ready else _FINISHED[_finish_path(cfg, ctx)]
+        if s.complete:
+            report.finals.add(cfg)
         return remember(cfg, left, s, 0)
 
     root = visit(normalize(initial_config(scenario), ctx), 0)
@@ -1093,7 +1073,7 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
         ready = ready_leaves(cfg)
         if not ready:
             break
-        leaf = pick(ready, cfg)
+        leaf = pick(ready)
         if leaf is None:
             break
         outcome = step_action(cfg, leaf, ctx)
@@ -1104,15 +1084,8 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
         events.append(event)
         cfg = normalize(cfg, ctx, stepped)
         used += 1
-    if ctx.reported:
-        verdict = "violation"
-    elif isinstance(cfg.tree, Leaf) and cfg.tree.status == DONE:
-        if ctx.scenario.final_oracle is not None:
-            for msg in ctx.scenario.final_oracle(cfg, cfg.tree.result):
-                ctx.report("final", scenario.name, msg, 0)
-        verdict = "violation" if ctx.reported else "pass"
-    else:
-        verdict = "inconclusive"
+    end = "violation" if ctx.reported else _finish_path(cfg, ctx)
+    verdict = "pass" if end == "complete" else end
     results = cfg.tree.result if isinstance(cfg.tree, Leaf) else None
     return Trace(events, tuple(e.tid for e in events), cfg, verdict,
                  ctx.violations, results)
@@ -1121,7 +1094,7 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
 def run_random(scenario: Scenario, seed: int, budget: int, loop_bound: int) -> Trace:
     rng = random.Random(seed)
 
-    def pick(ready, cfg):
+    def pick(ready):
         return rng.choice(ready)
 
     return _run_schedule(scenario, pick, budget, loop_bound)
@@ -1131,7 +1104,7 @@ def run_replay(scenario: Scenario, schedule, loop_bound: int) -> Trace:
     """Re-run a recorded schedule (list of thread ids) deterministically."""
     queue = list(schedule)
 
-    def pick(ready, cfg):
+    def pick(ready):
         if not queue:
             return None
         tid = queue.pop(0)

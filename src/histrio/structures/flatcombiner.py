@@ -327,7 +327,7 @@ def req_help(shape: FcShape, tid: int, fname: str, arg) -> AtomicAction:
         return SubjState(w.self_, w.joint.set(LB, jv), w.other), (), ctx
 
     return AtomicAction(
-        f"reqHelp({tid},{fname})", HOME, "unit", safe, step, "fc.req",
+        f"reqHelp({tid},{fname})", HOME, safe, step, "fc.req",
         Write(cell, Req(fname, arg)),
     )
 
@@ -340,7 +340,7 @@ def read_req(shape: FcShape, i: int) -> AtomicAction:
         return w, jh[cell], ctx
 
     return AtomicAction(
-        f"readReq({i})", HOME, "value", lambda w: _safe_home(shape, w) is not None, step, "id",
+        f"readReq({i})", HOME, lambda w: _safe_home(shape, w) is not None, step, "id",
         Read(cell),
     )
 
@@ -372,7 +372,7 @@ def fc_trylock(shape: FcShape) -> AtomicAction:
         )
 
     return AtomicAction(
-        "fc.tryLock", FC_LOCK_HOME, "bool", safe, step, "xchg:pv.acquire|fc.lock",
+        "fc.tryLock", FC_LOCK_HOME, safe, step, "xchg:pv.acquire|fc.lock",
         cas(LK, False, True),
     )
 
@@ -400,7 +400,7 @@ def do_help(shape: FcShape, i: int, result, fname: str, arg) -> AtomicAction:
         return SubjState(w.self_, w.joint.set(LB, jv), w.other), (), ctx
 
     return AtomicAction(
-        f"doHelp({i},{fname})", HOME, "unit", safe, step, "fc.help",
+        f"doHelp({i},{fname})", HOME, safe, step, "fc.help",
         Write(cell, Resp(result)),
     )
 
@@ -438,7 +438,7 @@ def fc_unlock(shape: FcShape) -> AtomicAction:
         )
 
     return AtomicAction(
-        "fc.unlock", FC_LOCK_HOME, "unit", safe, step, "xchg:fc.unlock|pv.release",
+        "fc.unlock", FC_LOCK_HOME, safe, step, "xchg:fc.unlock|pv.release",
         Write(LK, False),
     )
 
@@ -465,7 +465,7 @@ def try_collect(shape: FcShape, tid: int) -> AtomicAction:
         )
 
     return AtomicAction(
-        f"tryCollect({tid})", HOME, "opt-value", safe, step, "fc.coll",
+        f"tryCollect({tid})", HOME, safe, step, "fc.coll",
         Rmw(
             cell,
             lambda v: INIT if isinstance(v, Resp) else v,

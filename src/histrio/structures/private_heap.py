@@ -80,7 +80,7 @@ def alloc() -> AtomicAction:
             StepCtx(ctx.next_loc + 1),
         )
 
-    return AtomicAction("alloc", HOME, "value", _safe_home, step, "pv.acquire", Alloc())
+    return AtomicAction("alloc", HOME, _safe_home, step, "pv.acquire", Alloc())
 
 
 def write(loc: Loc, v) -> AtomicAction:
@@ -91,7 +91,6 @@ def write(loc: Loc, v) -> AtomicAction:
     return AtomicAction(
         f"write({loc!r})",
         HOME,
-        "unit",
         lambda w: _safe_home(w) and _owns(w, loc),
         step,
         "pv.write",
@@ -106,7 +105,6 @@ def read(loc: Loc) -> AtomicAction:
     return AtomicAction(
         f"read({loc!r})",
         HOME,
-        "value",
         lambda w: _safe_home(w) and _owns(w, loc),
         step,
         "id",
@@ -122,7 +120,6 @@ def dealloc(loc: Loc) -> AtomicAction:
     return AtomicAction(
         f"dealloc({loc!r})",
         HOME,
-        "unit",
         lambda w: _safe_home(w) and _owns(w, loc),
         step,
         "pv.release",

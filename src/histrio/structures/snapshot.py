@@ -116,7 +116,7 @@ def read_x() -> AtomicAction:
         cx, vx, _, _ = _parse_joint(w.joint[LB])
         return w, (cx, vx), ctx
 
-    return AtomicAction("readX", HOME, "value-pair", _safe_home, step, "id", Read(X))
+    return AtomicAction("readX", HOME, _safe_home, step, "id", Read(X))
 
 
 def read_y() -> AtomicAction:
@@ -124,7 +124,7 @@ def read_y() -> AtomicAction:
         _, _, cy, vy = _parse_joint(w.joint[LB])
         return w, (cy, vy), ctx
 
-    return AtomicAction("readY", HOME, "value-pair", _safe_home, step, "id", Read(Y))
+    return AtomicAction("readY", HOME, _safe_home, step, "id", Read(Y))
 
 
 def _write_action(which: str, v) -> AtomicAction:
@@ -152,7 +152,6 @@ def _write_action(which: str, v) -> AtomicAction:
     return AtomicAction(
         f"write{which.upper()}({v!r})",
         HOME,
-        "unit",
         _safe_home,
         step,
         f"wr_{which}",

@@ -16,7 +16,7 @@ instance guards a single register cell mirroring a set of ids.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from ..actions import ActionFamily, AtomicAction, Write, cas
 from ..concurroid import Concurroid, Transition, identity_transition
@@ -41,9 +41,6 @@ REG = Loc(4002)
 HOME = frozenset([LB])
 LOCK_HOME = frozenset([LB, pv.LB])
 
-Inv = Callable[[object, Heap], bool]
-Carve = Callable[[Heap], Optional[Heap]]
-
 
 def register_inv(g: IdSet, h: Heap) -> bool:
     """Shipped resource invariant: one cell storing the combined id set."""
@@ -63,27 +60,24 @@ def _views(w: SubjState):
     return s, o
 
 
-def coherent_for(inv: Inv):
-    def coherent(w: SubjState) -> bool:
-        if set(w.labels()) != {LB} or not validate(w):
-            return False
-        vs = _views(w)
-        if vs is None:
-            return False
-        s, o = vs
-        jh = w.joint[LB]
-        if not isinstance(jh, Heap) or LK not in jh or not isinstance(jh[LK], bool):
-            return False
-        h = Heap(jh.remove(LK))
-        mx = join(s.mx, o.mx)
-        g = join(s.aux, o.aux)
-        if mx is None or g is None:
-            return False
-        if jh[LK]:
-            return h == EMPTY_HEAP and mx is OWN
-        return mx is NOT_OWN and inv(g, h)
-
-    return coherent
+def coherent(w: SubjState) -> bool:
+    if set(w.labels()) != {LB} or not validate(w):
+        return False
+    vs = _views(w)
+    if vs is None:
+        return False
+    s, o = vs
+    jh = w.joint[LB]
+    if not isinstance(jh, Heap) or LK not in jh or not isinstance(jh[LK], bool):
+        return False
+    h = Heap(jh.remove(LK))
+    mx = join(s.mx, o.mx)
+    g = join(s.aux, o.aux)
+    if mx is None or g is None:
+        return False
+    if jh[LK]:
+        return h == EMPTY_HEAP and mx is OWN
+    return mx is NOT_OWN and register_inv(g, h)
 
 
 def _take_member(w, w2, h: Heap) -> bool:
@@ -103,36 +97,33 @@ def _take_member(w, w2, h: Heap) -> bool:
     )
 
 
-def _give_back_member_for(inv: Inv):
-    def member(w, w2, h: Heap) -> bool:
-        """Unlocking: the joint part re-acquires a heap satisfying ``inv``."""
-        vs, vs2 = _views(w), _views(w2)
-        if vs is None or vs2 is None or w.other != w2.other:
-            return False
-        s, o = vs
-        s2, _ = vs2
-        if not (s.mx is OWN and s2.mx is NOT_OWN and s2.ids == s.ids):
-            return False
-        if w.joint[LB] != Heap({LK: True}):
-            return False
-        if w2.joint[LB] != Heap(Heap({LK: False}).merge_disjoint(h)):
-            return False
-        g2 = join(s2.aux, o.aux)
-        return g2 is not None and inv(g2, h)
-
-    return member
+def _give_back_member(w, w2, h: Heap) -> bool:
+    """Unlocking: the joint part re-acquires a heap satisfying the invariant."""
+    vs, vs2 = _views(w), _views(w2)
+    if vs is None or vs2 is None or w.other != w2.other:
+        return False
+    s, o = vs
+    s2, _ = vs2
+    if not (s.mx is OWN and s2.mx is NOT_OWN and s2.ids == s.ids):
+        return False
+    if w.joint[LB] != Heap({LK: True}):
+        return False
+    if w2.joint[LB] != Heap(Heap({LK: False}).merge_disjoint(h)):
+        return False
+    g2 = join(s2.aux, o.aux)
+    return g2 is not None and register_inv(g2, h)
 
 
 # ---------------------------------------------------------------------------
 # Actions (over private heaps entangled with the lock)
 # ---------------------------------------------------------------------------
 
-def trylock(inv: Inv = register_inv) -> AtomicAction:
+def trylock() -> AtomicAction:
     def safe(w):
         return (
             LB in w.self_
             and pv.LB in w.self_
-            and coherent_for(inv)(w.restrict(HOME))
+            and coherent(w.restrict(HOME))
             and pv.coherent(w.restrict(frozenset([pv.LB])))
         )
 
@@ -154,14 +145,14 @@ def trylock(inv: Inv = register_inv) -> AtomicAction:
         )
 
     return AtomicAction(
-        "trylock", LOCK_HOME, "bool", safe, step, "xchg:pv.acquire|lk.lock",
+        "trylock", LOCK_HOME, safe, step, "xchg:pv.acquire|lk.lock",
         cas(LK, False, True),
     )
 
 
-def unlock(g2, inv: Inv = register_inv, carve: Carve = register_carve) -> AtomicAction:
-    """Release the lock; the invariant's carver picks the resource sub-heap
-    out of the private section, and the contribution becomes ``g2``."""
+def unlock(g2) -> AtomicAction:
+    """Release the lock; ``register_carve`` picks the resource sub-heap out
+    of the private section, and the contribution becomes ``g2``."""
 
     def safe(w):
         if not (LB in w.self_ and pv.LB in w.self_):
@@ -169,15 +160,15 @@ def unlock(g2, inv: Inv = register_inv, carve: Carve = register_carve) -> Atomic
         s, o = w.self_[LB], w.other[LB]
         if not (isinstance(s, Triple) and s.mx is OWN):
             return False
-        h = carve(w.self_[pv.LB])
+        h = register_carve(w.self_[pv.LB])
         if h is None:
             return False
         got = join(g2, o.aux)
-        return got is not None and inv(got, h)
+        return got is not None and register_inv(got, h)
 
     def step(w, ctx):
         s = w.self_[LB]
-        h = carve(w.self_[pv.LB])
+        h = register_carve(w.self_[pv.LB])
         rest = Heap({loc: v for loc, v in w.self_[pv.LB].items() if loc not in h})
         return (
             SubjState(
@@ -190,7 +181,7 @@ def unlock(g2, inv: Inv = register_inv, carve: Carve = register_carve) -> Atomic
         )
 
     return AtomicAction(
-        "unlock", LOCK_HOME, "unit", safe, step, "xchg:lk.unlock|pv.release",
+        "unlock", LOCK_HOME, safe, step, "xchg:lk.unlock|pv.release",
         Write(LK, False),
     )
 
@@ -230,7 +221,7 @@ def sample_frame(rng: random.Random) -> FrozenMap:
     return FrozenMap({LB: Triple(IdSet.of(rng.randint(10, 14)), NOT_OWN, EMPTY_IDSET)})
 
 
-def concurroid(inv: Inv = register_inv) -> Concurroid:
+def concurroid() -> Concurroid:
     def take_sampler(rng):
         for _ in range(16):
             w = sample_state(rng)
@@ -252,12 +243,12 @@ def concurroid(inv: Inv = register_inv) -> Concurroid:
         w, w2, h = drawn
         return (w2, w, h)
 
-    give_back = Transition("lk.unlock", "acquire", _give_back_member_for(inv), back_sampler)
+    give_back = Transition("lk.unlock", "acquire", _give_back_member, back_sampler)
     take = Transition("lk.lock", "release", _take_member, take_sampler)
     return Concurroid(
         name="spin-lock",
         labels=HOME,
-        coherent=coherent_for(inv),
+        coherent=coherent,
         internals={"id": identity_transition(sample_state)},
         externals=[(give_back, take)],
         sample_state=sample_state,

@@ -130,9 +130,7 @@ def read_sentinel() -> AtomicAction:
     def step(w, ctx):
         return w, w.joint[LB][SNT], ctx
 
-    return AtomicAction(
-        "readSentinel", HOME, "value", _safe_home, step, "id", Read(SNT)
-    )
+    return AtomicAction("readSentinel", HOME, _safe_home, step, "id", Read(SNT))
 
 
 def read_node(p: Loc) -> AtomicAction:
@@ -145,7 +143,7 @@ def read_node(p: Loc) -> AtomicAction:
     def step(w, ctx):
         return w, w.joint[LB][p], ctx
 
-    return AtomicAction(f"readNode({p!r})", HOME, "value-pair", safe, step, "id", Read(p))
+    return AtomicAction(f"readNode({p!r})", HOME, safe, step, "id", Read(p))
 
 
 def try_push(p1: Loc, p: Loc) -> AtomicAction:
@@ -182,7 +180,6 @@ def try_push(p1: Loc, p: Loc) -> AtomicAction:
     return AtomicAction(
         f"tryPush({p1!r},{p!r})",
         PUSH_HOME,
-        "bool",
         safe,
         step,
         "xchg:tb.push|pv.release",
@@ -209,7 +206,6 @@ def try_pop(p: Loc, p1: Loc) -> AtomicAction:
     return AtomicAction(
         f"tryPop({p!r},{p1!r})",
         HOME,
-        "bool",
         lambda w: p != NULL and _safe_home(w),
         step,
         "tb.pop",
@@ -360,17 +356,16 @@ def push_program(elem, spec=None):
     return SpecedN(spec, prog) if spec is not None else prog
 
 
-def pop_program(spec=None, inject: bool = True):
+def pop_program(spec=None):
     """pop(): read the head, then try to de-link it; None on empty."""
-    wrap = _inj_t if inject else (lambda n: n)
     body = do(
-        ("p", wrap(ActN(lambda env: read_sentinel(), "readSentinel"))),
+        ("p", _inj_t(ActN(lambda env: read_sentinel(), "readSentinel"))),
         ret=IfN(
             lambda env: env["p"] == NULL,
             const(NONE),
             do(
-                ("ep1", wrap(ActN(lambda env: read_node(env["p"]), "readNode"))),
-                ("ok", wrap(ActN(lambda env: try_pop(env["p"], env["ep1"][1]), "tryPop"))),
+                ("ep1", _inj_t(ActN(lambda env: read_node(env["p"]), "readNode"))),
+                ("ok", _inj_t(ActN(lambda env: try_pop(env["p"], env["ep1"][1]), "tryPop"))),
                 ret=IfN(
                     lambda env: env["ok"],
                     Ret(lambda env: SOME(env["ep1"][0])),

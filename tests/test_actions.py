@@ -106,7 +106,7 @@ def test_result_leaking_auxiliary_state_fails_erasure():
     def step(w, ctx):
         return w, len(w.self_["tb"].entries), ctx  # leaks the partition
 
-    leaky = AtomicAction("leaky", frozenset(["tb"]), "value", safe, step, "id",
+    leaky = AtomicAction("leaky", frozenset(["tb"]), safe, step, "id",
                          Read(tb.SNT))
 
     def sample(rng):
@@ -130,7 +130,7 @@ def test_non_monotone_safety_is_caught():
     def step(w, ctx):
         return w, (), ctx
 
-    pinned = AtomicAction("pinned", pv.HOME, "unit", safe, step, "id", Skip())
+    pinned = AtomicAction("pinned", pv.HOME, safe, step, "id", Skip())
 
     def sample(rng):
         return pinned, pv.initial_state()
@@ -144,7 +144,7 @@ def test_skip_derived_action_returns_unit_unchanged():
     def step(w, ctx):
         return w, (), ctx
 
-    idle = AtomicAction("idle", pv.HOME, "unit", lambda w: True, step, "id", Skip())
+    idle = AtomicAction("idle", pv.HOME, lambda w: True, step, "id", Skip())
     w = pv.initial_state(Heap({Loc(2): 1}))
     w2, res, _ = run_atomic(idle, w, StepCtx(3))
     assert w2 == w and res == ()

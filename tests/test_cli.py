@@ -94,6 +94,27 @@ def test_native_mode_needs_a_thread_and_an_operation():
                      flag, "0"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--step-bound", "0"),
+    ("--step-bound", "-3"),
+    ("--loop-bound", "0"),
+    ("--scenario", "flat-combiner", "--threads", "0"),
+    ("--scenario", "producer-consumer", "--ops-per-thread", "0"),
+    ("--mode", "random", "--seed", "1", "--step-bound", "0"),
+    ("--scenario", "laws", "--loop-bound", "0"),
+])
+def test_bounds_and_counts_below_one_are_usage_errors(args, capsys):
+    # a later --scenario overrides the first
+    assert main(["--scenario", "treiber", *args]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_an_omitted_step_bound_runs_at_the_scenario_default(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["--scenario", "seq-recovery", "--output", str(out), "--no-meta"]) == 0
+    assert json.loads(out.read_text())["config"]["step_bound"] == 30
+
+
 def test_random_mode_emits_replayable_schedule(tmp_path):
     out = tmp_path / "r.json"
     code = main(["--scenario", "treiber", "--mode", "random", "--seed", "3",
@@ -128,8 +149,7 @@ def test_violation_exits_1(monkeypatch, tmp_path):
             grown = Heap(w.other[pv.LB].set(Loc(50), 1))
             return SubjState(w.self_, w.joint, w.other.set(pv.LB, grown)), (), ctx
 
-        return AtomicAction("evil", pv.HOME, "unit", lambda w: True, step, "id",
-                            Skip())
+        return AtomicAction("evil", pv.HOME, lambda w: True, step, "id", Skip())
 
     def fake_build(name, args):
         return Scenario("treiber", pv.concurroid(), pv.initial_state(),

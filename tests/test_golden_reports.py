@@ -6,7 +6,8 @@ The sweep explores every shipped scenario at loop bounds 1-3, each with a
 step bound that cuts some paths and one that cuts none; the naive pair
 reader of the benchmark's explore-bug workload at violation caps 1, 50 and
 10^6; a counting scenario whose step invariant fails on some paths; and
-seeded random runs of every shipped scenario.  Work counters
+seeded random runs of every shipped scenario; and the command line's reports
+of the three sampled obligation suites, without their timing.  Work counters
 (``steps_run``, ``local_runs``, ``transitions_checked``) are left out: they
 say how much the explorer ran, not what it found.  Final states are
 written with ``pcm.render``, since ``repr`` embeds addresses.
@@ -15,12 +16,15 @@ After a deliberate change of the reports, record new digests with
 ``PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 
 import pytest
 
+from histrio import cli
 from histrio import program as pg
 from histrio.pcm import Hist, render
 from histrio.scenarios import (
@@ -98,6 +102,13 @@ def random_run(build, seed):
     return {"trace": trace.as_dict(), "final": render_config(trace.final)}
 
 
+def suite_report(name, samples):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["--scenario", name, "--samples", str(samples), "--no-meta"])
+    return json.loads(out.getvalue())
+
+
 def cases() -> dict:
     """Case name -> a thunk that runs the case and returns its report."""
     out = {}
@@ -115,6 +126,8 @@ def cases() -> dict:
     for name, build in RANDOM:
         for seed in range(5):
             out[f"random/{name}/seed{seed}"] = lambda b=build, s=seed: random_run(b, s)
+    for name in cli.CHECKS:
+        out[f"suite/{name}/samples20"] = lambda n=name: suite_report(n, 20)
     return out
 
 

@@ -123,8 +123,7 @@ def test_guarantee_violation_is_caught_with_a_counterexample():
             grown = Heap(w.other[pv.LB].set(Loc(50), 1))
             return SubjState(w.self_, w.joint, w.other.set(pv.LB, grown)), (), ctx
 
-        return AtomicAction("evil", pv.HOME, "unit",
-                            lambda w: True, step, "id", Skip())
+        return AtomicAction("evil", pv.HOME, lambda w: True, step, "id", Skip())
 
     sc = Scenario("evil", pv.concurroid(), pv.initial_state(),
                   do((None, ActN(evil_build, "evil")), ret=const(())))
@@ -149,8 +148,8 @@ def test_transition_mismatch_is_caught():
                 ctx,
             )
 
-        return AtomicAction("sneakyWrite", sp.HOME, "unit",
-                            lambda w: True, step, "wr_x", Write(sp.X, "Z"))
+        return AtomicAction("sneakyWrite", sp.HOME, lambda w: True, step, "wr_x",
+                            Write(sp.X, "Z"))
 
     sc = Scenario("sneaky", sp.concurroid(), sp.initial_state(),
                   do((None, ActN(sneaky_build, "sneaky")), ret=const(())))
@@ -256,8 +255,7 @@ def test_history_growth_check_catches_shrinking_histories():
                 ctx,
             )
 
-        return AtomicAction("shrink", sp.HOME, "unit",
-                            lambda w: True, step, "id", Skip())
+        return AtomicAction("shrink", sp.HOME, lambda w: True, step, "id", Skip())
 
     sc = Scenario("shrink", sp.concurroid(), sp.initial_state(),
                   do((None, ActN(shrink_build, "shrink")), ret=const(())))
@@ -498,6 +496,22 @@ def test_each_distinct_local_run_is_driven_once(monkeypatch):
     assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
     assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
     assert len(rep.finals) == 6
+
+
+def test_final_oracles_run_once_per_distinct_final_configuration():
+    # every finished configuration is remembered on its first visit, so its
+    # oracles never run again however many paths reach it
+    sc = treiber_scenario()
+    oracle, calls = sc.final_oracle, []
+
+    def counted(cfg, result):
+        calls.append(cfg)
+        return oracle(cfg, result)
+
+    sc.final_oracle = counted
+    rep = explore(sc, step_bound=60, loop_bound=3)
+    assert rep.verdict == "pass" and rep.complete == 3_198
+    assert len(calls) == len(rep.finals) == 12
 
 
 def test_collapsing_forks_leaves_no_reference_cycles():

@@ -136,7 +136,7 @@ def test_pop_on_empty_returns_none():
     from histrio.specs import pop_spec
 
     sc = Scenario("pop-empty", tb.concurroid(), tb.initial_state(()),
-                  tb.pop_program(pop_spec(), inject=False))
+                  tb.pop_program(pop_spec()))
     rep = explore(sc, step_bound=10, loop_bound=2)
     assert rep.verdict == "pass"
     [final] = list(rep.finals)
