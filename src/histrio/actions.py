@@ -47,23 +47,23 @@ class ActionSafetyError(RuntimeError):
 # Primitive atomics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Read:
     loc: Loc
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Write:
     loc: Loc
     val: Any
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Rmw:
     """Atomically replace the cell value by ``f(v)`` and return ``g(v)``."""
 
@@ -72,12 +72,12 @@ class Rmw:
     g: Callable[[Any], Any]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Alloc:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Dealloc:
     loc: Loc
 
@@ -125,7 +125,7 @@ def exec_primitive(prim: Primitive, heap: dict, next_loc: int) -> tuple[Any, int
 # Atomic actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class StepCtx:
     """Per-run execution context threaded through steps (location allocator)."""
 

@@ -21,7 +21,7 @@ from . import scenarios as S
 from .actions import check_action_properties
 from .concurroid import check_concurroid
 from .pcm import SHIPPED_INSTANCES, check_pcm_laws
-from .scheduler import explore, run_random, run_replay
+from .scheduler import ReplayError, explore, run_random, run_replay
 from .structures import flatcombiner, private_heap, snapshot, spinlock, treiber
 
 REPORT_VERSION = 1
@@ -91,7 +91,7 @@ def _suite_report(rows: list, stats: dict) -> dict:
 
 def _run_laws(args) -> dict:
     rng = random.Random(args.seed or 0)
-    rows = [check_pcm_laws(inst, max(1, args.samples), rng).as_dict()
+    rows = [check_pcm_laws(inst, args.samples, rng).as_dict()
             for inst in SHIPPED_INSTANCES]
     return _suite_report(rows, {"suites": rows})
 
@@ -101,7 +101,7 @@ def _run_concurroid_check(args) -> dict:
     concs = [snapshot.concurroid(), private_heap.concurroid(), treiber.concurroid(),
              spinlock.concurroid(), flatcombiner.concurroid(flatcombiner.stack_shape(3))]
     rows = [{**rep.as_dict(), "concurroid": conc.name}
-            for conc in concs for rep in check_concurroid(conc, max(1, args.samples), rng)]
+            for conc in concs for rep in check_concurroid(conc, args.samples, rng)]
     return _suite_report(rows, {"checks": len(rows)})
 
 
@@ -110,7 +110,7 @@ def _run_action_check(args) -> dict:
                 for fam in module.action_families()]
     # each family draws from a generator of its own
     rows = [rep.as_dict() for fam in families
-            for rep in check_action_properties(fam, max(1, args.samples),
+            for rep in check_action_properties(fam, args.samples,
                                                random.Random(args.seed or 0))]
     return _suite_report(rows, {"checks": len(rows)})
 
@@ -139,7 +139,7 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.scenario is None:
         return _usage_error("--scenario is required")
-    for name in ("threads", "ops_per_thread", "loop_bound", "step_bound"):
+    for name in ("threads", "ops_per_thread", "loop_bound", "step_bound", "samples"):
         value = getattr(args, name)
         if value is not None and value < 1:
             return _usage_error(f"--{name.replace('_', '-')} must be at least 1")
@@ -231,13 +231,19 @@ def _do_replay(args) -> int:
         schedule = old.get("schedule")
     if not schedule:
         return _usage_error("replay file carries no schedule")
+    if not (isinstance(schedule, list) and all(type(t) is int for t in schedule)):
+        return _usage_error("replay schedule is not a list of thread ids")
 
-    ns = argparse.Namespace(**{**vars(args), **{
-        "threads": cfg.get("threads", 3),
-        "ops_per_thread": cfg.get("ops_per_thread", 3),
-    }})
+    bounds = {key: cfg.get(key, 3) for key in ("threads", "ops_per_thread", "loop_bound")}
+    for key, value in bounds.items():
+        if type(value) is not int or value < 1:
+            return _usage_error(f"replay file's {key} must be an integer at least 1")
+    ns = argparse.Namespace(**{**vars(args), **bounds})
     scenario = _build_scenario(name, ns)
-    trace = run_replay(scenario, schedule, cfg.get("loop_bound", 3))
+    try:
+        trace = run_replay(scenario, schedule, bounds["loop_bound"])
+    except ReplayError as exc:
+        return _usage_error(str(exc))
     report = {
         "version": REPORT_VERSION,
         "config": {**cfg, "mode": "replay"},

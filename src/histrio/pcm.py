@@ -11,6 +11,12 @@ Joining elements of different carriers is a *usage error* (raises
 *undefined* (returns ``None``).  Keeping the two apart is what makes
 undefinedness meaningful: ``Own • Own`` is undefined, ``Own • heap`` is
 a bug.
+
+The dataclass values (``Loc``, ``Req``, ``Resp``, ``IdSet``, ``Hist``,
+``Triple``) compare and hash by their fields, and nothing changes one once
+it is built.  They are slotted, unfrozen dataclasses, since a frozen one
+pays an ``object.__setattr__`` per field; ``tests/test_records.py`` keeps
+the rule.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ class PcmMismatchError(TypeError):
 # Heap values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(unsafe_hash=True, order=True, slots=True)
 class Loc:
     """An opaque heap location.  ``NULL`` is the distinguished location 0."""
 
@@ -62,7 +68,7 @@ class _Undef:
 UNDEF = _Undef()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Req:
     """Publication-array cell: a pending request to run ``fn`` on ``arg``."""
 
@@ -73,7 +79,7 @@ class Req:
         return f"Req({self.fn}, {self.arg!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Resp:
     """Publication-array cell: an uncollected result."""
 
@@ -147,7 +153,7 @@ OWN = Mutex.OWN
 NOT_OWN = Mutex.NOT_OWN
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IdSet:
     """A finite set of thread ids; join is disjoint union."""
 
@@ -164,7 +170,7 @@ class IdSet:
 EMPTY_IDSET = IdSet()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Hist:
     """A timestamped history: finite map stamp -> (pre, post) state pair.
 
@@ -196,8 +202,8 @@ class Hist:
     def _trusted(cls, kind: str, entries: FrozenMap) -> "Hist":
         """A history whose entries are already known to be well formed."""
         h = object.__new__(cls)
-        object.__setattr__(h, "kind", kind)
-        object.__setattr__(h, "entries", entries)
+        h.kind = kind
+        h.entries = entries
         return h
 
     def __repr__(self):
@@ -218,7 +224,7 @@ SNAPSHOT = "snapshot"
 STACK = "stack"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Triple:
     """Componentwise product of (IdSet, Mutex, inner PCM element)."""
 

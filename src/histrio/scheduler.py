@@ -49,6 +49,14 @@ takes it from the step's view.  A join of two finished threads reads
 only their fork and their views.  A run or join that reported a
 violation is run again wherever it recurs, as a failed step is.
 
+Configurations, tree nodes and continuation frames are values, so the
+memos may hold them as keys: nothing changes one once it is built, except
+that a ``_hash`` cache is filled once.  The explorer builds them on every
+edge, so they are slotted, unfrozen dataclasses (a frozen one pays an
+``object.__setattr__`` per field), and the rule is kept by a test that
+runs the shipped scenarios with every other store refused
+(``tests/test_records.py``), not on each construction.
+
 Every configuration a driver holds is normal: no leaf but those at an
 action can reduce, and no fork waits to be joined.  So after a step only
 the stepped thread can reduce: ``normalize`` drives its run first and,
@@ -94,36 +102,40 @@ class SchedulerError(RuntimeError):
     """A structural scenario bug (bad split directive, hide misuse...)."""
 
 
+class ReplayError(ValueError):
+    """A replayed schedule names a thread that is not ready to step."""
+
+
 # ---------------------------------------------------------------------------
 # Continuation frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SeqK:
     var: Optional[str]
     rest: Node
     env: FrozenMap
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class LoopK:
     loop: LoopN
     env: FrozenMap
     remaining: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class InjectK:
     home: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SpecK:
     spec: Any
     caps: Any
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class HideK:
     phi: Any
     outer: Concurroid
@@ -132,7 +144,7 @@ class HideK:
 RUN, DONE, STUCK = "run", "done", "stuck"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Leaf:
     tid: int
     node: Optional[Node]
@@ -148,11 +160,11 @@ class Leaf:
         if h is None:
             h = hash((self.tid, self.node, self.env, self.kont, self.self_,
                       self.status, self.result))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ParT:
     left: Any
     right: Any
@@ -165,11 +177,11 @@ class ParT:
         h = self._hash
         if h is None:
             h = hash((self.left, self.right, self.tid, self.env, self.kont))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class Config:
     """A machine configuration.  Its hash, like its tree nodes' hashes, is
     computed once and kept, since configurations key the explorer's memo."""
@@ -198,7 +210,7 @@ class Config:
         if h is None:
             h = hash((self.tree, self.joint, self.root_other, id(self.conc),
                       self.next_loc, self.next_tid))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
 
@@ -928,7 +940,7 @@ def _finish_path(cfg: Config, ctx: _Ctx) -> str:
 # Exploration drivers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class _Summary:
     complete: int
     bounded: int  # inconclusive: cut by the step bound
@@ -1101,7 +1113,8 @@ def run_random(scenario: Scenario, seed: int, budget: int, loop_bound: int) -> T
 
 
 def run_replay(scenario: Scenario, schedule, loop_bound: int) -> Trace:
-    """Re-run a recorded schedule (list of thread ids) deterministically."""
+    """Re-run a recorded schedule (list of thread ids) deterministically;
+    raises ``ReplayError`` at a thread id that is not ready to step."""
     queue = list(schedule)
 
     def pick(ready):
@@ -1111,6 +1124,6 @@ def run_replay(scenario: Scenario, schedule, loop_bound: int) -> Trace:
         for leaf in ready:
             if leaf.tid == tid:
                 return leaf
-        raise SchedulerError(f"replay: thread {tid} not ready")
+        raise ReplayError(f"replay: thread {tid} not ready")
 
     return _run_schedule(scenario, pick, len(schedule), loop_bound)

@@ -11,12 +11,17 @@ self as ``a ∘ b`` spawns children ``⟨a | j | b ∘ o⟩`` and
 ``⟨b | j | a ∘ o⟩``; joining inverts this, recovering the unique common
 environment part.  Framing moves a PCM-map between the two sides
 (``◁`` into self, ``▷`` into other).
+
+A ``SubjState`` is a value: nothing changes one once it is built, except
+that ``validate`` and ``flatten`` fill its ``_valid`` and ``_flat`` caches
+once.  It is a slotted, unfrozen dataclass, since a frozen one pays an
+``object.__setattr__`` per field; ``tests/test_records.py`` keeps the rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, ClassVar, Optional
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from .fmap import EMPTY_MAP, FrozenMap
 from .pcm import (
@@ -36,18 +41,18 @@ class StateError(ValueError):
 _UNSET = object()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SubjState:
     self_: FrozenMap  # label -> PCM element
     joint: FrozenMap  # label -> arbitrary (heap, or (heap, aux-array))
     other: FrozenMap  # label -> PCM element
 
     # What ``validate`` and ``flatten`` found for this very object (a state
-    # is immutable, so neither can change).  Kept on the object, not in a
-    # table keyed on equal states, so it costs no lookup and lives no
+    # is never changed, so neither can change).  Kept on the object, not in
+    # a table keyed on equal states, so it costs no lookup and lives no
     # longer than the state.
-    _valid: ClassVar[bool] = False
-    _flat: ClassVar[Any] = _UNSET
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
+    _flat: Any = field(default=_UNSET, init=False, repr=False, compare=False)
 
     def labels(self):
         return self.self_.keys()
@@ -61,7 +66,7 @@ class SubjState:
         if self._valid:
             # equal domains, a defined join and disjoint heaps all survive
             # dropping labels
-            object.__setattr__(r, "_valid", True)
+            r._valid = True
         return r
 
     def without(self, labels) -> "SubjState":
@@ -118,7 +123,7 @@ def flatten(w: SubjState) -> Optional[Heap]:
         cells.update(h.items())
         size += len(h)
     flat = Heap(cells) if len(cells) == size else None
-    object.__setattr__(w, "_flat", flat)
+    w._flat = flat
     return flat
 
 
@@ -135,7 +140,7 @@ def validate(w: SubjState) -> bool:
         return False
     if flatten(w) is None:
         return False
-    object.__setattr__(w, "_valid", True)
+    w._valid = True
     return True
 
 

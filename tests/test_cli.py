@@ -102,6 +102,8 @@ def test_native_mode_needs_a_thread_and_an_operation():
     ("--scenario", "producer-consumer", "--ops-per-thread", "0"),
     ("--mode", "random", "--seed", "1", "--step-bound", "0"),
     ("--scenario", "laws", "--loop-bound", "0"),
+    ("--scenario", "laws", "--samples", "0"),
+    ("--scenario", "action-check", "--samples", "-2"),
 ])
 def test_bounds_and_counts_below_one_are_usage_errors(args, capsys):
     # a later --scenario overrides the first
@@ -132,6 +134,20 @@ def test_random_mode_emits_replayable_schedule(tmp_path):
     replay = json.loads((tmp_path / "rr.json").read_text())
     assert replay["config"]["mode"] == "replay"
     assert replay["verdict"] != "violation"
+
+
+@pytest.mark.parametrize("config, schedule", [
+    ({"scenario": "treiber", "loop_bound": 3}, [7, 7]),
+    ({"scenario": "treiber", "threads": 0}, [1]),
+    ({"scenario": "producer-consumer", "ops_per_thread": 0}, [1]),
+    ({"scenario": "treiber", "loop_bound": 0}, [1]),
+    ({"scenario": "treiber"}, "1"),
+])
+def test_a_replay_file_that_cannot_run_is_a_usage_error(config, schedule, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"config": config, "schedule": schedule}))
+    assert main(["--replay", str(path), "--no-meta"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_violation_exits_1(monkeypatch, tmp_path):

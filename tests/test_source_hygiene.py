@@ -1,8 +1,15 @@
-"""Source hygiene: every dataclass field declared in the package is read.
+"""Source hygiene: every dataclass field declared in the package is read,
+and no record is frozen.
 
 A field that no code reads is carried by every constructor call and every
 instance for nothing.  The scan is syntactic: a field counts as read when
 some attribute of that name is loaded anywhere in ``src/histrio``.
+
+A frozen dataclass's ``__init__`` stores each field through
+``object.__setattr__``, which makes the explorer's states, histories and
+tree nodes dearer to build.  So no dataclass in the package
+is frozen; ``test_records.py`` keeps the value records unchanged after
+construction instead.  ``object.__setattr__`` may only fill a cache slot.
 """
 
 import ast
@@ -39,14 +46,45 @@ def dataclass_fields(trees: dict) -> list[tuple[str, str, str]]:
     return out
 
 
+def frozen_dataclasses(trees: dict) -> list[tuple[str, str]]:
+    """(module, class) for every dataclass declared with ``frozen=True``."""
+    return [(path, cls.name) for path, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            and any(kw.arg == "frozen" and ast.unparse(kw.value) != "False"
+                    for dec in cls.decorator_list if isinstance(dec, ast.Call)
+                    for kw in dec.keywords)]
+
+
+CACHE_SLOTS = {"_hash", "_valid", "_flat"}
+
+
+def setattr_stores(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, attribute) for every ``object.__setattr__`` call that
+    does not name a cache slot."""
+    out = []
+    for path, tree in trees.items():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__":
+                args = call.args
+                name = (args[1].value if len(args) > 1 and isinstance(args[1], ast.Constant)
+                        else "?")
+                if name not in CACHE_SLOTS:
+                    out.append((path, call.lineno, name))
+    return out
+
+
 def attributes_read(trees: dict) -> set[str]:
     return {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def _package() -> dict:
+    return {str(p.relative_to(SRC)): ast.parse(p.read_text())
+            for p in sorted(SRC.rglob("*.py"))}
+
+
 def test_every_dataclass_field_is_read_somewhere():
-    trees = {str(p.relative_to(SRC)): ast.parse(p.read_text())
-             for p in sorted(SRC.rglob("*.py"))}
+    trees = _package()
     read = attributes_read(trees)
     unread = [f"{path}: {cls}.{name}" for path, cls, name in dataclass_fields(trees)
               if name not in read]
@@ -65,3 +103,28 @@ def test_the_scan_sees_an_unread_field():
     trees = {"m.py": tree}
     read = attributes_read(trees)
     assert [f for f in dataclass_fields(trees) if f[2] not in read] == [("m.py", "P", "y")]
+
+
+def test_no_dataclass_is_frozen_and_setattr_only_fills_caches():
+    trees = _package()
+    assert frozen_dataclasses(trees) == []
+    assert setattr_stores(trees) == []
+
+
+def test_the_scan_sees_a_frozen_record_and_a_setattr_store():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True, slots=True)\n"
+        "class P:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=False)\n"
+        "class Q:\n"
+        "    x: int\n"
+        "    def __hash__(self):\n"
+        "        object.__setattr__(self, '_hash', 1)\n"
+        "        object.__setattr__(self, 'x', 2)\n"
+        "        return 1\n")
+    trees = {"m.py": tree}
+    assert frozen_dataclasses(trees) == [("m.py", "P")]
+    assert setattr_stores(trees) == [("m.py", 11, "x")]
