@@ -1,9 +1,10 @@
 """Command-line scenario runner and JSON report emitter.
 
 Exit codes: 0 all checks passed, 1 a violation was found (the report
-embeds a replayable counterexample schedule), 2 usage error, 3 only
-inconclusive outcomes (budgets exhausted without completing a single
-execution).  Identical configurations produce byte-identical reports
+embeds a replayable counterexample schedule), 2 usage error or a size the
+scenario cannot lay out, 3 only inconclusive outcomes (budgets exhausted
+without completing a single execution), 4 internal error (the traceback
+goes to stderr).  Identical configurations produce byte-identical reports
 when ``--no-meta`` strips the timestamp.
 """
 
@@ -13,23 +14,28 @@ import argparse
 import json
 import os
 import random
+import string
 import sys
 import time
+import traceback
 from typing import Optional
 
 from . import scenarios as S
 from .actions import check_action_properties
-from .concurroid import check_concurroid
+from .concurroid import behaviorally_equal, check_concurroid, empty_concurroid, entangle
 from .pcm import SHIPPED_INSTANCES, check_pcm_laws
-from .scheduler import ReplayError, explore, run_random, run_replay
+from .scheduler import ReplayError, check_phi, explore, run_random, run_replay
 from .structures import flatcombiner, private_heap, snapshot, spinlock, treiber
 
 REPORT_VERSION = 1
+INTERNAL_ERROR = 4
 
 
 def _treiber(args):
-    elems = tuple("abcdef"[: max(1, args.threads - 1)])
-    return S.treiber_scenario(pushers=len(elems), elems=elems)
+    # every thread but the popper pushes its own element: a to z, a' to z', ...
+    n = max(1, args.threads - 1)
+    elems = tuple(string.ascii_lowercase[i % 26] + "'" * (i // 26) for i in range(n))
+    return S.treiber_scenario(pushers=n, elems=elems)
 
 
 # name -> (build the scenario from the parsed arguments, default step bound)
@@ -97,12 +103,24 @@ def _run_laws(args) -> dict:
 
 
 def _run_concurroid_check(args) -> dict:
+    """Each concurroid's obligations, then the laws the report lists in full:
+    the hidden stack's Phi, the empty concurroid as the unit of
+    entanglement, and the exchange law."""
     rng = random.Random(args.seed or 0)
-    concs = [snapshot.concurroid(), private_heap.concurroid(), treiber.concurroid(),
-             spinlock.concurroid(), flatcombiner.concurroid(flatcombiner.stack_shape(3))]
-    rows = [{**rep.as_dict(), "concurroid": conc.name}
-            for conc in concs for rep in check_concurroid(conc, args.samples, rng)]
-    return _suite_report(rows, {"checks": len(rows)})
+    n = args.samples
+    sp, pv, tb = snapshot.concurroid(), private_heap.concurroid(), treiber.concurroid()
+    concs = [sp, pv, tb, spinlock.concurroid(),
+             flatcombiner.concurroid(flatcombiner.stack_shape(3))]
+    reports = [(c.name, rep) for c in concs for rep in check_concurroid(c, n, rng)]
+    obligations = len(reports)
+    phi = S.make_treiber_phi(())
+    reports.append((phi.conc.name, check_phi(phi, n, rng)))
+    reports += [(c.name, behaviorally_equal("unit-law", entangle(c, empty_concurroid()), c,
+                                            n, rng)) for c in concs]
+    left, right = entangle(entangle(pv, sp), tb), entangle(entangle(pv, tb), sp)
+    reports.append((left.name, behaviorally_equal("exchange-law", left, right, n, rng)))
+    rows = [{**rep.as_dict(), "concurroid": name} for name, rep in reports]
+    return _suite_report(rows, {"checks": len(rows), "laws": rows[obligations:]})
 
 
 def _run_action_check(args) -> dict:
@@ -132,6 +150,17 @@ def _emit(report: dict, args) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
+    try:
+        return _main(argv)
+    except S.SizeError as exc:
+        return _usage_error(str(exc))
+    except Exception:
+        # exit 1 means a violation was found; a crash must not read as one
+        traceback.print_exc()
+        return INTERNAL_ERROR
+
+
+def _main(argv: Optional[list]) -> int:
     args = build_parser().parse_args(argv)
 
     if args.replay:

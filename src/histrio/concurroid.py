@@ -446,22 +446,25 @@ def empty_concurroid() -> Concurroid:
     )
 
 
-def behaviorally_equal(c1: Concurroid, c2: Concurroid, n: int, rng: random.Random) -> bool:
+def behaviorally_equal(check: str, c1: Concurroid, c2: Concurroid, n: int,
+                       rng: random.Random) -> CheckReport:
     """Structural equality up to sampling: same labels, coherence verdicts,
     and transition memberships on states drawn from either side."""
-    if c1.labels != c2.labels:
-        return False
+    rep = CheckReport(check, f"{c1.name} = {c2.name}")
     names1 = {t.name for t in c1.all_transitions()}
     names2 = {t.name for t in c2.all_transitions()}
-    if names1 != names2:
-        return False
+    if (c1.labels, names1) != (c2.labels, names2):
+        rep.add(f"labels or transitions differ: {sorted(c1.labels ^ c2.labels)}, "
+                f"{sorted(names1 ^ names2)}")
+        return rep
     for sampler in (c1.sample_state, c2.sample_state):
         if sampler is None:
             continue
         for _ in range(n):
             w = sampler(rng)
+            rep.samples += 1
             if c1.coherent(w) != c2.coherent(w):
-                return False
+                rep.add(f"coherence differs on {w.render()}")
     for src, dst in ((c1, c2), (c2, c1)):
         for t in src.all_transitions():
             if t.sampler is None:
@@ -470,8 +473,10 @@ def behaviorally_equal(c1: Concurroid, c2: Concurroid, n: int, rng: random.Rando
             for _ in range(n):
                 drawn = _draw(t, rng)
                 if drawn is None:
+                    rep.vacuous += 1
                     continue
                 w, w2, h = drawn
+                rep.samples += 1
                 if not t_dst.holds(w, w2, h):
-                    return False
-    return True
+                    rep.add(f"{t.name}: a step of {src.name} is not one of {dst.name}")
+    return rep

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .pcm import Hist, join, pcm_order
+from .pcm import Hist, join
 
 
 class AbsentTimestampError(KeyError):
@@ -26,11 +26,6 @@ def lookup_end(tau: Hist, t: int):
         return tau.entries[t][1]
     except KeyError:
         raise AbsentTimestampError(t) from None
-
-
-def upper_bounds(tau: Hist, t: int) -> bool:
-    """``τ ≤ t``: every stamp in τ is at most ``t``."""
-    return all(t2 <= t for t2 in tau.stamps())
 
 
 def strictly_before(tau: Hist, t: int) -> bool:
@@ -51,11 +46,6 @@ def last_stamp(tau: Hist) -> Optional[int]:
     if not tau.entries:
         return None
     return max(tau.stamps())
-
-
-def is_subset(t1: Hist, t2: Hist) -> bool:
-    """``τ1 ⊑ τ2`` specialized to histories."""
-    return pcm_order(t1, t2)
 
 
 def is_continuous(tau: Hist) -> bool:
@@ -124,16 +114,6 @@ def lemma1_oracle(t1: Hist, t2: Hist) -> bool:
     if popped(t1) or pushed(t2):
         return True
     return pushed(combined) == pushed(t1) and popped(combined) == popped(t2)
-
-
-def render_lines(tau: Hist) -> list[str]:
-    """Trace form: one ``t: (pre) -> (post)`` line per stamp, sorted."""
-    from .pcm import render
-
-    return [
-        f"{t}: {render(pre)} -> {render(post)}"
-        for t, (pre, post) in sorted(tau.entries.items())
-    ]
 
 
 def lemma2_oracle(tau: Hist) -> bool:

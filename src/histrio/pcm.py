@@ -381,11 +381,6 @@ def pcm_order(g1, g2) -> bool:
 # A PCM-map assigns a PCM element to each label; a type map assigns an
 # arbitrary value.  Labels are short strings ("pv", "tb", ...).
 
-def map_disjoint_union(m1: FrozenMap, m2: FrozenMap) -> Optional[FrozenMap]:
-    """Union of two label maps; ``None`` when label sets overlap."""
-    return m1.merge_disjoint(m2)
-
-
 def map_pointwise_join(m1: FrozenMap, m2: FrozenMap) -> Optional[FrozenMap]:
     """``m1 ∘ m2``: per-label join; requires equal label sets."""
     if m1.keys() != m2.keys():

@@ -52,6 +52,10 @@ from .structures import snapshot as sp
 from .structures import treiber as tb
 
 
+class SizeError(ValueError):
+    """A scenario size whose heap layout cannot be built."""
+
+
 def split_take(parts: dict):
     """Split directive: the left child takes the named components, the
     right child keeps the rest."""
@@ -175,7 +179,6 @@ def treiber_scenario(pushers: int = 2, elems: tuple = ("a", "b")) -> Scenario:
 # ---------------------------------------------------------------------------
 
 AP_BASE = 5001
-AC_BASE = 5011
 
 
 def make_treiber_phi(init_contents: tuple) -> PhiSpec:
@@ -246,7 +249,7 @@ def _array_heap(base: int, values: tuple) -> Heap:
     return Heap({Loc(base + i): v for i, v in enumerate(values)})
 
 
-def consume_program(n: int):
+def consume_program(n: int, ac_base: int):
     node = Ret(lambda env: tuple(env[f"c{i}"] for i in range(n)))
     for i in reversed(range(n)):
         attempt = do(
@@ -255,7 +258,7 @@ def consume_program(n: int):
                 lambda env: env["r"] != NONE,
                 do(
                     (None, InjectN(
-                        ActN(lambda env, i=i: pv.write(Loc(AC_BASE + i), env["r"][1]),
+                        ActN(lambda env, i=i: pv.write(Loc(ac_base + i), env["r"][1]),
                              f"ac[{i}]"),
                         frozenset([pv.LB]))),
                     ret=Ret(lambda env: env["r"][1]),
@@ -271,7 +274,10 @@ def producer_consumer_scenario(n: int = 3) -> Scenario:
     conc = pv.concurroid()
     ap_vals = tuple(range(1, n + 1))
     h_p = _array_heap(AP_BASE, ap_vals)
-    h_c = _array_heap(AC_BASE, tuple(0 for _ in range(n)))
+    # the consumer array starts ten cells past the producer array, or right
+    # after it when that is longer
+    ac_base = AP_BASE + max(n, 10)
+    h_c = _array_heap(ac_base, tuple(0 for _ in range(n)))
     snt_cell = Heap({tb.SNT: NULL})
     root = pv.initial_state(
         Heap(Heap(h_p.merge_disjoint(h_c)).merge_disjoint(snt_cell))
@@ -279,7 +285,7 @@ def producer_consumer_scenario(n: int = 3) -> Scenario:
     phi = make_treiber_phi(())
 
     producer = SpecedN(produce_spec(ap_vals), _produce_body(n))
-    consumer = SpecedN(consume_spec(n), consume_program(n))
+    consumer = SpecedN(consume_spec(n), consume_program(n, ac_base))
     init_hist = Hist.of(STACK, {0: ((), ())})
     split = split_take({pv.LB: h_p, tb.LB: init_hist})
     program = HideN(phi, ParN(producer, consumer, split))
@@ -290,7 +296,7 @@ def producer_consumer_scenario(n: int = 3) -> Scenario:
     def final_oracle(cfg: Config, result) -> list:
         out = []
         heap = cfg.tree.self_[pv.LB]
-        consumed = tuple(heap.get(Loc(AC_BASE + i)) for i in range(n))
+        consumed = tuple(heap.get(Loc(ac_base + i)) for i in range(n))
         msg = exchange_oracle(ap_vals)(consumed)
         if msg is not None:
             out.append(msg)
@@ -325,6 +331,9 @@ def _produce_body(n: int):
 # ---------------------------------------------------------------------------
 
 def flat_combiner_scenario(threads: int = 3) -> Scenario:
+    if threads > fc.MAX_SLOTS:
+        raise SizeError(f"flat-combiner takes at most {fc.MAX_SLOTS} threads, "
+                        "one publication slot each")
     shape = fc.stack_shape(threads)
     conc = entangle(pv.concurroid(), fc.concurroid(shape))
     root = _merge_roots(pv.initial_state(), fc.initial_state(shape, ()))
@@ -419,33 +428,3 @@ def seq_recovery_scenario(contents: tuple = ("b", "c"), elem: str = "a") -> Scen
         on_hide_exit=on_hide_exit,
         final_oracle=final_oracle,
     )
-
-
-# ---------------------------------------------------------------------------
-# Straight-line counting scenario (used by the explorer exactness checks)
-# ---------------------------------------------------------------------------
-
-def counting_scenario(threads: int = 2, steps: int = 2) -> Scenario:
-    cells = {Loc(100 * (i + 1)): 0 for i in range(threads)}
-    root = pv.initial_state(Heap(cells))
-    programs = []
-    for i in range(threads):
-        loc = Loc(100 * (i + 1))
-        prog = const(())
-        for s in range(steps):
-            prog = do(
-                (None, ActN(lambda env, loc=loc, s=s: pv.write(loc, s + 1), "w")),
-                ret=prog,
-            )
-        programs.append(prog)
-    splits = []
-    for i in range(threads - 1):
-        loc = Loc(100 * (i + 1))
-        splits.append(split_take({pv.LB: Heap({loc: 0})}))
-    return Scenario(
-        name="counting",
-        conc=pv.concurroid(),
-        root=root,
-        program=par_chain(programs, splits),
-    )
-

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .actions import ActionSafetyError, AtomicAction, StepCtx, run_atomic, step_matches_claim
-from .concurroid import Concurroid
+from .concurroid import CheckReport, Concurroid
 from .fmap import EMPTY_MAP, FrozenMap
 from .pcm import Heap, Hist, Triple, map_pointwise_join, pcm_order, render, unit_like
 from .program import (
@@ -272,8 +272,9 @@ class PhiSpec:
     ``erase`` maps an abstract value to the concrete heap it occupies,
     ``install`` builds the hidden labels' initial self/joint fragments
     from that heap, ``membership`` decides whether a hidden-label state
-    realizes a given abstract value, and ``recover`` extracts the
-    abstract value from a final hidden-label state.
+    realizes a given abstract value, ``recover`` extracts the abstract
+    value from a final hidden-label state, and ``sample_member`` draws a
+    value with a state that realizes it.
     """
 
     name: str
@@ -284,17 +285,12 @@ class PhiSpec:
     install: Callable[[Any, Heap], tuple[FrozenMap, FrozenMap]]
     membership: Callable[[Any, SubjState], bool]
     recover: Callable[[SubjState], Any]
-    sample_member: Optional[Callable[[random.Random], tuple[Any, SubjState]]] = None
+    sample_member: Callable[[random.Random], tuple[Any, SubjState]]
 
 
-def check_phi(phi: PhiSpec, n: int, rng: random.Random):
+def check_phi(phi: PhiSpec, n: int, rng: random.Random) -> CheckReport:
     """Sampled coherence, injectivity, guarantee, and precision of Phi."""
-    from .concurroid import CheckReport
-
     rep = CheckReport("phi-properties", phi.name)
-    if phi.sample_member is None:
-        rep.vacuous = n
-        return rep
     drawn = []
     for _ in range(n):
         g, w = phi.sample_member(rng)

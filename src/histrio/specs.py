@@ -83,41 +83,6 @@ def read_pair_spec(label: str = "sp") -> MethodSpec:
     return MethodSpec("readPair", capture, post)
 
 
-def monolithic_read_pair_post(tau: Hist, total: Hist, res) -> Optional[str]:
-    """The joint-history variant: same membership claim, no self constraint."""
-    if _find_snapshot(total, tau, (res[0], res[1])) is None:
-        return f"{render(res)} never a snapshot after the call"
-    return None
-
-
-def _read_spec(label: str, name: str, matches) -> MethodSpec:
-    def capture(view, env):
-        return FrozenMap({
-            "tau": combined_history(view, label),
-            "self0": view.self_[label],
-        })
-
-    def post(caps, view, res):
-        if view.self_[label] != caps["self0"]:
-            return "reader's self history changed"
-        total = combined_history(view, label)
-        lo = max(caps["tau"].stamps(), default=-1)
-        for t in sorted(total.stamps()):
-            if t >= lo and matches(lookup_end(total, t), res):
-                return None
-        return f"no stamp at or after the call matches {render(res)}"
-
-    return MethodSpec(name, capture, post)
-
-
-def read_x_spec(label: str = "sp") -> MethodSpec:
-    return _read_spec(label, "readX", lambda post, res: (post[0], post[2]) == res)
-
-
-def read_y_spec(label: str = "sp") -> MethodSpec:
-    return _read_spec(label, "readY", lambda post, res: post[1] == res[0])
-
-
 # ---------------------------------------------------------------------------
 # Treiber stack
 # ---------------------------------------------------------------------------

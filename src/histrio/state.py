@@ -30,7 +30,6 @@ from .pcm import (
     map_pointwise_join,
     map_subtract,
     render,
-    unit_map_like,
 )
 
 
@@ -68,13 +67,6 @@ class SubjState:
             # dropping labels
             r._valid = True
         return r
-
-    def without(self, labels) -> "SubjState":
-        return SubjState(
-            self.self_.without(labels),
-            self.joint.without(labels),
-            self.other.without(labels),
-        )
 
     def merge_disjoint(self, w: "SubjState") -> Optional["SubjState"]:
         s = self.self_.merge_disjoint(w.self_)
@@ -207,8 +199,3 @@ def subjective_join(c1: SubjState, c2: SubjState) -> SubjState:
     if not validate(parent):
         raise StateError("join produced an invalid parent view")
     return parent
-
-
-def unit_frame(w: SubjState) -> FrozenMap:
-    """The all-units PCM-map over ``w``'s labels."""
-    return unit_map_like(w.self_)

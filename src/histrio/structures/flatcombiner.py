@@ -12,8 +12,8 @@ Client functions are registered with three pieces: a private-heap
 program computing the result, the auxiliary delta the run induces given
 the cumulative contribution, and a validity predicate tying argument,
 result, cumulative value, and delta together.  The shipped instance
-protects a sequential stack and registers push and pop, with history
-deltas mirroring the lock-free stack's.
+protects a sequential stack and registers push, with history deltas
+mirroring the lock-free stack's.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from ..pcm import (
     INIT,
     NONE,
     NOT_OWN,
-    NULL,
     OWN,
     Req,
     Resp,
@@ -55,6 +54,7 @@ LB = "fc"
 LK = Loc(3001)
 AP_BASE = 3010
 SNT = Loc(3101)
+MAX_SLOTS = SNT.n - AP_BASE  # the publication array ends below the sentinel
 NODE_BASE = 3102  # the first node of a laid-out resource stack
 HOME = frozenset([LB])
 FC_LOCK_HOME = frozenset([LB, pv.LB])
@@ -510,20 +510,6 @@ def f_spec_push(arg, result, g_prime: Hist, delta: Hist) -> bool:
     return result == () and delta == _push_delta(g_prime, arg)
 
 
-def _pop_delta(g_all: Hist, arg) -> Hist:
-    l = lookup_end(g_all, last_stamp(g_all))
-    if not l:
-        return Hist(STACK)
-    return Hist.of(STACK, {fresh(g_all): (l, l[1:])})
-
-
-def f_spec_pop(arg, result, g_prime: Hist, delta: Hist) -> bool:
-    l = lookup_end(g_prime, last_stamp(g_prime))
-    if not l:
-        return result == NONE and delta == Hist(STACK)
-    return result == SOME(l[0]) and delta == _pop_delta(g_prime, arg)
-
-
 def _seq_push_program(argkey: str):
     inj = lambda n: InjectN(n, frozenset([pv.LB]))  # noqa: E731
     return do(
@@ -535,23 +521,6 @@ def _seq_push_program(argkey: str):
     )
 
 
-def _seq_pop_program(argkey: str):
-    inj = lambda n: InjectN(n, frozenset([pv.LB]))  # noqa: E731
-    return do(
-        ("_p", inj(ActN(lambda env: pv.read(SNT), "readTop"))),
-        ret=IfN(
-            lambda env: env["_p"] == NULL,
-            const(NONE),
-            do(
-                ("_n", inj(ActN(lambda env: pv.read(env["_p"]), "readNode"))),
-                (None, inj(ActN(lambda env: pv.write(SNT, env["_n"][1]), "setTop"))),
-                (None, inj(ActN(lambda env: pv.dealloc(env["_p"]), "freeNode"))),
-                ret=Ret(lambda env: SOME(env["_n"][0])),
-            ),
-        ),
-    )
-
-
 def stack_shape(n: int) -> FcShape:
     return FcShape(
         n=n,
@@ -560,7 +529,6 @@ def stack_shape(n: int) -> FcShape:
         aux_unit=Hist(STACK),
         funcs={
             "push": FcFunc("push", _seq_push_program, _push_delta, f_spec_push),
-            "pop": FcFunc("pop", _seq_pop_program, _pop_delta, f_spec_pop),
         },
     )
 
@@ -874,10 +842,7 @@ def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
             if not reqs:
                 continue
             i = rng.choice(reqs)
-            g_all = total_aux(shape, w)
-            l = lookup_end(g_all, last_stamp(g_all))
-            res = () if slots[i].fn == "push" else (SOME(l[0]) if l else NONE)
-            a = do_help(shape, i, res, slots[i].fn, slots[i].arg)
+            a = do_help(shape, i, (), slots[i].fn, slots[i].arg)
             if a.safe(w):
                 return a, w
 

@@ -190,14 +190,6 @@ def unlock(g2) -> AtomicAction:
 # Construction and sampling
 # ---------------------------------------------------------------------------
 
-def initial_state(g: IdSet = EMPTY_IDSET) -> SubjState:
-    return SubjState(
-        FrozenMap({LB: Triple(EMPTY_IDSET, NOT_OWN, g)}),
-        FrozenMap({LB: Heap({LK: False, REG: tuple(sorted(g.ids))})}),
-        FrozenMap({LB: Triple(EMPTY_IDSET, NOT_OWN, EMPTY_IDSET)}),
-    )
-
-
 def sample_state(rng: random.Random) -> SubjState:
     ids = frozenset(rng.sample(range(6), rng.randint(0, 3)))
     mine = frozenset(i for i in ids if rng.random() < 0.5)

@@ -23,7 +23,6 @@ from histrio.pcm import (
 )
 from histrio.scheduler import explore, run_random
 from histrio.scenarios import (
-    counting_scenario,
     flat_combiner_scenario,
     pair_snapshot_scenario,
     producer_consumer_scenario,
@@ -35,6 +34,7 @@ from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
 from histrio.structures import spinlock as lk
 from histrio.structures import treiber as tb
+from counting import counting_scenario
 
 
 def _report(n, label, ok, t0, budget):

@@ -186,3 +186,61 @@ def test_budget_starved_run_exits_3(tmp_path):
                  "--step-bound", "2", "--output", str(tmp_path / "r.json"),
                  "--no-meta"])
     assert code == 3
+
+
+@pytest.mark.parametrize("args, code", [
+    # the consumer array no longer overlaps the producer array from n = 11
+    (("--scenario", "producer-consumer", "--ops-per-thread", "11", "--mode", "random",
+      "--seed", "1", "--step-bound", "2000", "--loop-bound", "100"), 0),
+    (("--scenario", "producer-consumer", "--ops-per-thread", "11", "--step-bound", "5"), 3),
+    # 91 publication slots fit below the flat combiner's sentinel, 92 do not
+    (("--scenario", "flat-combiner", "--threads", "91", "--mode", "random", "--seed", "1"), 3),
+    (("--scenario", "flat-combiner", "--threads", "92", "--mode", "random", "--seed", "1"), 2),
+])
+def test_sizes_past_the_first_layouts_build_or_are_usage_errors(args, code, capsys):
+    assert main([*args, "--no-meta"]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_replay_of_an_unbuildable_size_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "fc.json"
+    path.write_text(json.dumps({"config": {"scenario": "flat-combiner", "threads": 92},
+                                "schedule": [0]}))
+    assert main(["--replay", str(path), "--no-meta"]) == 2
+    assert "at most 91 threads" in capsys.readouterr().err
+
+
+def test_treiber_runs_the_threads_its_config_names(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["--scenario", "treiber", "--threads", "9", "--mode", "random",
+                 "--seed", "1", "--step-bound", "3000", "--loop-bound", "20",
+                 "--output", str(out), "--no-meta"]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["threads"] == 9
+    assert sorted(set(report["schedule"])) == list(range(9))
+
+
+def test_an_escaping_exception_is_an_internal_error(monkeypatch, capsys):
+    import histrio.cli as cli
+
+    def broken_build(name, args):
+        raise RuntimeError("builder broke")
+
+    monkeypatch.setattr(cli, "_build_scenario", broken_build)
+    assert cli.main(["--scenario", "treiber", "--no-meta"]) == cli.INTERNAL_ERROR == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: builder broke" in err
+
+
+def test_concurroid_check_reports_the_paper_laws(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["--scenario", "concurroid-check", "--samples", "20",
+                 "--output", str(out), "--no-meta"]) == 0
+    laws = json.loads(out.read_text())["stats"]["laws"]
+    assert [(r["check"], r["concurroid"]) for r in laws] == [
+        ("phi-properties", "treiber"),
+        *[("unit-law", name) for name in
+          ("pair-snapshot", "private-heaps", "treiber", "spin-lock", "flat-combiner")],
+        ("exchange-law", "private-heaps><pair-snapshot><treiber"),
+    ]
+    assert all(r["ok"] and r["samples"] > 0 for r in laws)

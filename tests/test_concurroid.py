@@ -1,5 +1,6 @@
 """Concurroid obligations, entanglement, and the constructed failure cases."""
 
+import dataclasses
 import random
 
 import pytest
@@ -145,7 +146,10 @@ def test_empty_concurroid_is_the_unit():
     assert not e.coherent(pv.initial_state())
     rng = random.Random(7)
     ent = entangle(tb.concurroid(), e)
-    assert behaviorally_equal(ent, tb.concurroid(), 40, rng)
+    assert behaviorally_equal("unit-law", ent, tb.concurroid(), 40, rng).ok
+    never = dataclasses.replace(tb.concurroid(), coherent=lambda w: False)
+    rep = behaviorally_equal("unit-law", ent, never, 10, rng)
+    assert not rep.ok and rep.violations[0].startswith("coherence differs")
 
 
 def test_exchange_law():
@@ -153,4 +157,4 @@ def test_exchange_law():
     u, v, w = pv.concurroid(), sp.concurroid(), tb.concurroid()
     left = entangle(entangle(u, v), w)
     right = entangle(entangle(u, w), v)
-    assert behaviorally_equal(left, right, 30, rng)
+    assert behaviorally_equal("exchange-law", left, right, 30, rng).ok

@@ -12,7 +12,6 @@ from histrio.history import (
     is_complete,
     is_continuous,
     is_stacklike,
-    is_subset,
     last_stamp,
     lemma1_oracle,
     lemma2_oracle,
@@ -20,9 +19,8 @@ from histrio.history import (
     popped,
     pushed,
     strictly_before,
-    upper_bounds,
 )
-from histrio.pcm import STACK, Hist, join
+from histrio.pcm import STACK, Hist, join, pcm_order
 
 
 def H(**entries):
@@ -35,12 +33,6 @@ def test_lookup_end_reads_the_post_state():
     assert lookup_end(H(t1=((), ("e",))), 1) == ("e",)
     with pytest.raises(AbsentTimestampError):
         lookup_end(H(), 3)
-
-
-def test_upper_bounds():
-    assert upper_bounds(H(), 0)
-    assert upper_bounds(H(t1=("a", "b"), t2=("b", "c")), 2)
-    assert not upper_bounds(H(t3=("a", "b")), 2)
 
 
 def test_fresh_is_smallest_unused():
@@ -100,7 +92,7 @@ def test_lemma2():
 def test_subset_of_join():
     t1 = H(t1=((), ("a",)))
     t2 = H(t2=(("a",), ()))
-    assert is_subset(t1, join(t1, t2))
+    assert pcm_order(t1, join(t1, t2))
     assert last_stamp(join(t1, t2)) == 2
     assert strictly_before(t1, 2) and not strictly_before(t1, 1)
 
@@ -158,12 +150,3 @@ def test_fresh_monotone_under_growth():
     grown = join(tau, Hist.of(STACK, {t: (("a",), ())}))
     assert t not in tau.stamps()
     assert set(tau.stamps()) <= set(grown.stamps())
-
-
-def test_render_lines_sorted_by_stamp():
-    from histrio.history import render_lines
-
-    tau = H(t2=(("a",), ()), t0=((), ()), t1=((), ("a",)))
-    lines = render_lines(tau)
-    assert lines[0].startswith("0:") and lines[2].startswith("2:")
-    assert "(a) -> ()" in lines[2].replace("'", "")

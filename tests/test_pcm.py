@@ -24,7 +24,6 @@ from histrio.pcm import (
     Triple,
     check_pcm_laws,
     join,
-    map_disjoint_union,
     map_pointwise_join,
     pcm_order,
     subtract,
@@ -78,16 +77,6 @@ def test_triple_join_is_componentwise():
     assert got.mx is OWN
     assert set(got.aux.stamps()) == {1, 2}
     assert join(a, Triple(IdSet.of(0), NOT_OWN, Hist(STACK))) is None
-
-
-def test_map_disjoint_union():
-    m1 = FrozenMap({"pv": Heap({Loc(1): 0})})
-    m2 = FrozenMap({"tb": Hist(STACK)})
-    assert map_disjoint_union(m1, m2) == FrozenMap(
-        {"pv": Heap({Loc(1): 0}), "tb": Hist(STACK)}
-    )
-    assert map_disjoint_union(m1, FrozenMap({"pv": Heap()})) is None
-    assert map_disjoint_union(m1, FrozenMap()) == m1
 
 
 def test_map_pointwise_join():

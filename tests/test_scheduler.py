@@ -29,7 +29,6 @@ from histrio.scheduler import (
     step_action,
 )
 from histrio.scenarios import (
-    counting_scenario,
     flat_combiner_scenario,
     pair_snapshot_scenario,
     par_chain,
@@ -42,6 +41,7 @@ from histrio.state import SubjState, flatten
 from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
 from histrio.structures import treiber as tb
+from counting import counting_scenario
 
 
 def multinomial(*ks):

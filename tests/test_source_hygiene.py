@@ -1,9 +1,15 @@
 """Source hygiene: every dataclass field declared in the package is read,
-and no record is frozen.
+every top-level function and class is named, and no record is frozen.
 
 A field that no code reads is carried by every constructor call and every
 instance for nothing.  The scan is syntactic: a field counts as read when
 some attribute of that name is loaded anywhere in ``src/histrio``.
+
+A top-level function or class counts as named when code in
+``src/histrio`` or ``perfbench/`` names it outside its own definition: a
+call, an attribute, an import.  The benchmark counts because it calls
+entry points that no shipped run does, such as ``erasure.compare_erased``.
+Tests do not count: code that only tests reach belongs under ``tests/``.
 
 A frozen dataclass's ``__init__`` stores each field through
 ``object.__setattr__``, which makes the explorer's states, histories and
@@ -14,8 +20,10 @@ construction instead.  ``object.__setattr__`` may only fill a cache slot.
 
 import ast
 import pathlib
+from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "histrio"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "histrio"
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -78,9 +86,37 @@ def attributes_read(trees: dict) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def names_in(node: ast.AST) -> set[str]:
+    """Every name ``node`` mentions: bare names, attributes and imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+    return out
+
+
+def unnamed_definitions(trees: dict, users: dict) -> list[tuple[str, str]]:
+    """(module, name) for each top-level function or class of ``trees`` that
+    no top-level statement of ``trees`` or ``users`` but its own names."""
+    named = Counter(name for tree in [*trees.values(), *users.values()]
+                    for stmt in tree.body for name in names_in(stmt))
+    return [(path, stmt.name) for path, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and named[stmt.name] == (stmt.name in names_in(stmt))]
+
+
 def _package() -> dict:
     return {str(p.relative_to(SRC)): ast.parse(p.read_text())
             for p in sorted(SRC.rglob("*.py"))}
+
+
+def _benchmark() -> dict:
+    return {str(p.relative_to(ROOT)): ast.parse(p.read_text())
+            for p in sorted((ROOT / "perfbench").glob("*.py"))}
 
 
 def test_every_dataclass_field_is_read_somewhere():
@@ -103,6 +139,27 @@ def test_the_scan_sees_an_unread_field():
     trees = {"m.py": tree}
     read = attributes_read(trees)
     assert [f for f in dataclass_fields(trees) if f[2] not in read] == [("m.py", "P", "y")]
+
+
+def test_every_top_level_definition_is_named_by_the_package_or_the_benchmark():
+    assert unnamed_definitions(_package(), _benchmark()) == []
+
+
+def test_the_scan_sees_a_definition_only_its_own_body_names():
+    tree = ast.parse(
+        "class P:\n"
+        "    def again(self):\n"
+        "        return P()\n"
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else used()\n"
+        "def bench_entry():\n"
+        "    return 2\n")
+    bench = ast.parse("import m\nm.bench_entry()\n")
+    assert unnamed_definitions({"m.py": tree}, {"run.py": bench}) == [
+        ("m.py", "P"), ("m.py", "recursive")]
+    assert ("m.py", "bench_entry") in unnamed_definitions({"m.py": tree}, {})
 
 
 def test_no_dataclass_is_frozen_and_setattr_only_fills_caches():

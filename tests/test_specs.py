@@ -8,12 +8,9 @@ from histrio.scheduler import Scenario, explore
 from histrio.specs import (
     combined_history,
     join_lemma_checks,
-    monolithic_read_pair_post,
     pop_spec,
     push_spec,
     read_pair_spec,
-    read_x_spec,
-    read_y_spec,
     snapshot_validity,
     stack_accounting,
 )
@@ -52,6 +49,14 @@ def test_read_pair_post_requires_stamp_after_entry():
     assert spec.post(caps, w0, ("B", "C")) is None
 
 
+def monolithic_read_pair_post(tau: Hist, total: Hist, res) -> bool:
+    """The joint-history form of readPair's post, with no self constraint:
+    some stamp at or after the call holds ``res`` as its (x, y) pair."""
+    lo = max(tau.stamps(), default=-1)
+    return any(t >= lo and total.entries[t][1][:2] == tuple(res[:2])
+               for t in total.stamps())
+
+
 def test_monolithic_variant_is_implied_by_the_subjective_post():
     """Wherever the subjective post holds, the joint-history form does too."""
     rng = random.Random(0)
@@ -64,18 +69,7 @@ def test_monolithic_variant_is_implied_by_the_subjective_post():
             post = total.entries[t][1]
             res = (post[0], post[1])
             if spec.post(caps, w, res) is None:
-                assert monolithic_read_pair_post(caps["tau"], total, res) is None
-
-
-def test_read_x_and_read_y_specs():
-    w = snap_view({0: (("A", "C", 0), ("A", "C", 0))}, {}, "A", 0, "C", 0)
-    sx, sy = read_x_spec(), read_y_spec()
-    cx = sx.capture(w, FrozenMap())
-    cy = sy.capture(w, FrozenMap())
-    assert sx.post(cx, w, ("A", 0)) is None
-    assert sx.post(cx, w, ("B", 0)) is not None
-    assert sy.post(cy, w, ("C", 7)) is None  # y-version unconstrained
-    assert sy.post(cy, w, ("D", 0)) is not None
+                assert monolithic_read_pair_post(caps["tau"], total, res)
 
 
 def tb_view(self_entries, other_entries, contents, pv_heap=None):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from histrio.fmap import FrozenMap
-from histrio.pcm import EMPTY_HEAP, STACK, Heap, Hist, Loc
+from histrio.pcm import EMPTY_HEAP, STACK, Heap, Hist, Loc, unit_map_like
 from histrio.state import (
     StateError,
     SubjState,
@@ -14,7 +14,6 @@ from histrio.state import (
     subjective_join,
     subjective_split,
     transpose,
-    unit_frame,
     validate,
 )
 
@@ -81,7 +80,7 @@ def test_realign_moves_a_frame_between_sides():
     right = realign_release(w, t)
     assert left.self_["pv"] == Heap({Loc(4): 1})
     assert right.other["pv"] == Heap({Loc(4): 1})
-    assert realign_acquire(w, unit_frame(w)) == w
+    assert realign_acquire(w, unit_map_like(w.self_)) == w
     with pytest.raises(StateError):
         realign_acquire(left, t)  # same cells twice
 
@@ -100,7 +99,7 @@ def test_split_then_join_roundtrip():
 
 def test_degenerate_split_frames_the_idle_side():
     w = mkstate({Loc(1): 3})
-    c1, c2 = subjective_split(w, w.self_, unit_frame(w))
+    c1, c2 = subjective_split(w, w.self_, unit_map_like(w.self_))
     assert c1 == w
     assert c2.self_["pv"] == EMPTY_HEAP
     assert c2.other["pv"] == Heap({Loc(1): 3})

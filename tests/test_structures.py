@@ -1,6 +1,7 @@
 """Structure-level behaviors: transitions, actions, parsing, coherence."""
 
 from histrio.actions import StepCtx, run_atomic
+from histrio.fmap import FrozenMap
 from histrio.history import lookup_end
 from histrio.pcm import (
     EMPTY_IDSET,
@@ -147,7 +148,11 @@ def test_spinlock_roundtrip_restores_coherence():
     from histrio.concurroid import entangle
 
     conc = entangle(pv.concurroid(), lk.concurroid())
-    w = lk.initial_state(IdSet.of(1)).merge_disjoint(pv.initial_state())
+    w = SubjState(
+        FrozenMap({lk.LB: Triple(EMPTY_IDSET, NOT_OWN, IdSet.of(1)), pv.LB: Heap()}),
+        FrozenMap({lk.LB: Heap({lk.LK: False, lk.REG: (1,)}), pv.LB: Heap()}),
+        FrozenMap({lk.LB: Triple(EMPTY_IDSET, NOT_OWN, EMPTY_IDSET), pv.LB: Heap()}),
+    )
     assert conc.coherent(w)
     w1, ok, _ = run_atomic(lk.trylock(), w, StepCtx(5000))
     assert ok is True
@@ -213,6 +218,3 @@ def test_fc_stack_instantiation_validity_predicates():
     assert fc.f_spec_push("b", (), g, delta)
     assert not fc.f_spec_push("z", (), g, delta)
     assert not fc.f_spec_push("b", (), g, Hist.of(STACK, {5: (("a",), ("b", "a"))}))
-    assert fc.f_spec_pop((), SOME("a"), g, Hist.of(STACK, {2: (("a",), ())}))
-    empty_g = Hist.of(STACK, {0: ((), ())})
-    assert fc.f_spec_pop((), NONE, empty_g, Hist(STACK))
