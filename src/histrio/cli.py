@@ -5,7 +5,7 @@ embeds a replayable counterexample schedule), 2 usage error or a size the
 scenario cannot lay out, 3 only inconclusive outcomes (budgets exhausted
 without completing a single execution), 4 internal error (the traceback
 goes to stderr).  Identical configurations produce byte-identical reports
-when ``--no-meta`` strips the timestamp.
+when ``--no-meta`` strips the run's wall time and peak memory.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import random
+import resource
 import string
 import sys
 import time
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=str, default=None)
     p.add_argument("--emit-trace", action="store_true")
     p.add_argument("--no-meta", action="store_true",
-                   help="omit timing metadata for byte-identical reports")
+                   help="omit timing and memory metadata for byte-identical reports")
     p.add_argument("--replay", type=str, default=None,
                    help="re-run the counterexample schedule from a report")
     return p
@@ -139,6 +140,12 @@ CHECKS = {
     "concurroid-check": _run_concurroid_check,
     "action-check": _run_action_check,
 }
+
+
+def _meta(started: float) -> dict:
+    """The run's wall time since ``started`` and the process's peak RSS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"elapsed_s": round(time.time() - started, 3), "peak_rss_mb": round(peak, 1)}
 
 
 def _emit(report: dict, args) -> None:
@@ -231,7 +238,7 @@ def _main(argv: Optional[list]) -> int:
         **body,
     }
     if not args.no_meta:
-        report["meta"] = {"elapsed_s": round(time.time() - started, 3)}
+        report["meta"] = _meta(started)
     _emit(report, args)
 
     if report["verdict"] == "violation":
@@ -268,6 +275,7 @@ def _do_replay(args) -> int:
         if type(value) is not int or value < 1:
             return _usage_error(f"replay file's {key} must be an integer at least 1")
     ns = argparse.Namespace(**{**vars(args), **bounds})
+    started = time.time()
     scenario = _build_scenario(name, ns)
     try:
         trace = run_replay(scenario, schedule, bounds["loop_bound"])
@@ -282,7 +290,7 @@ def _do_replay(args) -> int:
         "stats": {"steps": len(trace.events)},
     }
     if not args.no_meta:
-        report["meta"] = {"elapsed_s": 0.0}
+        report["meta"] = _meta(started)
     _emit(report, args)
     return 1 if trace.verdict == "violation" else (0 if trace.verdict == "pass" else 3)
 

@@ -45,9 +45,19 @@ of administrative reductions, spec captures and posts included, reads
 only its leaf, the leaf's view and the loop bound, and stops at the leaf
 where ``normalize`` splices it in or restructures the tree.  A step
 leaves its own thread's ``other`` as it was, so the run after a step
-takes it from the step's view.  A join of two finished threads reads
-only their fork and their views.  A run or join that reported a
-violation is run again wherever it recurs, as a failed step is.
+takes it from the step's view.  Only ``explore`` remembers local runs: a
+random run or a replay follows one schedule, along which an equal run
+does not recur.  A join of two finished threads reads only their fork
+and their views.  A run or join that reported a violation is run again
+wherever it recurs, as a failed step is.
+
+Equal memo entries are kept as one object (hash-consing), through one
+table per exploration (``_Ctx.values``): each distinct leaf the run memo
+holds, in its keys and its values, and each distinct (summary, height)
+entry ``explore`` remembers.  Equal leaves then share one environment,
+continuation and cached hash, and memo hits compare them by identity.
+The forks that ``replace_leaf`` rebuilds are not interned: most are
+transient, and the table would keep them alive.
 
 Configurations, tree nodes and continuation frames are values, so the
 memos may hold them as keys: nothing changes one once it is built, except
@@ -449,7 +459,8 @@ class _Ctx:
     """Mutable exploration context: bounds, sinks, the current path, and the
     memos of pure reductions."""
 
-    def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50):
+    def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50,
+                 remember_runs: bool = True):
         self.scenario = scenario
         self.loop_bound = loop_bound
         self.max_violations = max_violations
@@ -471,8 +482,13 @@ class _Ctx:
         # (root other, sibling self maps) -> their join; see leaf_view
         self.others: dict = {}
         # (leaf, joint, other) -> the leaf where its local run stops, for
-        # runs that reported nothing; see _local_run
-        self.runs: dict = {}
+        # runs that reported nothing, or None where runs are not remembered;
+        # see _local_run
+        self.runs: Optional[dict] = {} if remember_runs else None
+        # one object per distinct leaf the run memo holds and per distinct
+        # (summary, height) entry explore remembers: equal memo entries
+        # share their parts, and memo hits compare them by identity
+        self.values: dict = {}
         self.local_runs = 0  # local runs driven through _advance
         # (fork, joint, left other, right other) -> the merged leaf, for
         # joins that reported nothing; see _try_collapse
@@ -553,21 +569,35 @@ def _advance(leaf: Leaf, joint, other, ctx: _Ctx) -> Optional[Leaf]:
     return None
 
 
+def _drive(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
+    """The leaf where the thread-local reductions of ``leaf`` stop: at an
+    action, or where the next reduction is structural."""
+    while True:
+        nxt = _advance(leaf, joint, other, ctx)
+        if nxt is None:
+            return leaf
+        leaf = nxt
+        if isinstance(leaf.node, ActN):
+            return leaf
+
+
 def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any:
     """Run a thread program with no specs, forks or hiding by itself, and
     return its value.
 
-    Every reduction but an atomic step is ``_local_run``'s; an action's step
+    Every reduction but an atomic step is ``_drive``'s, with no memo: the
+    runs of a native operation almost never recur, so a memo would only
+    hash and store them.  An action's step
     is ``execute(primitive)`` of the action built from the environment, and
     what ``execute`` returns is the step's result.  So the caller decides
     where the program's primitives run, for example on a concrete heap.
     """
     ctx = _Ctx(None, loop_bound)
-    leaf = _local_run(Leaf(0, node, EMPTY_MAP, (), EMPTY_MAP), None, None, ctx)
+    leaf = _drive(Leaf(0, node, EMPTY_MAP, (), EMPTY_MAP), None, None, ctx)
     while isinstance(leaf.node, ActN):
         res = execute(leaf.node.build(leaf.env).primitive)
-        leaf = _local_run(Leaf(0, None, leaf.env, leaf.kont, EMPTY_MAP, RUN, res),
-                          None, None, ctx)
+        leaf = _drive(Leaf(0, None, leaf.env, leaf.kont, EMPTY_MAP, RUN, res),
+                      None, None, ctx)
     if leaf.node is None and not leaf.kont:
         return leaf.result
     raise SchedulerError(f"cannot run {leaf.node!r} alone" if leaf.node is not None
@@ -727,31 +757,29 @@ def _first_reducible(tree) -> Optional[Leaf]:
 
 
 def _local_run(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
-    """The leaf where the thread-local reductions of ``leaf`` stop: at an
-    action, or where the next reduction is structural.
+    """``_drive``, remembered unless ``ctx`` keeps no run memo.
 
     A local run reads only its leaf, the leaf's view (``joint`` and the
     environment ``other``) and the loop bound (see ``_advance``), so one
     that reported nothing is not driven again from an equal leaf, joint and
-    environment.  A run whose spec post failed is driven again wherever it
-    recurs, so that its report carries that path's step index and schedule.
+    environment.  The memo holds one object per distinct leaf, in its keys
+    and its values alike, and the run returns that object.  A run whose
+    spec post failed is driven again wherever it recurs, so that its report
+    carries that path's step index and schedule.
     """
-    key = (leaf, joint, other)
-    stop = ctx.runs.get(key)
+    runs = ctx.runs
+    if runs is None:
+        return _drive(leaf, joint, other, ctx)
+    stop = runs.get((leaf, joint, other))
     if stop is not None:
         return stop
     before = ctx.reported
     ctx.local_runs += 1
-    stop = leaf
-    while True:
-        nxt = _advance(stop, joint, other, ctx)
-        if nxt is None:
-            break
-        stop = nxt
-        if isinstance(stop.node, ActN):
-            break
+    stop = _drive(leaf, joint, other, ctx)
     if ctx.reported == before:
-        ctx.runs[key] = stop
+        intern = ctx.values.setdefault
+        stop = intern(stop, stop)
+        runs[intern(leaf, leaf), joint, other] = stop
     return stop
 
 
@@ -1000,6 +1028,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 
     def remember(cfg: Config, left: int, s: _Summary, height: int) -> tuple:
         entry = (s, height)
+        entry = ctx.values.setdefault(entry, entry)
         if s.bounded:
             cut[cfg, left] = entry
         else:
@@ -1073,7 +1102,8 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 
 
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
-    ctx = _Ctx(scenario, loop_bound)
+    # one schedule does not revisit a local run, so none is remembered
+    ctx = _Ctx(scenario, loop_bound, remember_runs=False)
     cfg = normalize(initial_config(scenario), ctx)
     events: list[Event] = []
     used = 0

@@ -136,6 +136,29 @@ def test_random_mode_emits_replayable_schedule(tmp_path):
     assert replay["verdict"] != "violation"
 
 
+def test_a_replay_reports_its_elapsed_time(monkeypatch, tmp_path):
+    import histrio.cli as cli
+    out = tmp_path / "r.json"
+    assert main(["--scenario", "treiber", "--mode", "random", "--seed", "3",
+                 "--output", str(out), "--no-meta"]) in (0, 3)
+    # the clock reads 100.0 when the replay starts and 102.5 from then on
+    ticks = [100.0, 102.5]
+    monkeypatch.setattr(cli.time, "time", lambda: ticks.pop(0) if len(ticks) > 1 else ticks[0])
+    assert main(["--replay", str(out), "--output", str(tmp_path / "rr.json")]) in (0, 3)
+    meta = json.loads((tmp_path / "rr.json").read_text())["meta"]
+    assert meta["elapsed_s"] == 2.5
+    assert meta["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("scenario", ["seq-recovery", "laws"])
+def test_reports_carry_peak_memory_unless_meta_is_omitted(scenario, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["--scenario", scenario, "--samples", "20", "--output", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert set(meta) == {"elapsed_s", "peak_rss_mb"}
+    assert meta["peak_rss_mb"] > 0
+
+
 @pytest.mark.parametrize("config, schedule", [
     ({"scenario": "treiber", "loop_bound": 3}, [7, 7]),
     ({"scenario": "treiber", "threads": 0}, [1]),

@@ -157,4 +157,9 @@ def test_exchange_law():
     u, v, w = pv.concurroid(), sp.concurroid(), tb.concurroid()
     left = entangle(entangle(u, v), w)
     right = entangle(entangle(u, w), v)
-    assert behaviorally_equal("exchange-law", left, right, 30, rng).ok
+    rep = behaviorally_equal("exchange-law", left, right, 30, rng)
+    assert rep.ok
+    # no entangled transition has a sampler: each counts 30 vacuous draws,
+    # and only the 60 coherence draws are samples
+    unsampled = [t for c in (left, right) for t in c.all_transitions() if t.sampler is None]
+    assert unsampled and (rep.samples, rep.vacuous) == (60, 30 * len(unsampled))

@@ -498,6 +498,23 @@ def test_each_distinct_local_run_is_driven_once(monkeypatch):
     assert len(rep.finals) == 6
 
 
+def test_the_run_memo_holds_one_object_per_distinct_leaf(monkeypatch):
+    ctxs = []
+    local_run = scheduler._local_run
+
+    def captured(leaf, joint, other, ctx):
+        ctxs.append(ctx)
+        return local_run(leaf, joint, other, ctx)
+
+    monkeypatch.setattr(scheduler, "_local_run", captured)
+    rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=3)
+    assert rep.verdict == "pass" and rep.complete == 175_040
+    runs = ctxs[0].runs
+    held = [key[0] for key in runs] + list(runs.values())
+    assert len(held) > len(set(held)) > 100
+    assert len({id(leaf) for leaf in held}) == len(set(held))
+
+
 def test_final_oracles_run_once_per_distinct_final_configuration():
     # every finished configuration is remembered on its first visit, so its
     # oracles never run again however many paths reach it
