@@ -142,18 +142,21 @@ CHECKS = {
 }
 
 
-def _meta(started: float) -> dict:
-    """The run's wall time since ``started`` and the process's peak RSS."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"elapsed_s": round(time.time() - started, 3), "peak_rss_mb": round(peak, 1)}
-
-
-def _emit(report: dict, args) -> None:
+def _report(config: dict, body: dict, started: float, args) -> int:
+    """Print the report of ``body``, run under ``config``, and write it to
+    ``--output``; return the exit code of its verdict.  Unless ``--no-meta``,
+    it carries the wall time since ``started`` and the process's peak RSS."""
+    report = {"version": REPORT_VERSION, "config": config, **body}
+    if not args.no_meta:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        report["meta"] = {"elapsed_s": round(time.time() - started, 3),
+                          "peak_rss_mb": round(peak, 1)}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     print(text)
+    return {"violation": 1, "inconclusive": 3}.get(report["verdict"], 0)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -232,20 +235,7 @@ def _main(argv: Optional[list]) -> int:
                 with open(args.output + ".trace.json", "w") as fh:
                     json.dump(trace.as_dict(), fh, indent=2, sort_keys=True)
 
-    report = {
-        "version": REPORT_VERSION,
-        "config": config,
-        **body,
-    }
-    if not args.no_meta:
-        report["meta"] = _meta(started)
-    _emit(report, args)
-
-    if report["verdict"] == "violation":
-        return 1
-    if report["verdict"] == "inconclusive":
-        return 3
-    return 0
+    return _report(config, body, started, args)
 
 
 def _do_replay(args) -> int:
@@ -281,18 +271,12 @@ def _do_replay(args) -> int:
         trace = run_replay(scenario, schedule, bounds["loop_bound"])
     except ReplayError as exc:
         return _usage_error(str(exc))
-    report = {
-        "version": REPORT_VERSION,
-        "config": {**cfg, "mode": "replay"},
+    return _report({**cfg, "mode": "replay"}, {
         "verdict": trace.verdict,
         "interleavings": 0,
         "violations": [v.as_dict() for v in trace.violations],
         "stats": {"steps": len(trace.events)},
-    }
-    if not args.no_meta:
-        report["meta"] = _meta(started)
-    _emit(report, args)
-    return 1 if trace.verdict == "violation" else (0 if trace.verdict == "pass" else 3)
+    }, started, args)
 
 
 if __name__ == "__main__":

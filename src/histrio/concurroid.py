@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .fmap import EMPTY_MAP, FrozenMap
+from .pcm import Heap
 from .state import (
     EMPTY_STATE,
     StateError,
@@ -106,15 +107,9 @@ def transferred_heap(t: Transition, w: SubjState, w2: SubjState) -> Optional:
     if f1 is None or f2 is None:
         return None
     if t.kind == "acquire":
-        new = {loc: f2[loc] for loc in f2 if loc not in f1}
-        from .pcm import Heap
-
-        return Heap(new)
+        return Heap({loc: f2[loc] for loc in f2 if loc not in f1})
     if t.kind == "release":
-        gone = {loc: f1[loc] for loc in f1 if loc not in f2}
-        from .pcm import Heap
-
-        return Heap(gone)
+        return Heap({loc: f1[loc] for loc in f1 if loc not in f2})
     return None
 
 

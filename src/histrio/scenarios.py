@@ -17,12 +17,16 @@ from .concurroid import entangle
 from .fmap import FrozenMap
 from .history import is_complete, is_continuous, is_stacklike, pushed
 from .pcm import (
+    INIT,
     NONE,
+    NOT_OWN,
     NULL,
     STACK,
     Heap,
     Hist,
+    IdSet,
     Loc,
+    Triple,
     is_some,
     join,
     map_subtract,
@@ -340,11 +344,9 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
     elems = tuple(f"e{i}" for i in range(threads))
     programs = []
     for i in range(threads):
-        spec = flat_combine_spec(shape, i, "push", elems[i])
-        programs.append(fc.flat_combine_program(shape, i, "push", elems[i], spec))
+        spec = flat_combine_spec(shape, i, elems[i])
+        programs.append(fc.flat_combine_program(shape, i, elems[i], spec))
     # each thread takes its slot id; the last carries the initialization event
-    from .pcm import IdSet, NOT_OWN, Triple
-
     splits = []
     for i in range(threads - 1):
         splits.append(split_take({fc.LB: Triple(IdSet.of(i), NOT_OWN, Hist(STACK))}))
@@ -370,8 +372,6 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
         if pushed(total) != Counter(elems):
             out.append(f"pushes {render(pushed(total))} != {render(Counter(elems))}")
         _, slots, _, _ = fc.parse_fc(shape, view.joint[fc.LB])
-        from .pcm import INIT
-
         if any(s is not INIT for s in slots):
             out.append("a publication slot is not back to Init")
         return out

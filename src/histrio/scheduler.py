@@ -29,14 +29,12 @@ and remembers the post-state of each step that passed every check; a
 step that failed a check is run again wherever it recurs, so that its
 reports carry that path's step index and schedule.  The memo
 is sound because map equality is type-exact: equal views are equally
-coherent.  Each distinct self or joint map a step produced is kept as one
-object, so the memos mostly compare the maps in their keys by identity.
-The checks themselves decide a property of the transition, not of the
-step input: they read the concurroid, the claimed transition, the
-injected labels and the pre- and post-states.  Many step inputs make one
-transition, so a step that runs is checked only if its transition has
-not passed the checks before; a transition that failed one is checked
-and reported again wherever it recurs.
+coherent.  The checks themselves decide a property of the transition,
+not of the step input: they read the concurroid, the claimed transition,
+the injected labels and the pre- and post-states.  Many step inputs
+make one transition, so a step that runs is checked only if its
+transition has not passed the checks before; a transition that failed
+one is checked and reported again wherever it recurs.
 
 The reductions around a step are remembered the same way, each keyed on
 exactly the inputs it reads.  A thread's ``other`` is the join of the
@@ -52,10 +50,12 @@ and their views.  A run or join that reported a violation is run again
 wherever it recurs, as a failed step is.
 
 Equal memo entries are kept as one object (hash-consing), through one
-table per exploration (``_Ctx.values``): each distinct leaf the run memo
-holds, in its keys and its values, and each distinct (summary, height)
-entry ``explore`` remembers.  Equal leaves then share one environment,
-continuation and cached hash, and memo hits compare them by identity.
+table per run (``_Ctx.values``): each distinct self or joint map a step
+produced, each distinct leaf the run memo holds, in its keys and its
+values, and each distinct (summary, height) entry ``explore`` remembers.
+Equal maps and leaves then share one object, and an equal leaf one
+environment, continuation and cached hash, so memo hits mostly compare
+them by identity.
 The forks that ``replace_leaf`` rebuilds are not interned: most are
 transient, and the table would keep them alive.
 
@@ -476,18 +476,16 @@ class _Ctx:
         # step_action
         self.checked: set = set()
         self.transitions_checked = 0  # _check_step runs
-        # one object per distinct self or joint map a step produced, so that
-        # memo lookups on the configurations' equal maps compare identities
-        self.maps: dict = {}
         # (root other, sibling self maps) -> their join; see leaf_view
         self.others: dict = {}
         # (leaf, joint, other) -> the leaf where its local run stops, for
         # runs that reported nothing, or None where runs are not remembered;
         # see _local_run
         self.runs: Optional[dict] = {} if remember_runs else None
-        # one object per distinct leaf the run memo holds and per distinct
-        # (summary, height) entry explore remembers: equal memo entries
-        # share their parts, and memo hits compare them by identity
+        # one object per distinct self or joint map a step produced, leaf the
+        # run memo holds and (summary, height) entry explore remembers: equal
+        # memo entries share their parts, and memo hits compare them by
+        # identity
         self.values: dict = {}
         self.local_runs = 0  # local runs driven through _advance
         # (fork, joint, left other, right other) -> the merged leaf, for
@@ -908,7 +906,7 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
         except ActionSafetyError as exc:
             ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
             return None
-        canon = ctx.maps
+        canon = ctx.values
         w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
                        canon.setdefault(w2.joint, w2.joint), w2.other)
         checked = (id(cfg.conc), action.claimed, homes, w.self_, w.joint, w.other,

@@ -27,8 +27,12 @@ from .history import (
     pushed,
     strictly_before,
 )
-from .pcm import NONE, Hist, is_some, join, pcm_order, render, some_value, subtract
+from .pcm import INIT, NONE, Hist, is_some, join, pcm_order, render, some_value, subtract
 from .state import SubjState
+from .structures import flatcombiner as fc
+from .structures import private_heap as pv
+from .structures import snapshot as sp
+from .structures import treiber as tb
 
 Env = FrozenMap
 
@@ -61,17 +65,17 @@ def _find_snapshot(total: Hist, tau: Hist, pair) -> Optional[int]:
     return None
 
 
-def read_pair_spec(label: str = "sp") -> MethodSpec:
+def read_pair_spec() -> MethodSpec:
     def capture(view, env):
         return FrozenMap({
-            "tau": combined_history(view, label),
-            "self0": view.self_[label],
+            "tau": combined_history(view, sp.LB),
+            "self0": view.self_[sp.LB],
         })
 
     def post(caps, view, res):
-        if view.self_[label] != caps["self0"]:
+        if view.self_[sp.LB] != caps["self0"]:
             return "reader's self history changed"
-        total = combined_history(view, label)
+        total = combined_history(view, sp.LB)
         if not pcm_order(caps["tau"], total):
             return "captured history is not a sub-history of the current one"
         t = _find_snapshot(total, caps["tau"], (res[0], res[1]))
@@ -95,20 +99,20 @@ def _singleton_delta(before: Hist, after: Hist) -> Optional[tuple]:
     return t, pair
 
 
-def push_spec(e, label: str = "tb", pv_label: str = "pv") -> MethodSpec:
+def push_spec(e) -> MethodSpec:
     def capture(view, env):
         return FrozenMap({
-            "tau": combined_history(view, label),
-            "self0": view.self_[label],
-            "pv0": view.self_[pv_label],
+            "tau": combined_history(view, tb.LB),
+            "self0": view.self_[tb.LB],
+            "pv0": view.self_[pv.LB],
         })
 
     def post(caps, view, res):
         if res != ():
             return f"push returned {render(res)}"
-        if view.self_[pv_label] != caps["pv0"]:
+        if view.self_[pv.LB] != caps["pv0"]:
             return "private heap not restored"
-        got = _singleton_delta(caps["self0"], view.self_[label])
+        got = _singleton_delta(caps["self0"], view.self_[tb.LB])
         if got is None:
             return "self history did not grow by exactly one event"
         t, (pre, post_) = got
@@ -121,24 +125,24 @@ def push_spec(e, label: str = "tb", pv_label: str = "pv") -> MethodSpec:
     return MethodSpec(f"push({e!r})", capture, post)
 
 
-def pop_spec(label: str = "tb") -> MethodSpec:
+def pop_spec() -> MethodSpec:
     def capture(view, env):
         return FrozenMap({
-            "tau": combined_history(view, label),
-            "self0": view.self_[label],
+            "tau": combined_history(view, tb.LB),
+            "self0": view.self_[tb.LB],
         })
 
     def post(caps, view, res):
-        total = combined_history(view, label)
+        total = combined_history(view, tb.LB)
         if res == NONE:
-            if view.self_[label] != caps["self0"]:
+            if view.self_[tb.LB] != caps["self0"]:
                 return "None branch changed the self history"
             if not any(lookup_end(total, t) == () for t in total.stamps()):
                 return "no stamp ever held the empty stack"
             return None
         if not is_some(res):
             return f"pop returned {render(res)}"
-        got = _singleton_delta(caps["self0"], view.self_[label])
+        got = _singleton_delta(caps["self0"], view.self_[tb.LB])
         if got is None:
             return "self history did not grow by exactly one event"
         t, (pre, post_) = got
@@ -155,12 +159,12 @@ def pop_spec(label: str = "tb") -> MethodSpec:
 # Producer / consumer
 # ---------------------------------------------------------------------------
 
-def produce_spec(elems: tuple, label: str = "tb") -> MethodSpec:
+def produce_spec(elems: tuple) -> MethodSpec:
     def capture(view, env):
-        return FrozenMap({"self0": view.self_[label]})
+        return FrozenMap({"self0": view.self_[tb.LB]})
 
     def post(caps, view, res):
-        mine = view.self_[label]
+        mine = view.self_[tb.LB]
         if popped(mine):
             return "producer popped"
         if pushed(mine) != pushed(caps["self0"]) + Counter(elems):
@@ -170,12 +174,12 @@ def produce_spec(elems: tuple, label: str = "tb") -> MethodSpec:
     return MethodSpec("produce", capture, post)
 
 
-def consume_spec(n: int, label: str = "tb") -> MethodSpec:
+def consume_spec(n: int) -> MethodSpec:
     def capture(view, env):
-        return FrozenMap({"self0": view.self_[label]})
+        return FrozenMap({"self0": view.self_[tb.LB]})
 
     def post(caps, view, res):
-        mine = view.self_[label]
+        mine = view.self_[tb.LB]
         if pushed(mine) != pushed(caps["self0"]):
             return "consumer pushed"
         got = popped(mine)
@@ -201,11 +205,10 @@ def exchange_oracle(ap_elems: tuple):
     return oracle
 
 
-def join_lemma_checks(c1: SubjState, c2: SubjState, joined: SubjState,
-                      label: str = "tb") -> list:
+def join_lemma_checks(c1: SubjState, c2: SubjState, joined: SubjState) -> list:
     """Lemma obligations at a producer/consumer join point."""
     out = []
-    h1, h2 = c1.self_[label], c2.self_[label]
+    h1, h2 = c1.self_[tb.LB], c2.self_[tb.LB]
     if popped(h1):
         out.append("left sibling popped; lemma premise broken")
     if pushed(h2):
@@ -217,7 +220,7 @@ def join_lemma_checks(c1: SubjState, c2: SubjState, joined: SubjState,
         out.append(str(exc))
         return out
     total = join(h1, h2)
-    other = joined.other.get(label)
+    other = joined.other.get(tb.LB)
     if other is not None and isinstance(other, Hist) and not other.entries:
         if not (is_complete(total) and is_stacklike(total)):
             out.append("joined history not complete and stacklike")
@@ -230,33 +233,31 @@ def join_lemma_checks(c1: SubjState, c2: SubjState, joined: SubjState,
 # Flat combiner
 # ---------------------------------------------------------------------------
 
-def flat_combine_spec(shape, tid: int, fname: str, arg) -> MethodSpec:
-    from .structures.flatcombiner import parse_fc, total_aux
-
+def flat_combine_spec(shape: fc.FcShape, tid: int, arg) -> MethodSpec:
     def capture(view, env):
         return FrozenMap({
-            "g": total_aux(shape, view),
-            "self0": view.self_["fc"],
-            "pv0": view.self_["pv"],
+            "g": fc.total_aux(shape, view),
+            "self0": view.self_[fc.LB],
+            "pv0": view.self_[pv.LB],
         })
 
     def post(caps, view, res):
-        if view.self_["pv"] != caps["pv0"]:
+        if view.self_[pv.LB] != caps["pv0"]:
             return "private heap changed"
-        s, s0 = view.self_["fc"], caps["self0"]
+        s, s0 = view.self_[fc.LB], caps["self0"]
         if (s.ids, s.mx) != (s0.ids, s0.mx):
             return "thread ids or lock view changed"
-        _, slots, _, _ = parse_fc(shape, view.joint["fc"])
-        if not _is_init(slots[tid]):
+        _, slots, _, _ = fc.parse_fc(shape, view.joint[fc.LB])
+        if slots[tid] is not INIT:
             return f"slot {tid} not back to Init"
         delta = subtract(s.aux, s0.aux)
         if delta is None:
             return "self contribution did not grow"
-        total_now = total_aux(shape, view)
+        total_now = fc.total_aux(shape, view)
         g_prime = _witness(caps["g"], total_now, delta)
         if g_prime is None:
             return "no cumulative value validates the collected delta"
-        if not shape.funcs[fname].f_spec(arg, res, g_prime, delta):
+        if not fc.f_spec_push(arg, res, g_prime, delta):
             return (f"validity predicate rejects result {render(res)} with "
                     f"delta {render(delta)}")
         if delta.entries and not strictly_before(caps["g"], min(delta.stamps())):
@@ -282,12 +283,7 @@ def flat_combine_spec(shape, tid: int, fname: str, arg) -> MethodSpec:
                 return cand
         return None
 
-    def _is_init(stat):
-        from .pcm import INIT
-
-        return stat is INIT
-
-    return MethodSpec(f"flatCombine({fname},{arg!r})@{tid}", capture, post)
+    return MethodSpec(f"flatCombine(push,{arg!r})@{tid}", capture, post)
 
 
 # ---------------------------------------------------------------------------

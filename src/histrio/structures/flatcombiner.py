@@ -8,22 +8,24 @@ has a shadow auxiliary cell holding the contribution produced on thread
 collector's own contribution.  Helping is thus ownership transfer of
 auxiliary state, routed through the array.
 
-Client functions are registered with three pieces: a private-heap
-program computing the result, the auxiliary delta the run induces given
-the cumulative contribution, and a validity predicate tying argument,
-result, cumulative value, and delta together.  The shipped instance
-protects a sequential stack and registers push, with history deltas
-mirroring the lock-free stack's.
+The combiner protects a sequential stack (invariant ``seq_stack_inv``;
+``seq_stack_carve`` cuts it out of the combiner's private heap at unlock)
+and helps one function, push.  A private-heap program computes its result
+(``_seq_push_program``), ``_push_delta`` is the history delta the run
+induces given the cumulative contribution, mirroring the lock-free
+stack's, and ``f_spec_push`` is the validity predicate tying argument,
+result, cumulative value and delta together.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from operator import ne
+from typing import Optional
 
 from ..actions import ActionFamily, AtomicAction, Read, Rmw, Write, cas
-from ..concurroid import Concurroid, Transition, identity_transition
+from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
 from ..history import fresh, is_complete, is_continuous, is_stacklike, last_stamp, lookup_end
 from ..pcm import (
@@ -58,40 +60,24 @@ MAX_SLOTS = SNT.n - AP_BASE  # the publication array ends below the sentinel
 NODE_BASE = 3102  # the first node of a laid-out resource stack
 HOME = frozenset([LB])
 FC_LOCK_HOME = frozenset([LB, pv.LB])
-
-
-@dataclass
-class FcFunc:
-    """A registered helpable function."""
-
-    name: str
-    program: Callable[[str], object]  # argkey -> private-heap program node
-    delta: Callable[[Hist, object], Hist]  # cumulative aux, arg -> delta
-    f_spec: Callable[[object, object, Hist, Hist], bool]  # validity predicate
+NO_AUX = Hist(STACK)  # an empty shadow cell
 
 
 @dataclass
 class FcShape:
-    """Construction parameters: slot count, resource invariant, functions.
+    """The publication array's size ``n``, one slot per thread.
 
     ``slots`` (the publication-array cells) and ``skip`` (those cells plus
     the lock bit: the joint heap's non-resource part) follow from ``n``.
     """
 
     n: int
-    inv: Callable[[Hist, Heap], bool]
-    carve: Callable[[Heap], Optional[Heap]]
-    aux_unit: Hist
-    funcs: dict[str, FcFunc]
     slots: tuple = field(init=False, repr=False)
     skip: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         self.slots = tuple(Loc(AP_BASE + i) for i in range(self.n))
         self.skip = frozenset(self.slots) | {LK}
-
-    def slot(self, i: int) -> Loc:
-        return self.slots[i]
 
 
 def parse_fc(shape: FcShape, jv) -> Optional[tuple]:
@@ -154,7 +140,7 @@ def _coherent_parse(shape: FcShape, w: SubjState) -> Optional[tuple]:
     if locked:
         ok = not hr and mx is OWN
     else:
-        ok = mx is NOT_OWN and shape.inv(g_all, hr)
+        ok = mx is NOT_OWN and seq_stack_inv(g_all, hr)
     return parsed if ok else None
 
 
@@ -169,26 +155,44 @@ def coherent_for(shape: FcShape):
 # Transitions
 # ---------------------------------------------------------------------------
 
+def _step_joints(shape: FcShape, w: SubjState, w2: SubjState,
+                 rejects_selves=None) -> Optional[tuple]:
+    """Both joints of the step from ``w`` to ``w2``, parsed, as
+    ``(lk1, slots1, hr1, gp1, lk2, slots2, hr2, gp2)``; ``None`` if the step
+    changed ``other``, ``rejects_selves`` (when given) holds of the two self
+    maps, or a joint does not parse.  ``rejects_selves`` runs before the
+    parse, so a member's reads of its self maps keep their place."""
+    if w.other != w2.other or (rejects_selves is not None
+                               and rejects_selves(w.self_, w2.self_)):
+        return None
+    p1, p2 = parse_fc(shape, w.joint[LB]), parse_fc(shape, w2.joint[LB])
+    if p1 is None or p2 is None:
+        return None
+    return p1 + p2
+
+
+def _changed_slot(cells1, cells2) -> Optional[int]:
+    """The one slot whose cells differ between ``cells1`` and ``cells2``,
+    else ``None``."""
+    diffs = [i for i, (c1, c2) in enumerate(zip(cells1, cells2)) if c1 != c2]
+    return diffs[0] if len(diffs) == 1 else None
+
+
 def _req_member(shape: FcShape):
     def member(w, w2) -> bool:
-        if w.other != w2.other or w.self_ != w2.self_:
+        joints = _step_joints(shape, w, w2, ne)
+        if joints is None:
             return False
-        p1, p2 = parse_fc(shape, w.joint[LB]), parse_fc(shape, w2.joint[LB])
-        if p1 is None or p2 is None:
-            return False
-        lk1, slots1, hr1, gp1 = p1
-        lk2, slots2, hr2, gp2 = p2
+        lk1, slots1, hr1, gp1, lk2, slots2, hr2, gp2 = joints
         if (lk1, hr1, gp1) != (lk2, hr2, gp2):
             return False
-        diffs = [i for i in range(shape.n) if slots1[i] != slots2[i]]
-        if len(diffs) != 1:
-            return False
-        i = diffs[0]
+        i = _changed_slot(slots1, slots2)
         return (
-            i in w.self_[LB].ids.ids
+            i is not None
+            and i in w.self_[LB].ids.ids
             and slots1[i] is INIT
             and isinstance(slots2[i], Req)
-            and slots2[i].fn in shape.funcs
+            and slots2[i].fn == "push"
         )
 
     return member
@@ -196,55 +200,41 @@ def _req_member(shape: FcShape):
 
 def _help_member(shape: FcShape):
     def member(w, w2) -> bool:
-        if w.other != w2.other or w.self_ != w2.self_:
+        joints = _step_joints(shape, w, w2, lambda s, s2: s != s2 or s[LB].mx is not OWN)
+        if joints is None:
             return False
-        if w.self_[LB].mx is not OWN:
-            return False
-        p1, p2 = parse_fc(shape, w.joint[LB]), parse_fc(shape, w2.joint[LB])
-        if p1 is None or p2 is None:
-            return False
-        lk1, slots1, hr1, gp1 = p1
-        lk2, slots2, hr2, gp2 = p2
+        lk1, slots1, hr1, gp1, lk2, slots2, hr2, gp2 = joints
         if lk1 is not True or lk2 is not True or hr1 != hr2:
             return False
-        diffs = [i for i in range(shape.n) if slots1[i] != slots2[i] or gp1[i] != gp2[i]]
-        if len(diffs) != 1:
+        i = _changed_slot(zip(slots1, gp1), zip(slots2, gp2))
+        if i is None:
             return False
-        i = diffs[0]
         req = slots1[i]
         if not (isinstance(req, Req) and isinstance(slots2[i], Resp)):
             return False
         if not is_unit(gp1[i]):
             return False
         g_all = total_aux(shape, w, gp1)
-        if g_all is None:
-            return False
-        fspec = shape.funcs[req.fn].f_spec
-        return fspec(req.arg, slots2[i].val, g_all, gp2[i])
+        return (g_all is not None and req.fn == "push"
+                and f_spec_push(req.arg, slots2[i].val, g_all, gp2[i]))
 
     return member
 
 
 def _coll_member(shape: FcShape):
     def member(w, w2) -> bool:
-        if w.other != w2.other:
+        joints = _step_joints(shape, w, w2, lambda s, s2: (s[LB].ids, s[LB].mx)
+                              != (s2[LB].ids, s2[LB].mx))
+        if joints is None:
             return False
-        s1, s2 = w.self_[LB], w2.self_[LB]
-        if (s1.ids, s1.mx) != (s2.ids, s2.mx):
-            return False
-        p1, p2 = parse_fc(shape, w.joint[LB]), parse_fc(shape, w2.joint[LB])
-        if p1 is None or p2 is None:
-            return False
-        lk1, slots1, hr1, gp1 = p1
-        lk2, slots2, hr2, gp2 = p2
+        lk1, slots1, hr1, gp1, lk2, slots2, hr2, gp2 = joints
         if (lk1, hr1) != (lk2, hr2):
             return False
-        diffs = [i for i in range(shape.n) if slots1[i] != slots2[i] or gp1[i] != gp2[i]]
-        if len(diffs) != 1:
-            return False
-        i = diffs[0]
+        i = _changed_slot(zip(slots1, gp1), zip(slots2, gp2))
+        s1, s2 = w.self_[LB], w2.self_[LB]
         return (
-            i in s1.ids.ids
+            i is not None
+            and i in s1.ids.ids
             and isinstance(slots1[i], Resp)
             and slots2[i] is INIT
             and is_unit(gp2[i])
@@ -257,14 +247,11 @@ def _coll_member(shape: FcShape):
 def _lock_member(shape: FcShape):
     def member(w, w2, h: Heap) -> bool:
         """Taking the lock releases the resource heap to the locker."""
-        if w.other != w2.other:
+        joints = _step_joints(shape, w, w2)
+        if joints is None:
             return False
+        lk1, slots1, hr1, gp1, lk2, slots2, hr2, gp2 = joints
         s1, s2 = w.self_[LB], w2.self_[LB]
-        p1, p2 = parse_fc(shape, w.joint[LB]), parse_fc(shape, w2.joint[LB])
-        if p1 is None or p2 is None:
-            return False
-        lk1, slots1, hr1, gp1 = p1
-        lk2, slots2, hr2, gp2 = p2
         return (
             lk1 is False
             and lk2 is True
@@ -281,14 +268,11 @@ def _lock_member(shape: FcShape):
 
 def _unlock_member(shape: FcShape):
     def member(w, w2, h: Heap) -> bool:
-        if w.other != w2.other:
+        joints = _step_joints(shape, w, w2)
+        if joints is None:
             return False
+        lk1, slots1, hr1, gp1, lk2, slots2, hr2, gp2 = joints
         s1, s2 = w.self_[LB], w2.self_[LB]
-        p1, p2 = parse_fc(shape, w.joint[LB]), parse_fc(shape, w2.joint[LB])
-        if p1 is None or p2 is None:
-            return False
-        lk1, slots1, hr1, gp1 = p1
-        lk2, slots2, hr2, gp2 = p2
         if not (lk1 is True and lk2 is False and not hr1 and hr2 == h):
             return False
         if slots1 != slots2 or gp1 != gp2:
@@ -296,7 +280,7 @@ def _unlock_member(shape: FcShape):
         if not (s1.mx is OWN and s2 == Triple(s1.ids, NOT_OWN, s1.aux)):
             return False
         g_all = total_aux(shape, w2, gp2)
-        return g_all is not None and shape.inv(g_all, h)
+        return g_all is not None and seq_stack_inv(g_all, h)
 
     return member
 
@@ -312,28 +296,26 @@ def _safe_home(shape: FcShape, w: SubjState) -> Optional[tuple]:
     return _coherent_parse(shape, w.restrict(HOME))
 
 
-def req_help(shape: FcShape, tid: int, fname: str, arg) -> AtomicAction:
-    cell = shape.slot(tid)
+def req_help(shape: FcShape, tid: int, arg) -> AtomicAction:
+    cell = shape.slots[tid]
 
     def safe(w):
         parsed = _safe_home(shape, w)
-        if parsed is None or tid not in w.self_[LB].ids.ids:
-            return False
-        return parsed[1][tid] is INIT and fname in shape.funcs
+        return parsed is not None and tid in w.self_[LB].ids.ids and parsed[1][tid] is INIT
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
-        jv = (Heap(jh.set(cell, Req(fname, arg))), gp)
+        jv = (Heap(jh.set(cell, Req("push", arg))), gp)
         return SubjState(w.self_, w.joint.set(LB, jv), w.other), (), ctx
 
     return AtomicAction(
-        f"reqHelp({tid},{fname})", HOME, safe, step, "fc.req",
-        Write(cell, Req(fname, arg)),
+        f"reqHelp({tid},push)", HOME, safe, step, "fc.req",
+        Write(cell, Req("push", arg)),
     )
 
 
 def read_req(shape: FcShape, i: int) -> AtomicAction:
-    cell = shape.slot(i)
+    cell = shape.slots[i]
 
     def step(w, ctx):
         jh, _ = w.joint[LB]
@@ -377,30 +359,28 @@ def fc_trylock(shape: FcShape) -> AtomicAction:
     )
 
 
-def do_help(shape: FcShape, i: int, result, fname: str, arg) -> AtomicAction:
-    cell = shape.slot(i)
+def do_help(shape: FcShape, i: int, result, arg) -> AtomicAction:
+    cell = shape.slots[i]
 
     def safe(w):
         parsed = _safe_home(shape, w)
         if parsed is None or w.self_[LB].mx is not OWN:
             return False
         _, slots, _, gp = parsed
-        if slots[i] != Req(fname, arg):
+        if slots[i] != Req("push", arg):
             return False
         g_all = total_aux(shape, w, gp)
-        func = shape.funcs[fname]
-        return g_all is not None and func.f_spec(arg, result, g_all, func.delta(g_all, arg))
+        return g_all is not None and f_spec_push(arg, result, g_all, _push_delta(g_all, arg))
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
-        g_all = total_aux(shape, w, gp)
-        delta = shape.funcs[fname].delta(g_all, arg)
+        delta = _push_delta(total_aux(shape, w, gp), arg)
         gp2 = gp[:i] + (delta,) + gp[i + 1 :]
         jv = (Heap(jh.set(cell, Resp(result))), gp2)
         return SubjState(w.self_, w.joint.set(LB, jv), w.other), (), ctx
 
     return AtomicAction(
-        f"doHelp({i},{fname})", HOME, safe, step, "fc.help",
+        f"doHelp({i},push)", HOME, safe, step, "fc.help",
         Write(cell, Resp(result)),
     )
 
@@ -415,15 +395,15 @@ def fc_unlock(shape: FcShape) -> AtomicAction:
         jh, _ = w.joint[LB]
         if jh.get(LK) is not True:
             return False
-        h = shape.carve(w.self_[pv.LB])
+        h = seq_stack_carve(w.self_[pv.LB])
         if h is None:
             return False
         g_all = total_aux(shape, w)
-        return g_all is not None and shape.inv(g_all, h)
+        return g_all is not None and seq_stack_inv(g_all, h)
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
-        h = shape.carve(w.self_[pv.LB])
+        h = seq_stack_carve(w.self_[pv.LB])
         rest = Heap({loc: v for loc, v in w.self_[pv.LB].items() if loc not in h})
         jh2 = Heap(Heap(jh.set(LK, False)).merge_disjoint(h))
         s = w.self_[LB]
@@ -444,7 +424,7 @@ def fc_unlock(shape: FcShape) -> AtomicAction:
 
 
 def try_collect(shape: FcShape, tid: int) -> AtomicAction:
-    cell = shape.slot(tid)
+    cell = shape.slots[tid]
 
     def safe(w):
         return _safe_home(shape, w) is not None and tid in w.self_[LB].ids.ids
@@ -522,15 +502,7 @@ def _seq_push_program(argkey: str):
 
 
 def stack_shape(n: int) -> FcShape:
-    return FcShape(
-        n=n,
-        inv=seq_stack_inv,
-        carve=seq_stack_carve,
-        aux_unit=Hist(STACK),
-        funcs={
-            "push": FcFunc("push", _seq_push_program, _push_delta, f_spec_push),
-        },
-    )
+    return FcShape(n)
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +512,9 @@ def stack_shape(n: int) -> FcShape:
 def initial_state(shape: FcShape, contents: tuple = ()) -> SubjState:
     """Fresh structure: lock free, all slots Init, resource stack holding
     ``contents``; the installer owns all slot ids and the init event."""
-    cells = {LK: False}
-    for i in range(shape.n):
-        cells[shape.slot(i)] = INIT
+    cells = {LK: False, **dict.fromkeys(shape.slots, INIT)}
     cells.update(tb.layout(contents, NODE_BASE, SNT))
-    gp = tuple(shape.aux_unit for _ in range(shape.n))
+    gp = (NO_AUX,) * shape.n
     init_hist = Hist.of(STACK, {0: (contents, contents)})
     return SubjState(
         FrozenMap({LB: Triple(IdSet.of(*range(shape.n)), NOT_OWN, init_hist)}),
@@ -576,17 +546,17 @@ def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
         r = rng.random()
         if r < 0.4:
             slots.append(INIT)
-            gp.append(shape.aux_unit)
+            gp.append(NO_AUX)
         elif r < 0.7:
             slots.append(Req("push", rng.choice(_ELEMS)))
-            gp.append(shape.aux_unit)
+            gp.append(NO_AUX)
         else:
             slots.append(Resp(()))
             if stamps and rng.random() < 0.8:
                 t = stamps.pop()
                 gp.append(Hist.of(STACK, {t: entries[t]}))
             else:
-                gp.append(shape.aux_unit)
+                gp.append(NO_AUX)
     taken = {s for g in gp for s in g.stamps()}
     remaining = [t for t in entries if t not in taken]
     mine = {t: entries[t] for t in remaining if rng.random() < 0.5}
@@ -594,9 +564,7 @@ def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
     ids = set(range(shape.n)) | set(rng.sample(range(shape.n, shape.n + 3), rng.randint(0, 2)))
     mine_ids = frozenset(i for i in ids if rng.random() < 0.6)
     locked = rng.random() < 0.35
-    cells = {LK: locked}
-    for i in range(shape.n):
-        cells[shape.slot(i)] = slots[i]
+    cells = {LK: locked, **dict(zip(shape.slots, slots))}
     if not locked:
         cells.update(tb.layout(contents, NODE_BASE, SNT))
         mx_s = NOT_OWN
@@ -621,58 +589,73 @@ def sample_frame(shape: FcShape, rng: random.Random) -> FrozenMap:
     )
 
 
+def _draw_req(shape: FcShape, rng: random.Random) -> Optional[tuple]:
+    """One draw of a request: ``(reqHelp, w)`` for a sampled ``w`` and one of
+    its open slots that ``w``'s self owns, or ``None`` if it has none."""
+    w = sample_state(shape, rng)
+    _, slots, _, _ = parse_fc(shape, w.joint[LB])
+    open_slots = [i for i in range(shape.n) if slots[i] is INIT and i in w.self_[LB].ids.ids]
+    if not open_slots:
+        return None
+    i = rng.choice(open_slots)
+    return req_help(shape, i, rng.choice(_ELEMS)), w
+
+
+def _draw_help(shape: FcShape, rng: random.Random) -> Optional[tuple]:
+    """One draw of a help: ``(doHelp, w)`` for a sampled ``w`` whose self
+    holds the lock and one of its requests, or ``None`` unless that help is
+    safe."""
+    w = sample_state(shape, rng)
+    locked, slots, _, _ = parse_fc(shape, w.joint[LB])
+    if not locked or w.self_[LB].mx is not OWN:
+        return None
+    reqs = [i for i in range(shape.n) if isinstance(slots[i], Req)]
+    if not reqs:
+        return None
+    i = rng.choice(reqs)
+    a = do_help(shape, i, (), slots[i].arg)
+    return (a, w) if a.safe(w) else None
+
+
+def _draw_coll(shape: FcShape, rng: random.Random) -> Optional[tuple]:
+    """One draw of a collection: ``(tryCollect, w)`` for a sampled ``w`` and
+    one of its answered slots that ``w``'s self owns, or ``None``."""
+    w = sample_state(shape, rng)
+    _, slots, _, _ = parse_fc(shape, w.joint[LB])
+    ready = [i for i in range(shape.n) if isinstance(slots[i], Resp) and i in w.self_[LB].ids.ids]
+    if not ready:
+        return None
+    return try_collect(shape, rng.choice(ready)), w
+
+
+def _step_sampler(shape: FcShape, draw, tries: int):
+    """A transition's sampler: the states before and after the step of the
+    first of ``tries`` draws that finds one, or ``None``."""
+    def sampler(rng):
+        for _ in range(tries):
+            drawn = draw(shape, rng)
+            if drawn is not None:
+                a, w = drawn
+                return w, a.step(w, None)[0]
+        return None
+
+    return sampler
+
+
+def _until(shape: FcShape, draw):
+    """An action family's sampler: the first draw that finds one."""
+    def sample(rng):
+        while True:
+            drawn = draw(shape, rng)
+            if drawn is not None:
+                return drawn
+
+    return sample
+
+
 def concurroid(shape: FcShape) -> Concurroid:
     def state_sampler(rng):
         return sample_state(shape, rng)
-
-    def req_sampler(rng):
-        for _ in range(64):
-            w = sample_state(shape, rng)
-            _, slots, _, _ = parse_fc(shape, w.joint[LB])
-            open_slots = [
-                i for i in range(shape.n)
-                if slots[i] is INIT and i in w.self_[LB].ids.ids
-            ]
-            if open_slots:
-                i = rng.choice(open_slots)
-                a = req_help(shape, i, "push", rng.choice(_ELEMS))
-                w2, _, _ = a.step(w, None)
-                return (w, w2)
-        return None
-
-    def coll_sampler(rng):
-        for _ in range(64):
-            w = sample_state(shape, rng)
-            _, slots, _, _ = parse_fc(shape, w.joint[LB])
-            ready = [
-                i for i in range(shape.n)
-                if isinstance(slots[i], Resp) and i in w.self_[LB].ids.ids
-            ]
-            if ready:
-                i = rng.choice(ready)
-                w2, _, _ = try_collect(shape, i).step(w, None)
-                return (w, w2)
-        return None
-
-    def help_sampler(rng):
-        for _ in range(128):
-            w = sample_state(shape, rng)
-            locked, slots, _, _ = parse_fc(shape, w.joint[LB])
-            if not locked or w.self_[LB].mx is not OWN:
-                continue
-            reqs = [i for i in range(shape.n) if isinstance(slots[i], Req)]
-            if not reqs:
-                continue
-            i = rng.choice(reqs)
-            g_all = total_aux(shape, w)
-            if g_all is None:
-                continue
-            a = do_help(shape, i, (), slots[i].fn, slots[i].arg)
-            if not a.safe(w):
-                continue
-            w2, _, _ = a.step(w, None)
-            return (w, w2)
-        return None
 
     def lock_sampler(rng):
         for _ in range(64):
@@ -698,9 +681,12 @@ def concurroid(shape: FcShape) -> Concurroid:
         w, w2, h = drawn
         return (w2, w, h)
 
-    req_t = Transition("fc.req", "internal", _req_member(shape), req_sampler)
-    help_t = Transition("fc.help", "internal", _help_member(shape), help_sampler)
-    coll_t = Transition("fc.coll", "internal", _coll_member(shape), coll_sampler)
+    req_t = Transition("fc.req", "internal", _req_member(shape),
+                       _step_sampler(shape, _draw_req, 64))
+    help_t = Transition("fc.help", "internal", _help_member(shape),
+                        _step_sampler(shape, _draw_help, 128))
+    coll_t = Transition("fc.coll", "internal", _coll_member(shape),
+                        _step_sampler(shape, _draw_coll, 64))
     alpha = Transition("fc.unlock", "acquire", _unlock_member(shape), unlock_sampler)
     rho = Transition("fc.lock", "release", _lock_member(shape), lock_sampler)
     return Concurroid(
@@ -723,8 +709,8 @@ def _inj_fc(node) -> InjectN:
     return InjectN(node, HOME)
 
 
-def flat_combine_program(shape: FcShape, tid: int, fname: str, arg, spec=None):
-    """flatCombine(f, x) for a fixed thread id: publish, loop trying to
+def flat_combine_program(shape: FcShape, tid: int, arg, spec=None):
+    """flatCombine(push, x) for a fixed thread id: publish, loop trying to
     combine, collect the result."""
 
     collect = do(
@@ -736,61 +722,46 @@ def flat_combine_program(shape: FcShape, tid: int, fname: str, arg, spec=None):
         ),
     )
 
+    # read each slot in turn and serve a published push, then unlock
     combine = do((None, ActN(lambda env: fc_unlock(shape), "unlock")), ret=collect)
     for i in reversed(range(shape.n)):
-        slot_var = f"req{i}"
-        arg_var = f"arg{i}"
-        res_var = f"res{i}"
-
-        def mk_dispatch(i=i, slot_var=slot_var, arg_var=arg_var, res_var=res_var, rest=combine):
-            node = rest
-            for fn_name, func in sorted(shape.funcs.items(), reverse=True):
-                node = IfN(
-                    lambda env, fn=fn_name, sv=slot_var: isinstance(env[sv], Req)
-                    and env[sv].fn == fn,
-                    do(
-                        (arg_var, Ret(lambda env, sv=slot_var: env[sv].arg)),
-                        (res_var, func.program(arg_var)),
-                        (None, _inj_fc(ActN(
-                            lambda env, i=i, fn=fn_name, av=arg_var, rv=res_var:
-                            do_help(shape, i, env[rv], fn, env[av]),
-                            f"doHelp({i})",
-                        ))),
-                        ret=rest,
-                    ),
-                    node,
-                )
-            return do((slot_var, _inj_fc(ActN(lambda env, i=i: read_req(shape, i), f"readReq({i})"))), ret=node)
-
-        combine = mk_dispatch()
+        req_var, arg_var, res_var = f"req{i}", f"arg{i}", f"res{i}"
+        serve = do(
+            (arg_var, Ret(lambda env, q=req_var: env[q].arg)),
+            (res_var, _seq_push_program(arg_var)),
+            (None, _inj_fc(ActN(
+                lambda env, i=i, a=arg_var, r=res_var: do_help(shape, i, env[r], env[a]),
+                f"doHelp({i})",
+            ))),
+            ret=combine,
+        )
+        combine = do(
+            (req_var, _inj_fc(ActN(lambda env, i=i: read_req(shape, i), f"readReq({i})"))),
+            ret=IfN(lambda env, q=req_var: isinstance(env[q], Req) and env[q].fn == "push",
+                    serve, combine),
+        )
 
     body = do(
         ("locked", ActN(lambda env: fc_trylock(shape), "tryLock")),
         ret=IfN(lambda env: env["locked"], combine, collect),
     )
     prog = do(
-        (None, _inj_fc(ActN(lambda env: req_help(shape, tid, fname, arg), "reqHelp"))),
+        (None, _inj_fc(ActN(lambda env: req_help(shape, tid, arg), "reqHelp"))),
         ret=LoopN(body),
     )
     return SpecedN(spec, prog) if spec is not None else prog
 
 
-def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
-    from ..concurroid import entangle
-
-    shape = shape or stack_shape(3)
+def action_families() -> list[ActionFamily]:
+    shape = stack_shape(3)
     conc = concurroid(shape)
     ent = entangle(pv.concurroid(), conc)
 
-    def entangled(rng, want_locked=None, want_req=False):
+    def entangled(rng, want_locked: bool):
         for _ in range(256):
             w = sample_state(shape, rng)
-            locked, slots, _, _ = parse_fc(shape, w.joint[LB])
-            if want_locked is not None and locked != want_locked:
-                continue
-            if want_locked and w.self_[LB].mx is not OWN:
-                continue
-            if want_req and not any(isinstance(s, Req) for s in slots):
+            locked = parse_fc(shape, w.joint[LB])[0]
+            if locked != want_locked or (want_locked and w.self_[LB].mx is not OWN):
                 continue
             hp = pv.sample_state(rng)
             hs = hp.self_[pv.LB]
@@ -805,46 +776,20 @@ def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
             )
         return None
 
-    def sample_req(rng):
-        while True:
-            w = sample_state(shape, rng)
-            _, slots, _, _ = parse_fc(shape, w.joint[LB])
-            open_slots = [
-                i for i in range(shape.n)
-                if slots[i] is INIT and i in w.self_[LB].ids.ids
-            ]
-            if open_slots:
-                i = rng.choice(open_slots)
-                return req_help(shape, i, "push", rng.choice(_ELEMS)), w
-
     def bad_req(rng):
         while True:
             w = sample_state(shape, rng)
             _, slots, _, _ = parse_fc(shape, w.joint[LB])
             busy = [i for i in range(shape.n) if slots[i] is not INIT]
             if busy:
-                return req_help(shape, rng.choice(busy), "push", "u"), w
+                return req_help(shape, rng.choice(busy), "u"), w
 
     def sample_read_req(rng):
         return read_req(shape, rng.randrange(shape.n)), sample_state(shape, rng)
 
     def sample_trylock(rng):
-        w = entangled(rng, want_locked=False)
+        w = entangled(rng, False)
         return fc_trylock(shape), w
-
-    def sample_do_help(rng):
-        while True:
-            w = sample_state(shape, rng)
-            locked, slots, _, _ = parse_fc(shape, w.joint[LB])
-            if not locked or w.self_[LB].mx is not OWN:
-                continue
-            reqs = [i for i in range(shape.n) if isinstance(slots[i], Req)]
-            if not reqs:
-                continue
-            i = rng.choice(reqs)
-            a = do_help(shape, i, (), slots[i].fn, slots[i].arg)
-            if a.safe(w):
-                return a, w
 
     def bad_do_help(rng):
         while True:
@@ -855,11 +800,11 @@ def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
             reqs = [i for i in range(shape.n) if isinstance(slots[i], Req)]
             if reqs:
                 i = rng.choice(reqs)
-                return do_help(shape, i, (), slots[i].fn, slots[i].arg), w
+                return do_help(shape, i, (), slots[i].arg), w
 
     def sample_unlock(rng):
         while True:
-            w = entangled(rng, want_locked=True)
+            w = entangled(rng, True)
             if w is not None:
                 a = fc_unlock(shape)
                 if a.safe(w):
@@ -867,7 +812,7 @@ def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
 
     def bad_unlock(rng):
         while True:
-            w = entangled(rng, want_locked=False)
+            w = entangled(rng, False)
             if w is not None:
                 return fc_unlock(shape), w
 
@@ -880,10 +825,10 @@ def action_families(shape: Optional[FcShape] = None) -> list[ActionFamily]:
                 return try_collect(shape, rng.choice(mine)), w
 
     return [
-        ActionFamily("fc.reqHelp", conc, sample_req, bad_req),
+        ActionFamily("fc.reqHelp", conc, _until(shape, _draw_req), bad_req),
         ActionFamily("fc.readReq", conc, sample_read_req),
         ActionFamily("fc.tryLock", ent, sample_trylock),
-        ActionFamily("fc.doHelp", conc, sample_do_help, bad_do_help),
+        ActionFamily("fc.doHelp", conc, _until(shape, _draw_help), bad_do_help),
         ActionFamily("fc.unlock", ent, sample_unlock, bad_unlock),
         ActionFamily("fc.tryCollect", conc, sample_collect),
     ]

@@ -19,7 +19,7 @@ import random
 from typing import Optional
 
 from ..actions import ActionFamily, AtomicAction, Write, cas
-from ..concurroid import Concurroid, Transition, identity_transition
+from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
 from ..pcm import (
     EMPTY_HEAP,
@@ -249,8 +249,6 @@ def concurroid() -> Concurroid:
 
 
 def action_families() -> list[ActionFamily]:
-    from ..concurroid import entangle
-
     ent = entangle(pv.concurroid(), concurroid())
 
     def entangled(rng, locked: bool):

@@ -18,7 +18,7 @@ import random
 from typing import Optional
 
 from ..actions import ActionFamily, AtomicAction, Read, StepCtx, cas
-from ..concurroid import Concurroid, Transition, identity_transition
+from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
 from ..history import fresh, is_complete, is_continuous, is_stacklike, last_stamp, lookup_end
 from ..pcm import NONE, NULL, SOME, STACK, Heap, Hist, Loc, join
@@ -379,8 +379,6 @@ def pop_program(spec=None):
 
 
 def action_families() -> list[ActionFamily]:
-    from ..concurroid import entangle
-
     conc = concurroid()
     ent = entangle(pv.concurroid(), conc)
 

@@ -316,7 +316,7 @@ def reference_explore(scenario, step_bound, loop_bound):
             return
         for leaf in ready:
             before = ctx.reported
-            for memo in (ctx.steps, ctx.checked, ctx.maps, ctx.others, ctx.runs, ctx.joins):
+            for memo in (ctx.steps, ctx.checked, ctx.values, ctx.others, ctx.runs, ctx.joins):
                 memo.clear()
             outcome = step_action(cfg, leaf, ctx)
             if outcome is None:

@@ -1,5 +1,6 @@
 """Source hygiene: every dataclass field declared in the package is read,
-every top-level function and class is named, and no record is frozen.
+every top-level function and class is named, every defaulted parameter is
+passed somewhere, and no record is frozen.
 
 A field that no code reads is carried by every constructor call and every
 instance for nothing.  The scan is syntactic: a field counts as read when
@@ -11,6 +12,11 @@ call, an attribute, an import.  The benchmark counts because it calls
 entry points that no shipped run does, such as ``erasure.compare_erased``.
 Tests do not count: code that only tests reach belongs under ``tests/``.
 
+A defaulted parameter of a top-level function counts as passed when some
+call in ``src/histrio``, ``perfbench/`` or ``tests/`` to a function of that
+name passes it, by position or by keyword.  One that no call passes is a
+knob with one value, which the body should state instead.
+
 A frozen dataclass's ``__init__`` stores each field through
 ``object.__setattr__``, which makes the explorer's states, histories and
 tree nodes dearer to build.  So no dataclass in the package
@@ -19,8 +25,9 @@ construction instead.  ``object.__setattr__`` may only fill a cache slot.
 """
 
 import ast
+import math
 import pathlib
-from collections import Counter
+from collections import Counter, defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "histrio"
@@ -109,6 +116,44 @@ def unnamed_definitions(trees: dict, users: dict) -> list[tuple[str, str]]:
             and named[stmt.name] == (stmt.name in names_in(stmt))]
 
 
+def passed_arguments(trees: dict) -> dict:
+    """Callee name -> (positions, keywords) its calls in ``trees`` pass: the
+    highest positional count, and the keyword names.  A ``*`` or ``**``
+    argument passes every position or keyword."""
+    positions: Counter = Counter()
+    keywords: dict = defaultdict(set)
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = (call.func.attr if isinstance(call.func, ast.Attribute)
+                    else getattr(call.func, "id", None))
+            star = any(isinstance(a, ast.Starred) for a in call.args)
+            positions[name] = max(positions[name], math.inf if star else len(call.args))
+            keywords[name].update("**" if kw.arg is None else kw.arg for kw in call.keywords)
+    return {name: (positions[name], keywords[name]) for name in positions}
+
+
+def unpassed_defaults(trees: dict, callers: dict) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each defaulted parameter of a
+    top-level function of ``trees`` that no call in ``callers`` passes."""
+    passed = passed_arguments(callers)
+    out = []
+    for path, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positions, keywords = passed.get(fn.name, (0, set()))
+            params = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i, p) for i, p in enumerate(params)
+                         if i >= len(params) - len(fn.args.defaults)]
+            defaulted += [(math.inf, p) for p, d in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            out += [(path, fn.name, p.arg) for i, p in defaulted
+                    if i >= positions and p.arg not in keywords and "**" not in keywords]
+    return out
+
+
 def _package() -> dict:
     return {str(p.relative_to(SRC)): ast.parse(p.read_text())
             for p in sorted(SRC.rglob("*.py"))}
@@ -117,6 +162,11 @@ def _package() -> dict:
 def _benchmark() -> dict:
     return {str(p.relative_to(ROOT)): ast.parse(p.read_text())
             for p in sorted((ROOT / "perfbench").glob("*.py"))}
+
+
+def _tests() -> dict:
+    return {str(p.relative_to(ROOT)): ast.parse(p.read_text())
+            for p in sorted((ROOT / "tests").glob("*.py"))}
 
 
 def test_every_dataclass_field_is_read_somewhere():
@@ -160,6 +210,26 @@ def test_the_scan_sees_a_definition_only_its_own_body_names():
     assert unnamed_definitions({"m.py": tree}, {"run.py": bench}) == [
         ("m.py", "P"), ("m.py", "recursive")]
     assert ("m.py", "bench_entry") in unnamed_definitions({"m.py": tree}, {})
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    package = _package()
+    assert unpassed_defaults(package, {**package, **_benchmark(), **_tests()}) == []
+
+
+def test_the_scan_sees_a_default_no_call_passes():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a\n"
+        "def g(a=1, b=2):\n"
+        "    return a\n"
+        "def h(a=1):\n"
+        "    return a\n"
+        "f(0, 1, e=5)\n"
+        "m.g(*xs)\n"
+        "h(**kw)\n")
+    trees = {"m.py": tree}
+    assert unpassed_defaults(trees, trees) == [("m.py", "f", "c"), ("m.py", "f", "d")]
 
 
 def test_no_dataclass_is_frozen_and_setattr_only_fills_caches():

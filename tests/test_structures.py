@@ -177,10 +177,10 @@ def test_fc_request_help_and_collect_cycle():
     coherent = fc.coherent_for(shape)
     assert coherent(w)
 
-    w1, _, _ = run_atomic(fc.req_help(shape, 0, "push", "u"), w, StepCtx(1))
+    w1, _, _ = run_atomic(fc.req_help(shape, 0, "u"), w, StepCtx(1))
     assert coherent(w1)
     jh, _ = w1.joint[fc.LB]
-    assert jh[shape.slot(0)] == Req("push", "u")
+    assert jh[shape.slots[0]] == Req("push", "u")
 
     # collecting before help yields None and changes nothing
     w1b, res, _ = run_atomic(fc.try_collect(shape, 0), w1, StepCtx(1))
@@ -192,7 +192,7 @@ def test_fc_request_help_and_collect_cycle():
         w1.other.set(pv.LB, Heap()))
     w3, ok, _ = run_atomic(fc.fc_trylock(shape), w2, StepCtx(4000))
     assert ok is True
-    w4, _, _ = run_atomic(fc.do_help(shape, 0, (), "push", "u"), w3, StepCtx(4000))
+    w4, _, _ = run_atomic(fc.do_help(shape, 0, (), "u"), w3, StepCtx(4000))
     _, _, _, gp = fc.parse_fc(shape, w4.joint[fc.LB])
     assert len(gp[0].entries) == 1
     # run the actual sequential push on the private resource heap
@@ -209,7 +209,31 @@ def test_fc_request_help_and_collect_cycle():
     assert res == SOME(())
     assert len(w7.self_[fc.LB].aux.entries) == 2  # init event + collected push
     jh, gp = w7.joint[fc.LB]
-    assert jh[shape.slot(0)] is INIT and not gp[0].entries
+    assert jh[shape.slots[0]] is INIT and not gp[0].entries
+
+
+def test_fc_transitions_take_no_request_but_push():
+    shape = fc.stack_shape(2)
+    conc = fc.concurroid(shape)
+    req, help_ = conc.internals["fc.req"].member, conc.internals["fc.help"].member
+
+    def publish(w, request):
+        jh, gp = w.joint[fc.LB]
+        return SubjState(w.self_, w.joint.set(fc.LB, (Heap(jh.set(shape.slots[0], request)), gp)),
+                         w.other)
+
+    w = fc.initial_state(shape, ())
+    assert req(w, publish(w, Req("push", "u")))
+    assert not req(w, publish(w, Req("pop", "u")))
+
+    w1 = publish(w, Req("push", "u"))
+    w2 = SubjState(
+        w1.self_.set(pv.LB, Heap()), w1.joint.set(pv.LB, Heap()),
+        w1.other.set(pv.LB, Heap()))
+    w3, _, _ = run_atomic(fc.fc_trylock(shape), w2, StepCtx(4000))
+    w4, _, _ = run_atomic(fc.do_help(shape, 0, (), "u"), w3, StepCtx(4000))
+    assert help_(w3, w4)
+    assert not help_(publish(w3, Req("pop", "u")), w4)
 
 
 def test_fc_stack_instantiation_validity_predicates():
