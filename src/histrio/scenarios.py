@@ -340,7 +340,7 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
                         "one publication slot each")
     shape = fc.stack_shape(threads)
     conc = entangle(pv.concurroid(), fc.concurroid(shape))
-    root = _merge_roots(pv.initial_state(), fc.initial_state(shape, ()))
+    root = _merge_roots(pv.initial_state(), fc.initial_state(shape))
     elems = tuple(f"e{i}" for i in range(threads))
     programs = []
     for i in range(threads):

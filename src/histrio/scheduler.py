@@ -28,9 +28,15 @@ fresh location.  So every driver runs the action once per distinct input
 and remembers the post-state of each step that passed every check; a
 step that failed a check is run again wherever it recurs, so that its
 reports carry that path's step index and schedule.  The memo
-is sound because map equality is type-exact: equal views are equally
-coherent.  The checks themselves decide a property of the transition,
-not of the step input: they read the concurroid, the claimed transition,
+keys on equality.  Map equality is type-exact, so a ``Heap`` never stands
+in for a plain map, but cells compare with ``==``: ``Heap({LK: 1})`` equals
+``Heap({LK: True})``, and the spin lock's coherence accepts only the
+second.  So the step memo, and the transition memo and fact table
+described below, rely on no action storing such a twin of a cell value;
+no shipped action does, since every lock write is ``True`` or ``False``.
+
+The checks themselves decide a property of the transition, not of the
+step input: they read the concurroid, the claimed transition,
 the injected labels and the pre- and post-states.  Many step inputs
 make one transition, so a step that runs is checked only if its
 transition has not passed the checks before; a transition that failed
@@ -58,6 +64,18 @@ environment, continuation and cached hash, so memo hits mostly compare
 them by identity.
 The forks that ``replace_leaf`` rebuilds are not interned: most are
 transient, and the table would keep them alive.
+
+Below the explorer, each structure decides the same facts of the same
+values over and over: an action's safety predicate, post-state coherence,
+transition membership and the step invariants all parse the same joint
+and decide the same coherence.  So each run of ``explore`` or
+``_run_schedule`` also installs a fact table (``state.fact_table``),
+beside ``_Ctx.values``, that lives only for the run.  It holds each
+structure's single-label coherence, keyed on the label's self, joint and
+other components (and the flat combiner's size), and the flat-combiner
+and Treiber joint parses, keyed on the joint.  No fact outlives its run,
+so a later run, or a test that swaps a structure's function, decides
+every fact afresh; outside a run nothing is remembered.
 
 Configurations, tree nodes and continuation frames are values, so the
 memos may hold them as keys: nothing changes one once it is built, except
@@ -101,6 +119,7 @@ from .program import (
 from .state import (
     StateError,
     SubjState,
+    fact_table,
     flatten,
     subjective_join,
     subjective_split,
@@ -1052,41 +1071,42 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
             report.finals.add(cfg)
         return remember(cfg, left, s, 0)
 
-    root = visit(normalize(initial_config(scenario), ctx), 0)
-    stack = [root] if isinstance(root, _Frame) else []
-    total = root
-    while stack:
-        f = stack[-1]
-        if f.next == len(f.ready):
-            stack.pop()
-            entry = remember(f.cfg, step_bound - f.used, f.summary(), f.height)
-            if not stack:
-                total = entry
-                break
-            ctx.path.pop()
-            stack[-1].add(*entry)
-            continue
-        leaf = f.ready[f.next]
-        f.next += 1
-        before = ctx.reported
-        outcome = step_action(f.cfg, leaf, ctx)
-        report.edges += 1
-        if outcome is None:
-            f.add(_FINISHED["violation"], 0)
-            continue
-        stepped, event = outcome
-        ctx.path.append((leaf.tid, event.action, event.result))
-        cfg2 = normalize(f.cfg, ctx, stepped)
-        if ctx.reported > before:
-            f.add(_FINISHED["violation"], 0)
-            ctx.path.pop()
-            continue
-        sub = visit(cfg2, f.used + 1)
-        if isinstance(sub, _Frame):
-            stack.append(sub)
-        else:
-            ctx.path.pop()
-            f.add(*sub)
+    with fact_table():
+        root = visit(normalize(initial_config(scenario), ctx), 0)
+        stack = [root] if isinstance(root, _Frame) else []
+        total = root
+        while stack:
+            f = stack[-1]
+            if f.next == len(f.ready):
+                stack.pop()
+                entry = remember(f.cfg, step_bound - f.used, f.summary(), f.height)
+                if not stack:
+                    total = entry
+                    break
+                ctx.path.pop()
+                stack[-1].add(*entry)
+                continue
+            leaf = f.ready[f.next]
+            f.next += 1
+            before = ctx.reported
+            outcome = step_action(f.cfg, leaf, ctx)
+            report.edges += 1
+            if outcome is None:
+                f.add(_FINISHED["violation"], 0)
+                continue
+            stepped, event = outcome
+            ctx.path.append((leaf.tid, event.action, event.result))
+            cfg2 = normalize(f.cfg, ctx, stepped)
+            if ctx.reported > before:
+                f.add(_FINISHED["violation"], 0)
+                ctx.path.pop()
+                continue
+            sub = visit(cfg2, f.used + 1)
+            if isinstance(sub, _Frame):
+                stack.append(sub)
+            else:
+                ctx.path.pop()
+                f.add(*sub)
     s = total[0]
     report.complete = s.complete
     report.inconclusive_step_bound = s.bounded
@@ -1102,25 +1122,26 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
     # one schedule does not revisit a local run, so none is remembered
     ctx = _Ctx(scenario, loop_bound, remember_runs=False)
-    cfg = normalize(initial_config(scenario), ctx)
     events: list[Event] = []
-    used = 0
-    while used < budget:
-        ready = ready_leaves(cfg)
-        if not ready:
-            break
-        leaf = pick(ready)
-        if leaf is None:
-            break
-        outcome = step_action(cfg, leaf, ctx)
-        if outcome is None:
-            break
-        stepped, event = outcome
-        ctx.path.append((leaf.tid, event.action, event.result))
-        events.append(event)
-        cfg = normalize(cfg, ctx, stepped)
-        used += 1
-    end = "violation" if ctx.reported else _finish_path(cfg, ctx)
+    with fact_table():
+        cfg = normalize(initial_config(scenario), ctx)
+        used = 0
+        while used < budget:
+            ready = ready_leaves(cfg)
+            if not ready:
+                break
+            leaf = pick(ready)
+            if leaf is None:
+                break
+            outcome = step_action(cfg, leaf, ctx)
+            if outcome is None:
+                break
+            stepped, event = outcome
+            ctx.path.append((leaf.tid, event.action, event.result))
+            events.append(event)
+            cfg = normalize(cfg, ctx, stepped)
+            used += 1
+        end = "violation" if ctx.reported else _finish_path(cfg, ctx)
     verdict = "pass" if end == "complete" else end
     results = cfg.tree.result if isinstance(cfg.tree, Leaf) else None
     return Trace(events, tuple(e.tid for e in events), cfg, verdict,

@@ -16,10 +16,24 @@ A ``SubjState`` is a value: nothing changes one once it is built, except
 that ``validate`` and ``flatten`` fill its ``_valid`` and ``_flat`` caches
 once.  It is a slotted, unfrozen dataclass, since a frozen one pays an
 ``object.__setattr__`` per field; ``tests/test_records.py`` keeps the rule.
+
+A structure's coherence and the parse of its joint are pure facts of a
+few component values, and one run decides the same ones over and over.
+So each run of the explorer installs a fact table (``fact_table``) that
+lives only as long as the run: ``recall`` and ``home_fact`` decide a fact
+once per run and key it on exactly the values it reads.  Outside a run
+there is no table, and they compute every time.  The table keys on
+equality, and map classes compare exactly, but cells compare with ``==``:
+``Heap({LK: 1}) == Heap({LK: True})``, yet a lock's coherence accepts
+only the second.  So the table, like the explorer's step and transition
+memos, relies on no action storing such a twin; no shipped action does,
+since every lock write is ``True`` or ``False``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -134,6 +148,64 @@ def validate(w: SubjState) -> bool:
         return False
     w._valid = True
     return True
+
+
+# ---------------------------------------------------------------------------
+# The fact table of a run
+# ---------------------------------------------------------------------------
+
+# the fact table of the run in progress, or None outside a run
+_FACTS: ContextVar[Optional[dict]] = ContextVar("histrio_facts", default=None)
+
+
+@contextmanager
+def fact_table():
+    """Install a fresh fact table for the ``with`` block, which is one run;
+    the table is dropped when the block is left."""
+    token = _FACTS.set({})
+    try:
+        yield
+    finally:
+        _FACTS.reset(token)
+
+
+def recall(key, compute, *args):
+    """``compute(*args)``, decided once per run: the run's fact table keeps
+    it under ``key``, which must determine the value.  Outside a run it is
+    computed every time."""
+    table = _FACTS.get()
+    if table is None:
+        return compute(*args)
+    value = table.get(key, _UNSET)
+    if value is _UNSET:
+        value = table[key] = compute(*args)
+    return value
+
+
+def home_fact(key, w: SubjState, label, decide, *args):
+    """``decide(w', *args)``, where ``w'`` is ``w`` cut down to ``label``:
+    a fact of the label's self, joint and other components alone.  The
+    run's fact table keeps it under ``key`` and those three components,
+    so a state that repeats them is not cut down again."""
+    table = _FACTS.get()
+    if table is None:
+        return decide(_home(w, label), *args)
+    full = (key, w.self_.get(label, _UNSET), w.joint.get(label, _UNSET),
+            w.other.get(label, _UNSET))
+    value = table.get(full, _UNSET)
+    if value is _UNSET:
+        value = table[full] = decide(_home(w, label), *args)
+    return value
+
+
+def _home(w: SubjState, label) -> SubjState:
+    home = {label}
+    return w if has_labels(w, home) else w.restrict(home)
+
+
+def has_labels(w: SubjState, labels) -> bool:
+    """``w``'s self, joint and other maps carry exactly ``labels``."""
+    return w.self_.keys() == w.joint.keys() == w.other.keys() == labels
 
 
 def transpose(w: SubjState) -> SubjState:

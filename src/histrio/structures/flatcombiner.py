@@ -33,6 +33,7 @@ from ..pcm import (
     INIT,
     NONE,
     NOT_OWN,
+    NULL,
     OWN,
     Req,
     Resp,
@@ -48,7 +49,7 @@ from ..pcm import (
     unit_like,
 )
 from ..program import ActN, IfN, InjectN, LoopN, Ret, RETRY, SpecedN, const, do
-from ..state import SubjState, validate
+from ..state import SubjState, has_labels, home_fact, recall, validate
 from . import private_heap as pv
 from . import treiber as tb
 
@@ -81,7 +82,12 @@ class FcShape:
 
 
 def parse_fc(shape: FcShape, jv) -> Optional[tuple]:
-    """Split the joint value into (lock bit, slot statuses, resource heap, gp)."""
+    """Split the joint value into (lock bit, slot statuses, resource heap,
+    gp); decided once per run."""
+    return recall((parse_fc, shape.n, jv), _parse_fc, shape, jv)
+
+
+def _parse_fc(shape: FcShape, jv) -> Optional[tuple]:
     if not (isinstance(jv, tuple) and len(jv) == 2):
         return None
     jh, gp = jv
@@ -117,9 +123,10 @@ def total_aux(shape: FcShape, w: SubjState, gp: Optional[tuple] = None) -> Optio
     return join(acc, w.other[LB].aux)
 
 
-def _coherent_parse(shape: FcShape, w: SubjState) -> Optional[tuple]:
-    """``parse_fc`` of the joint when ``w`` is coherent, else ``None``."""
-    if set(w.labels()) != {LB} or not validate(w):
+def _coherent_parse(w: SubjState, shape: FcShape) -> Optional[tuple]:
+    """``parse_fc`` of the joint when ``w``, a state over exactly ``{LB}``,
+    is coherent, else ``None``."""
+    if not validate(w):
         return None
     s, o = w.self_[LB], w.other[LB]
     if not (isinstance(s, Triple) and isinstance(o, Triple)):
@@ -146,7 +153,7 @@ def _coherent_parse(shape: FcShape, w: SubjState) -> Optional[tuple]:
 
 def coherent_for(shape: FcShape):
     def coherent(w: SubjState) -> bool:
-        return _coherent_parse(shape, w) is not None
+        return has_labels(w, HOME) and _safe_home(shape, w) is not None
 
     return coherent
 
@@ -290,10 +297,13 @@ def _unlock_member(shape: FcShape):
 # ---------------------------------------------------------------------------
 
 def _safe_home(shape: FcShape, w: SubjState) -> Optional[tuple]:
-    """The parsed joint when ``w``'s home part is coherent, else ``None``."""
+    """The parsed joint when ``w``'s home part is coherent, else ``None``.
+
+    The fact is keyed on the shape's size ``n``, which fixes the shape; the
+    other structures key their coherence on their label."""
     if LB not in w.self_:
         return None
-    return _coherent_parse(shape, w.restrict(HOME))
+    return home_fact(shape.n, w, LB, _coherent_parse, shape)
 
 
 def req_help(shape: FcShape, tid: int, arg) -> AtomicAction:
@@ -329,11 +339,7 @@ def read_req(shape: FcShape, i: int) -> AtomicAction:
 
 def fc_trylock(shape: FcShape) -> AtomicAction:
     def safe(w):
-        return (
-            pv.LB in w.self_
-            and _safe_home(shape, w) is not None
-            and pv.coherent(w.restrict(frozenset([pv.LB])))
-        )
+        return _safe_home(shape, w) is not None and pv.safe_home(w)
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
@@ -509,13 +515,12 @@ def stack_shape(n: int) -> FcShape:
 # Construction, concurroid, procedures
 # ---------------------------------------------------------------------------
 
-def initial_state(shape: FcShape, contents: tuple = ()) -> SubjState:
-    """Fresh structure: lock free, all slots Init, resource stack holding
-    ``contents``; the installer owns all slot ids and the init event."""
-    cells = {LK: False, **dict.fromkeys(shape.slots, INIT)}
-    cells.update(tb.layout(contents, NODE_BASE, SNT))
+def initial_state(shape: FcShape) -> SubjState:
+    """Fresh structure: lock free, all slots Init, resource stack empty; the
+    installer owns all slot ids and the init event."""
+    cells = {LK: False, **dict.fromkeys(shape.slots, INIT), SNT: NULL}
     gp = (NO_AUX,) * shape.n
-    init_hist = Hist.of(STACK, {0: (contents, contents)})
+    init_hist = Hist.of(STACK, {0: ((), ())})
     return SubjState(
         FrozenMap({LB: Triple(IdSet.of(*range(shape.n)), NOT_OWN, init_hist)}),
         FrozenMap({LB: (Heap(cells), gp)}),
@@ -709,7 +714,7 @@ def _inj_fc(node) -> InjectN:
     return InjectN(node, HOME)
 
 
-def flat_combine_program(shape: FcShape, tid: int, arg, spec=None):
+def flat_combine_program(shape: FcShape, tid: int, arg, spec):
     """flatCombine(push, x) for a fixed thread id: publish, loop trying to
     combine, collect the result."""
 
@@ -749,7 +754,7 @@ def flat_combine_program(shape: FcShape, tid: int, arg, spec=None):
         (None, _inj_fc(ActN(lambda env: req_help(shape, tid, arg), "reqHelp"))),
         ret=LoopN(body),
     )
-    return SpecedN(spec, prog) if spec is not None else prog
+    return SpecedN(spec, prog)
 
 
 def action_families() -> list[ActionFamily]:

@@ -24,14 +24,19 @@ from ..actions import (
 from ..concurroid import Concurroid, Transition, identity_transition
 from ..fmap import FrozenMap
 from ..pcm import EMPTY_HEAP, UNDEF, Heap, Loc
-from ..state import SubjState, validate
+from ..state import SubjState, has_labels, home_fact, validate
 
 LB = "pv"
 HOME = frozenset([LB])
 
 
 def coherent(w: SubjState) -> bool:
-    if set(w.labels()) != {LB} or not validate(w):
+    return has_labels(w, HOME) and safe_home(w)
+
+
+def _coherent(w: SubjState) -> bool:
+    """Coherence of a state over exactly ``{LB}``."""
+    if not validate(w):
         return False
     return (
         isinstance(w.self_[LB], Heap)
@@ -62,8 +67,9 @@ def _release_member(w, w2, h: Heap) -> bool:
 # Actions
 # ---------------------------------------------------------------------------
 
-def _safe_home(w: SubjState) -> bool:
-    return LB in w.self_ and coherent(w.restrict(HOME))
+def safe_home(w: SubjState) -> bool:
+    """``w``'s private-heap part is coherent."""
+    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
 
 
 def _owns(w: SubjState, loc: Loc) -> bool:
@@ -80,7 +86,7 @@ def alloc() -> AtomicAction:
             StepCtx(ctx.next_loc + 1),
         )
 
-    return AtomicAction("alloc", HOME, _safe_home, step, "pv.acquire", Alloc())
+    return AtomicAction("alloc", HOME, safe_home, step, "pv.acquire", Alloc())
 
 
 def write(loc: Loc, v) -> AtomicAction:
@@ -91,7 +97,7 @@ def write(loc: Loc, v) -> AtomicAction:
     return AtomicAction(
         f"write({loc!r})",
         HOME,
-        lambda w: _safe_home(w) and _owns(w, loc),
+        lambda w: safe_home(w) and _owns(w, loc),
         step,
         "pv.write",
         Write(loc, v),
@@ -105,7 +111,7 @@ def read(loc: Loc) -> AtomicAction:
     return AtomicAction(
         f"read({loc!r})",
         HOME,
-        lambda w: _safe_home(w) and _owns(w, loc),
+        lambda w: safe_home(w) and _owns(w, loc),
         step,
         "id",
         Read(loc),
@@ -120,7 +126,7 @@ def dealloc(loc: Loc) -> AtomicAction:
     return AtomicAction(
         f"dealloc({loc!r})",
         HOME,
-        lambda w: _safe_home(w) and _owns(w, loc),
+        lambda w: safe_home(w) and _owns(w, loc),
         step,
         "pv.release",
         Dealloc(loc),

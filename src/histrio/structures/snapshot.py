@@ -20,7 +20,7 @@ from ..fmap import FrozenMap
 from ..history import fresh, is_continuous, last_stamp, lookup_end
 from ..pcm import SNAPSHOT, Heap, Hist, Loc, join
 from ..program import ActN, IfN, LoopN, Ret, RETRY, SpecedN, const, do
-from ..state import SubjState, validate
+from ..state import SubjState, has_labels, home_fact, validate
 
 LB = "sp"
 X = Loc(1001)
@@ -55,7 +55,12 @@ def versions_ok(total: Hist) -> bool:
 
 
 def coherent(w: SubjState) -> bool:
-    if set(w.labels()) != {LB} or not validate(w):
+    return has_labels(w, HOME) and _safe_home(w)
+
+
+def _coherent(w: SubjState) -> bool:
+    """Coherence of a state over exactly ``{LB}``."""
+    if not validate(w):
         return False
     parsed = _parse_joint(w.joint[LB])
     if parsed is None:
@@ -106,9 +111,7 @@ def _write_member(which: str):
 # ---------------------------------------------------------------------------
 
 def _safe_home(w: SubjState) -> bool:
-    if LB not in w.self_:
-        return False
-    return coherent(w.restrict(HOME))
+    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
 
 
 def read_x() -> AtomicAction:

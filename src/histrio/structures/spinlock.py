@@ -32,7 +32,7 @@ from ..pcm import (
     Triple,
     join,
 )
-from ..state import SubjState, validate
+from ..state import SubjState, has_labels, home_fact, validate
 from . import private_heap as pv
 
 LB = "lk"
@@ -61,7 +61,12 @@ def _views(w: SubjState):
 
 
 def coherent(w: SubjState) -> bool:
-    if set(w.labels()) != {LB} or not validate(w):
+    return has_labels(w, HOME) and _safe_home(w)
+
+
+def _coherent(w: SubjState) -> bool:
+    """Coherence of a state over exactly ``{LB}``."""
+    if not validate(w):
         return False
     vs = _views(w)
     if vs is None:
@@ -118,14 +123,13 @@ def _give_back_member(w, w2, h: Heap) -> bool:
 # Actions (over private heaps entangled with the lock)
 # ---------------------------------------------------------------------------
 
+def _safe_home(w: SubjState) -> bool:
+    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
+
+
 def trylock() -> AtomicAction:
     def safe(w):
-        return (
-            LB in w.self_
-            and pv.LB in w.self_
-            and coherent(w.restrict(HOME))
-            and pv.coherent(w.restrict(frozenset([pv.LB])))
-        )
+        return _safe_home(w) and pv.safe_home(w)
 
     def step(w, ctx):
         jh = w.joint[LB]

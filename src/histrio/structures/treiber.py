@@ -23,7 +23,7 @@ from ..fmap import FrozenMap
 from ..history import fresh, is_complete, is_continuous, is_stacklike, last_stamp, lookup_end
 from ..pcm import NONE, NULL, SOME, STACK, Heap, Hist, Loc, join
 from ..program import ActN, IfN, LoopN, Ret, RETRY, SpecedN, const, do, InjectN
-from ..state import SubjState, validate
+from ..state import SubjState, has_labels, home_fact, recall, validate
 from . import private_heap as pv
 
 LB = "tb"
@@ -35,7 +35,11 @@ NODE_BASE = 2002
 
 def parse_stack(jh: Heap, snt: Loc = SNT) -> Optional[tuple]:
     """Split the heap into (head, contents, list cells, garbage), reading
-    the list from the sentinel ``snt``."""
+    the list from the sentinel ``snt``; decided once per run."""
+    return recall((parse_stack, jh, snt), _parse_stack, jh, snt)
+
+
+def _parse_stack(jh: Heap, snt: Loc) -> Optional[tuple]:
     if not isinstance(jh, Heap) or snt not in jh:
         return None
     p = jh[snt]
@@ -58,7 +62,12 @@ def parse_stack(jh: Heap, snt: Loc = SNT) -> Optional[tuple]:
 
 
 def coherent(w: SubjState) -> bool:
-    if set(w.labels()) != {LB} or not validate(w):
+    return has_labels(w, HOME) and _safe_home(w)
+
+
+def _coherent(w: SubjState) -> bool:
+    """Coherence of a state over exactly ``{LB}``."""
+    if not validate(w):
         return False
     parsed = parse_stack(w.joint[LB])
     if parsed is None:
@@ -123,7 +132,7 @@ def _push_member(w: SubjState, w2: SubjState, h: Heap) -> bool:
 # ---------------------------------------------------------------------------
 
 def _safe_home(w: SubjState) -> bool:
-    return LB in w.self_ and coherent(w.restrict(HOME))
+    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
 
 
 def read_sentinel() -> AtomicAction:

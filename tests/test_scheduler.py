@@ -2,11 +2,13 @@
 
 import gc
 import math
+import random
 
 import pytest
 
-from histrio import scheduler
-from histrio.actions import AtomicAction, Skip, Write
+from histrio import scheduler, state
+from histrio.actions import AtomicAction, Skip, Write, check_action_properties
+from histrio.concurroid import check_concurroid
 from histrio.fmap import FrozenMap
 from histrio.pcm import Heap, Hist, Loc
 from histrio.program import ActN, InjectN, LoopN, Node, RETRY, SpecedN, const, do
@@ -38,6 +40,7 @@ from histrio.scenarios import (
     treiber_scenario,
 )
 from histrio.state import SubjState, flatten
+from histrio.structures import flatcombiner as fc
 from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
 from histrio.structures import treiber as tb
@@ -413,6 +416,75 @@ def test_each_distinct_step_is_run_once(monkeypatch):
     assert rep.nodes == 7_371
     assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
     assert len(rep.finals) == 6
+
+
+def _count_fact_bodies(monkeypatch) -> dict:
+    """Record the input of each run of the bodies of ``fc.parse_fc``,
+    ``fc._coherent_parse`` and ``tb.parse_stack``, and whether a fact table
+    was installed when ``parse_fc``'s ran."""
+    calls = {"parse_fc": [], "coherent_parse": [], "parse_stack": [], "tables": set()}
+    parse_fc, coherent_parse, parse_stack = fc._parse_fc, fc._coherent_parse, tb._parse_stack
+
+    def counted_parse_fc(shape, jv):
+        calls["parse_fc"].append((shape.n, jv))
+        calls["tables"].add(state._FACTS.get() is not None)
+        return parse_fc(shape, jv)
+
+    def counted_coherent_parse(w, shape):
+        calls["coherent_parse"].append((shape.n, w.self_, w.joint, w.other))
+        return coherent_parse(w, shape)
+
+    def counted_parse_stack(jh, snt):
+        calls["parse_stack"].append((jh, snt))
+        return parse_stack(jh, snt)
+
+    monkeypatch.setattr(fc, "_parse_fc", counted_parse_fc)
+    monkeypatch.setattr(fc, "_coherent_parse", counted_coherent_parse)
+    monkeypatch.setattr(tb, "_parse_stack", counted_parse_stack)
+    return calls
+
+
+def test_each_structure_fact_is_decided_once_per_run(monkeypatch):
+    # one exploration parses 195 distinct joints, decides the coherence of
+    # 806 distinct states and walks 16 distinct stacks, each once
+    calls = _count_fact_bodies(monkeypatch)
+    rep = explore(flat_combiner_scenario(3), step_bound=120, loop_bound=1)
+    counts = {k: (len(calls[k]), len(set(calls[k])))
+              for k in ("parse_fc", "coherent_parse", "parse_stack")}
+    assert counts == {"parse_fc": (195, 195), "coherent_parse": (806, 806),
+                      "parse_stack": (16, 16)}
+    assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
+
+
+def test_no_fact_outlives_its_run(monkeypatch):
+    calls = _count_fact_bodies(monkeypatch)
+
+    def taken() -> tuple:
+        out = tuple(len(calls[k]) for k in ("parse_fc", "coherent_parse", "parse_stack"))
+        for k in calls:
+            calls[k].clear()
+        return out
+
+    # the same scenario object, explored twice, decides every fact again
+    sc = flat_combiner_scenario(2)
+    first = explore(sc, step_bound=120, loop_bound=1)
+    once = taken()
+    again = explore(sc, step_bound=120, loop_bound=1)
+    assert taken() == once and min(once) > 0
+    assert again.as_dict() == first.as_dict()
+    # a replay of a random run's schedule decides its own facts
+    trace = run_random(sc, 3, 120, 1)
+    drawn = taken()
+    assert run_replay(sc, trace.schedule, 1).verdict == trace.verdict
+    assert taken() == drawn and min(drawn) > 0
+    # the obligation suites run outside any run: no table, every call computes
+    rng = random.Random(0)
+    conc = fc.concurroid(fc.stack_shape(3))
+    assert all(rep.ok for rep in check_concurroid(conc, 5, rng))
+    for fam in fc.action_families():
+        assert all(rep.ok for rep in check_action_properties(fam, 5, rng))
+    assert calls["parse_fc"] and calls["tables"] == {False}
+    assert state._FACTS.get() is None
 
 
 def test_each_distinct_transition_is_checked_once(monkeypatch):

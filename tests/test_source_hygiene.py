@@ -1,6 +1,7 @@
 """Source hygiene: every dataclass field declared in the package is read,
 every top-level function and class is named, every defaulted parameter is
-passed somewhere, and no record is frozen.
+passed somewhere, no function keeps a process-wide cache, and no record is
+frozen.
 
 A field that no code reads is carried by every constructor call and every
 instance for nothing.  The scan is syntactic: a field counts as read when
@@ -16,6 +17,12 @@ A defaulted parameter of a top-level function counts as passed when some
 call in ``src/histrio``, ``perfbench/`` or ``tests/`` to a function of that
 name passes it, by position or by keyword.  One that no call passes is a
 knob with one value, which the body should state instead.
+
+No function in the package memoizes through ``functools.lru_cache`` or
+``functools.cache``: such a cache outlives the run that filled it, so a
+later run, or a test that swaps out a function, would read another run's
+results.  What a run decides once lives in its fact table
+(``state.fact_table``) and goes with the run.
 
 A frozen dataclass's ``__init__`` stores each field through
 ``object.__setattr__``, which makes the explorer's states, histories and
@@ -86,6 +93,25 @@ def setattr_stores(trees: dict) -> list[tuple[str, int, str]]:
                 if name not in CACHE_SLOTS:
                     out.append((path, call.lineno, name))
     return out
+
+
+PROCESS_CACHES = {"lru_cache", "cache"}
+
+
+def process_caches(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, name) for every mention of ``functools.lru_cache`` or
+    ``functools.cache``: an attribute of ``functools``, or a name imported
+    from it."""
+    out = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in PROCESS_CACHES
+                    and ast.unparse(node.value) == "functools"):
+                out.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                out += [(path, node.lineno, a.name) for a in node.names
+                        if a.name in PROCESS_CACHES]
+    return sorted(out)
 
 
 def attributes_read(trees: dict) -> set[str]:
@@ -255,3 +281,25 @@ def test_the_scan_sees_a_frozen_record_and_a_setattr_store():
     trees = {"m.py": tree}
     assert frozen_dataclasses(trees) == [("m.py", "P")]
     assert setattr_stores(trees) == [("m.py", 11, "x")]
+
+
+def test_no_function_keeps_a_cache_that_outlives_its_run():
+    assert process_caches(_package()) == []
+
+
+def test_the_scan_sees_an_lru_cache_and_a_cache():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, partial\n"
+        "from functools import lru_cache as memo\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(x):\n"
+        "    return x\n"
+        "@cache\n"
+        "def g(x):\n"
+        "    return partial(f, x)\n"
+        "h = functools.cache(g)\n"
+        "cache = {}\n")
+    assert process_caches({"m.py": tree}) == [
+        ("m.py", 2, "cache"), ("m.py", 3, "lru_cache"), ("m.py", 4, "lru_cache"),
+        ("m.py", 10, "cache")]

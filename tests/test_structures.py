@@ -173,7 +173,7 @@ def test_spinlock_roundtrip_restores_coherence():
 
 def test_fc_request_help_and_collect_cycle():
     shape = fc.stack_shape(2)
-    w = fc.initial_state(shape, ())
+    w = fc.initial_state(shape)
     coherent = fc.coherent_for(shape)
     assert coherent(w)
 
@@ -222,7 +222,7 @@ def test_fc_transitions_take_no_request_but_push():
         return SubjState(w.self_, w.joint.set(fc.LB, (Heap(jh.set(shape.slots[0], request)), gp)),
                          w.other)
 
-    w = fc.initial_state(shape, ())
+    w = fc.initial_state(shape)
     assert req(w, publish(w, Req("push", "u")))
     assert not req(w, publish(w, Req("pop", "u")))
 
