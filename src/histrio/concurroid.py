@@ -2,18 +2,22 @@
 
 A concurroid is a quadruple of labels, a coherence predicate (the set of
 admissible states), internal transitions, and paired acquire/release
-external transitions used for heap ownership transfer.  The metatheory
-obligations — guarantee, locality, footprint discipline, fork-join
-closure, and rely-as-transposed-guarantee — are implemented here as
-sampled property checks, and ``entangle`` builds the composite systems
-the scenarios run under.
+external transitions used for heap ownership transfer.  Its labels and
+coherence come from one map, ``homes``, from each label to the coherence
+of a state over that label alone: a state is coherent when it carries
+exactly those labels, each label's part is coherent, and its heaps are
+disjoint.  So entangling two concurroids merges their maps.  The
+metatheory obligations — guarantee, locality, footprint discipline,
+fork-join closure, and rely-as-transposed-guarantee — are implemented
+here as sampled property checks, and ``entangle`` builds the composite
+systems the scenarios run under.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .fmap import EMPTY_MAP, FrozenMap
 from .pcm import Heap
@@ -21,7 +25,9 @@ from .state import (
     EMPTY_STATE,
     StateError,
     SubjState,
+    coherent_at,
     flatten,
+    has_labels,
     realign_acquire,
     realign_release,
     transpose,
@@ -62,13 +68,28 @@ def identity_transition(sample_state=None) -> Transition:
 
 @dataclass
 class Concurroid:
+    """``homes`` maps each label to its coherence body, which judges a valid
+    state over exactly that label (see ``state.coherent_at``); ``labels``
+    are its keys."""
+
     name: str
-    labels: frozenset
-    coherent: Callable[[SubjState], bool]
+    homes: dict[str, Callable[[SubjState], Any]]
     internals: dict[str, Transition]
     externals: list[tuple[Optional[Transition], Optional[Transition]]]
     sample_state: Optional[Callable[[random.Random], SubjState]] = None
     sample_frame: Optional[Callable[[random.Random], FrozenMap]] = None
+    labels: frozenset = field(init=False)
+
+    def __post_init__(self):
+        self.labels = frozenset(self.homes)
+
+    def coherent(self, w: SubjState) -> bool:
+        if not has_labels(w, self.labels):
+            return False
+        for label, body in self.homes.items():
+            if not coherent_at(w, label, body):
+                return False
+        return flatten(w) is not None
 
     def find(self, name: str) -> Optional[Transition]:
         t = self.internals.get(name)
@@ -351,24 +372,13 @@ def _exchange(alpha: Transition, a_labels, rho: Transition, r_labels) -> Transit
 def entangle(u: Concurroid, v: Concurroid) -> Concurroid:
     """``u ⋊ v``: compose two concurroids over disjoint labels.
 
-    Internal transitions let either side step while the other is idle,
-    plus every heap-exchange interconnection between an acquire of one
-    side and a release of the other.  The externals of ``u`` stay open;
-    those of ``v`` are shut down.
+    Each side's coherence governs its own labels.  Internal transitions
+    let either side step while the other is idle, plus every heap-exchange
+    interconnection between an acquire of one side and a release of the
+    other.  The externals of ``u`` stay open; those of ``v`` are shut down.
     """
     if u.labels & v.labels:
         raise ValueError(f"label overlap: {u.labels & v.labels}")
-    labels = u.labels | v.labels
-
-    def coherent(w: SubjState) -> bool:
-        if set(w.labels()) != labels:
-            return False
-        return (
-            u.coherent(w.restrict(u.labels))
-            and v.coherent(w.restrict(v.labels))
-            and flatten(w) is not None
-        )
-
     internals: dict[str, Transition] = {}
     for name, t in u.internals.items():
         internals[name] = _lift_internal(t, u.labels, v.labels)
@@ -412,8 +422,7 @@ def entangle(u: Concurroid, v: Concurroid) -> Concurroid:
 
     return Concurroid(
         name=f"{u.name}><{v.name}",
-        labels=labels,
-        coherent=coherent,
+        homes={**u.homes, **v.homes},
         internals=internals,
         externals=externals,
         sample_state=sample_state,
@@ -429,8 +438,7 @@ def empty_concurroid() -> Concurroid:
     ident = identity_transition(sample_state)
     return Concurroid(
         name="empty",
-        labels=frozenset(),
-        coherent=lambda w: w == EMPTY_STATE,
+        homes={},
         internals={"id": ident},
         externals=[],
         sample_state=sample_state,

@@ -51,21 +51,19 @@ class Loc:
 NULL = Loc(0)
 
 
-class _Undef:
-    """Contents of an allocated-but-unwritten cell."""
+class Sentinel:
+    """A marker value, equal only to itself, that renders as ``text``."""
 
-    _inst = None
+    __slots__ = ("text",)
 
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
+    def __init__(self, text: str):
+        self.text = text
 
     def __repr__(self):
-        return "?"
+        return self.text
 
 
-UNDEF = _Undef()
+UNDEF = Sentinel("?")  # contents of an allocated-but-unwritten cell
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -89,19 +87,7 @@ class Resp:
         return f"Resp({self.val!r})"
 
 
-class _Init:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "Init"
-
-
-INIT = _Init()
+INIT = Sentinel("Init")  # a publication-array slot with no request
 
 # Optional results use a small tagged encoding so they stay hashable and
 # render deterministically in traces.
@@ -132,10 +118,6 @@ class Heap(FrozenMap):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}->{v!r}" for k, v in self.sorted_items())
         return "{" + inner + "}"
-
-    @staticmethod
-    def of(**kwargs) -> "Heap":
-        raise TypeError("use Heap({loc: value}) with Loc keys")
 
 
 EMPTY_HEAP = Heap()

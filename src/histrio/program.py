@@ -17,6 +17,7 @@ import itertools
 from typing import Any, Callable, Optional
 
 from .fmap import EMPTY_MAP, FrozenMap
+from .pcm import Sentinel
 
 Env = FrozenMap
 
@@ -49,19 +50,7 @@ def const(v) -> Ret:
     return Ret(lambda env, _v=v: _v)
 
 
-class _LoopRetry:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "<retry>"
-
-
-LOOP_RETRY = _LoopRetry()
+LOOP_RETRY = Sentinel("<retry>")
 RETRY = Ret(lambda env: LOOP_RETRY)
 
 

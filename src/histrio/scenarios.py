@@ -219,7 +219,7 @@ def make_treiber_phi(init_contents: tuple) -> PhiSpec:
             return False
         if w.other[tb.LB] != Hist(STACK):
             return False
-        return tb.coherent(w)
+        return conc.coherent(w)
 
     def recover(w: SubjState) -> Optional[Hist]:
         hs = w.self_[tb.LB]
@@ -238,7 +238,6 @@ def make_treiber_phi(init_contents: tuple) -> PhiSpec:
 
     return PhiSpec(
         name="stack-phi",
-        labels=tb.HOME,
         conc=conc,
         g0=Hist(STACK),
         erase=erase,

@@ -70,12 +70,12 @@ values over and over: an action's safety predicate, post-state coherence,
 transition membership and the step invariants all parse the same joint
 and decide the same coherence.  So each run of ``explore`` or
 ``_run_schedule`` also installs a fact table (``state.fact_table``),
-beside ``_Ctx.values``, that lives only for the run.  It holds each
-structure's single-label coherence, keyed on the label's self, joint and
-other components (and the flat combiner's size), and the flat-combiner
-and Treiber joint parses, keyed on the joint.  No fact outlives its run,
-so a later run, or a test that swaps a structure's function, decides
-every fact afresh; outside a run nothing is remembered.
+beside ``_Ctx.values``, that lives only for the run.  It holds the
+coherence of each label a concurroid governs, keyed on the label's
+coherence body and its self, joint and other components, and the
+flat-combiner and Treiber joint parses, keyed on the joint.  No fact
+outlives its run, so a later run, or a test that swaps a structure's
+function, decides every fact afresh; outside a run nothing is remembered.
 
 Configurations, tree nodes and continuation frames are values, so the
 memos may hold them as keys: nothing changes one once it is built, except
@@ -307,7 +307,6 @@ class PhiSpec:
     """
 
     name: str
-    labels: frozenset
     conc: Concurroid
     g0: Any
     erase: Callable[[Any], Heap]
@@ -329,7 +328,7 @@ def check_phi(phi: PhiSpec, n: int, rng: random.Random) -> CheckReport:
             continue
         if not phi.conc.coherent(w):
             rep.add(f"member of Phi({render(g)}) incoherent")
-        for lbl in phi.labels:
+        for lbl in phi.conc.labels:
             if w.other[lbl] != unit_like(w.other[lbl]):
                 rep.add("member has non-unit environment component")
         drawn.append((g, w))
@@ -654,17 +653,14 @@ def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
     pv2 = Heap({loc: v for loc, v in pv_self.items() if loc not in k})
     self_frag, joint_frag = phi.install(phi.g0, k)
     inner = node.entangled_with(cfg.conc)
-    self2 = leaf.self_.set("pv", pv2)
-    other2 = cfg.root_other
-    for lbl in phi.labels:
+    self2, joint2, other2 = leaf.self_.set("pv", pv2), cfg.joint, cfg.root_other
+    for lbl in phi.conc.labels:
         self2 = self2.set(lbl, self_frag[lbl])
-        other2 = other2.set(lbl, unit_like(self_frag[lbl]))
-    joint2 = cfg.joint
-    for lbl in phi.labels:
         joint2 = joint2.set(lbl, joint_frag[lbl])
+        other2 = other2.set(lbl, unit_like(self_frag[lbl]))
     nxt = Leaf(leaf.tid, node.body, leaf.env, leaf.kont + (HideK(phi, cfg.conc),), self2)
     cfg2 = Config(nxt, joint2, other2, inner, cfg.next_loc, cfg.next_tid)
-    hidden = leaf_view(cfg2, nxt, ctx.others).restrict(phi.labels)
+    hidden = leaf_view(cfg2, nxt, ctx.others).restrict(phi.conc.labels)
     if not phi.membership(phi.g0, hidden):
         ctx.report("hide:install", f"Phi({render(phi.g0)})", hidden.render(), leaf.tid)
     return cfg2
@@ -672,11 +668,11 @@ def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
 
 def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _Ctx) -> Config:
     phi = frame.phi
+    labels = phi.conc.labels
     if not isinstance(cfg.tree, Leaf):
         raise SchedulerError("hide exit requires a solo thread")
-    w = leaf_view(cfg, leaf, ctx.others)
-    hidden = w.restrict(phi.labels)
-    for lbl in phi.labels:
+    hidden = leaf_view(cfg, leaf, ctx.others).restrict(labels)
+    for lbl in labels:
         if hidden.other[lbl] != unit_like(hidden.other[lbl]):
             ctx.report("hide:exit", "unit environment component",
                        render(hidden.other[lbl]), leaf.tid)
@@ -691,10 +687,10 @@ def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _
     pv_self = leaf.self_["pv"].merge_disjoint(back)
     if pv_self is None:
         raise SchedulerError("hide exit: returned heap overlaps private heap")
-    self2 = leaf.self_.without(phi.labels).set("pv", Heap(pv_self))
+    self2 = leaf.self_.without(labels).set("pv", Heap(pv_self))
     nxt = Leaf(leaf.tid, None, leaf.env, rest, self2, RUN, value)
-    return Config(nxt, cfg.joint.without(phi.labels),
-                  cfg.root_other.without(phi.labels), frame.outer,
+    return Config(nxt, cfg.joint.without(labels),
+                  cfg.root_other.without(labels), frame.outer,
                   cfg.next_loc, cfg.next_tid)
 
 

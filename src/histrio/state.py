@@ -20,14 +20,16 @@ once.  It is a slotted, unfrozen dataclass, since a frozen one pays an
 A structure's coherence and the parse of its joint are pure facts of a
 few component values, and one run decides the same ones over and over.
 So each run of the explorer installs a fact table (``fact_table``) that
-lives only as long as the run: ``recall`` and ``home_fact`` decide a fact
-once per run and key it on exactly the values it reads.  Outside a run
-there is no table, and they compute every time.  The table keys on
-equality, and map classes compare exactly, but cells compare with ``==``:
-``Heap({LK: 1}) == Heap({LK: True})``, yet a lock's coherence accepts
-only the second.  So the table, like the explorer's step and transition
-memos, relies on no action storing such a twin; no shipped action does,
-since every lock write is ``True`` or ``False``.
+lives only as long as the run: ``recall`` and ``coherent_at`` decide a
+fact once per run and key it on the function that decides it and exactly
+the values it reads, for a coherence its body and the label's self, joint
+and other components.  Outside a run there is no table, and they compute
+every time.  The table keys on equality, and map classes compare exactly,
+but cells compare with ``==``: ``Heap({LK: 1}) == Heap({LK: True})``, yet
+a lock's coherence accepts only the second.  So the table, like the
+explorer's step and transition memos, relies on no action storing such a
+twin; no shipped action does, since every lock write is ``True`` or
+``False``.
 """
 
 from __future__ import annotations
@@ -182,25 +184,30 @@ def recall(key, compute, *args):
     return value
 
 
-def home_fact(key, w: SubjState, label, decide, *args):
-    """``decide(w', *args)``, where ``w'`` is ``w`` cut down to ``label``:
-    a fact of the label's self, joint and other components alone.  The
-    run's fact table keeps it under ``key`` and those three components,
-    so a state that repeats them is not cut down again."""
+def coherent_at(w: SubjState, label, body):
+    """``body(w')``, where ``w'`` is ``w`` cut down to ``label`` and valid: a
+    fact of the label's self, joint and other components alone, or ``None``
+    when ``w`` has no ``label`` or ``w'`` is not valid.  The run's fact
+    table keeps it under ``body`` and those three components, so a state
+    that repeats them is not cut down again."""
+    s = w.self_.get(label, _UNSET)
+    if s is _UNSET:
+        return None
     table = _FACTS.get()
     if table is None:
-        return decide(_home(w, label), *args)
-    full = (key, w.self_.get(label, _UNSET), w.joint.get(label, _UNSET),
-            w.other.get(label, _UNSET))
-    value = table.get(full, _UNSET)
+        return _decide(w, label, body)
+    key = (body, s, w.joint.get(label, _UNSET), w.other.get(label, _UNSET))
+    value = table.get(key, _UNSET)
     if value is _UNSET:
-        value = table[full] = decide(_home(w, label), *args)
+        value = table[key] = _decide(w, label, body)
     return value
 
 
-def _home(w: SubjState, label) -> SubjState:
+def _decide(w: SubjState, label, body):
     home = {label}
-    return w if has_labels(w, home) else w.restrict(home)
+    if not has_labels(w, home):
+        w = w.restrict(home)
+    return body(w) if validate(w) else None
 
 
 def has_labels(w: SubjState, labels) -> bool:

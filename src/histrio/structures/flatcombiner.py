@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from operator import ne
-from typing import Optional
+from typing import Callable, Optional
 
 from ..actions import ActionFamily, AtomicAction, Read, Rmw, Write, cas
 from ..concurroid import Concurroid, Transition, entangle, identity_transition
@@ -49,7 +50,7 @@ from ..pcm import (
     unit_like,
 )
 from ..program import ActN, IfN, InjectN, LoopN, Ret, RETRY, SpecedN, const, do
-from ..state import SubjState, has_labels, home_fact, recall, validate
+from ..state import SubjState, coherent_at, recall
 from . import private_heap as pv
 from . import treiber as tb
 
@@ -70,15 +71,19 @@ class FcShape:
 
     ``slots`` (the publication-array cells) and ``skip`` (those cells plus
     the lock bit: the joint heap's non-resource part) follow from ``n``.
+    ``home`` is the coherence body of ``LB`` for this shape, one object per
+    shape, so that a run's fact table finds its facts again.
     """
 
     n: int
     slots: tuple = field(init=False, repr=False)
     skip: frozenset = field(init=False, repr=False)
+    home: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.slots = tuple(Loc(AP_BASE + i) for i in range(self.n))
         self.skip = frozenset(self.slots) | {LK}
+        self.home = partial(_coherent_parse, shape=self)
 
 
 def parse_fc(shape: FcShape, jv) -> Optional[tuple]:
@@ -124,10 +129,8 @@ def total_aux(shape: FcShape, w: SubjState, gp: Optional[tuple] = None) -> Optio
 
 
 def _coherent_parse(w: SubjState, shape: FcShape) -> Optional[tuple]:
-    """``parse_fc`` of the joint when ``w``, a state over exactly ``{LB}``,
-    is coherent, else ``None``."""
-    if not validate(w):
-        return None
+    """``parse_fc`` of the joint when ``w``, a valid state over exactly
+    ``{LB}``, is coherent, else ``None``."""
     s, o = w.self_[LB], w.other[LB]
     if not (isinstance(s, Triple) and isinstance(o, Triple)):
         return None
@@ -149,13 +152,6 @@ def _coherent_parse(w: SubjState, shape: FcShape) -> Optional[tuple]:
     else:
         ok = mx is NOT_OWN and seq_stack_inv(g_all, hr)
     return parsed if ok else None
-
-
-def coherent_for(shape: FcShape):
-    def coherent(w: SubjState) -> bool:
-        return has_labels(w, HOME) and _safe_home(shape, w) is not None
-
-    return coherent
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +292,11 @@ def _unlock_member(shape: FcShape):
 # Actions
 # ---------------------------------------------------------------------------
 
-def _safe_home(shape: FcShape, w: SubjState) -> Optional[tuple]:
-    """The parsed joint when ``w``'s home part is coherent, else ``None``.
-
-    The fact is keyed on the shape's size ``n``, which fixes the shape; the
-    other structures key their coherence on their label."""
-    if LB not in w.self_:
-        return None
-    return home_fact(shape.n, w, LB, _coherent_parse, shape)
-
-
 def req_help(shape: FcShape, tid: int, arg) -> AtomicAction:
     cell = shape.slots[tid]
 
     def safe(w):
-        parsed = _safe_home(shape, w)
+        parsed = coherent_at(w, LB, shape.home)
         return parsed is not None and tid in w.self_[LB].ids.ids and parsed[1][tid] is INIT
 
     def step(w, ctx):
@@ -332,14 +318,14 @@ def read_req(shape: FcShape, i: int) -> AtomicAction:
         return w, jh[cell], ctx
 
     return AtomicAction(
-        f"readReq({i})", HOME, lambda w: _safe_home(shape, w) is not None, step, "id",
-        Read(cell),
+        f"readReq({i})", HOME, lambda w: coherent_at(w, LB, shape.home) is not None,
+        step, "id", Read(cell),
     )
 
 
 def fc_trylock(shape: FcShape) -> AtomicAction:
     def safe(w):
-        return _safe_home(shape, w) is not None and pv.safe_home(w)
+        return coherent_at(w, LB, shape.home) is not None and pv.safe_home(w)
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
@@ -369,7 +355,7 @@ def do_help(shape: FcShape, i: int, result, arg) -> AtomicAction:
     cell = shape.slots[i]
 
     def safe(w):
-        parsed = _safe_home(shape, w)
+        parsed = coherent_at(w, LB, shape.home)
         if parsed is None or w.self_[LB].mx is not OWN:
             return False
         _, slots, _, gp = parsed
@@ -433,7 +419,7 @@ def try_collect(shape: FcShape, tid: int) -> AtomicAction:
     cell = shape.slots[tid]
 
     def safe(w):
-        return _safe_home(shape, w) is not None and tid in w.self_[LB].ids.ids
+        return coherent_at(w, LB, shape.home) is not None and tid in w.self_[LB].ids.ids
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
@@ -566,7 +552,7 @@ def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
     remaining = [t for t in entries if t not in taken]
     mine = {t: entries[t] for t in remaining if rng.random() < 0.5}
     rest = {t: entries[t] for t in remaining if t not in mine}
-    ids = set(range(shape.n)) | set(rng.sample(range(shape.n, shape.n + 3), rng.randint(0, 2)))
+    ids = frozenset(range(shape.n)) | set(rng.sample(range(shape.n, shape.n + 3), rng.randint(0, 2)))
     mine_ids = frozenset(i for i in ids if rng.random() < 0.6)
     locked = rng.random() < 0.35
     cells = {LK: locked, **dict(zip(shape.slots, slots))}
@@ -696,8 +682,7 @@ def concurroid(shape: FcShape) -> Concurroid:
     rho = Transition("fc.lock", "release", _lock_member(shape), lock_sampler)
     return Concurroid(
         name="flat-combiner",
-        labels=HOME,
-        coherent=coherent_for(shape),
+        homes={LB: shape.home},
         internals={
             "id": identity_transition(state_sampler),
             "fc.req": req_t,

@@ -24,20 +24,14 @@ from ..actions import (
 from ..concurroid import Concurroid, Transition, identity_transition
 from ..fmap import FrozenMap
 from ..pcm import EMPTY_HEAP, UNDEF, Heap, Loc
-from ..state import SubjState, has_labels, home_fact, validate
+from ..state import SubjState, coherent_at
 
 LB = "pv"
 HOME = frozenset([LB])
 
 
-def coherent(w: SubjState) -> bool:
-    return has_labels(w, HOME) and safe_home(w)
-
-
 def _coherent(w: SubjState) -> bool:
-    """Coherence of a state over exactly ``{LB}``."""
-    if not validate(w):
-        return False
+    """Coherence of a valid state over exactly ``{LB}``."""
     return (
         isinstance(w.self_[LB], Heap)
         and isinstance(w.other[LB], Heap)
@@ -69,7 +63,7 @@ def _release_member(w, w2, h: Heap) -> bool:
 
 def safe_home(w: SubjState) -> bool:
     """``w``'s private-heap part is coherent."""
-    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
+    return coherent_at(w, LB, _coherent)
 
 
 def _owns(w: SubjState, loc: Loc) -> bool:
@@ -193,8 +187,7 @@ def concurroid() -> Concurroid:
     rel = Transition("pv.release", "release", _release_member, rel_sampler)
     return Concurroid(
         name="private-heaps",
-        labels=HOME,
-        coherent=coherent,
+        homes={LB: _coherent},
         internals={"id": identity_transition(sample_state), "pv.write": wr},
         externals=[(acq, rel)],
         sample_state=sample_state,

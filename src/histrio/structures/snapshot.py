@@ -20,7 +20,7 @@ from ..fmap import FrozenMap
 from ..history import fresh, is_continuous, last_stamp, lookup_end
 from ..pcm import SNAPSHOT, Heap, Hist, Loc, join
 from ..program import ActN, IfN, LoopN, Ret, RETRY, SpecedN, const, do
-from ..state import SubjState, has_labels, home_fact, validate
+from ..state import SubjState, coherent_at
 
 LB = "sp"
 X = Loc(1001)
@@ -54,14 +54,8 @@ def versions_ok(total: Hist) -> bool:
     return True
 
 
-def coherent(w: SubjState) -> bool:
-    return has_labels(w, HOME) and _safe_home(w)
-
-
 def _coherent(w: SubjState) -> bool:
-    """Coherence of a state over exactly ``{LB}``."""
-    if not validate(w):
-        return False
+    """Coherence of a valid state over exactly ``{LB}``."""
     parsed = _parse_joint(w.joint[LB])
     if parsed is None:
         return False
@@ -111,7 +105,7 @@ def _write_member(which: str):
 # ---------------------------------------------------------------------------
 
 def _safe_home(w: SubjState) -> bool:
-    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
+    return coherent_at(w, LB, _coherent)
 
 
 def read_x() -> AtomicAction:
@@ -241,8 +235,7 @@ def concurroid() -> Concurroid:
     wr_y = Transition("wr_y", "internal", _write_member("y"), _write_sampler("y"))
     return Concurroid(
         name="pair-snapshot",
-        labels=HOME,
-        coherent=coherent,
+        homes={LB: _coherent},
         internals={"id": identity_transition(sample_state), "wr_x": wr_x, "wr_y": wr_y},
         externals=[],
         sample_state=sample_state,

@@ -32,13 +32,12 @@ from ..pcm import (
     Triple,
     join,
 )
-from ..state import SubjState, has_labels, home_fact, validate
+from ..state import SubjState, coherent_at
 from . import private_heap as pv
 
 LB = "lk"
 LK = Loc(4001)
 REG = Loc(4002)
-HOME = frozenset([LB])
 LOCK_HOME = frozenset([LB, pv.LB])
 
 
@@ -60,14 +59,8 @@ def _views(w: SubjState):
     return s, o
 
 
-def coherent(w: SubjState) -> bool:
-    return has_labels(w, HOME) and _safe_home(w)
-
-
 def _coherent(w: SubjState) -> bool:
-    """Coherence of a state over exactly ``{LB}``."""
-    if not validate(w):
-        return False
+    """Coherence of a valid state over exactly ``{LB}``."""
     vs = _views(w)
     if vs is None:
         return False
@@ -124,7 +117,7 @@ def _give_back_member(w, w2, h: Heap) -> bool:
 # ---------------------------------------------------------------------------
 
 def _safe_home(w: SubjState) -> bool:
-    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
+    return coherent_at(w, LB, _coherent)
 
 
 def trylock() -> AtomicAction:
@@ -243,8 +236,7 @@ def concurroid() -> Concurroid:
     take = Transition("lk.lock", "release", _take_member, take_sampler)
     return Concurroid(
         name="spin-lock",
-        labels=HOME,
-        coherent=coherent,
+        homes={LB: _coherent},
         internals={"id": identity_transition(sample_state)},
         externals=[(give_back, take)],
         sample_state=sample_state,

@@ -23,7 +23,7 @@ from ..fmap import FrozenMap
 from ..history import fresh, is_complete, is_continuous, is_stacklike, last_stamp, lookup_end
 from ..pcm import NONE, NULL, SOME, STACK, Heap, Hist, Loc, join
 from ..program import ActN, IfN, LoopN, Ret, RETRY, SpecedN, const, do, InjectN
-from ..state import SubjState, has_labels, home_fact, recall, validate
+from ..state import SubjState, coherent_at, recall
 from . import private_heap as pv
 
 LB = "tb"
@@ -61,14 +61,8 @@ def _parse_stack(jh: Heap, snt: Loc) -> Optional[tuple]:
     return p, tuple(contents), Heap(cells), Heap(grb)
 
 
-def coherent(w: SubjState) -> bool:
-    return has_labels(w, HOME) and _safe_home(w)
-
-
 def _coherent(w: SubjState) -> bool:
-    """Coherence of a state over exactly ``{LB}``."""
-    if not validate(w):
-        return False
+    """Coherence of a valid state over exactly ``{LB}``."""
     parsed = parse_stack(w.joint[LB])
     if parsed is None:
         return False
@@ -132,7 +126,7 @@ def _push_member(w: SubjState, w2: SubjState, h: Heap) -> bool:
 # ---------------------------------------------------------------------------
 
 def _safe_home(w: SubjState) -> bool:
-    return LB in w.self_ and home_fact(LB, w, LB, _coherent)
+    return coherent_at(w, LB, _coherent)
 
 
 def read_sentinel() -> AtomicAction:
@@ -328,8 +322,7 @@ def concurroid() -> Concurroid:
     push_t = Transition("tb.push", "acquire", _push_member, _push_sampler)
     return Concurroid(
         name="treiber",
-        labels=HOME,
-        coherent=coherent,
+        homes={LB: _coherent},
         internals={"id": identity_transition(sample_state), "tb.pop": pop_t},
         externals=[(push_t, None)],
         sample_state=sample_state,

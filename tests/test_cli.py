@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from histrio.cli import main
+from histrio.state import fact_table
 
 RUN = [sys.executable, "-m", "histrio.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -267,3 +268,17 @@ def test_concurroid_check_reports_the_paper_laws(tmp_path):
         ("exchange-law", "private-heaps><pair-snapshot><treiber"),
     ]
     assert all(r["ok"] and r["samples"] > 0 for r in laws)
+
+
+@pytest.mark.parametrize("suite", ["concurroid-check", "action-check"])
+def test_a_fact_table_leaves_the_suite_reports_as_they_are(suite, capsys):
+    # the suites run outside any run, with no fact table; one installed
+    # around them must change no row, law or count of the report
+    args = ["--scenario", suite, "--samples", "40", "--no-meta"]
+    assert main(args) == 0
+    bare = capsys.readouterr().out
+    with fact_table():
+        assert main(args) == 0
+    remembered = capsys.readouterr().out
+    assert json.loads(bare)["stats"]["checks"] > 50
+    assert remembered == bare

@@ -1,7 +1,9 @@
 """Concurroid obligations, entanglement, and the constructed failure cases."""
 
 import dataclasses
+import itertools
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -17,7 +19,15 @@ from histrio.concurroid import (
     entangle,
 )
 from histrio.fmap import FrozenMap
-from histrio.state import EMPTY_STATE, SubjState, realign_release
+from histrio.state import (
+    EMPTY_STATE,
+    StateError,
+    SubjState,
+    fact_table,
+    flatten,
+    realign_acquire,
+    realign_release,
+)
 from histrio.structures import flatcombiner as fc
 from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
@@ -91,10 +101,10 @@ def test_footprints_catch_a_leaking_internal_transition():
 
 def test_closure_fails_for_a_self_only_coherence():
     conc = pv.concurroid()
+    body = conc.homes[pv.LB]
     broken = type(conc)(
         name="broken",
-        labels=conc.labels,
-        coherent=lambda w: pv.coherent(w) and len(w.self_[pv.LB]) == 0,
+        homes={pv.LB: lambda w: body(w) and len(w.self_[pv.LB]) == 0},
         internals=conc.internals,
         externals=conc.externals,
         sample_state=lambda rng: pv.initial_state(),
@@ -109,6 +119,36 @@ def test_entangle_requires_disjoint_labels():
         entangle(pv.concurroid(), pv.concurroid())
 
 
+def _entangled_coherence(u, v, w) -> bool:
+    """The coherence of ``u ⋊ v`` by its definition: each side's coherence
+    on its own labels, and disjoint heaps overall."""
+    return (
+        set(w.labels()) == u.labels | v.labels
+        and u.coherent(w.restrict(u.labels))
+        and v.coherent(w.restrict(v.labels))
+        and flatten(w) is not None
+    )
+
+
+def _perturbed(ent, w, rng) -> list:
+    """``w``, ``w`` without each of its labels, ``w`` realigned with a
+    sampled frame on either side, and ``w`` with a private cell that
+    overlaps a cell of another label's joint."""
+    out = [w] + [w.restrict(ent.labels - {lbl}) for lbl in sorted(ent.labels)]
+    f = ent.sample_frame(rng)
+    for realign in (realign_acquire, realign_release):
+        try:
+            out.append(realign(w, f))
+        except StateError:
+            pass
+    shared = flatten(w.restrict(ent.labels - {pv.LB}))
+    if shared:
+        loc = min(shared.keys())
+        mine = pv.Heap(w.self_[pv.LB].set(loc, 0))
+        out.append(SubjState(w.self_.set(pv.LB, mine), w.joint, w.other))
+    return out
+
+
 def test_entangle_labels_and_coherence():
     ent = entangle(pv.concurroid(), sp.concurroid())
     assert ent.labels == {"pv", "sp"}
@@ -117,6 +157,25 @@ def test_entangle_labels_and_coherence():
         w = ent.sample_state(rng)
         assert ent.coherent(w)
         assert not ent.coherent(w.restrict({"pv"}))
+    # on sampled and perturbed states, with and without a fact table, the
+    # coherence of u ⋊ v is its definition
+    sides = [
+        (pv.concurroid(), tb.concurroid()),
+        (pv.concurroid(), sp.concurroid()),
+        (pv.concurroid(), lk.concurroid()),
+        (pv.concurroid(), fc.concurroid(fc.stack_shape(3))),
+        (entangle(pv.concurroid(), sp.concurroid()), tb.concurroid()),
+    ]
+    for (u, v), facts in itertools.product(sides, (nullcontext, fact_table)):
+        ent = entangle(u, v)
+        verdicts = []
+        with facts():
+            for _ in range(30):
+                for w in _perturbed(ent, ent.sample_state(rng), rng):
+                    verdict = ent.coherent(w)
+                    assert verdict == _entangled_coherence(u, v, w), (ent.name, w.render())
+                    verdicts.append(verdict)
+        assert True in verdicts and False in verdicts, ent.name
 
 
 def test_entangle_lifts_transitions_with_idle_frames():
@@ -147,7 +206,7 @@ def test_empty_concurroid_is_the_unit():
     rng = random.Random(7)
     ent = entangle(tb.concurroid(), e)
     assert behaviorally_equal("unit-law", ent, tb.concurroid(), 40, rng).ok
-    never = dataclasses.replace(tb.concurroid(), coherent=lambda w: False)
+    never = dataclasses.replace(tb.concurroid(), homes={tb.LB: lambda w: False})
     rep = behaviorally_equal("unit-law", ent, never, 10, rng)
     assert not rep.ok and rep.violations[0].startswith("coherence differs")
 

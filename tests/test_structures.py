@@ -1,5 +1,7 @@
 """Structure-level behaviors: transitions, actions, parsing, coherence."""
 
+import random
+
 from histrio.actions import StepCtx, run_atomic
 from histrio.fmap import FrozenMap
 from histrio.history import lookup_end
@@ -36,7 +38,7 @@ def test_snapshot_write_bumps_version_and_records_history():
     delta = {t: e for t, e in w2.self_[sp.LB].entries.items()
              if t not in w.self_[sp.LB].entries}
     assert delta == {1: (("A", "C", 0), ("B", "C", 1))}
-    assert sp.coherent(w2)
+    assert sp.concurroid().coherent(w2)
 
 
 def test_snapshot_write_y_keeps_x_version_in_the_event():
@@ -174,7 +176,7 @@ def test_spinlock_roundtrip_restores_coherence():
 def test_fc_request_help_and_collect_cycle():
     shape = fc.stack_shape(2)
     w = fc.initial_state(shape)
-    coherent = fc.coherent_for(shape)
+    coherent = fc.concurroid(shape).coherent
     assert coherent(w)
 
     w1, _, _ = run_atomic(fc.req_help(shape, 0, "u"), w, StepCtx(1))
@@ -242,3 +244,11 @@ def test_fc_stack_instantiation_validity_predicates():
     assert fc.f_spec_push("b", (), g, delta)
     assert not fc.f_spec_push("z", (), g, delta)
     assert not fc.f_spec_push("b", (), g, Hist.of(STACK, {5: (("a",), ("b", "a"))}))
+
+
+def test_fc_sampled_states_are_hashable():
+    shape, rng = fc.stack_shape(3), random.Random(0)
+    for _ in range(20):
+        w = fc.sample_state(shape, rng)
+        assert {type(m[fc.LB].ids.ids) for m in (w.self_, w.other)} == {frozenset}
+        assert hash(w) == hash(SubjState(w.self_, w.joint, w.other))
