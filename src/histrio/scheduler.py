@@ -49,15 +49,21 @@ of administrative reductions, spec captures and posts included, reads
 only its leaf, the leaf's view and the loop bound, and stops at the leaf
 where ``normalize`` splices it in or restructures the tree.  A step
 leaves its own thread's ``other`` as it was, so the run after a step
-takes it from the step's view.  Only ``explore`` remembers local runs: a
-random run or a replay follows one schedule, along which an equal run
+takes it from the step's view.  A move, a step with the run after it,
+then reads only the leaf, the joint map, the thread's ``other``, the
+concurroid and the next fresh location, and ``explore`` remembers each
+move whole (``_Ctx.moves``): where one recurs, its stop leaf is spliced
+in with no action, state, event or leaf built and no second lookup.  The
+runs after a fork, join or hide are remembered in the same table, keyed
+on the leaf and its view.  Only ``explore`` remembers moves and runs: a
+random run or a replay follows one schedule, along which an equal one
 does not recur.  A join of two finished threads reads only their fork
-and their views.  A run or join that reported a violation is run again
-wherever it recurs, as a failed step is.
+and their views.  A move, run or join that reported a violation is run
+again wherever it recurs, as a failed step is.
 
 Equal memo entries are kept as one object (hash-consing), through one
 table per run (``_Ctx.values``): each distinct self or joint map a step
-produced, each distinct leaf the run memo holds, in its keys and its
+produced, each distinct leaf the move memo holds, in its keys and its
 values, and each distinct (summary, height) entry ``explore`` remembers.
 Equal maps and leaves then share one object, and an equal leaf one
 environment, continuation and cached hash, so memo hits mostly compare
@@ -438,7 +444,7 @@ class ExplorationReport:
     edges: int = 0
     steps_run: int = 0  # edges whose action ran, not remembered
     transitions_checked: int = 0  # steps whose checks ran, not remembered
-    local_runs: int = 0  # thread-local runs driven through _advance, not remembered
+    local_runs: int = 0  # thread-local runs driven, not remembered
 
     @property
     def inconclusive(self) -> int:
@@ -478,13 +484,13 @@ class _Ctx:
     memos of pure reductions."""
 
     def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50,
-                 remember_runs: bool = True):
+                 remember_moves: bool = True):
         self.scenario = scenario
         self.loop_bound = loop_bound
         self.max_violations = max_violations
         self.violations: list[Violation] = []  # the first max_violations
         self.reported = 0  # every violation, recorded or not
-        self.path: list[tuple] = []  # (tid, action, result), rendered on report
+        self.path: list[tuple] = []  # (tid, action name, result), rendered on report
         # step input -> (self, joint, result, next_loc) after a step that
         # passed every check; see step_action
         self.steps: dict = {}
@@ -496,16 +502,18 @@ class _Ctx:
         self.transitions_checked = 0  # _check_step runs
         # (root other, sibling self maps) -> their join; see leaf_view
         self.others: dict = {}
-        # (leaf, joint, other) -> the leaf where its local run stops, for
-        # runs that reported nothing, or None where runs are not remembered;
-        # see _local_run
-        self.runs: Optional[dict] = {} if remember_runs else None
+        # the thread moves and local runs that reported nothing, or None
+        # where none are remembered: (leaf, joint, other, id(conc), next_loc)
+        # -> (stop leaf, joint, next_loc, path entry) for a step with the run
+        # after it (see step_action), and (leaf, joint, other) -> the stop
+        # leaf for a run after a fork, join or hide (see _local_run)
+        self.moves: Optional[dict] = {} if remember_moves else None
         # one object per distinct self or joint map a step produced, leaf the
-        # run memo holds and (summary, height) entry explore remembers: equal
+        # move memo holds and (summary, height) entry explore remembers: equal
         # memo entries share their parts, and memo hits compare them by
         # identity
         self.values: dict = {}
-        self.local_runs = 0  # local runs driven through _advance
+        self.local_runs = 0  # local runs driven through _drive
         # (fork, joint, left other, right other) -> the merged leaf, for
         # joins that reported nothing; see _try_collapse
         self.joins: dict = {}
@@ -654,7 +662,7 @@ def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
     self_frag, joint_frag = phi.install(phi.g0, k)
     inner = node.entangled_with(cfg.conc)
     self2, joint2, other2 = leaf.self_.set("pv", pv2), cfg.joint, cfg.root_other
-    for lbl in phi.conc.labels:
+    for lbl in sorted(phi.conc.labels):
         self2 = self2.set(lbl, self_frag[lbl])
         joint2 = joint2.set(lbl, joint_frag[lbl])
         other2 = other2.set(lbl, unit_like(self_frag[lbl]))
@@ -672,7 +680,7 @@ def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _
     if not isinstance(cfg.tree, Leaf):
         raise SchedulerError("hide exit requires a solo thread")
     hidden = leaf_view(cfg, leaf, ctx.others).restrict(labels)
-    for lbl in labels:
+    for lbl in sorted(labels):
         if hidden.other[lbl] != unit_like(hidden.other[lbl]):
             ctx.report("hide:exit", "unit environment component",
                        render(hidden.other[lbl]), leaf.tid)
@@ -770,7 +778,7 @@ def _first_reducible(tree) -> Optional[Leaf]:
 
 
 def _local_run(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
-    """``_drive``, remembered unless ``ctx`` keeps no run memo.
+    """``_drive``, remembered unless ``ctx`` keeps no move memo.
 
     A local run reads only its leaf, the leaf's view (``joint`` and the
     environment ``other``) and the loop bound (see ``_advance``), so one
@@ -780,10 +788,10 @@ def _local_run(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
     spec post failed is driven again wherever it recurs, so that its report
     carries that path's step index and schedule.
     """
-    runs = ctx.runs
-    if runs is None:
+    moves = ctx.moves
+    if moves is None:
         return _drive(leaf, joint, other, ctx)
-    stop = runs.get((leaf, joint, other))
+    stop = moves.get((leaf, joint, other))
     if stop is not None:
         return stop
     before = ctx.reported
@@ -792,7 +800,24 @@ def _local_run(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
     if ctx.reported == before:
         intern = ctx.values.setdefault
         stop = intern(stop, stop)
-        runs[intern(leaf, leaf), joint, other] = stop
+        moves[intern(leaf, leaf), joint, other] = stop
+    return stop
+
+
+def _move_run(leaf: Leaf, joint, next_loc: int, other, move: tuple, ctx: _Ctx) -> Leaf:
+    """The leaf where the run after a step stops.  ``move`` is
+    ``(key, entry)`` from ``step_action``; where ``ctx`` keeps a move memo
+    and the run reported nothing, the step and its run are remembered under
+    ``key`` as one move, with the stop leaf interned in both."""
+    before = ctx.reported
+    ctx.local_runs += 1
+    stop = _drive(leaf, joint, other, ctx)
+    moves = ctx.moves
+    if moves is not None and ctx.reported == before:
+        key, entry = move
+        intern = ctx.values.setdefault
+        stop = intern(stop, stop)
+        moves[(intern(key[0], key[0]),) + key[1:]] = (stop, joint, next_loc, entry)
     return stop
 
 
@@ -804,18 +829,21 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
     reaches an action or a structural reduction; then the tree is scanned
     again.  Joins wait until no leaf can reduce.
 
-    With ``stepped``, ``(leaf, joint, next_loc, other)`` from
+    With ``stepped``, ``(leaf, joint, next_loc, other, move)`` from
     ``step_action``, ``cfg`` is the normal configuration the step was taken
     in, and the result is the one after the step.  No other leaf of a
     normal configuration can reduce and no fork waits to be joined, so the
     stepped leaf's run comes first; a step changes no sibling's self map
     and not the root map, so the run takes ``other`` from the step's view.
+    A remembered move (``move`` is None) brings its stop leaf, and its run
+    is not driven; otherwise ``_move_run`` drives it, after ``step_action``
+    has put the step on the path, so that a report in the run carries it.
     When the run stops at an action, that one splice finishes the step
     with no scan of the tree.
     """
     if stepped is not None:
-        leaf, joint, next_loc, other = stepped
-        stop = _local_run(leaf, joint, other, ctx)
+        leaf, joint, next_loc, other, move = stepped
+        stop = leaf if move is None else _move_run(leaf, joint, next_loc, other, move, ctx)
         cfg = Config(replace_leaf(cfg.tree, leaf.tid, stop), joint, cfg.root_other,
                      cfg.conc, next_loc, cfg.next_tid)
         if isinstance(stop.node, ActN):
@@ -869,8 +897,7 @@ def _check_step(conc: Concurroid, tid: int, action: AtomicAction, homes: Optiona
         ctx.report("transition", action.claimed, msg, tid)
         ok = False
     if homes is not None:
-        outside = set(w.labels()) - homes
-        for lbl in outside:
+        for lbl in sorted(w.labels() - homes):
             if w2.self_.get(lbl) != w.self_.get(lbl) or w2.joint.get(lbl) != w.joint.get(lbl):
                 ctx.report("inject", f"labels {sorted(homes)} only",
                            f"{action.name} touched {lbl}", tid)
@@ -893,24 +920,40 @@ def _check_step(conc: Concurroid, tid: int, action: AtomicAction, homes: Optiona
 
 
 def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
-    """Fire the leaf's pending action; returns (stepped, event) or None on
-    a violating step.  ``stepped`` is ``(leaf, joint, next_loc, other)``:
-    the thread's leaf after the step, the joint map and next fresh
-    location after it, and the thread's unchanged ``other``, which
+    """Fire the leaf's pending action; returns ``(stepped, event)``, or None
+    on a violating step.  A step that passed its checks is put on
+    ``ctx.path`` as ``(tid, action name, result)``.  ``stepped`` is
+    ``(leaf, joint, next_loc, other, move)``: the thread's leaf after the
+    step, the joint map and next fresh location after it, the thread's
+    unchanged ``other``, and ``(key, path entry)`` of the move, which
     ``normalize`` takes to finish the step in ``cfg``.
 
-    A step whose input passed every check before is not run again: its
-    remembered post-state is reused.  The entry holds only the new self
-    and joint maps, the result and the next location, not states or the
-    action, so the memo does not keep their cached flattenings and
+    A move, the step with the thread-local run after it, reads only the
+    leaf, the joint map, the thread's ``other``, the concurroid and the
+    next fresh location, its key.  One that reported nothing is remembered
+    whole (``_move_run``), and where it recurs ``stepped`` brings the leaf
+    where its run stopped, with ``move`` and ``event`` None: no action,
+    state, event or leaf is built, and the action does not run.
+
+    Otherwise, a step whose input passed every check before is not run
+    again: its remembered post-state is reused.  The entry holds only the
+    new self and joint maps, the result and the next location, not states
+    or the action, so the memo does not keep their cached flattenings and
     closures alive.  The thread id is not part of the input; only
     reports use it.  A step that runs is checked only if its transition
     (concurroid, claimed transition, injected labels and both states) has
     not passed the checks before; a failed check runs again wherever it
     recurs.
     """
-    action: AtomicAction = leaf.node.build(leaf.env)
     w = leaf_view(cfg, leaf, ctx.others)
+    move = (leaf, cfg.joint, w.other, id(cfg.conc), cfg.next_loc)
+    if ctx.moves is not None:
+        hit = ctx.moves.get(move)
+        if hit is not None:
+            stop, joint2, next_loc, entry = hit
+            ctx.path.append(entry)
+            return (stop, joint2, next_loc, w.other, None), None
+    action: AtomicAction = leaf.node.build(leaf.env)
     homes = _active_homes(leaf)
     key = (leaf.node, leaf.env, homes, w.self_, w.joint, w.other, id(cfg.conc), cfg.next_loc)
     hit = ctx.steps.get(key)
@@ -940,7 +983,9 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res)
     event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
                   action.primitive)
-    return (nxt, w2.joint, next_loc, w.other), event
+    entry = (leaf.tid, action.name, res)
+    ctx.path.append(entry)
+    return (nxt, w2.joint, next_loc, w.other, (move, entry)), event
 
 
 def ready_leaves(cfg: Config) -> list[Leaf]:
@@ -1090,9 +1135,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
             if outcome is None:
                 f.add(_FINISHED["violation"], 0)
                 continue
-            stepped, event = outcome
-            ctx.path.append((leaf.tid, event.action, event.result))
-            cfg2 = normalize(f.cfg, ctx, stepped)
+            cfg2 = normalize(f.cfg, ctx, outcome[0])
             if ctx.reported > before:
                 f.add(_FINISHED["violation"], 0)
                 ctx.path.pop()
@@ -1116,8 +1159,8 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 
 
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
-    # one schedule does not revisit a local run, so none is remembered
-    ctx = _Ctx(scenario, loop_bound, remember_runs=False)
+    # one schedule does not revisit a move or local run, so none is remembered
+    ctx = _Ctx(scenario, loop_bound, remember_moves=False)
     events: list[Event] = []
     with fact_table():
         cfg = normalize(initial_config(scenario), ctx)
@@ -1133,7 +1176,6 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
             if outcome is None:
                 break
             stepped, event = outcome
-            ctx.path.append((leaf.tid, event.action, event.result))
             events.append(event)
             cfg = normalize(cfg, ctx, stepped)
             used += 1

@@ -3,7 +3,7 @@
 import random
 
 from histrio.erasure import compare_erased
-from histrio.scheduler import check_phi, explore, run_random
+from histrio.scheduler import check_phi, explore, run_random, run_replay
 from histrio.scenarios import (
     flat_combiner_scenario,
     make_treiber_phi,
@@ -165,9 +165,9 @@ def test_single_thread_flat_combine_serializes_itself():
         assert total == Hist.of(STACK, {0: ((), ()), 1: ((), ("e0",))})
 
 
-def _naive_read_pair_scenario():
-    """A reader that reads x then y with no version re-check, racing two
-    writers."""
+def _naive_read_pair_scenario(writers=2):
+    """A reader that reads x then y with no version re-check, racing two or
+    three writers."""
     from histrio.program import ActN, Ret, do
     from histrio.scenarios import par_chain, split_take
     from histrio.scheduler import Scenario
@@ -183,10 +183,11 @@ def _naive_read_pair_scenario():
     )
     reader = SpecedN(read_pair_spec(), naive_body)
     root = sp.initial_state("A", "C")
+    writer_args = [("B", "D"), ("E", "G"), ("F", "H")][:writers]
     program = par_chain(
-        [reader, sp.writer_program("B", "D"), sp.writer_program("E", "G")],
+        [reader] + [sp.writer_program(x, y) for x, y in writer_args],
         [split_take({sp.LB: Hist(sp.SNAPSHOT)}),
-         split_take({sp.LB: root.self_[sp.LB]})],
+         split_take({sp.LB: root.self_[sp.LB]})] + [split_take({})] * (writers - 2),
     )
     return Scenario("naive-reader", sp.concurroid(), root, program)
 
@@ -201,6 +202,18 @@ def test_naive_read_pair_is_caught_by_the_spec():
     # the counterexample is replayable and small
     v = next(v for v in rep.violations if v.check == "spec:readPair")
     assert len(v.schedule) <= 10
+
+
+def test_every_explored_violation_replays_to_its_check_at_its_step():
+    """Each recorded violation's schedule, replayed, reports the same check
+    at the same step: a path keeps the step whose run failed a spec post."""
+    sc = _naive_read_pair_scenario(writers=3)
+    rep = explore(sc, step_bound=40, loop_bound=3)
+    assert len(rep.violations) == 50
+    for v in rep.violations:
+        replay = run_replay(sc, v.schedule, loop_bound=3)
+        assert (v.check, v.step, v.schedule) in [
+            (r.check, r.step, r.schedule) for r in replay.violations], v.schedule
 
 
 def test_violation_cap_does_not_change_path_counts():

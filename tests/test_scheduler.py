@@ -2,7 +2,11 @@
 
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,7 @@ from histrio.scenarios import (
     split_take,
     treiber_scenario,
 )
+from histrio.specs import MethodSpec
 from histrio.state import SubjState, flatten
 from histrio.structures import flatcombiner as fc
 from histrio.structures import private_heap as pv
@@ -195,6 +200,46 @@ def test_inject_respected_programs_pass():
     assert rep.verdict == "pass"
 
 
+# one action that writes both a private cell and the snapshot's x, injected
+# with no home label: it escapes into pv and sp at once
+_TWO_LABEL_ESCAPE = """
+from histrio.actions import AtomicAction, Skip
+from histrio.concurroid import entangle
+from histrio.pcm import Heap, Loc
+from histrio.program import ActN, InjectN, const, do
+from histrio.scheduler import Scenario, explore
+from histrio.structures import private_heap as pv
+from histrio.structures import snapshot as sp
+
+def both(env):
+    a, b = pv.write(Loc(7), 1), sp.write_x("Z")
+
+    def step(w, ctx):
+        w, _, ctx = a.step(w, ctx)
+        return b.step(w, ctx)
+
+    return AtomicAction("both", a.home | b.home, lambda w: True, step, "id", Skip())
+
+conc = entangle(pv.concurroid(), sp.concurroid())
+root = pv.initial_state(Heap({Loc(7): 0})).merge_disjoint(sp.initial_state())
+prog = do((None, InjectN(ActN(both, "both"), frozenset())), ret=const(()))
+rep = explore(Scenario("escape", conc, root, prog), step_bound=5, loop_bound=3)
+print([v.actual for v in rep.violations if v.check == "inject"])
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_escaped_labels_are_reported_in_label_order_under_any_hash_seed(hash_seed):
+    # the labels outside the injected home form a set of strings, whose
+    # iteration order follows the interpreter's string hash seed
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _TWO_LABEL_ESCAPE], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "['both touched pv', 'both touched sp']"
+
+
 def test_bad_split_directive_is_a_scenario_error():
     root = pv.initial_state(Heap({Loc(1): 0}))
     bad_split = split_take({pv.LB: Heap({Loc(999): 5})})
@@ -292,8 +337,8 @@ def test_inconclusive_paths_are_split_by_cause():
 
 def reference_explore(scenario, step_bound, loop_bound):
     """Every interleaving walked one by one, with no memo of configurations,
-    steps, checked transitions, views, local runs or joins (every step runs
-    its action and checks, and every reduction runs), each step finished by
+    steps, checked transitions, views, moves, local runs or joins (every step
+    runs its action and checks, and every reduction runs), each step finished by
     ``normalize``'s scan of the tree rather than its one splice: the
     complete, inconclusive and violating path counts and the distinct final
     states."""
@@ -319,19 +364,21 @@ def reference_explore(scenario, step_bound, loop_bound):
             return
         for leaf in ready:
             before = ctx.reported
-            for memo in (ctx.steps, ctx.checked, ctx.values, ctx.others, ctx.runs, ctx.joins):
+            for memo in (ctx.steps, ctx.checked, ctx.values, ctx.others, ctx.moves, ctx.joins):
                 memo.clear()
             outcome = step_action(cfg, leaf, ctx)
             if outcome is None:
                 counts["violating"] += 1
                 continue
-            stepped, joint, next_loc, _ = outcome[0]
+            stepped, joint, next_loc, _, move = outcome[0]
+            assert move is not None  # with no memo, the step's run is still to drive
             nxt = normalize(Config(replace_leaf(cfg.tree, leaf.tid, stepped), joint,
                                    cfg.root_other, cfg.conc, next_loc, cfg.next_tid), ctx)
             if ctx.reported > before:
                 counts["violating"] += 1
-                continue
-            walk(nxt, used + 1)
+            else:
+                walk(nxt, used + 1)
+            ctx.path.pop()
 
     walk(normalize(initial_config(scenario), ctx), 0)
     return counts, finals
@@ -525,6 +572,27 @@ def test_a_failing_transition_is_reported_on_every_path_that_takes_it():
     assert (rep.steps_run, rep.transitions_checked) == (3, 3)
 
 
+def test_a_failing_spec_post_is_reported_on_every_path_that_takes_its_step():
+    # thread 0's write, with the run after it that ends its method, is one
+    # move before and after thread 1's read, which changes no state: a move
+    # whose run failed a spec post is not remembered, though its step is
+    root = pv.initial_state(Heap({Loc(100): 0, Loc(200): 0}))
+
+    def unwritten(caps, w, result):
+        return "first cell written" if flatten(w)[Loc(100)] == 1 else None
+
+    spec = MethodSpec("unwritten", lambda w, env: FrozenMap(), unwritten)
+    prog = par_chain([SpecedN(spec, ActN(lambda env: pv.write(Loc(100), 1), "w")),
+                      ActN(lambda env: pv.read(Loc(200)), "r")],
+                     [split_take({pv.LB: Heap({Loc(100): 0})})])
+    rep = explore(Scenario("unwritten", pv.concurroid(), root, prog),
+                  step_bound=5, loop_bound=3)
+    assert [(v.check, v.thread, v.step, v.schedule) for v in rep.violations] == [
+        ("spec:unwritten", 0, 1, (0,)), ("spec:unwritten", 0, 2, (1, 0))]
+    assert (rep.violating, rep.complete) == (2, 0)
+    assert rep.steps_run == 2
+
+
 def _count_spec_posts(node, calls, seen=None):
     """Wrap the post of every method spec in the program to count its calls."""
     seen = set() if seen is None else seen
@@ -548,9 +616,9 @@ def _count_spec_posts(node, calls, seen=None):
 
 def test_each_distinct_local_run_is_driven_once(monkeypatch):
     # 3,774 local runs from 14,135 edges: a run, with its spec captures and
-    # posts, is driven once per (leaf, joint, environment), and a join once
-    # per fork and views; re-running them every time takes 4,691 posts and
-    # 1,406 joins
+    # posts, is driven once per move after a step and once per (leaf, joint,
+    # environment) after a fork, join or hide, and a join once per fork and
+    # views; re-running them every time takes 4,691 posts and 1,406 joins
     joins = []
     subjective_join = scheduler.subjective_join
 
@@ -570,7 +638,7 @@ def test_each_distinct_local_run_is_driven_once(monkeypatch):
     assert len(rep.finals) == 6
 
 
-def test_the_run_memo_holds_one_object_per_distinct_leaf(monkeypatch):
+def test_the_move_memo_holds_one_object_per_distinct_leaf(monkeypatch):
     ctxs = []
     local_run = scheduler._local_run
 
@@ -581,8 +649,13 @@ def test_the_run_memo_holds_one_object_per_distinct_leaf(monkeypatch):
     monkeypatch.setattr(scheduler, "_local_run", captured)
     rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=3)
     assert rep.verdict == "pass" and rep.complete == 175_040
-    runs = ctxs[0].runs
-    held = [key[0] for key in runs] + list(runs.values())
+    moves = ctxs[0].moves
+    # a step with its run keys on (leaf, joint, other, id(conc), next_loc)
+    # and holds (stop leaf, joint, next_loc, path entry); a run after a
+    # fork, join or hide keys on (leaf, joint, other) and holds its stop leaf
+    assert {len(key) for key in moves} == {5, 3}
+    held = [key[0] for key in moves]
+    held += [stop if isinstance(stop, Leaf) else stop[0] for stop in moves.values()]
     assert len(held) > len(set(held)) > 100
     assert len({id(leaf) for leaf in held}) == len(set(held))
 
