@@ -135,6 +135,9 @@ def pair_snapshot_scenario(writers: int = 2) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def treiber_scenario(pushers: int = 2, elems: tuple = ("a", "b")) -> Scenario:
+    if not 0 <= pushers <= len(elems):
+        raise SizeError(f"treiber builds one pusher per element, 0 to {len(elems)}: "
+                        f"asked for {pushers}")
     conc = entangle(pv.concurroid(), tb.concurroid())
     root = _merge_roots(pv.initial_state(), tb.initial_state(()))
     programs = [

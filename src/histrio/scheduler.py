@@ -21,30 +21,18 @@ Random mode draws one schedule from a seeded generator.
 Every step checks post-state coherence, claimed-transition membership,
 the guarantee (the stepping thread never touches its environment's
 state), injection scoping, and monotone growth of history-valued self
-components; method specs are evaluated at their return points.  A step
-is a function of its input: the action's node and environment, the
-injected labels in force, the thread's view, the concurroid and the next
-fresh location.  So every driver runs the action once per distinct input
-and remembers the post-state of each step that passed every check; a
-step that failed a check is run again wherever it recurs, so that its
-reports carry that path's step index and schedule.  The memo
-keys on equality.  Map equality is type-exact, so a ``Heap`` never stands
-in for a plain map, but cells compare with ``==``: ``Heap({LK: 1})`` equals
-``Heap({LK: True})``, and the spin lock's coherence accepts only the
-second.  So the step memo, and the transition memo and fact table
-described below, rely on no action storing such a twin of a cell value;
-no shipped action does, since every lock write is ``True`` or ``False``.
+components; method specs are evaluated at their return points.
 
-The checks themselves decide a property of the transition, not of the
-step input: they read the concurroid, the claimed transition,
-the injected labels and the pre- and post-states.  Many step inputs
-make one transition, so a step that runs is checked only if its
-transition has not passed the checks before; a transition that failed
-one is checked and reported again wherever it recurs.
+The checks decide a property of the transition, not of the step: they
+read the concurroid, the claimed transition, the injected labels and the
+pre- and post-states.  Many steps make one transition, so a step is
+checked only if its transition has not passed the checks before; a
+transition that failed one is checked and reported again wherever it
+recurs, so that its reports carry that path's step index and schedule.
 
-The reductions around a step are remembered the same way, each keyed on
-exactly the inputs it reads.  A thread's ``other`` is the join of the
-root map and its siblings' self maps (``leaf_view``).  A thread-local run
+The reductions around a step are remembered too, each keyed on exactly
+the inputs it reads.  A thread's ``other`` is the join of the root map
+and its siblings' self maps (``leaf_view``).  A thread-local run
 of administrative reductions, spec captures and posts included, reads
 only its leaf, the leaf's view and the loop bound, and stops at the leaf
 where ``normalize`` splices it in or restructures the tree.  A step
@@ -57,9 +45,10 @@ in with no action, state, event or leaf built and no second lookup.  The
 runs after a fork, join or hide are remembered in the same table, keyed
 on the leaf and its view.  Only ``explore`` remembers moves and runs: a
 random run or a replay follows one schedule, along which an equal one
-does not recur.  A join of two finished threads reads only their fork
-and their views.  A move, run or join that reported a violation is run
-again wherever it recurs, as a failed step is.
+does not recur.  A step that is not part of a remembered move runs its
+action.  A join of two finished threads reads only their fork and their
+views.  A move, run or join that reported a violation is run again
+wherever it recurs, as a failed transition is checked again.
 
 Equal memo entries are kept as one object (hash-consing), through one
 table per run (``_Ctx.values``): each distinct self or joint map a step
@@ -70,6 +59,13 @@ environment, continuation and cached hash, so memo hits mostly compare
 them by identity.
 The forks that ``replace_leaf`` rebuilds are not interned: most are
 transient, and the table would keep them alive.
+
+The memos key on equality.  Map equality is type-exact, so a ``Heap``
+never stands in for a plain map, but cells compare with ``==``:
+``Heap({LK: 1})`` equals ``Heap({LK: True})``, and the spin lock's
+coherence accepts only the second.  So the memos, and the fact table
+described below, rely on no action storing such a twin of a cell value;
+no shipped action does, since every lock write is ``True`` or ``False``.
 
 Below the explorer, each structure decides the same facts of the same
 values over and over: an action's safety predicate, post-state coherence,
@@ -491,9 +487,6 @@ class _Ctx:
         self.violations: list[Violation] = []  # the first max_violations
         self.reported = 0  # every violation, recorded or not
         self.path: list[tuple] = []  # (tid, action name, result), rendered on report
-        # step input -> (self, joint, result, next_loc) after a step that
-        # passed every check; see step_action
-        self.steps: dict = {}
         self.steps_run = 0  # steps whose action ran
         # (id(conc), claimed transition, injected labels, pre-state maps,
         # post-state maps) of each transition that passed every check; see
@@ -935,15 +928,10 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     where its run stopped, with ``move`` and ``event`` None: no action,
     state, event or leaf is built, and the action does not run.
 
-    Otherwise, a step whose input passed every check before is not run
-    again: its remembered post-state is reused.  The entry holds only the
-    new self and joint maps, the result and the next location, not states
-    or the action, so the memo does not keep their cached flattenings and
-    closures alive.  The thread id is not part of the input; only
-    reports use it.  A step that runs is checked only if its transition
-    (concurroid, claimed transition, injected labels and both states) has
-    not passed the checks before; a failed check runs again wherever it
-    recurs.
+    Otherwise the action runs, and its step is checked only if its
+    transition (concurroid, claimed transition, injected labels and both
+    states) has not passed the checks before; a failed check runs again
+    wherever it recurs.
     """
     w = leaf_view(cfg, leaf, ctx.others)
     move = (leaf, cfg.joint, w.other, id(cfg.conc), cfg.next_loc)
@@ -955,37 +943,28 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
             return (stop, joint2, next_loc, w.other, None), None
     action: AtomicAction = leaf.node.build(leaf.env)
     homes = _active_homes(leaf)
-    key = (leaf.node, leaf.env, homes, w.self_, w.joint, w.other, id(cfg.conc), cfg.next_loc)
-    hit = ctx.steps.get(key)
-    if hit is None:
-        ctx.steps_run += 1
-        try:
-            w2, res, sctx = run_atomic(action, w, StepCtx(cfg.next_loc))
-        except ActionSafetyError as exc:
-            ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
+    ctx.steps_run += 1
+    try:
+        w2, res, sctx = run_atomic(action, w, StepCtx(cfg.next_loc))
+    except ActionSafetyError as exc:
+        ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
+        return None
+    canon = ctx.values
+    w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
+                   canon.setdefault(w2.joint, w2.joint), w2.other)
+    checked = (id(cfg.conc), action.claimed, homes, w.self_, w.joint, w.other,
+               w2.self_, w2.joint, w2.other)
+    if checked not in ctx.checked:
+        ctx.transitions_checked += 1
+        if not _check_step(cfg.conc, leaf.tid, action, homes, w, w2, ctx):
             return None
-        canon = ctx.values
-        w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
-                       canon.setdefault(w2.joint, w2.joint), w2.other)
-        checked = (id(cfg.conc), action.claimed, homes, w.self_, w.joint, w.other,
-                   w2.self_, w2.joint, w2.other)
-        if checked not in ctx.checked:
-            ctx.transitions_checked += 1
-            if not _check_step(cfg.conc, leaf.tid, action, homes, w, w2, ctx):
-                return None
-            ctx.checked.add(checked)
-        next_loc = sctx.next_loc
-        ctx.steps[key] = (w2.self_, w2.joint, res, next_loc)
-    else:
-        self2, joint2, res, next_loc = hit
-        # the guarantee check passed, so the step left ``other`` as it was
-        w2 = SubjState(self2, joint2, w.other)
+        ctx.checked.add(checked)
     nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res)
     event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
                   action.primitive)
     entry = (leaf.tid, action.name, res)
     ctx.path.append(entry)
-    return (nxt, w2.joint, next_loc, w.other, (move, entry)), event
+    return (nxt, w2.joint, sctx.next_loc, w.other, (move, entry)), event
 
 
 def ready_leaves(cfg: Config) -> list[Leaf]:

@@ -27,9 +27,8 @@ and other components.  Outside a run there is no table, and they compute
 every time.  The table keys on equality, and map classes compare exactly,
 but cells compare with ``==``: ``Heap({LK: 1}) == Heap({LK: True})``, yet
 a lock's coherence accepts only the second.  So the table, like the
-explorer's step and transition memos, relies on no action storing such a
-twin; no shipped action does, since every lock write is ``True`` or
-``False``.
+explorer's memos, relies on no action storing such a twin; no shipped
+action does, since every lock write is ``True`` or ``False``.
 """
 
 from __future__ import annotations

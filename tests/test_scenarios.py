@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from histrio.erasure import compare_erased
 from histrio.scheduler import check_phi, explore, run_random, run_replay
 from histrio.scenarios import (
@@ -10,6 +12,7 @@ from histrio.scenarios import (
     pair_snapshot_scenario,
     producer_consumer_scenario,
     seq_recovery_scenario,
+    SizeError,
     treiber_scenario,
 )
 from histrio.structures import treiber as tb
@@ -27,6 +30,17 @@ def test_treiber_one_pusher_one_popper():
                   loop_bound=3)
     assert rep.verdict == "pass"
     assert rep.inconclusive == 0
+
+
+def test_treiber_takes_one_element_per_pusher():
+    # three pushers from the two default elements would silently build two,
+    # and -1 pushers one
+    for pushers in (3, -1):
+        with pytest.raises(SizeError, match=f"0 to 2: asked for {pushers}"):
+            treiber_scenario(pushers=pushers)
+    trace = run_random(treiber_scenario(pushers=3, elems=("a", "b", "c")), 1, 400, 3)
+    assert trace.verdict == "pass"
+    assert set(trace.schedule) == {0, 1, 2, 3}  # three pushers and the popper
 
 
 def test_producer_consumer_n2():

@@ -336,12 +336,12 @@ def test_inconclusive_paths_are_split_by_cause():
 
 
 def reference_explore(scenario, step_bound, loop_bound):
-    """Every interleaving walked one by one, with no memo of configurations,
-    steps, checked transitions, views, moves, local runs or joins (every step
-    runs its action and checks, and every reduction runs), each step finished by
-    ``normalize``'s scan of the tree rather than its one splice: the
-    complete, inconclusive and violating path counts and the distinct final
-    states."""
+    """Every interleaving walked one by one, with no memo of configurations
+    and every dict and set of the context emptied before each step (every
+    step runs its action and checks, and every reduction runs), each step
+    finished by ``normalize``'s scan of the tree rather than its one splice:
+    the complete, inconclusive and violating path counts and the distinct
+    final states."""
     ctx = _Ctx(scenario, loop_bound)
     counts = {"complete": 0, "inconclusive": 0, "violating": 0}
     finals = set()
@@ -364,8 +364,9 @@ def reference_explore(scenario, step_bound, loop_bound):
             return
         for leaf in ready:
             before = ctx.reported
-            for memo in (ctx.steps, ctx.checked, ctx.values, ctx.others, ctx.moves, ctx.joins):
-                memo.clear()
+            for memo in vars(ctx).values():
+                if isinstance(memo, (dict, set)):
+                    memo.clear()
             outcome = step_action(cfg, leaf, ctx)
             if outcome is None:
                 counts["violating"] += 1
@@ -445,10 +446,10 @@ def test_configurations_holding_a_heap_or_a_plain_map_are_distinct_memo_keys():
     assert len({heap: "heap", plain: "plain"}) == 2
 
 
-def test_each_distinct_step_is_run_once(monkeypatch):
-    # 14,135 edges from 3,733 distinct step inputs: the action and its
-    # checks run once per input, and the counts are those of a walk that
-    # runs every step
+def test_each_move_the_memo_does_not_remember_runs_its_action_once(monkeypatch):
+    # of 14,135 edges, 3,733 are moves the memo does not remember: each of
+    # those runs its action once, the others none, and the counts are those
+    # of a walk that runs every step
     calls = []
     run_atomic = scheduler.run_atomic
 
@@ -575,7 +576,7 @@ def test_a_failing_transition_is_reported_on_every_path_that_takes_it():
 def test_a_failing_spec_post_is_reported_on_every_path_that_takes_its_step():
     # thread 0's write, with the run after it that ends its method, is one
     # move before and after thread 1's read, which changes no state: a move
-    # whose run failed a spec post is not remembered, though its step is
+    # whose run failed a spec post is not remembered, so its step runs again
     root = pv.initial_state(Heap({Loc(100): 0, Loc(200): 0}))
 
     def unwritten(caps, w, result):
@@ -590,7 +591,7 @@ def test_a_failing_spec_post_is_reported_on_every_path_that_takes_its_step():
     assert [(v.check, v.thread, v.step, v.schedule) for v in rep.violations] == [
         ("spec:unwritten", 0, 1, (0,)), ("spec:unwritten", 0, 2, (1, 0))]
     assert (rep.violating, rep.complete) == (2, 0)
-    assert rep.steps_run == 2
+    assert rep.steps_run == 3
 
 
 def _count_spec_posts(node, calls, seen=None):
