@@ -7,10 +7,12 @@ coherence come from one map, ``homes``, from each label to the coherence
 of a state over that label alone: a state is coherent when it carries
 exactly those labels, each label's part is coherent, and its heaps are
 disjoint.  So entangling two concurroids merges their maps.  The
-metatheory obligations — guarantee, locality, footprint discipline,
-fork-join closure, and rely-as-transposed-guarantee — are implemented
-here as sampled property checks, and ``entangle`` builds the composite
-systems the scenarios run under.
+metatheory obligations — guarantee, rely as the transposed guarantee,
+locality, footprint discipline, post-state coherence and fork-join
+closure — are implemented here as sampled property checks
+(``check_concurroid``, which draws each sampled step once and checks it
+against every per-step obligation), and ``entangle`` builds the
+composite systems the scenarios run under.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .state import (
     has_labels,
     realign_acquire,
     realign_release,
-    transpose,
     validate,
 )
 
@@ -184,98 +185,22 @@ def _draw(t: Transition, rng) -> Optional[tuple]:
     return drawn
 
 
-def check_guarantee(t: Transition, n: int, rng: random.Random) -> CheckReport:
-    """Sampled steps never touch the other component."""
-    rep = CheckReport("guarantee", t.name)
-    for _ in range(n):
-        drawn = _draw(t, rng)
-        if drawn is None:
-            rep.vacuous += 1
-            continue
-        w, w2, _ = drawn
-        rep.samples += 1
-        if w.other != w2.other:
-            rep.add(f"{t.name}: other changed: {w.render()} -> {w2.render()}")
-    return rep
-
-
-def check_rely(t: Transition, n: int, rng: random.Random) -> CheckReport:
-    """The transposed step (the environment's view) never touches self."""
-    rep = CheckReport("rely", t.name)
-    for _ in range(n):
-        drawn = _draw(t, rng)
-        if drawn is None:
-            rep.vacuous += 1
-            continue
-        w, w2, _ = drawn
-        rep.samples += 1
-        if transpose(w).self_ != transpose(w2).self_:
-            rep.add(f"{t.name}: transposed step changed self")
-    return rep
-
-
-def check_locality(
-    t: Transition, n: int, rng: random.Random, sample_frame: Callable
-) -> CheckReport:
-    """Steps valid under an other-side frame stay valid with it on the self side."""
-    rep = CheckReport("locality", t.name)
-    for _ in range(n):
-        drawn = _draw(t, rng)
-        if drawn is None:
-            rep.vacuous += 1
-            continue
-        w, w2, h = drawn
-        f = sample_frame(rng)
-        try:
-            wr, w2r = realign_release(w, f), realign_release(w2, f)
-        except StateError:
-            rep.vacuous += 1
-            continue
-        if not t.holds(wr, w2r, h):
-            rep.vacuous += 1
-            continue
-        rep.samples += 1
-        try:
-            wa, w2a = realign_acquire(w, f), realign_acquire(w2, f)
-        except StateError:
-            rep.add(f"{t.name}: self-side realignment undefined for frame {f!r}")
-            continue
-        if not t.holds(wa, w2a, h):
-            rep.add(f"{t.name}: not closed under frame {f!r}")
-    return rep
-
-
-def check_footprints(c: Concurroid, n: int, rng: random.Random) -> CheckReport:
-    """Internal steps preserve the flattened heap domain; externals move it."""
-    rep = CheckReport("footprints", c.name)
-    for t in c.all_transitions():
-        if t.sampler is None:
-            continue
-        for _ in range(n):
-            drawn = _draw(t, rng)
-            if drawn is None:
-                rep.vacuous += 1
-                continue
-            w, w2, h = drawn
-            rep.samples += 1
-            f1, f2 = flatten(w), flatten(w2)
-            if f1 is None or f2 is None:
-                rep.add(f"{t.name}: state heaps overlap")
-                continue
-            if t.kind == "internal":
-                if f1.keys() != f2.keys():
-                    rep.add(f"{t.name}: internal step changed heap domain")
-            elif t.kind == "acquire":
-                if h is None or (f1.keys() | h.keys()) != f2.keys() or (
-                    f1.keys() & h.keys()
-                ):
-                    rep.add(f"{t.name}: footprint not extended by dom(h)")
-            elif t.kind == "release":
-                if h is None or (f2.keys() | h.keys()) != f1.keys() or (
-                    f2.keys() & h.keys()
-                ):
-                    rep.add(f"{t.name}: footprint not reduced by dom(h)")
-    return rep
+def _footprint_fault(t: Transition, w, w2, h) -> Optional[str]:
+    """Internal steps keep the flattened heap domain; an acquire grows it
+    by ``dom h`` and a release shrinks it by ``dom h``."""
+    f1, f2 = flatten(w), flatten(w2)
+    if f1 is None or f2 is None:
+        return f"{t.name}: state heaps overlap"
+    if t.kind == "internal":
+        if f1.keys() != f2.keys():
+            return f"{t.name}: internal step changed heap domain"
+    elif t.kind == "acquire":
+        if h is None or (f1.keys() | h.keys()) != f2.keys() or (f1.keys() & h.keys()):
+            return f"{t.name}: footprint not extended by dom(h)"
+    elif t.kind == "release":
+        if h is None or (f2.keys() | h.keys()) != f1.keys() or (f2.keys() & h.keys()):
+            return f"{t.name}: footprint not reduced by dom(h)"
+    return None
 
 
 def check_fork_join_closure(c: Concurroid, n: int, rng: random.Random) -> CheckReport:
@@ -298,36 +223,73 @@ def check_fork_join_closure(c: Concurroid, n: int, rng: random.Random) -> CheckR
     return rep
 
 
-def check_post_state_coherence(c: Concurroid, n: int, rng: random.Random) -> CheckReport:
-    """Sampled transition steps land in coherent states."""
-    rep = CheckReport("post-coherence", c.name)
+def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckReport]:
+    """Run the full obligation suite for one concurroid.
+
+    Each sampled transition draws ``n`` steps ``(w, w', h)``, and each
+    step is checked once against every per-step obligation:
+
+    * guarantee: the step leaves ``other`` alone;
+    * rely: the transposed step, the environment's view, leaves ``self``
+      alone.  Transposing swaps ``self`` and ``other``, so this is the
+      guarantee's predicate, decided once and filed under both rows;
+    * footprints: see ``_footprint_fault``;
+    * post-coherence: ``w'`` is valid and coherent;
+    * locality: a step that holds with a drawn frame on the other side
+      still holds with the frame on the self side.  A step whose frame
+      cannot be realigned, or that does not hold released, is vacuous.
+
+    Guarantee, rely and locality get a row per transition, footprints and
+    post-coherence one per concurroid; a draw the sampler refuses is
+    vacuous in all five.  Fork-join closure draws states, not steps.
+    """
+    reports = []
+    footprints = CheckReport("footprints", c.name)
+    post = CheckReport("post-coherence", c.name)
     for t in c.all_transitions():
         if t.sampler is None:
             continue
-        for _ in range(max(1, n // 4)):
+        guarantee = CheckReport("guarantee", t.name)
+        rely = CheckReport("rely", t.name)
+        locality = CheckReport("locality", t.name)
+        per_step = (guarantee, rely, footprints, post)
+        for _ in range(n):
             drawn = _draw(t, rng)
             if drawn is None:
-                rep.vacuous += 1
+                for rep in (*per_step, locality):
+                    rep.vacuous += 1
                 continue
-            w, w2, _ = drawn
-            rep.samples += 1
+            w, w2, h = drawn
+            for rep in per_step:
+                rep.samples += 1
+            if w.other != w2.other:
+                guarantee.add(f"{t.name}: other changed: {w.render()} -> {w2.render()}")
+                rely.add(f"{t.name}: transposed step changed self")
+            fault = _footprint_fault(t, w, w2, h)
+            if fault is not None:
+                footprints.add(fault)
             if not (validate(w2) and c.coherent(w2)):
-                rep.add(f"{t.name}: post-state incoherent")
-    return rep
+                post.add(f"{t.name}: post-state incoherent")
 
-
-def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckReport]:
-    """Run the full obligation suite for one concurroid."""
-    reports = []
-    for t in c.all_transitions():
-        if t.sampler is None:
-            continue
-        reports.append(check_guarantee(t, n, rng))
-        reports.append(check_rely(t, n, rng))
-        reports.append(check_locality(t, n, rng, c.sample_frame))
-    reports.append(check_footprints(c, n, rng))
-    reports.append(check_fork_join_closure(c, n, rng))
-    reports.append(check_post_state_coherence(c, n, rng))
+            f = c.sample_frame(rng)
+            try:
+                wr, w2r = realign_release(w, f), realign_release(w2, f)
+            except StateError:
+                locality.vacuous += 1
+                continue
+            if not t.holds(wr, w2r, h):
+                locality.vacuous += 1
+                continue
+            locality.samples += 1
+            try:
+                wa, w2a = realign_acquire(w, f), realign_acquire(w2, f)
+            except StateError:
+                locality.add(f"{t.name}: self-side realignment undefined for frame {f!r}")
+                continue
+            if not t.holds(wa, w2a, h):
+                locality.add(f"{t.name}: not closed under frame {f!r}")
+        reports += [guarantee, rely, locality]
+    reports += [footprints, check_fork_join_closure(c, n, rng), post]
     return reports
 
 

@@ -214,11 +214,6 @@ def has_labels(w: SubjState, labels) -> bool:
     return w.self_.keys() == w.joint.keys() == w.other.keys() == labels
 
 
-def transpose(w: SubjState) -> SubjState:
-    """Swap the self and other components: the environment's view."""
-    return SubjState(w.other, w.joint, w.self_)
-
-
 def realign_acquire(w: SubjState, t: FrozenMap) -> SubjState:
     """``w ◁ t``: join the PCM-map ``t`` into the self component."""
     s = map_pointwise_join(t, w.self_)

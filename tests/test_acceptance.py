@@ -10,7 +10,7 @@ import time
 
 from histrio.actions import check_action_properties
 from histrio.concurroid import check_concurroid
-from histrio.erasure import compare_erased
+from histrio.erasure import compare_erased_trace
 from histrio.native import stress
 from histrio.pcm import (
     HEAP_PCM,
@@ -134,9 +134,10 @@ def test_criterion_08_erasure_commutation():
     ok = True
     for builder in builders:
         for seed in range(50):
-            msg = compare_erased(builder, seed, 250, 3)
+            sc = builder()
+            msg = compare_erased_trace(sc, run_random(sc, seed, 250, 3))
             if msg is not None:
-                print("  erasure:", msg)
+                print(f"  erasure (seed {seed}):", msg)
                 ok = False
     _report(8, "erasure commutation (5x50 seeds)", ok, t0, 60)
 

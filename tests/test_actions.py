@@ -1,5 +1,6 @@
 """Primitive atomics, CAS semantics, erasure, and action obligations."""
 
+import dataclasses
 import random
 
 import pytest
@@ -121,6 +122,50 @@ def test_result_leaking_auxiliary_state_fails_erasure():
     fam = ActionFamily("leaky", tb.concurroid(), sample)
     reports = {r.check: r for r in check_action_properties(fam, 80, random.Random(1))}
     assert not reports["erasure-determinism"].ok
+
+
+def test_a_result_reading_the_triple_split_fails_erasure():
+    """An action whose result counts the history entries in the self side
+    of the flat combiner's (ids, mutex, history) triple: the primitive
+    agrees on the sampled partition, and only a moved entry shows the leak."""
+    shape = fc.stack_shape(3)
+
+    def step(w, ctx):
+        return w, len(w.self_[fc.LB].aux.entries), ctx
+
+    def sample(rng):
+        w = fc.sample_state(shape, rng)
+        mine = len(w.self_[fc.LB].aux.entries)
+        prim = Rmw(fc.LK, lambda v: v, lambda v, k=mine: k)
+        return AtomicAction("split", frozenset([fc.LB]), lambda w: fc.LB in w.self_,
+                            step, "id", prim), w
+
+    fam = ActionFamily("split", fc.concurroid(shape), sample)
+    reports = {r.check: r for r in check_action_properties(fam, 80, random.Random(4))}
+    leaks = reports["erasure-determinism"].violations
+    assert leaks and all(m == "split: result depends on erased partition" for m in leaks)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
+def test_each_state_is_decided_safe_once(fam):
+    decided = {}  # id -> [state, decisions]; holding the state keeps its id its own
+
+    def counted(safe):
+        def decide(w):
+            decided.setdefault(id(w), [w, 0])[1] += 1
+            return safe(w)
+        return decide
+
+    def recounted(sample):
+        def draw(rng):
+            a, w = sample(rng)
+            return dataclasses.replace(a, safe=counted(a.safe)), w
+        return draw
+
+    unsafe = fam.sample_unsafe and recounted(fam.sample_unsafe)
+    fam = dataclasses.replace(fam, sample=recounted(fam.sample), sample_unsafe=unsafe)
+    assert all(rep.ok for rep in check_action_properties(fam, 40, random.Random(5)))
+    assert decided and max(n for _, n in decided.values()) == 1
 
 
 def test_non_monotone_safety_is_caught():

@@ -12,9 +12,6 @@ from histrio.concurroid import (
     behaviorally_equal,
     check_concurroid,
     check_fork_join_closure,
-    check_footprints,
-    check_guarantee,
-    check_locality,
     empty_concurroid,
     entangle,
 )
@@ -55,6 +52,47 @@ def test_identity_transition_always_present():
         assert "id" in conc.internals
 
 
+def _carrying(t: Transition):
+    """The private-heap concurroid with ``t`` as its one transition."""
+    return dataclasses.replace(pv.concurroid(), internals={t.name: t}, externals=[])
+
+
+def _failing_rows(conc, n, seed) -> set:
+    """(check, subject) of each row of ``check_concurroid`` that failed."""
+    return {(rep.check, rep.subject)
+            for rep in check_concurroid(conc, n, random.Random(seed)) if not rep.ok}
+
+
+@pytest.mark.parametrize("conc", ALL, ids=lambda c: c.name)
+def test_every_row_counts_each_draw_once(conc):
+    n = 30
+    reports = check_concurroid(conc, n, random.Random(3))
+    sampled = [t.name for t in conc.all_transitions() if t.sampler is not None]
+    per_transition = [rep for rep in reports if rep.check in ("guarantee", "rely", "locality")]
+    assert sorted(rep.subject for rep in per_transition) == sorted(sampled * 3)
+    assert all(rep.samples + rep.vacuous == n for rep in per_transition)
+    for check in ("footprints", "post-coherence"):
+        [rep] = [rep for rep in reports if rep.check == check]
+        assert rep.samples + rep.vacuous == n * len(sampled), check
+
+
+def test_each_sampled_step_is_drawn_once():
+    """One draw serves every per-step obligation of a transition."""
+    draws = []
+
+    def sampler(rng):
+        draws.append(1)
+        w = pv.sample_state(rng)
+        return (w, w)
+
+    stay = Transition("stay", "internal", lambda w, w2: w == w2, sampler)
+    for n in (1, 7, 40):
+        draws.clear()
+        reports = check_concurroid(_carrying(stay), n, random.Random(n))
+        assert len(draws) == n
+        assert all(rep.ok for rep in reports)
+
+
 def test_guarantee_catches_an_other_mutating_transition():
     def sampler(rng):
         w = pv.sample_state(rng)
@@ -62,8 +100,8 @@ def test_guarantee_catches_an_other_mutating_transition():
         return (w, w2)
 
     bad = Transition("evil", "internal", lambda w, w2: True, sampler)
-    rep = check_guarantee(bad, 50, random.Random(0))
-    assert not rep.ok
+    failing = _failing_rows(_carrying(bad), 50, 0)
+    assert {("guarantee", "evil"), ("rely", "evil")} <= failing
 
 
 def test_locality_catches_an_absolute_self_reading_transition():
@@ -76,8 +114,9 @@ def test_locality_catches_an_absolute_self_reading_transition():
         return (w, w)
 
     bad = Transition("absolute", "internal", member, sampler)
-    rep = check_locality(bad, 80, random.Random(0), pv.sample_frame)
-    assert not rep.ok
+    failing = _failing_rows(_carrying(bad), 80, 0)
+    assert ("locality", "absolute") in failing
+    assert ("guarantee", "absolute") not in failing
 
 
 def test_footprints_catch_a_leaking_internal_transition():
@@ -88,15 +127,10 @@ def test_footprints_catch_a_leaking_internal_transition():
         return (w, w2)
 
     bad = Transition("grow", "internal", lambda w, w2: True, sampler)
-
-    class FakeConc:
-        name = "fake"
-
-        def all_transitions(self):
-            return [bad]
-
-    rep = check_footprints(FakeConc(), 40, random.Random(0))
-    assert not rep.ok
+    conc = _carrying(bad)
+    failing = _failing_rows(conc, 40, 0)
+    assert ("footprints", conc.name) in failing
+    assert ("guarantee", "grow") not in failing
 
 
 def test_closure_fails_for_a_self_only_coherence():

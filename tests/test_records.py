@@ -20,7 +20,7 @@ import pytest
 from histrio import actions, pcm, scheduler, state
 from histrio.actions import check_action_properties
 from histrio.concurroid import check_concurroid
-from histrio.erasure import compare_erased
+from histrio.erasure import compare_erased_trace
 from histrio.fmap import EMPTY_MAP, FrozenMap
 from histrio.native import stress
 from histrio.pcm import NULL, OWN, SHIPPED_INSTANCES, Hist, IdSet, Loc, Triple, check_pcm_laws
@@ -112,10 +112,11 @@ def test_shipped_scenarios_run_sealed(name, build, step_bound):
     with sealed() as breaches:
         assert explore(build(), step_bound, 3).as_dict() == expected
         for seed in range(3):
-            trace = run_random(build(), seed, step_bound, 3)
+            sc = build()
+            trace = run_random(sc, seed, step_bound, 3)
             assert trace.verdict != "violation"
             assert run_replay(build(), trace.schedule, 3).verdict == trace.verdict
-            assert compare_erased(build, seed, step_bound, 3) is None
+            assert compare_erased_trace(sc, trace) is None
     assert breaches == []
 
 

@@ -13,7 +13,6 @@ from histrio.state import (
     realign_release,
     subjective_join,
     subjective_split,
-    transpose,
     validate,
 )
 
@@ -64,13 +63,6 @@ def test_flatten_unions_heaps_everywhere():
     assert flatten(w) == Heap({Loc(1): 3, Loc(9): ("a", Loc(0))})
     assert flatten(mkstate()) == EMPTY_HEAP
     assert flatten(mkstate({Loc(1): 3}, {Loc(1): 0})) is None
-
-
-def test_transpose_is_an_involution_preserving_validity():
-    w = mkstate({Loc(1): 3}, {}, {Loc(2): 5})
-    assert transpose(w).self_ == w.other
-    assert transpose(transpose(w)) == w
-    assert validate(transpose(w))
 
 
 def test_realign_moves_a_frame_between_sides():
