@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional
 
 from .concurroid import CheckReport, Concurroid, step_in_transition
 from .fmap import FrozenMap
-from .pcm import UNDEF, Hist, Loc, Triple, map_pointwise_join
+from .pcm import UNDEF, Hist, IdSet, Loc, Triple, map_pointwise_join
 from .state import (
     StateError,
     SubjState,
@@ -195,9 +195,9 @@ def _ctx_for(w: SubjState) -> StepCtx:
 
 
 def _moved_newest(sv, ov) -> Optional[tuple]:
-    """``(sv', ov')``: the newest history entry of ``sv`` moved into ``ov``,
-    inside a ``Triple``'s aux too, keeping its ids and mutex; ``None``
-    when ``sv`` holds no history entry to move."""
+    """``(sv', ov')``: the newest history entry, or the largest id of an id
+    set, of ``sv`` moved into ``ov``, inside a ``Triple``'s aux too, keeping
+    its ids and mutex; ``None`` when ``sv`` holds nothing to move."""
     if isinstance(sv, Triple) and isinstance(ov, Triple):
         moved = _moved_newest(sv.aux, ov.aux)
         if moved is None:
@@ -207,6 +207,9 @@ def _moved_newest(sv, ov) -> Optional[tuple]:
         t = max(sv.stamps())
         return (Hist(sv.kind, sv.entries.remove(t)),
                 Hist(ov.kind, ov.entries.set(t, sv.entries[t])))
+    if isinstance(sv, IdSet) and sv.ids:
+        i = max(sv.ids)
+        return IdSet(sv.ids - {i}), IdSet(ov.ids | {i})
     return None
 
 

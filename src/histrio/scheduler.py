@@ -39,16 +39,16 @@ where ``normalize`` splices it in or restructures the tree.  A step
 leaves its own thread's ``other`` as it was, so the run after a step
 takes it from the step's view.  A move, a step with the run after it,
 then reads only the leaf, the joint map, the thread's ``other``, the
-concurroid and the next fresh location, and ``explore`` remembers each
-move whole (``_Ctx.moves``): where one recurs, its stop leaf is spliced
-in with no action, state, event or leaf built and no second lookup.  The
-runs after a fork, join or hide are remembered in the same table, keyed
-on the leaf and its view.  Only ``explore`` remembers moves and runs: a
-random run or a replay follows one schedule, along which an equal one
-does not recur.  A step that is not part of a remembered move runs its
-action.  A join of two finished threads reads only their fork and their
-views.  A move, run or join that reported a violation is run again
-wherever it recurs, as a failed transition is checked again.
+concurroid and the next fresh location.  ``step_action`` takes the
+whole move, and ``explore`` remembers it (``_Ctx.moves``): where one
+recurs, its stop leaf is spliced in with no action, state, event or leaf
+built.  A run after a fork, join or hide is not remembered: ``normalize``
+drives it each time.  Only ``explore`` remembers moves: a random run or
+a replay follows one schedule, along which an equal one does not recur.
+A step that is not part of a remembered move runs its action.  A join of
+two finished threads reads only their fork and their views.  A move or
+join that reported a violation is taken again wherever it recurs, as a
+failed transition is checked again.
 
 Equal memo entries are kept as one object (hash-consing), through one
 table per run (``_Ctx.values``): each distinct self or joint map a step
@@ -89,10 +89,10 @@ runs the shipped scenarios with every other store refused
 
 Every configuration a driver holds is normal: no leaf but those at an
 action can reduce, and no fork waits to be joined.  So after a step only
-the stepped thread can reduce: ``normalize`` drives its run first and,
-when the run stops at the next action, splices the leaf into the tree
-once, with no scan of the tree.  Only a fork, completion, loop exhaustion
-or hiding sends it on to scan and restructure the tree.
+the stepped thread can reduce: ``step_action`` drives its run, and when
+the run stops at the next action, ``normalize`` splices the leaf into the
+tree once, with no scan of the tree.  Only a fork, completion, loop
+exhaustion or hiding sends it on to scan and restructure the tree.
 """
 
 from __future__ import annotations
@@ -495,11 +495,10 @@ class _Ctx:
         self.transitions_checked = 0  # _check_step runs
         # (root other, sibling self maps) -> their join; see leaf_view
         self.others: dict = {}
-        # the thread moves and local runs that reported nothing, or None
-        # where none are remembered: (leaf, joint, other, id(conc), next_loc)
-        # -> (stop leaf, joint, next_loc, path entry) for a step with the run
-        # after it (see step_action), and (leaf, joint, other) -> the stop
-        # leaf for a run after a fork, join or hide (see _local_run)
+        # the thread moves that reported nothing, or None where none are
+        # remembered: (leaf, joint, other, id(conc), next_loc) -> (stop leaf,
+        # joint, next_loc, path entry) for a step with the run after it (see
+        # step_action)
         self.moves: Optional[dict] = {} if remember_moves else None
         # one object per distinct self or joint map a step produced, leaf the
         # move memo holds and (summary, height) entry explore remembers: equal
@@ -770,74 +769,25 @@ def _first_reducible(tree) -> Optional[Leaf]:
     return _first_reducible(tree.left) or _first_reducible(tree.right)
 
 
-def _local_run(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
-    """``_drive``, remembered unless ``ctx`` keeps no move memo.
-
-    A local run reads only its leaf, the leaf's view (``joint`` and the
-    environment ``other``) and the loop bound (see ``_advance``), so one
-    that reported nothing is not driven again from an equal leaf, joint and
-    environment.  The memo holds one object per distinct leaf, in its keys
-    and its values alike, and the run returns that object.  A run whose
-    spec post failed is driven again wherever it recurs, so that its report
-    carries that path's step index and schedule.
-    """
-    moves = ctx.moves
-    if moves is None:
-        return _drive(leaf, joint, other, ctx)
-    stop = moves.get((leaf, joint, other))
-    if stop is not None:
-        return stop
-    before = ctx.reported
-    ctx.local_runs += 1
-    stop = _drive(leaf, joint, other, ctx)
-    if ctx.reported == before:
-        intern = ctx.values.setdefault
-        stop = intern(stop, stop)
-        moves[intern(leaf, leaf), joint, other] = stop
-    return stop
-
-
-def _move_run(leaf: Leaf, joint, next_loc: int, other, move: tuple, ctx: _Ctx) -> Leaf:
-    """The leaf where the run after a step stops.  ``move`` is
-    ``(key, entry)`` from ``step_action``; where ``ctx`` keeps a move memo
-    and the run reported nothing, the step and its run are remembered under
-    ``key`` as one move, with the stop leaf interned in both."""
-    before = ctx.reported
-    ctx.local_runs += 1
-    stop = _drive(leaf, joint, other, ctx)
-    moves = ctx.moves
-    if moves is not None and ctx.reported == before:
-        key, entry = move
-        intern = ctx.values.setdefault
-        stop = intern(stop, stop)
-        moves[(intern(key[0], key[0]),) + key[1:]] = (stop, joint, next_loc, entry)
-    return stop
-
-
 def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config:
     """Drive every thread to an atomic action, completion, or a stuck state.
 
     The first reducible leaf is driven through its thread-local reductions
-    on its own (``_local_run``) and spliced into the tree once, when it
-    reaches an action or a structural reduction; then the tree is scanned
-    again.  Joins wait until no leaf can reduce.
+    on its own (``_drive``) and spliced into the tree once, when it reaches
+    an action or a structural reduction; then the tree is scanned again.
+    Joins wait until no leaf can reduce.
 
-    With ``stepped``, ``(leaf, joint, next_loc, other, move)`` from
-    ``step_action``, ``cfg`` is the normal configuration the step was taken
-    in, and the result is the one after the step.  No other leaf of a
-    normal configuration can reduce and no fork waits to be joined, so the
-    stepped leaf's run comes first; a step changes no sibling's self map
-    and not the root map, so the run takes ``other`` from the step's view.
-    A remembered move (``move`` is None) brings its stop leaf, and its run
-    is not driven; otherwise ``_move_run`` drives it, after ``step_action``
-    has put the step on the path, so that a report in the run carries it.
-    When the run stops at an action, that one splice finishes the step
-    with no scan of the tree.
+    With ``stepped``, ``(stop, joint, next_loc)`` from ``step_action``,
+    ``cfg`` is the normal configuration the step was taken in, and the
+    result is the one after the step.  ``step_action`` has already driven
+    the stepped thread's run, and no other leaf of a normal configuration
+    can reduce, so ``stop`` is spliced in by its thread id; when it stopped
+    at an action, that one splice finishes the step with no scan of the
+    tree.
     """
     if stepped is not None:
-        leaf, joint, next_loc, other, move = stepped
-        stop = leaf if move is None else _move_run(leaf, joint, next_loc, other, move, ctx)
-        cfg = Config(replace_leaf(cfg.tree, leaf.tid, stop), joint, cfg.root_other,
+        stop, joint, next_loc = stepped
+        cfg = Config(replace_leaf(cfg.tree, stop.tid, stop), joint, cfg.root_other,
                      cfg.conc, next_loc, cfg.next_tid)
         if isinstance(stop.node, ActN):
             return cfg
@@ -851,7 +801,8 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
             cfg = collapsed
             continue
         other = leaf_view(cfg, leaf, ctx.others).other
-        stop = _local_run(leaf, cfg.joint, other, ctx)
+        ctx.local_runs += 1
+        stop = _drive(leaf, cfg.joint, other, ctx)
         if isinstance(stop.node, ActN):
             cfg = _with_leaf(cfg, stop)
         else:
@@ -913,20 +864,25 @@ def _check_step(conc: Concurroid, tid: int, action: AtomicAction, homes: Optiona
 
 
 def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
-    """Fire the leaf's pending action; returns ``(stepped, event)``, or None
-    on a violating step.  A step that passed its checks is put on
-    ``ctx.path`` as ``(tid, action name, result)``.  ``stepped`` is
-    ``(leaf, joint, next_loc, other, move)``: the thread's leaf after the
-    step, the joint map and next fresh location after it, the thread's
-    unchanged ``other``, and ``(key, path entry)`` of the move, which
-    ``normalize`` takes to finish the step in ``cfg``.
+    """Take the leaf's move: fire its pending action and drive the
+    thread-local run after it.  Returns ``(stepped, event)``, or None on a
+    violating step; a step that passed its checks is put on ``ctx.path`` as
+    ``(tid, action name, result)`` before its run is driven, so that a
+    report in the run carries it.  ``stepped`` is ``(stop, joint,
+    next_loc)``: the leaf where the thread's run stopped, and the joint map
+    and next fresh location after the step, which ``normalize`` takes to
+    finish the move in ``cfg``.  A step changes no sibling's self map and
+    not the root map, so the run takes the thread's ``other`` from the
+    step's view.
 
-    A move, the step with the thread-local run after it, reads only the
-    leaf, the joint map, the thread's ``other``, the concurroid and the
-    next fresh location, its key.  One that reported nothing is remembered
-    whole (``_move_run``), and where it recurs ``stepped`` brings the leaf
-    where its run stopped, with ``move`` and ``event`` None: no action,
-    state, event or leaf is built, and the action does not run.
+    A move reads only the leaf, the joint map, the thread's ``other``, the
+    concurroid and the next fresh location, its key.  Where ``ctx`` keeps a
+    move memo, one that reported nothing is remembered whole, with its key
+    and stop leaf interned, and where it recurs ``stepped`` brings the
+    remembered stop leaf, with ``event`` None: no action, state, event or
+    leaf is built, and neither the action nor the run runs.  A move that
+    reported a violation is taken again wherever it recurs, so that its
+    report carries that path's step index and schedule.
 
     Otherwise the action runs, and its step is checked only if its
     transition (concurroid, claimed transition, injected labels and both
@@ -934,13 +890,14 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     wherever it recurs.
     """
     w = leaf_view(cfg, leaf, ctx.others)
-    move = (leaf, cfg.joint, w.other, id(cfg.conc), cfg.next_loc)
-    if ctx.moves is not None:
-        hit = ctx.moves.get(move)
+    moves = ctx.moves
+    key = (leaf, cfg.joint, w.other, id(cfg.conc), cfg.next_loc)
+    if moves is not None:
+        hit = moves.get(key)
         if hit is not None:
             stop, joint2, next_loc, entry = hit
             ctx.path.append(entry)
-            return (stop, joint2, next_loc, w.other, None), None
+            return (stop, joint2, next_loc), None
     action: AtomicAction = leaf.node.build(leaf.env)
     homes = _active_homes(leaf)
     ctx.steps_run += 1
@@ -959,12 +916,19 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
         if not _check_step(cfg.conc, leaf.tid, action, homes, w, w2, ctx):
             return None
         ctx.checked.add(checked)
-    nxt = Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res)
     event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
                   action.primitive)
     entry = (leaf.tid, action.name, res)
     ctx.path.append(entry)
-    return (nxt, w2.joint, sctx.next_loc, w.other, (move, entry)), event
+    before = ctx.reported
+    ctx.local_runs += 1
+    stop = _drive(Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res),
+                  w2.joint, w.other, ctx)
+    if moves is not None and ctx.reported == before:
+        intern = canon.setdefault
+        stop = intern(stop, stop)
+        moves[(intern(leaf, leaf),) + key[1:]] = (stop, w2.joint, sctx.next_loc, entry)
+    return (stop, w2.joint, sctx.next_loc), event
 
 
 def ready_leaves(cfg: Config) -> list[Leaf]:
@@ -1138,7 +1102,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 
 
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
-    # one schedule does not revisit a move or local run, so none is remembered
+    # one schedule does not revisit a move, so none is remembered
     ctx = _Ctx(scenario, loop_bound, remember_moves=False)
     events: list[Event] = []
     with fact_table():

@@ -146,6 +146,29 @@ def test_a_result_reading_the_triple_split_fails_erasure():
     assert leaks and all(m == "split: result depends on erased partition" for m in leaks)
 
 
+def test_a_trylock_reading_the_lock_ids_fails_erasure():
+    """A trylock whose result counts the ids in the self side of the spin
+    lock's (ids, mutex, id set) aux: the primitive agrees on the sampled
+    partition, and only an id moved to the other side shows the leak."""
+    [locking] = [f for f in lk.action_families() if f.name == "trylock"]
+
+    def sample(rng):
+        a, w = locking.sample(rng)
+        mine = len(w.self_[lk.LB].aux.ids)
+
+        def step(w, ctx):
+            w2, _, ctx = a.step(w, ctx)
+            return w2, len(w.self_[lk.LB].aux.ids), ctx
+
+        prim = Rmw(lk.LK, lambda v: True, lambda v, k=mine: k)
+        return dataclasses.replace(a, step=step, primitive=prim), w
+
+    fam = ActionFamily("trylock", locking.conc, sample)
+    reports = {r.check: r for r in check_action_properties(fam, 80, random.Random(4))}
+    leaks = reports["erasure-determinism"].violations
+    assert leaks and all(m == "trylock: result depends on erased partition" for m in leaks)
+
+
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
 def test_each_state_is_decided_safe_once(fam):
     decided = {}  # id -> [state, decisions]; holding the state keeps its id its own

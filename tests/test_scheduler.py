@@ -371,9 +371,9 @@ def reference_explore(scenario, step_bound, loop_bound):
             if outcome is None:
                 counts["violating"] += 1
                 continue
-            stepped, joint, next_loc, _, move = outcome[0]
-            assert move is not None  # with no memo, the step's run is still to drive
-            nxt = normalize(Config(replace_leaf(cfg.tree, leaf.tid, stepped), joint,
+            (stop, joint, next_loc), event = outcome
+            assert event is not None  # with no memo, every step runs its action
+            nxt = normalize(Config(replace_leaf(cfg.tree, leaf.tid, stop), joint,
                                    cfg.root_other, cfg.conc, next_loc, cfg.next_tid), ctx)
             if ctx.reported > before:
                 counts["violating"] += 1
@@ -615,11 +615,11 @@ def _count_spec_posts(node, calls, seen=None):
                 _count_spec_posts(child, calls, seen)
 
 
-def test_each_distinct_local_run_is_driven_once(monkeypatch):
-    # 3,774 local runs from 14,135 edges: a run, with its spec captures and
-    # posts, is driven once per move after a step and once per (leaf, joint,
-    # environment) after a fork, join or hide, and a join once per fork and
-    # views; re-running them every time takes 4,691 posts and 1,406 joins
+def test_each_move_is_driven_once(monkeypatch):
+    # 5,144 local runs from 14,135 edges: the run after a step, with its
+    # spec captures and posts, is driven once per move, a run after a fork,
+    # join or hide on each visit, and a join once per fork and views;
+    # re-running them every time takes 4,691 posts and 1,406 joins
     joins = []
     subjective_join = scheduler.subjective_join
 
@@ -632,7 +632,7 @@ def test_each_distinct_local_run_is_driven_once(monkeypatch):
     posts = []
     _count_spec_posts(sc.program, posts)
     rep = explore(sc, step_bound=120, loop_bound=1)
-    assert rep.as_dict()["stats"]["local_runs"] == 3_774
+    assert rep.as_dict()["stats"]["local_runs"] == 5_144
     assert (len(posts), len(joins)) == (1_126, 384)
     assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
     assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
@@ -641,22 +641,20 @@ def test_each_distinct_local_run_is_driven_once(monkeypatch):
 
 def test_the_move_memo_holds_one_object_per_distinct_leaf(monkeypatch):
     ctxs = []
-    local_run = scheduler._local_run
+    step = scheduler.step_action
 
-    def captured(leaf, joint, other, ctx):
+    def captured(cfg, leaf, ctx):
         ctxs.append(ctx)
-        return local_run(leaf, joint, other, ctx)
+        return step(cfg, leaf, ctx)
 
-    monkeypatch.setattr(scheduler, "_local_run", captured)
+    monkeypatch.setattr(scheduler, "step_action", captured)
     rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=3)
     assert rep.verdict == "pass" and rep.complete == 175_040
     moves = ctxs[0].moves
     # a step with its run keys on (leaf, joint, other, id(conc), next_loc)
-    # and holds (stop leaf, joint, next_loc, path entry); a run after a
-    # fork, join or hide keys on (leaf, joint, other) and holds its stop leaf
-    assert {len(key) for key in moves} == {5, 3}
-    held = [key[0] for key in moves]
-    held += [stop if isinstance(stop, Leaf) else stop[0] for stop in moves.values()]
+    # and holds (stop leaf, joint, next_loc, path entry)
+    assert {len(key) for key in moves} == {5}
+    held = [key[0] for key in moves] + [hit[0] for hit in moves.values()]
     assert len(held) > len(set(held)) > 100
     assert len({id(leaf) for leaf in held}) == len(set(held))
 
