@@ -297,22 +297,29 @@ def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckRep
 # Entanglement
 # ---------------------------------------------------------------------------
 
-def _lift_internal(t: Transition, side_labels, other_labels) -> Transition:
-    def member(w, w2):
-        if w.labels() != w2.labels():
-            return False
-        if w.restrict(other_labels) != w2.restrict(other_labels):
-            return False
-        return t.member(w.restrict(side_labels), w2.restrict(side_labels))
-
-    return Transition(t.name, "internal", member)
+_ABSENT = object()
 
 
-def _lift_external(t: Transition, side_labels, other_labels) -> Transition:
-    def member(w, w2, h):
-        if w.restrict(other_labels) != w2.restrict(other_labels):
+def _idle(w: SubjState, w2: SubjState, idle_labels) -> bool:
+    """The step keeps its label set, and each of ``idle_labels`` keeps its
+    self, joint and other components: ``w.restrict(idle_labels) ==
+    w2.restrict(idle_labels)``, decided without building either."""
+    if w.labels() != w2.labels():
+        return False
+    for m, m2 in ((w.self_, w2.self_), (w.joint, w2.joint), (w.other, w2.other)):
+        for lbl in idle_labels:
+            v, v2 = m.get(lbl, _ABSENT), m2.get(lbl, _ABSENT)
+            if v is not v2 and v != v2:
+                return False
+    return True
+
+
+def _lift(t: Transition, side_labels, idle_labels) -> Transition:
+    """``t`` on ``side_labels``, ``idle_labels`` idle; ``h`` only if external."""
+    def member(w, w2, *h):
+        if not _idle(w, w2, idle_labels):
             return False
-        return t.member(w.restrict(side_labels), w2.restrict(side_labels), h)
+        return t.member(w.restrict(side_labels), w2.restrict(side_labels), *h)
 
     return Transition(t.name, t.kind, member)
 
@@ -321,6 +328,8 @@ def _exchange(alpha: Transition, a_labels, rho: Transition, r_labels) -> Transit
     """Simultaneous acquire on one side and release on the other."""
 
     def member(w, w2):
+        if not _idle(w, w2, ()):
+            return False
         wa, wa2 = w.restrict(a_labels), w2.restrict(a_labels)
         wr, wr2 = w.restrict(r_labels), w2.restrict(r_labels)
         h = transferred_heap(alpha, wa, wa2)
@@ -343,29 +352,22 @@ def entangle(u: Concurroid, v: Concurroid) -> Concurroid:
         raise ValueError(f"label overlap: {u.labels & v.labels}")
     internals: dict[str, Transition] = {}
     for name, t in u.internals.items():
-        internals[name] = _lift_internal(t, u.labels, v.labels)
+        internals[name] = _lift(t, u.labels, v.labels)
     for name, t in v.internals.items():
         if name == "id":
             continue
-        internals[name] = _lift_internal(t, v.labels, u.labels)
+        internals[name] = _lift(t, v.labels, u.labels)
     internals["id"] = identity_transition()
 
-    for ua, _ur in u.externals:
-        for _va, vr in v.externals:
-            if ua is not None and vr is not None:
-                t = _exchange(ua, u.labels, vr, v.labels)
-                internals[t.name] = t
-    for va, _vr in v.externals:
-        for _ua, ur in u.externals:
-            if va is not None and ur is not None:
-                t = _exchange(va, v.labels, ur, u.labels)
-                internals[t.name] = t
+    for acq, rel in ((u, v), (v, u)):
+        for alpha, _ in acq.externals:
+            for _, rho in rel.externals:
+                if alpha is not None and rho is not None:
+                    t = _exchange(alpha, acq.labels, rho, rel.labels)
+                    internals[t.name] = t
 
-    externals = []
-    for ua, ur in u.externals:
-        lifted_a = _lift_external(ua, u.labels, v.labels) if ua else None
-        lifted_r = _lift_external(ur, u.labels, v.labels) if ur else None
-        externals.append((lifted_a, lifted_r))
+    externals = [tuple(_lift(t, u.labels, v.labels) if t else None for t in pair)
+                 for pair in u.externals]
 
     sample_state = None
     if u.sample_state and v.sample_state:

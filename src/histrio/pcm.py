@@ -12,6 +12,10 @@ Joining elements of different carriers is a *usage error* (raises
 undefinedness meaningful: ``Own • Own`` is undefined, ``Own • heap`` is
 a bug.
 
+Definedness (``joinable``) and order (``pcm_order``) are decided from keys,
+ids and entries alone, without building the join or the ``subtract``
+witness, and raise where those do.
+
 The dataclass values (``Loc``, ``Req``, ``Resp``, ``IdSet``, ``Hist``,
 ``Triple``) compare and hash by their fields, and nothing changes one once
 it is built.  They are slotted, unfrozen dataclasses, since a frozen one
@@ -286,6 +290,28 @@ def join(a, b):
     raise PcmMismatchError(f"{a!r} is not a PCM element")
 
 
+def joinable(a, b) -> bool:
+    """Is ``a • b`` defined?  Decided from keys and ids alone, without building
+    the join; raises :class:`PcmMismatchError` exactly where ``join`` does."""
+    if not _same_carrier(a, b):
+        raise PcmMismatchError(f"cannot join {a!r} with {b!r}")
+    t = type(a)
+    if t is Triple:
+        # all three decided first, so a mixed aux raises as in ``join``
+        return all([joinable(a.ids, b.ids), joinable(a.mx, b.mx), joinable(a.aux, b.aux)])
+    if t is Hist:
+        return a.entries.keys().isdisjoint(b.entries.keys())
+    if t is Mutex:
+        return a is NOT_OWN or b is NOT_OWN
+    if t is IdSet:
+        return a.ids.isdisjoint(b.ids)
+    if t is Heap:
+        return a.keys().isdisjoint(b.keys())
+    if a is UNIT:
+        return True
+    raise PcmMismatchError(f"{a!r} is not a PCM element")
+
+
 def unit_like(x):
     """The unit of ``x``'s carrier."""
     if isinstance(x, Heap):
@@ -352,8 +378,24 @@ def subtract(whole, part):
 
 
 def pcm_order(g1, g2) -> bool:
-    """``g1 ⊑ g2``: does some ``g`` exist with ``g1 • g == g2``?"""
-    return subtract(g2, g1) is not None
+    """``g1 ⊑ g2``: does some ``g`` exist with ``g1 • g == g2``?  Decided by
+    inclusion, without building ``subtract(g2, g1)``, and raises where it does."""
+    if not _same_carrier(g2, g1):
+        raise PcmMismatchError(f"cannot subtract {g1!r} from {g2!r}")
+    t = type(g2)
+    if t is Hist:
+        return g1.entries.items() <= g2.entries.items()
+    if t is Heap:
+        return g1.items() <= g2.items()
+    if t is Triple:
+        return all([pcm_order(g1.ids, g2.ids), pcm_order(g1.mx, g2.mx), pcm_order(g1.aux, g2.aux)])
+    if t is Mutex:
+        return g1 is NOT_OWN or g2 is OWN
+    if t is IdSet:
+        return g1.ids <= g2.ids
+    if g2 is UNIT:
+        return True
+    raise PcmMismatchError(f"{g2!r} is not a PCM element")
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .fmap import EMPTY_MAP, FrozenMap
 from .pcm import (
     Heap,
     Triple,
+    joinable,
     map_pointwise_join,
     map_subtract,
     render,
@@ -104,44 +105,39 @@ class SubjState:
 EMPTY_STATE = SubjState(EMPTY_MAP, EMPTY_MAP, EMPTY_MAP)
 
 
-def _collect_heaps(value, out: list) -> None:
-    """Append every heap stored inside a component value (recursing into
-    tuples and triples) to ``out``."""
-    if isinstance(value, Heap):
-        out.append(value)
-    elif isinstance(value, tuple):
-        for v in value:
-            _collect_heaps(v, out)
-    elif isinstance(value, Triple):
-        _collect_heaps(value.aux, out)
-
-
 def flatten(w: SubjState) -> Optional[Heap]:
-    """Disjoint union of every heap in ``w``; ``None`` on overlap."""
+    """Disjoint union of every heap in ``w``, found in the components and,
+    depth first, inside their tuples and triples' aux; ``None`` on overlap."""
     if w._flat is not _UNSET:
         return w._flat
-    heaps: list[Heap] = []
-    for m in (w.self_, w.joint, w.other):
-        for v in m.values():
-            _collect_heaps(v, heaps)
     cells: dict = {}
     size = 0
-    for h in heaps:
-        cells.update(h.items())
-        size += len(h)
+    todo = [*w.self_.values(), *w.joint.values(), *w.other.values()][::-1]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Heap):
+            # merging the heap's own dict reuses its keys' stored hashes
+            d = v._d
+            cells.update(d)
+            size += len(d)
+        elif isinstance(v, tuple):
+            todo += v[::-1]
+        elif isinstance(v, Triple):
+            todo.append(v.aux)
     flat = Heap(cells) if len(cells) == size else None
     w._flat = flat
     return flat
 
 
 def validate(w: SubjState) -> bool:
-    """Equal label domains, ``self ∘ other`` defined, heaps disjoint."""
+    """Equal label domains, ``self ∘ other`` defined, heaps disjoint.  The
+    join is not built: ``joinable`` decides each label's from its keys."""
     if w._valid:
         return True
     if not (w.self_.keys() == w.joint.keys() == w.other.keys()):
         return False
     try:
-        if map_pointwise_join(w.self_, w.other) is None:
+        if not all(joinable(s, w.other[lbl]) for lbl, s in w.self_.items()):
             return False
     except TypeError:
         return False

@@ -7,6 +7,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from histrio import scenarios
 from histrio.concurroid import (
     Transition,
     behaviorally_equal,
@@ -14,8 +15,11 @@ from histrio.concurroid import (
     check_fork_join_closure,
     empty_concurroid,
     entangle,
+    step_in_transition,
 )
 from histrio.fmap import FrozenMap
+from histrio.pcm import EMPTY_IDSET, IdSet
+from histrio.scheduler import run_random
 from histrio.state import (
     EMPTY_STATE,
     StateError,
@@ -230,6 +234,27 @@ def test_entangle_lifts_transitions_with_idle_frames():
             w2.self_.set(pv.LB, grown), w2.joint, w2.other
         )
         assert not wr.member(w, w2_bad)
+
+
+def test_lifted_and_exchange_steps_keep_their_label_set():
+    """A step of an entangled concurroid that adds a label to its post-state
+    is no member of a lifted internal, a lifted external or an exchange."""
+    sc = scenarios.treiber_scenario()
+    moved = [e for seed in range(4) for e in run_random(sc, seed, 200, 1).events
+             if e.before != e.after]
+    steps = {}
+    for e in moved:
+        kind = "xchg" if e.transition.startswith("xchg:") else e.transition
+        steps.setdefault(kind, e)
+    assert {"xchg", "pv.acquire", "pv.write"} <= steps.keys()
+    for kind in ("xchg", "pv.acquire", "pv.write"):
+        e = steps[kind]
+        t = sc.conc.find(e.transition)
+        assert step_in_transition(t, e.before, e.after), kind
+        w2 = e.after
+        grown = SubjState(w2.self_.set("zz", IdSet.of(7)), w2.joint.set("zz", EMPTY_IDSET),
+                          w2.other.set("zz", IdSet.of(8)))
+        assert not step_in_transition(t, e.before, grown), kind
 
 
 def test_empty_concurroid_is_the_unit():

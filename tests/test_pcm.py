@@ -20,10 +20,13 @@ from histrio.pcm import (
     Hist,
     IdSet,
     Loc,
+    Mutex,
     PcmMismatchError,
     Triple,
+    UNIT,
     check_pcm_laws,
     join,
+    joinable,
     map_pointwise_join,
     pcm_order,
     subtract,
@@ -204,3 +207,67 @@ def test_unchecked_results_equal_checked_histories():
         assert got.kind == want.kind and got.entries == want.entries
         assert repr(got) == repr(want)
     assert join(a, Hist.of(STACK, {0: ((), ("b",))})) is None
+
+
+def _sharing(x, y, rng):
+    """``y`` made to share one cell, stamp or id with ``x``, holding ``x``'s
+    value there or another one; ``y`` itself when ``x`` has none to share."""
+    t = type(x)
+    if t is Heap and x:
+        k = rng.choice(sorted(x.keys()))
+        return Heap({**dict(y), k: x[k] if rng.random() < 0.5 else ("other", x[k])})
+    if t is Hist and x.entries:
+        k = rng.choice(sorted(x.stamps()))
+        pre, post = x.entries[k]
+        entry = (pre, post) if rng.random() < 0.5 else (post, pre)
+        return Hist.of(x.kind, {**dict(y.entries), k: entry})
+    if t is IdSet and x.ids:
+        return IdSet(y.ids | {rng.choice(sorted(x.ids))})
+    if t is Triple:
+        parts = [y.ids, y.mx, y.aux]
+        i = rng.randrange(3)
+        parts[i] = _sharing((x.ids, x.mx, x.aux)[i], parts[i], rng)
+        return Triple(*parts)
+    if t is Mutex:
+        return OWN if x is OWN else y
+    return y
+
+
+def _pairs(inst, rng, n=150):
+    """Sampled pairs of ``inst``, each with its overlapping variants and, where
+    the join is defined, each operand against the join."""
+    for _ in range(n):
+        a, b = inst.sample(rng), inst.sample(rng)
+        shared = _sharing(a, b, rng)
+        yield from [(a, b), (b, a), (a, shared), (shared, a), (a, a)]
+        ab = join(a, b)
+        if ab is not None:
+            yield from [(a, ab), (ab, a), (b, ab), (shared, ab)]
+
+
+@pytest.mark.parametrize("inst", SHIPPED_INSTANCES, ids=lambda i: i.name)
+def test_joinable_and_pcm_order_agree_with_the_built_elements(inst):
+    rng = random.Random(20)
+    seen = set()
+    for a, b in _pairs(inst, rng):
+        defined = join(a, b) is not None
+        below = subtract(b, a) is not None
+        assert joinable(a, b) == defined, (a, b)
+        assert pcm_order(a, b) == below, (a, b)
+        seen |= {("join", defined), ("order", below)}
+    # every instance but the one-point PCM meets both answers of both questions
+    if inst.unit is not UNIT:
+        assert seen == {("join", True), ("join", False), ("order", True), ("order", False)}
+
+
+def test_joinable_and_pcm_order_reject_mixed_carriers():
+    rng = random.Random(21)
+    samples = [(i.name, i.sample(rng)) for i in SHIPPED_INSTANCES]
+    mixed = [(a, b) for na, a in samples for nb, b in samples if na != nb]
+    # triples whose ids and mutex agree but whose aux carriers differ
+    mixed.append((Triple(IdSet.of(1), OWN, Heap()), Triple(IdSet.of(1), OWN, Hist(STACK))))
+    mixed.append((3, 3))
+    for a, b in mixed:
+        for fn in (join, joinable, subtract, pcm_order):
+            with pytest.raises(PcmMismatchError):
+                fn(a, b)

@@ -29,6 +29,13 @@ A frozen dataclass's ``__init__`` stores each field through
 tree nodes dearer to build.  So no dataclass in the package
 is frozen; ``test_records.py`` keeps the value records unchanged after
 construction instead.  ``object.__setattr__`` may only fill a cache slot.
+
+No code builds a PCM element only to test whether it exists: a call of
+``join``, ``map_pointwise_join``, ``subtract`` or ``map_subtract`` compared
+with ``is None`` or ``is not None`` builds a join or a witness and drops
+it.  ``pcm.joinable`` and ``pcm.pcm_order`` answer those questions from
+keys alone.  The scan is syntactic, so a result bound to a name first
+and tested later is allowed: that code keeps the element.
 """
 
 import ast
@@ -111,6 +118,27 @@ def process_caches(trees: dict) -> list[tuple[str, int, str]]:
             elif isinstance(node, ast.ImportFrom) and node.module == "functools":
                 out += [(path, node.lineno, a.name) for a in node.names
                         if a.name in PROCESS_CACHES]
+    return sorted(out)
+
+
+BUILDERS = {"join", "map_pointwise_join", "subtract", "map_subtract"}
+
+
+def built_then_tested(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, callee) for every call of a ``BUILDERS`` function that
+    is compared with ``is None`` or ``is not None``."""
+    out = []
+    for path, tree in trees.items():
+        for cmp in ast.walk(tree):
+            if not (isinstance(cmp, ast.Compare)
+                    and all(isinstance(op, (ast.Is, ast.IsNot)) for op in cmp.ops)):
+                continue
+            for side in (cmp.left, *cmp.comparators):
+                if isinstance(side, ast.Call):
+                    f = side.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name in BUILDERS:
+                        out.append((path, cmp.lineno, name))
     return sorted(out)
 
 
@@ -303,3 +331,24 @@ def test_the_scan_sees_an_lru_cache_and_a_cache():
     assert process_caches({"m.py": tree}) == [
         ("m.py", 2, "cache"), ("m.py", 3, "lru_cache"), ("m.py", 4, "lru_cache"),
         ("m.py", 10, "cache")]
+
+
+def test_no_pcm_element_is_built_only_to_test_that_it_exists():
+    assert built_then_tested(_package()) == []
+
+
+def test_the_scan_sees_a_join_and_a_subtract_tested_against_none():
+    tree = ast.parse(
+        "from histrio import pcm\n"
+        "from histrio.pcm import join, map_subtract\n"
+        "def f(a, b, m, n):\n"
+        "    if join(a, b) is None:\n"
+        "        return 0\n"
+        "    if pcm.subtract(a, b) is not None:\n"
+        "        return 1\n"
+        "    j = join(a, b)\n"
+        "    if j is None or m.get(a) is None:\n"
+        "        return j\n"
+        "    return None is map_subtract(m, n) or join(a, b) == b\n")
+    assert built_then_tested({"m.py": tree}) == [
+        ("m.py", 4, "join"), ("m.py", 6, "subtract"), ("m.py", 11, "map_subtract")]

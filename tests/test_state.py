@@ -1,10 +1,14 @@
 """Subjective states: validity, flattening, realignment, fork/join."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from histrio.fmap import FrozenMap
-from histrio.pcm import EMPTY_HEAP, STACK, Heap, Hist, Loc, unit_map_like
+from histrio.pcm import (
+    EMPTY_HEAP, EMPTY_IDSET, NOT_OWN, STACK, Heap, Hist, Loc, Triple, unit_map_like,
+)
 from histrio.state import (
     StateError,
     SubjState,
@@ -15,6 +19,11 @@ from histrio.state import (
     subjective_split,
     validate,
 )
+from histrio.structures import flatcombiner as fc
+from histrio.structures import private_heap as pv
+from histrio.structures import snapshot as sp
+from histrio.structures import spinlock as lk
+from histrio.structures import treiber as tb
 
 
 def mkstate(self_heap=None, joint_heap=None, other_heap=None, self_hist=None,
@@ -163,3 +172,61 @@ def test_restrictions_of_a_valid_state_are_valid():
         fresh = SubjState(r.self_, r.joint, r.other)
         assert validate(fresh)
         assert flatten(r) == flatten(fresh)
+
+
+def _collect_heaps(value, out: list) -> None:
+    """The reference collection: every heap inside a component value,
+    recursing into tuples and triples' aux, in depth-first order."""
+    if isinstance(value, Heap):
+        out.append(value)
+    elif isinstance(value, tuple):
+        for v in value:
+            _collect_heaps(v, out)
+    elif isinstance(value, Triple):
+        _collect_heaps(value.aux, out)
+
+
+def _reference_flatten(w: SubjState):
+    heaps: list = []
+    for m in (w.self_, w.joint, w.other):
+        for v in m.values():
+            _collect_heaps(v, heaps)
+    cells: dict = {}
+    for h in heaps:
+        cells.update(h.items())
+    return Heap(cells) if len(cells) == sum(map(len, heaps)) else None
+
+
+def _nested(w: SubjState, rng) -> list:
+    """``w`` with a label ``zz`` whose components hide heaps in tuples and
+    triples: first on fresh cells, then on a cell ``w`` already holds."""
+    held = sorted(_reference_flatten(w) or {})
+    fresh = [Loc(100 + i) for i in range(4)]
+    out = []
+    for cells in (fresh, fresh[:3] + held[-1:]):
+        if len(cells) < 4:
+            continue
+        a, b, c, d = (Heap({loc: rng.randint(0, 3)}) for loc in cells)
+        out.append(SubjState(
+            w.self_.set("zz", Triple(EMPTY_IDSET, NOT_OWN, (a, 1))),
+            w.joint.set("zz", (b, ("x", (c,)), Triple(EMPTY_IDSET, NOT_OWN, 2))),
+            w.other.set("zz", d)))
+    return out
+
+
+def test_flatten_matches_the_recursive_collection():
+    rng = random.Random(22)
+    samplers = [sp.sample_state, pv.sample_state, tb.sample_state, lk.sample_state,
+                lambda r: fc.sample_state(fc.stack_shape(3), r)]
+    verdicts = set()
+    for sample in samplers:
+        for _ in range(60):
+            w = sample(rng)
+            for v in [w, *_nested(w, rng)]:
+                fresh = SubjState(v.self_, v.joint, v.other)
+                ref, flat = _reference_flatten(v), flatten(fresh)
+                assert flat == ref, v.render()
+                # the same cells in the same order
+                assert flat is None or list(flat.items()) == list(ref.items())
+                verdicts.add(flat is None)
+    assert verdicts == {True, False}
