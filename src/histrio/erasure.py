@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .actions import exec_primitive
-from .scheduler import Trace, initial_config, leaf_view, leaves, run_random
+from .scheduler import Trace, initial_config, leaf_view, run_random
 from .state import flatten
 
 
@@ -58,5 +58,4 @@ def compare_erased_trace(scenario, trace: Trace) -> Optional[str]:
 
 def _final_view(trace: Trace):
     """Any leaf's view flattens to the whole concrete heap exactly once."""
-    cfg = trace.final
-    return leaf_view(cfg, leaves(cfg.tree)[0])
+    return leaf_view(trace.final, trace.final.threads[0])

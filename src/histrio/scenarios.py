@@ -117,7 +117,7 @@ def pair_snapshot_scenario(writers: int = 2) -> Scenario:
 
     def final_oracle(cfg: Config, result) -> list:
         reader_res = result[0] if writers else result
-        view = leaf_view(cfg, cfg.tree)
+        view = leaf_view(cfg, cfg.threads[0])
         total = join(view.self_[sp.LB], view.other[sp.LB])
         return snapshot_validity([reader_res], total)
 
@@ -150,7 +150,7 @@ def treiber_scenario(pushers: int = 2, elems: tuple = ("a", "b")) -> Scenario:
 
     def final_oracle(cfg: Config, result) -> list:
         out = []
-        view = leaf_view(cfg, cfg.tree)
+        view = leaf_view(cfg, cfg.threads[0])
         total = join(view.self_[tb.LB], view.other[tb.LB])
         parsed = tb.parse_stack(view.joint[tb.LB])
         if parsed is None:
@@ -301,7 +301,7 @@ def producer_consumer_scenario(n: int = 3) -> Scenario:
 
     def final_oracle(cfg: Config, result) -> list:
         out = []
-        heap = cfg.tree.self_[pv.LB]
+        heap = cfg.threads[0].self_[pv.LB]
         consumed = tuple(heap.get(Loc(ac_base + i)) for i in range(n))
         msg = exchange_oracle(ap_vals)(consumed)
         if msg is not None:
@@ -367,7 +367,7 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
 
     def final_oracle(cfg: Config, result) -> list:
         out = []
-        view = leaf_view(cfg, cfg.tree)
+        view = leaf_view(cfg, cfg.threads[0])
         total = fc.total_aux(shape, view.restrict(fc.HOME))
         if not (is_complete(total) and is_continuous(total) and is_stacklike(total)):
             out.append("final combined history not complete/continuous/stacklike")
@@ -412,7 +412,7 @@ def seq_recovery_scenario(contents: tuple = ("b", "c"), elem: str = "a") -> Scen
         return out
 
     def final_oracle(cfg: Config, result) -> list:
-        heap = cfg.tree.self_[pv.LB]
+        heap = cfg.threads[0].self_[pv.LB]
         parsed = tb.parse_stack(heap)
         if parsed is None:
             return ["final private heap does not hold a stack"]

@@ -1,12 +1,18 @@
 """The interleaving explorer.
 
-Machine configurations are immutable and hashable: a tree of threads
-(leaves carry a program node, an environment, a continuation stack, and
-the thread's self map), the shared joint map, the environment-owned
-root map, and the installed concurroid.  Administrative reductions
-(sequencing, conditionals, forks, joins, spec capture, hiding) are
-performed eagerly and deterministically; the only branching points are
-atomic actions, so interleaving counts are exact.
+Machine configurations are immutable and hashable: a table of the live
+threads (leaves carry a program node, an environment, a continuation
+stack, and the thread's self map), the forks not yet joined, the shared
+joint map, the environment-owned root map, and the installed concurroid.
+Administrative reductions (sequencing, conditionals, forks, joins, spec
+capture, hiding) are performed eagerly and deterministically; the only
+branching points are atomic actions, so interleaving counts are exact.
+
+A fork replaces a thread's slot with its two children, the left keeping
+its id and the right taking the next fresh one, and records the fork
+(``Fork``).  The table lists the fork tree's leaves left to right and the
+records are in the order made, so the pair determines the tree: a
+thread's innermost fork is the last it took part in.
 
 Exhaustive mode runs a depth-first search over configurations on an
 explicit stack, so its depth is not limited by Python's recursion limit.
@@ -35,8 +41,8 @@ the inputs it reads.  A thread's ``other`` is the join of the root map
 and its siblings' self maps (``leaf_view``).  A thread-local run
 of administrative reductions, spec captures and posts included, reads
 only its leaf, the leaf's view and the loop bound, and stops at the leaf
-where ``normalize`` splices it in or restructures the tree.  A step
-leaves its own thread's ``other`` as it was, so the run after a step
+that ``normalize`` splices into the table, or forks, joins or hides.  A
+step leaves its own thread's ``other`` as it was, so the run after a step
 takes it from the step's view.  A move, a step with the run after it,
 then reads only the leaf, the joint map, the thread's ``other``, the
 concurroid and the next fresh location.  ``step_action`` takes the
@@ -56,9 +62,9 @@ produced, each distinct leaf the move memo holds, in its keys and its
 values, and each distinct (summary, height) entry ``explore`` remembers.
 Equal maps and leaves then share one object, and an equal leaf one
 environment, continuation and cached hash, so memo hits mostly compare
-them by identity.
-The forks that ``replace_leaf`` rebuilds are not interned: most are
-transient, and the table would keep them alive.
+them by identity.  Thread tables and fork records are not interned: a
+step splices a new table, most of them transient, and the table of
+values would keep them alive.
 
 The memos key on equality.  Map equality is type-exact, so a ``Heap``
 never stands in for a plain map, but cells compare with ``==``:
@@ -74,31 +80,35 @@ and decide the same coherence.  So each run of ``explore`` or
 ``_run_schedule`` also installs a fact table (``state.fact_table``),
 beside ``_Ctx.values``, that lives only for the run.  It holds the
 coherence of each label a concurroid governs, keyed on the label's
-coherence body and its self, joint and other components, and the
-flat-combiner and Treiber joint parses, keyed on the joint.  No fact
-outlives its run, so a later run, or a test that swaps a structure's
-function, decides every fact afresh; outside a run nothing is remembered.
+coherence body and its self, joint and other components, the
+flat-combiner and Treiber joint parses, keyed on the joint, and the flat
+combiner's cumulative contribution, keyed on its self, joint and other
+parts.  No fact outlives its run, so a later run, or a test that swaps a
+structure's function, decides every fact afresh; outside a run nothing is
+remembered.
 
-Configurations, tree nodes and continuation frames are values, so the
-memos may hold them as keys: nothing changes one once it is built, except
-that a ``_hash`` cache is filled once.  The explorer builds them on every
-edge, so they are slotted, unfrozen dataclasses (a frozen one pays an
-``object.__setattr__`` per field), and the rule is kept by a test that
-runs the shipped scenarios with every other store refused
+Configurations, leaves, fork records and continuation frames are values,
+so the memos may hold them as keys: nothing changes one once it is built,
+except that a ``_hash`` cache is filled once.  The explorer builds them
+on every edge, so they are slotted, unfrozen dataclasses (a frozen one
+pays an ``object.__setattr__`` per field), and the rule is kept by a test
+that runs the shipped scenarios with every other store refused
 (``tests/test_records.py``), not on each construction.
 
-Every configuration a driver holds is normal: no leaf but those at an
-action can reduce, and no fork waits to be joined.  So after a step only
-the stepped thread can reduce: ``step_action`` drives its run, and when
-the run stops at the next action, ``normalize`` splices the leaf into the
-tree once, with no scan of the tree.  Only a fork, completion, loop
-exhaustion or hiding sends it on to scan and restructure the tree.
+Every configuration a driver holds is normal: no thread but those at an
+action can reduce, and no two finished threads wait to be joined.  So
+after a step only the stepped thread can reduce: ``step_action`` drives
+its run, and when the run stops at the next action, ``normalize`` splices
+the leaf into its slot of the table, with no scan of the threads.  Only a
+fork, completion, loop exhaustion or hiding sends it on to scan the
+threads, fork, join and hide.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .actions import ActionSafetyError, AtomicAction, StepCtx, run_atomic, step_matches_claim
@@ -195,29 +205,26 @@ class Leaf:
         return h
 
 
-@dataclass(slots=True)
-class ParT:
-    left: Any
-    right: Any
+@dataclass(unsafe_hash=True, slots=True)
+class Fork:
+    """A fork waiting to be joined: the forking thread's id, which its left
+    child kept, its right child's id, and the environment and continuation
+    that the joined thread resumes with."""
+
     tid: int
+    right: int
     env: FrozenMap
     kont: tuple
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.left, self.right, self.tid, self.env, self.kont))
-            self._hash = h
-        return h
 
 
 @dataclass(eq=False, slots=True)
 class Config:
-    """A machine configuration.  Its hash, like its tree nodes' hashes, is
-    computed once and kept, since configurations key the explorer's memo."""
+    """A machine configuration.  Its hash, like its leaves', is computed
+    once and kept, since configurations key the explorer's memo; it leaves
+    out the forks, which the threads and ``next_tid`` all but determine."""
 
-    tree: Any
+    threads: tuple
+    forks: tuple
     joint: FrozenMap
     root_other: FrozenMap
     conc: Concurroid
@@ -225,47 +232,38 @@ class Config:
     next_tid: int
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
+    @property
+    def tree(self) -> Leaf:
+        """The sole thread of a one-thread configuration."""
+        (leaf,) = self.threads
+        return leaf
+
     def __eq__(self, other):
-        return (
-            isinstance(other, Config)
-            and self.conc is other.conc
-            and self.next_loc == other.next_loc
-            and self.next_tid == other.next_tid
-            and self.tree == other.tree
-            and self.joint == other.joint
-            and self.root_other == other.root_other
-        )
+        return (isinstance(other, Config) and self.conc is other.conc
+                and self.next_loc == other.next_loc and self.next_tid == other.next_tid
+                and self.threads == other.threads and self.forks == other.forks
+                and self.joint == other.joint and self.root_other == other.root_other)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.tree, self.joint, self.root_other, id(self.conc),
+            h = hash((self.threads, self.joint, self.root_other, id(self.conc),
                       self.next_loc, self.next_tid))
             self._hash = h
         return h
 
 
-def leaves(tree) -> list[Leaf]:
-    if isinstance(tree, Leaf):
-        return [tree]
-    return leaves(tree.left) + leaves(tree.right)
-
-
-def replace_leaf(tree, tid: int, repl):
-    if isinstance(tree, Leaf):
-        return repl if tree.tid == tid else tree
-    left = replace_leaf(tree.left, tid, repl)
-    if left is not tree.left:
-        return ParT(left, tree.right, tree.tid, tree.env, tree.kont)
-    right = replace_leaf(tree.right, tid, repl)
-    if right is not tree.right:
-        return ParT(tree.left, right, tree.tid, tree.env, tree.kont)
-    return tree
+def _splice(threads: tuple, tid: int, repl: tuple) -> tuple:
+    """``threads`` with thread ``tid``'s slot replaced by the leaves ``repl``."""
+    for i, leaf in enumerate(threads):
+        if leaf.tid == tid:
+            return threads[:i] + repl + threads[i + 1:]
+    raise SchedulerError(f"no thread {tid}")
 
 
 def _with_leaf(cfg: Config, leaf: Leaf) -> Config:
     """The configuration with the leaf of the same thread id replaced."""
-    return Config(replace_leaf(cfg.tree, leaf.tid, leaf), cfg.joint,
+    return Config(_splice(cfg.threads, leaf.tid, (leaf,)), cfg.forks, cfg.joint,
                   cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid)
 
 
@@ -276,9 +274,8 @@ def leaf_view(cfg: Config, leaf: Leaf, others: Optional[dict] = None) -> SubjSta
     The join is a function of those operands alone, so with ``others`` it
     is remembered there, keyed on the root map and the siblings' self maps.
     """
-    if isinstance(cfg.tree, Leaf) and cfg.tree.tid == leaf.tid:
-        return SubjState(leaf.self_, cfg.joint, cfg.root_other)
-    sibs = tuple(l2.self_ for l2 in leaves(cfg.tree) if l2.tid != leaf.tid)
+    tid = leaf.tid
+    sibs = tuple([l2.self_ for l2 in cfg.threads if l2.tid != tid])
     key = (cfg.root_other, sibs)
     other = others.get(key) if others is not None else None
     if other is None:
@@ -506,8 +503,8 @@ class _Ctx:
         # identity
         self.values: dict = {}
         self.local_runs = 0  # local runs driven through _drive
-        # (fork, joint, left other, right other) -> the merged leaf, for
-        # joins that reported nothing; see _try_collapse
+        # (fork, left, right, joint, left other, right other) -> the merged
+        # leaf, for joins that reported nothing; see _try_collapse
         self.joins: dict = {}
 
     def report(self, check: str, expected: str, actual: str, tid: int):
@@ -538,7 +535,7 @@ def _advance(leaf: Leaf, joint, other, ctx: _Ctx) -> Optional[Leaf]:
     Local reductions change only the leaf's node, environment and
     continuation, never its self map or any other part of the configuration;
     so the thread's view is its self map, ``joint`` and ``other`` throughout
-    the run, with no need to splice the leaf into the tree first.
+    the run, with no need to splice the leaf into the table first.
     """
     node = leaf.node
     if node is None:
@@ -641,7 +638,7 @@ def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
 
 def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
     phi = node.phi
-    if not isinstance(cfg.tree, Leaf):
+    if len(cfg.threads) != 1:
         raise SchedulerError("hide requires a solo thread")
     if "pv" not in leaf.self_:
         raise SchedulerError("hide requires private heaps")
@@ -659,7 +656,7 @@ def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
         joint2 = joint2.set(lbl, joint_frag[lbl])
         other2 = other2.set(lbl, unit_like(self_frag[lbl]))
     nxt = Leaf(leaf.tid, node.body, leaf.env, leaf.kont + (HideK(phi, cfg.conc),), self2)
-    cfg2 = Config(nxt, joint2, other2, inner, cfg.next_loc, cfg.next_tid)
+    cfg2 = Config((nxt,), (), joint2, other2, inner, cfg.next_loc, cfg.next_tid)
     hidden = leaf_view(cfg2, nxt, ctx.others).restrict(phi.conc.labels)
     if not phi.membership(phi.g0, hidden):
         ctx.report("hide:install", f"Phi({render(phi.g0)})", hidden.render(), leaf.tid)
@@ -669,7 +666,7 @@ def _hide_enter(cfg: Config, leaf: Leaf, node: HideN, ctx: _Ctx) -> Config:
 def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _Ctx) -> Config:
     phi = frame.phi
     labels = phi.conc.labels
-    if not isinstance(cfg.tree, Leaf):
+    if len(cfg.threads) != 1:
         raise SchedulerError("hide exit requires a solo thread")
     hidden = leaf_view(cfg, leaf, ctx.others).restrict(labels)
     for lbl in sorted(labels):
@@ -689,7 +686,7 @@ def _hide_exit(cfg: Config, leaf: Leaf, frame: HideK, rest: tuple, value, ctx: _
         raise SchedulerError("hide exit: returned heap overlaps private heap")
     self2 = leaf.self_.without(labels).set("pv", Heap(pv_self))
     nxt = Leaf(leaf.tid, None, leaf.env, rest, self2, RUN, value)
-    return Config(nxt, cfg.joint.without(labels),
+    return Config((nxt,), (), cfg.joint.without(labels),
                   cfg.root_other.without(labels), frame.outer,
                   cfg.next_loc, cfg.next_tid)
 
@@ -703,44 +700,43 @@ def _fork(cfg: Config, leaf: Leaf, node: ParN, ctx: _Ctx) -> Config:
         raise SchedulerError(f"bad split directive: {exc}") from exc
     left = Leaf(leaf.tid, node.left, leaf.env, (), c1.self_)
     right = Leaf(cfg.next_tid, node.right, leaf.env, (), c2.self_)
-    par = ParT(left, right, leaf.tid, leaf.env, leaf.kont)
-    return Config(replace_leaf(cfg.tree, leaf.tid, par), cfg.joint,
-                  cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid + 1)
+    fork = Fork(leaf.tid, cfg.next_tid, leaf.env, leaf.kont)
+    return Config(_splice(cfg.threads, leaf.tid, (left, right)), cfg.forks + (fork,),
+                  cfg.joint, cfg.root_other, cfg.conc, cfg.next_loc, cfg.next_tid + 1)
 
 
-def _done_pair(tree) -> Optional[ParT]:
-    """The first fork whose two threads have both finished."""
-    if isinstance(tree, Leaf):
-        return None
-    if (isinstance(tree.left, Leaf) and tree.left.status == DONE
-            and isinstance(tree.right, Leaf) and tree.right.status == DONE):
-        return tree
-    return _done_pair(tree.left) or _done_pair(tree.right)
-
-
-def _replace_node(tree, old, new):
-    """``tree`` with the subtree ``old`` (found by identity) replaced."""
-    if tree is old:
-        return new
-    if isinstance(tree, Leaf):
-        return tree
-    left = _replace_node(tree.left, old, new)
-    right = _replace_node(tree.right, old, new)
-    if left is tree.left and right is tree.right:
-        return tree
-    return ParT(left, right, tree.tid, tree.env, tree.kont)
+def _done_pair(cfg: Config) -> Optional[tuple[int, int]]:
+    """The leftmost two adjacent finished threads that their innermost fork
+    joins, as the index of the first in ``threads`` and of the fork in
+    ``forks``."""
+    threads, forks = cfg.threads, cfg.forks
+    for i in range(len(threads) - 1):
+        if threads[i].status != DONE or threads[i + 1].status != DONE:
+            continue
+        a, b = threads[i].tid, threads[i + 1].tid
+        for k in range(len(forks) - 1, -1, -1):
+            f = forks[k]
+            if f.tid in (a, b) or f.right in (a, b):
+                if f.tid == a and f.right == b:
+                    return i, k
+                break
+    return None
 
 
 def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
-    """Merge the first fork whose threads have both finished.  The merged
-    leaf is a function of the fork and its two threads' views, so a join
-    that reported nothing is remembered by exactly those."""
-    par = _done_pair(cfg.tree)
-    if par is None:
+    """Merge the leftmost two threads that have finished and that one fork
+    joins.  The merged leaf is a function of the fork and its two threads
+    with their views, so a join that reported nothing is remembered by
+    exactly those."""
+    pair = _done_pair(cfg)
+    if pair is None:
         return None
-    c1 = leaf_view(cfg, par.left, ctx.others)
-    c2 = leaf_view(cfg, par.right, ctx.others)
-    key = (par, cfg.joint, c1.other, c2.other)
+    i, k = pair
+    fork = cfg.forks[k]
+    left, right = cfg.threads[i], cfg.threads[i + 1]
+    c1 = leaf_view(cfg, left, ctx.others)
+    c2 = leaf_view(cfg, right, ctx.others)
+    key = (fork, left, right, cfg.joint, c1.other, c2.other)
     merged = ctx.joins.get(key)
     if merged is None:
         before = ctx.reported
@@ -748,34 +744,29 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
             joined = subjective_join(c1, c2)
         except StateError as exc:
             ctx.report("join", "sibling views with a common environment part",
-                       str(exc), par.tid)
+                       str(exc), fork.tid)
             joined = SubjState(
                 map_pointwise_join(c1.self_, c2.self_) or c1.self_, cfg.joint,
                 cfg.root_other)
         if ctx.scenario.on_join is not None:
             for msg in ctx.scenario.on_join(c1, c2, joined):
-                ctx.report("join:check", ctx.scenario.name, msg, par.tid)
-        value = (par.left.result, par.right.result)
-        merged = Leaf(par.tid, None, par.env, par.kont, joined.self_, RUN, value)
+                ctx.report("join:check", ctx.scenario.name, msg, fork.tid)
+        value = (left.result, right.result)
+        merged = Leaf(fork.tid, None, fork.env, fork.kont, joined.self_, RUN, value)
         if ctx.reported == before:
             ctx.joins[key] = merged
-    return Config(_replace_node(cfg.tree, par, merged), cfg.joint, cfg.root_other,
+    return Config(cfg.threads[:i] + (merged,) + cfg.threads[i + 2:],
+                  cfg.forks[:k] + cfg.forks[k + 1:], cfg.joint, cfg.root_other,
                   cfg.conc, cfg.next_loc, cfg.next_tid)
-
-
-def _first_reducible(tree) -> Optional[Leaf]:
-    if isinstance(tree, Leaf):
-        return tree if tree.status == RUN and not isinstance(tree.node, ActN) else None
-    return _first_reducible(tree.left) or _first_reducible(tree.right)
 
 
 def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config:
     """Drive every thread to an atomic action, completion, or a stuck state.
 
-    The first reducible leaf is driven through its thread-local reductions
-    on its own (``_drive``) and spliced into the tree once, when it reaches
-    an action or a structural reduction; then the tree is scanned again.
-    Joins wait until no leaf can reduce.
+    The first reducible leaf, left to right, is driven through its
+    thread-local reductions on its own (``_drive``) and spliced into the
+    table once, when it reaches an action or a structural reduction; then
+    the threads are scanned again.  Joins wait until no leaf can reduce.
 
     With ``stepped``, ``(stop, joint, next_loc)`` from ``step_action``,
     ``cfg`` is the normal configuration the step was taken in, and the
@@ -783,18 +774,20 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
     the stepped thread's run, and no other leaf of a normal configuration
     can reduce, so ``stop`` is spliced in by its thread id; when it stopped
     at an action, that one splice finishes the step with no scan of the
-    tree.
+    threads.
     """
     if stepped is not None:
         stop, joint, next_loc = stepped
-        cfg = Config(replace_leaf(cfg.tree, stop.tid, stop), joint, cfg.root_other,
-                     cfg.conc, next_loc, cfg.next_tid)
+        cfg = Config(_splice(cfg.threads, stop.tid, (stop,)), cfg.forks, joint,
+                     cfg.root_other, cfg.conc, next_loc, cfg.next_tid)
         if isinstance(stop.node, ActN):
             return cfg
         cfg = _restructure(cfg, stop, ctx)
     while True:
-        leaf = _first_reducible(cfg.tree)
-        if leaf is None:
+        for leaf in cfg.threads:  # the first reducible leaf
+            if leaf.status == RUN and not isinstance(leaf.node, ActN):
+                break
+        else:
             collapsed = _try_collapse(cfg, ctx)
             if collapsed is None:
                 return cfg
@@ -932,18 +925,15 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
 
 
 def ready_leaves(cfg: Config) -> list[Leaf]:
-    return sorted(
-        (l for l in leaves(cfg.tree)
-         if l.status == RUN and isinstance(l.node, ActN)),
-        key=lambda l: l.tid,
-    )
+    return sorted([l for l in cfg.threads if l.status == RUN and isinstance(l.node, ActN)],
+                  key=attrgetter("tid"))
 
 
 def initial_config(scenario: Scenario) -> Config:
     f = flatten(scenario.root)
     top = max((loc.n for loc in f.keys()), default=0)
     root = Leaf(0, scenario.program, EMPTY_MAP, (), scenario.root.self_)
-    return Config(root, scenario.root.joint, scenario.root.other,
+    return Config((root,), (), scenario.root.joint, scenario.root.other,
                   scenario.conc, top + 1, 1)
 
 
@@ -952,11 +942,11 @@ def _finish_path(cfg: Config, ctx: _Ctx) -> str:
     scenario's final oracles on a finished one.  ``explore`` remembers every
     such configuration on its first visit, so the oracles run once per
     distinct final configuration."""
-    if not (isinstance(cfg.tree, Leaf) and cfg.tree.status == DONE):
+    if len(cfg.threads) != 1 or cfg.threads[0].status != DONE:
         return "inconclusive"
     before = ctx.reported
     if ctx.scenario.final_oracle is not None:
-        for msg in ctx.scenario.final_oracle(cfg, cfg.tree.result):
+        for msg in ctx.scenario.final_oracle(cfg, cfg.threads[0].result):
             ctx.report("final", ctx.scenario.name, msg, 0)
     return "violation" if ctx.reported > before else "complete"
 
@@ -1124,7 +1114,7 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
             used += 1
         end = "violation" if ctx.reported else _finish_path(cfg, ctx)
     verdict = "pass" if end == "complete" else end
-    results = cfg.tree.result if isinstance(cfg.tree, Leaf) else None
+    results = cfg.threads[0].result if len(cfg.threads) == 1 else None
     return Trace(events, tuple(e.tid for e in events), cfg, verdict,
                  ctx.violations, results)
 

@@ -113,19 +113,28 @@ def _parse_fc(shape: FcShape, jv) -> Optional[tuple]:
 
 
 def total_aux(shape: FcShape, w: SubjState, gp: Optional[tuple] = None) -> Optional[Hist]:
-    """The cumulative contribution: every slot joined with self and other.
+    """The cumulative contribution: every slot joined with self and other,
+    or ``None`` where the joint does not parse or the join is undefined;
+    decided once per run.
 
     ``gp`` is the slot array of ``w``'s joint when the caller has already
     parsed it; otherwise the joint is parsed here.
     """
+    s, jv, o = w.self_[LB].aux, w.joint[LB], w.other[LB].aux
+    return recall((total_aux, shape.n, s, jv, o), _total_aux, shape, s, jv, o, gp)
+
+
+def _total_aux(shape: FcShape, s: Hist, jv, o: Hist, gp: Optional[tuple]) -> Optional[Hist]:
     if gp is None:
-        gp = parse_fc(shape, w.joint[LB])[3]
-    acc = w.self_[LB].aux
-    for g in gp:
-        acc = join(acc, g)
-        if acc is None:
+        parsed = parse_fc(shape, jv)
+        if parsed is None:
             return None
-    return join(acc, w.other[LB].aux)
+        gp = parsed[3]
+    for g in gp + (o,):
+        s = join(s, g)
+        if s is None:
+            break
+    return s
 
 
 def _coherent_parse(w: SubjState, shape: FcShape) -> Optional[tuple]:

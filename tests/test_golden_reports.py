@@ -36,7 +36,7 @@ from histrio.scenarios import (
     split_take,
     treiber_scenario,
 )
-from histrio.scheduler import Scenario, explore, leaves, run_random
+from histrio.scheduler import Scenario, explore, run_random
 from histrio.specs import read_pair_spec
 from histrio.structures import snapshot as sp
 from test_scheduler import _racing_counters as racing_counters
@@ -78,7 +78,7 @@ def naive_reader_scenario():
 
 
 def render_config(cfg) -> str:
-    threads = tuple((l.tid, l.status, l.result, l.self_, l.env) for l in leaves(cfg.tree))
+    threads = tuple((l.tid, l.status, l.result, l.self_, l.env) for l in cfg.threads)
     return render((threads, cfg.joint, cfg.root_other, cfg.next_loc, cfg.next_tid))
 
 

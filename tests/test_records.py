@@ -1,7 +1,7 @@
 """The value records: never changed after construction, compared by value.
 
-States, histories, triples, continuation frames, tree nodes and
-configurations key the explorer's memos, so a store into one after it is
+States, histories, triples, continuation frames, leaves, fork records
+and configurations key the explorer's memos, so a store into one after it is
 built would corrupt every memo that holds it.  They are slotted, unfrozen
 dataclasses, because a frozen dataclass's ``__init__`` pays an
 ``object.__setattr__`` per field, so their immutability is kept here
@@ -36,7 +36,7 @@ from histrio.state import SubjState, flatten, validate
 from histrio.structures import flatcombiner, private_heap, snapshot, spinlock, treiber
 
 RECORDS = [
-    scheduler.Leaf, scheduler.ParT, scheduler.Config, scheduler.SeqK, scheduler.LoopK,
+    scheduler.Leaf, scheduler.Fork, scheduler.Config, scheduler.SeqK, scheduler.LoopK,
     scheduler.InjectK, scheduler.SpecK, scheduler.HideK, scheduler._Summary,
     state.SubjState,
     pcm.Loc, pcm.Req, pcm.Resp, pcm.IdSet, pcm.Hist, pcm.Triple,

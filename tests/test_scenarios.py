@@ -60,7 +60,7 @@ def test_seq_recovery_exact_shapes():
     rep = explore(sc, step_bound=20, loop_bound=3)
     assert rep.verdict == "pass" and rep.complete == 1
     [final] = list(rep.finals)
-    parsed = tb.parse_stack(final.tree.self_["pv"])
+    parsed = tb.parse_stack(final.threads[0].self_["pv"])
     _, contents, _, grb = parsed
     assert contents == ("a", "b", "c")
     assert not grb  # a lone push leaks nothing
@@ -161,7 +161,7 @@ def test_reader_only_snapshot_returns_the_initial_pair():
     rep = explore(pair_snapshot_scenario(writers=0), step_bound=10, loop_bound=3)
     assert rep.verdict == "pass" and rep.complete == 1
     [final] = list(rep.finals)
-    assert final.tree.result == ("A", "C")
+    assert final.threads[0].result == ("A", "C")
 
 
 def test_single_thread_flat_combine_serializes_itself():
@@ -174,7 +174,7 @@ def test_single_thread_flat_combine_serializes_itself():
 
     shape = fc.stack_shape(1)
     for final in rep.finals:
-        view = leaf_view(final, final.tree).restrict(fc.HOME)
+        view = leaf_view(final, final.threads[0]).restrict(fc.HOME)
         total = fc.total_aux(shape, view)
         assert total == Hist.of(STACK, {0: ((), ()), 1: ((), ("e0",))})
 
@@ -240,3 +240,43 @@ def test_violation_cap_does_not_change_path_counts():
     assert (uncapped.complete, uncapped.violating) == (64, 26)
     assert (capped.complete, capped.violating) == (64, 26)
     assert capped.verdict == uncapped.verdict == "violation"
+
+
+def _lock_written_as_zero(w):
+    """``w`` with ``0`` in the flat combiner's lock cell, where a lock holds
+    ``True`` or ``False``: its joint no longer parses."""
+    from histrio.pcm import Heap
+    from histrio.state import SubjState
+    from histrio.structures import flatcombiner as fc
+
+    jh, gp = w.joint[fc.LB]
+    return SubjState(w.self_, w.joint.set(fc.LB, (Heap(jh.set(fc.LK, 0)), gp)), w.other)
+
+
+def test_an_unparsable_flat_combiner_joint_is_reported_not_raised(monkeypatch):
+    from histrio.actions import AtomicAction
+    from histrio.structures import flatcombiner as fc
+
+    unlock = fc.fc_unlock
+
+    def planted(shape):
+        act = unlock(shape)
+
+        def step(w, ctx):
+            w2, res, ctx2 = act.step(w, ctx)
+            return _lock_written_as_zero(w2), res, ctx2
+
+        return AtomicAction(act.name, act.home, act.safe, step, act.claimed, act.primitive)
+
+    monkeypatch.setattr(fc, "fc_unlock", planted)
+    rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=1)
+    assert rep.verdict == "violation"
+    assert {"coherence", "invariant"} <= {v.check for v in rep.violations}
+    trace = run_random(flat_combiner_scenario(2), 0, 120, 1)
+    checks = [v.check for v in trace.violations]
+    assert checks[0] == "coherence" and "invariant" in checks
+    # outside a run, with no fact table
+    shape = fc.stack_shape(2)
+    w = _lock_written_as_zero(fc.sample_state(shape, random.Random(0)))
+    assert fc.parse_fc(shape, w.joint[fc.LB]) is None
+    assert fc.total_aux(shape, w) is None

@@ -14,10 +14,11 @@ from histrio import scheduler, state
 from histrio.actions import AtomicAction, Skip, Write, check_action_properties
 from histrio.concurroid import check_concurroid
 from histrio.fmap import FrozenMap
-from histrio.pcm import Heap, Hist, Loc
-from histrio.program import ActN, InjectN, LoopN, Node, RETRY, SpecedN, const, do
+from histrio.pcm import Heap, Hist, Loc, render
+from histrio.program import ActN, InjectN, LoopN, Node, ParN, RETRY, SpecedN, const, do
 from histrio.scheduler import (
     DONE,
+    RUN,
     Config,
     Leaf,
     Scenario,
@@ -25,10 +26,8 @@ from histrio.scheduler import (
     _Ctx,
     explore,
     initial_config,
-    leaves,
     normalize,
     ready_leaves,
-    replace_leaf,
     run_local,
     run_random,
     run_replay,
@@ -256,7 +255,9 @@ def test_fork_join_roundtrip_through_the_tree():
     rep = explore(sc, step_bound=10, loop_bound=3)
     assert rep.verdict == "pass"
     [final] = [c for c in rep.finals]
-    assert leaves(final.tree)[0].self_["pv"] == Heap(
+    [leaf] = final.threads
+    assert final.forks == ()
+    assert leaf.self_["pv"] == Heap(
         {Loc(100): 1, Loc(200): 1, Loc(300): 1}
     )
 
@@ -272,8 +273,9 @@ def test_hide_with_trivial_body_restores_the_state():
     rep = explore(sc, step_bound=5, loop_bound=3)
     assert rep.verdict == "pass"
     [final] = list(rep.finals)
-    assert final.tree.result == 42
-    assert final.tree.self_[pv.LB] == tb.layout(contents)
+    [leaf] = final.threads
+    assert leaf.result == 42
+    assert leaf.self_[pv.LB] == tb.layout(contents)
     assert set(final.joint.keys()) == {pv.LB}
 
 
@@ -339,7 +341,7 @@ def reference_explore(scenario, step_bound, loop_bound):
     """Every interleaving walked one by one, with no memo of configurations
     and every dict and set of the context emptied before each step (every
     step runs its action and checks, and every reduction runs), each step
-    finished by ``normalize``'s scan of the tree rather than its one splice:
+    finished by ``normalize``'s scan of the threads rather than its one splice:
     the complete, inconclusive and violating path counts and the distinct
     final states."""
     ctx = _Ctx(scenario, loop_bound)
@@ -349,9 +351,9 @@ def reference_explore(scenario, step_bound, loop_bound):
     def walk(cfg, used):
         ready = ready_leaves(cfg)
         if not ready:
-            done = isinstance(cfg.tree, Leaf) and cfg.tree.status == DONE
+            done = len(cfg.threads) == 1 and cfg.threads[0].status == DONE
             if done and scenario.final_oracle is not None and list(
-                    scenario.final_oracle(cfg, cfg.tree.result)):
+                    scenario.final_oracle(cfg, cfg.threads[0].result)):
                 counts["violating"] += 1
             elif done:
                 counts["complete"] += 1
@@ -373,8 +375,9 @@ def reference_explore(scenario, step_bound, loop_bound):
                 continue
             (stop, joint, next_loc), event = outcome
             assert event is not None  # with no memo, every step runs its action
-            nxt = normalize(Config(replace_leaf(cfg.tree, leaf.tid, stop), joint,
-                                   cfg.root_other, cfg.conc, next_loc, cfg.next_tid), ctx)
+            threads = tuple(stop if l.tid == leaf.tid else l for l in cfg.threads)
+            nxt = normalize(Config(threads, cfg.forks, joint, cfg.root_other, cfg.conc,
+                                   next_loc, cfg.next_tid), ctx)
             if ctx.reported > before:
                 counts["violating"] += 1
             else:
@@ -439,9 +442,10 @@ def test_subtrees_cut_by_the_step_bound_are_remembered_per_budget():
 
 def test_configurations_holding_a_heap_or_a_plain_map_are_distinct_memo_keys():
     conc = pv.concurroid()
-    tree = Leaf(0, None, FrozenMap(), (), FrozenMap())
-    heap = Config(tree, FrozenMap({"pv": Heap({Loc(1): 0})}), FrozenMap(), conc, 2, 1)
-    plain = Config(tree, FrozenMap({"pv": FrozenMap({Loc(1): 0})}), FrozenMap(), conc, 2, 1)
+    threads = (Leaf(0, None, FrozenMap(), (), FrozenMap()),)
+    heap = Config(threads, (), FrozenMap({"pv": Heap({Loc(1): 0})}), FrozenMap(), conc, 2, 1)
+    plain = Config(threads, (), FrozenMap({"pv": FrozenMap({Loc(1): 0})}), FrozenMap(),
+                   conc, 2, 1)
     assert heap != plain
     assert len({heap: "heap", plain: "plain"}) == 2
 
@@ -468,10 +472,12 @@ def test_each_move_the_memo_does_not_remember_runs_its_action_once(monkeypatch):
 
 def _count_fact_bodies(monkeypatch) -> dict:
     """Record the input of each run of the bodies of ``fc.parse_fc``,
-    ``fc._coherent_parse`` and ``tb.parse_stack``, and whether a fact table
-    was installed when ``parse_fc``'s ran."""
-    calls = {"parse_fc": [], "coherent_parse": [], "parse_stack": [], "tables": set()}
+    ``fc._coherent_parse``, ``fc.total_aux`` and ``tb.parse_stack``, and
+    whether a fact table was installed when ``parse_fc``'s ran."""
+    calls = {"parse_fc": [], "coherent_parse": [], "total_aux": [], "parse_stack": [],
+             "tables": set()}
     parse_fc, coherent_parse, parse_stack = fc._parse_fc, fc._coherent_parse, tb._parse_stack
+    total_aux = fc._total_aux
 
     def counted_parse_fc(shape, jv):
         calls["parse_fc"].append((shape.n, jv))
@@ -482,25 +488,31 @@ def _count_fact_bodies(monkeypatch) -> dict:
         calls["coherent_parse"].append((shape.n, w.self_, w.joint, w.other))
         return coherent_parse(w, shape)
 
+    def counted_total_aux(shape, s, jv, o, gp):
+        calls["total_aux"].append((shape.n, s, jv, o))
+        return total_aux(shape, s, jv, o, gp)
+
     def counted_parse_stack(jh, snt):
         calls["parse_stack"].append((jh, snt))
         return parse_stack(jh, snt)
 
     monkeypatch.setattr(fc, "_parse_fc", counted_parse_fc)
     monkeypatch.setattr(fc, "_coherent_parse", counted_coherent_parse)
+    monkeypatch.setattr(fc, "_total_aux", counted_total_aux)
     monkeypatch.setattr(tb, "_parse_stack", counted_parse_stack)
     return calls
 
 
 def test_each_structure_fact_is_decided_once_per_run(monkeypatch):
     # one exploration parses 195 distinct joints, decides the coherence of
-    # 806 distinct states and walks 16 distinct stacks, each once
+    # 806 distinct states, joins 592 distinct cumulative contributions and
+    # walks 16 distinct stacks, each once
     calls = _count_fact_bodies(monkeypatch)
     rep = explore(flat_combiner_scenario(3), step_bound=120, loop_bound=1)
     counts = {k: (len(calls[k]), len(set(calls[k])))
-              for k in ("parse_fc", "coherent_parse", "parse_stack")}
+              for k in ("parse_fc", "coherent_parse", "total_aux", "parse_stack")}
     assert counts == {"parse_fc": (195, 195), "coherent_parse": (806, 806),
-                      "parse_stack": (16, 16)}
+                      "total_aux": (592, 592), "parse_stack": (16, 16)}
     assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
 
 
@@ -508,7 +520,8 @@ def test_no_fact_outlives_its_run(monkeypatch):
     calls = _count_fact_bodies(monkeypatch)
 
     def taken() -> tuple:
-        out = tuple(len(calls[k]) for k in ("parse_fc", "coherent_parse", "parse_stack"))
+        out = tuple(len(calls[k])
+                    for k in ("parse_fc", "coherent_parse", "total_aux", "parse_stack"))
         for k in calls:
             calls[k].clear()
         return out
@@ -673,6 +686,80 @@ def test_final_oracles_run_once_per_distinct_final_configuration():
     rep = explore(sc, step_bound=60, loop_bound=3)
     assert rep.verdict == "pass" and rep.complete == 3_198
     assert len(calls) == len(rep.finals) == 12
+
+
+def _nested_forks(late: bool) -> Scenario:
+    """Four threads under ``ParN(ParN(a, b), ParN(c, d))``, each writing
+    its own cell twice, with a step invariant that fails where the fourth
+    cell runs two writes ahead of the first.  Thread ids follow the forks:
+    ``a`` keeps 0 and ``c`` gets 1.  Then ``b`` gets 2 and ``d`` 3, so the
+    threads are ``a b c d`` = ``0 2 1 3`` left to right.  With ``late``,
+    the left pair forks only after a write of its own, once its right
+    sibling has forked: ``d`` gets 2 and ``b`` 3, so ``0 3 1 2``.  In both,
+    tree order differs from tid order."""
+    cells = [Loc(100), Loc(200), Loc(300), Loc(400)]
+
+    def writes(loc):
+        prog = const(loc.n)
+        for s in (2, 1):
+            prog = do((None, ActN(lambda env, loc=loc, s=s: pv.write(loc, s), "w")), ret=prog)
+        return prog
+
+    def take(*locs):
+        return split_take({pv.LB: Heap({loc: 0 for loc in locs})})
+
+    a, b, c, d = (writes(loc) for loc in cells)
+    left = ParN(a, b, take(cells[0]))
+    if late:
+        left = do((None, ActN(lambda env: pv.write(cells[0], 0), "w0")), ret=left)
+    program = ParN(left, ParN(c, d, take(cells[2])), take(cells[0], cells[1]))
+    sc = Scenario("nested-forks", pv.concurroid(),
+                  pv.initial_state(Heap({loc: 0 for loc in cells})), program)
+
+    def fourth_not_ahead(w, w2):
+        h = flatten(w2)
+        return "fourth ran ahead" if h[Loc(400)] > h[Loc(100)] + 1 else None
+
+    sc.step_invariants.append(fourth_not_ahead)
+    return sc
+
+
+# (nodes, edges, complete, inconclusive, violating paths), the violations'
+# schedules in report order, and a random run's (seed 2, 6 steps) schedule
+# and its final threads left to right; recorded on the fork tree
+NESTED_FORKS = {
+    False: (
+        (72, 195, 2100, 0, 71),
+        [(1, 1, 2, 2, 3), (1, 1, 2, 3), (1, 1, 3), (1, 2, 2, 3), (1, 2, 3), (1, 3),
+         (2, 2, 3), (2, 3), (3,)],
+        (0, 0, 1, 2, 1, 3), [(0, DONE), (2, RUN), (1, DONE), (3, RUN)],
+    ),
+    True: (
+        (78, 211, 3420, 0, 155),
+        [(0, 1, 1, 2), (0, 1, 1, 2, 3), (0, 1, 1, 2, 3, 3), (0, 1, 2), (0, 1, 2, 3),
+         (0, 1, 2, 3, 3), (0, 2), (0, 2, 3), (0, 2, 3, 3), (1, 1, 2), (1, 2), (2,)],
+        (0, 0, 0, 2, 1, 3), [(0, DONE), (3, RUN), (1, RUN), (2, RUN)],
+    ),
+}
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["both-fork-first", "left-forks-late"])
+def test_forks_whose_thread_order_is_not_tid_order(late):
+    counts, schedules, drawn, threads = NESTED_FORKS[late]
+    rep = explore(_nested_forks(late), step_bound=40, loop_bound=3)
+    assert (rep.nodes, rep.edges, rep.complete, rep.inconclusive, rep.violating) == counts
+    assert [v.schedule for v in rep.violations] == schedules
+    assert {v.check for v in rep.violations} == {"invariant"}
+    [final] = rep.finals
+    [leaf] = final.threads
+    assert final.forks == ()
+    assert render(leaf.result) == "((100, 200), (300, 400))"
+    assert render(leaf.self_) == "{pv: {l100->2, l200->2, l300->2, l400->2}}"
+    trace = run_random(_nested_forks(late), 2, 6, 3)
+    assert trace.verdict == "inconclusive" and trace.schedule == drawn
+    assert [(l.tid, l.status) for l in trace.final.threads] == threads
+    with pytest.raises(ValueError):
+        trace.final.tree
 
 
 def test_collapsing_forks_leaves_no_reference_cycles():

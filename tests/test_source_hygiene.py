@@ -36,6 +36,11 @@ with ``is None`` or ``is not None`` builds a join or a witness and drops
 it.  ``pcm.joinable`` and ``pcm.pcm_order`` answer those questions from
 keys alone.  The scan is syntactic, so a result bound to a name first
 and tested later is allowed: that code keeps the element.
+
+No function in ``scheduler.py`` calls itself, by its name or as a method
+of ``self``: the explorer walks its search and its threads with loops and
+explicit stacks, so the depth of a run is not limited by Python's
+recursion limit.
 """
 
 import ast
@@ -139,6 +144,25 @@ def built_then_tested(trees: dict) -> list[tuple[str, int, str]]:
                     name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                     if name in BUILDERS:
                         out.append((path, cmp.lineno, name))
+    return sorted(out)
+
+
+def self_calls(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, function) for every function, nested or a method,
+    whose body calls it by its name or as ``self.<name>``."""
+    out = []
+    for path, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == fn.name
+                        or isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                    out.append((path, call.lineno, fn.name))
     return sorted(out)
 
 
@@ -352,3 +376,27 @@ def test_the_scan_sees_a_join_and_a_subtract_tested_against_none():
         "    return None is map_subtract(m, n) or join(a, b) == b\n")
     assert built_then_tested({"m.py": tree}) == [
         ("m.py", 4, "join"), ("m.py", 6, "subtract"), ("m.py", 11, "map_subtract")]
+
+
+def test_no_scheduler_function_calls_itself():
+    trees = {path: tree for path, tree in _package().items() if path == "scheduler.py"}
+    assert list(trees) == ["scheduler.py"]
+    assert self_calls(trees) == []
+
+
+def test_the_scan_sees_a_function_and_a_method_that_call_themselves():
+    tree = ast.parse(
+        "def leaves(tree):\n"
+        "    if tree.leaf:\n"
+        "        return [tree]\n"
+        "    return leaves(tree.left) + leaves(tree.right)\n"
+        "def loop(xs):\n"
+        "    def walk(x):\n"
+        "        return walk(x.next) if x else None\n"
+        "    return [other.loop(x) for x in xs]\n"
+        "class T:\n"
+        "    def size(self):\n"
+        "        return 1 + self.size()\n")
+    assert self_calls({"m.py": tree}) == [
+        ("m.py", 4, "leaves"), ("m.py", 4, "leaves"), ("m.py", 7, "walk"),
+        ("m.py", 11, "size")]

@@ -21,7 +21,7 @@ from histrio.pcm import (
     Loc,
     Triple,
 )
-from histrio.state import SubjState
+from histrio.state import SubjState, fact_table
 from histrio.structures import flatcombiner as fc
 from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
@@ -143,7 +143,7 @@ def test_pop_on_empty_returns_none():
     rep = explore(sc, step_bound=10, loop_bound=2)
     assert rep.verdict == "pass"
     [final] = list(rep.finals)
-    assert final.tree.result == NONE
+    assert final.threads[0].result == NONE
 
 
 def test_spinlock_roundtrip_restores_coherence():
@@ -252,3 +252,30 @@ def test_fc_sampled_states_are_hashable():
         w = fc.sample_state(shape, rng)
         assert {type(m[fc.LB].ids.ids) for m in (w.self_, w.other)} == {frozenset}
         assert hash(w) == hash(SubjState(w.self_, w.joint, w.other))
+
+
+def test_fc_total_aux_is_joined_once_per_run(monkeypatch):
+    shape = fc.stack_shape(2)
+    w = fc.sample_state(shape, random.Random(1))
+    # equal components in other objects: an equal input
+    twin = SubjState(FrozenMap(dict(w.self_.items())), FrozenMap(dict(w.joint.items())),
+                     FrozenMap(dict(w.other.items())))
+    assert twin == w and twin.joint is not w.joint
+    joins = []
+    join = fc.join
+
+    def counted(a, b):
+        joins.append(None)
+        return join(a, b)
+
+    monkeypatch.setattr(fc, "join", counted)
+    total = fc.total_aux(shape, w)
+    assert total is not None and len(joins) == shape.n + 1
+    # outside a run it is computed each time
+    assert fc.total_aux(shape, twin) == total and len(joins) == 2 * (shape.n + 1)
+    joins.clear()
+    with fact_table():
+        assert fc.total_aux(shape, w) == total
+        assert fc.total_aux(shape, twin) == total
+        assert fc.total_aux(shape, w, fc.parse_fc(shape, w.joint[fc.LB])[3]) == total
+    assert len(joins) == shape.n + 1
