@@ -3,12 +3,38 @@
 Every piece of program state in this package (heaps, histories, label
 maps, environments) is a finite map that must be hashable, comparable,
 and renderable in a deterministic order.  ``FrozenMap`` provides exactly
-that; all mutators return fresh maps.
+that; all mutators return fresh maps.  ``hash_once`` gives the value
+records that are hashed many times over the same cached hash.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Optional
+
+
+def hash_once(cls):
+    """Class decorator for a dataclass that hashes by its compared fields and
+    keeps the hash in its ``_hash`` field, which must be declared with
+    ``compare=False`` and default ``None``.
+
+    The record must never change once built; the hash is computed on first
+    use, from an ``attrgetter`` of the compared fields.
+    """
+    fields = dataclasses.fields(cls)
+    if not any(f.name == "_hash" and not f.compare and f.default is None for f in fields):
+        raise TypeError(f"{cls.__name__} has no non-compared _hash field defaulting to None")
+    key = attrgetter(*[f.name for f in fields if f.compare])
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(key(self))
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 class FrozenMap:

@@ -17,10 +17,16 @@ ids and entries alone, without building the join or the ``subtract``
 witness, and raise where those do.
 
 The dataclass values (``Loc``, ``Req``, ``Resp``, ``IdSet``, ``Hist``,
-``Triple``) compare and hash by their fields, and nothing changes one once
-it is built.  They are slotted, unfrozen dataclasses, since a frozen one
-pays an ``object.__setattr__`` per field; ``tests/test_records.py`` keeps
-the rule.
+``Triple``) compare by their fields, and nothing changes one once it is
+built.  They are slotted, unfrozen dataclasses, since a frozen one pays an
+``object.__setattr__`` per field; ``tests/test_records.py`` keeps the rule.
+
+Every coherence check, obligation suite and memo key hashes heap cells and
+histories, so no value record hashes through Python code more than once.
+There is one ``Loc`` object per address: ``Loc(n)`` returns the one already
+built, so a location hashes as itself, by identity.  ``Req``, ``Resp``,
+``IdSet``, ``Hist`` and ``Triple`` keep the hash of their fields, computed
+on first use (``fmap.hash_once``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .fmap import EMPTY_MAP, FrozenMap
+from .fmap import EMPTY_MAP, FrozenMap, hash_once
 
 
 class PcmMismatchError(TypeError):
@@ -42,11 +48,29 @@ class PcmMismatchError(TypeError):
 # Heap values
 # ---------------------------------------------------------------------------
 
-@dataclass(unsafe_hash=True, order=True, slots=True)
+_LOCS: dict = {}  # address -> its one Loc
+
+
+@dataclass(init=False, order=True, slots=True)
 class Loc:
-    """An opaque heap location.  ``NULL`` is the distinguished location 0."""
+    """An opaque heap location.  ``NULL`` is the distinguished location 0.
+
+    There is one object per address, so a location hashes as itself.  A new
+    one enters the table through ``dict.setdefault``, so threads that build
+    the same fresh address at once all get the object that went in first.
+    """
 
     n: int
+
+    def __new__(cls, n: int):
+        loc = _LOCS.get(n)
+        if loc is None:
+            loc = object.__new__(cls)
+            loc.n = n
+            loc = _LOCS.setdefault(n, loc)
+        return loc
+
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return "null" if self.n == 0 else f"l{self.n}"
@@ -70,22 +94,26 @@ class Sentinel:
 UNDEF = Sentinel("?")  # contents of an allocated-but-unwritten cell
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class Req:
     """Publication-array cell: a pending request to run ``fn`` on ``arg``."""
 
     fn: str
     arg: Any
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Req({self.fn}, {self.arg!r})"
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class Resp:
     """Publication-array cell: an uncollected result."""
 
     val: Any
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Resp({self.val!r})"
@@ -139,11 +167,13 @@ OWN = Mutex.OWN
 NOT_OWN = Mutex.NOT_OWN
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class IdSet:
     """A finite set of thread ids; join is disjoint union."""
 
     ids: frozenset = frozenset()
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return "{" + ", ".join(str(i) for i in sorted(self.ids)) + "}"
@@ -156,7 +186,8 @@ class IdSet:
 EMPTY_IDSET = IdSet()
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class Hist:
     """A timestamped history: finite map stamp -> (pre, post) state pair.
 
@@ -176,6 +207,7 @@ class Hist:
 
     kind: str
     entries: FrozenMap = EMPTY_MAP
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for t, pair in self.entries.items():
@@ -190,6 +222,7 @@ class Hist:
         h = object.__new__(cls)
         h.kind = kind
         h.entries = entries
+        h._hash = None
         return h
 
     def __repr__(self):
@@ -210,13 +243,15 @@ SNAPSHOT = "snapshot"
 STACK = "stack"
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class Triple:
     """Componentwise product of (IdSet, Mutex, inner PCM element)."""
 
     ids: IdSet
     mx: Mutex
     aux: Any
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"({self.ids!r}, {self.mx!r}, {self.aux!r})"

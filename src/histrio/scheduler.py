@@ -38,7 +38,7 @@ recurs, so that its reports carry that path's step index and schedule.
 
 The reductions around a step are remembered too, each keyed on exactly
 the inputs it reads.  A thread's ``other`` is the join of the root map
-and its siblings' self maps (``leaf_view``).  A thread-local run
+and its siblings' self maps (``_other``).  A thread-local run
 of administrative reductions, spec captures and posts included, reads
 only its leaf, the leaf's view and the loop bound, and stops at the leaf
 that ``normalize`` splices into the table, or forks, joins or hides.  A
@@ -113,7 +113,7 @@ from typing import Any, Callable, Optional
 
 from .actions import ActionSafetyError, AtomicAction, StepCtx, run_atomic, step_matches_claim
 from .concurroid import CheckReport, Concurroid
-from .fmap import EMPTY_MAP, FrozenMap
+from .fmap import EMPTY_MAP, FrozenMap, hash_once
 from .pcm import Heap, Hist, Triple, map_pointwise_join, pcm_order, render, unit_like
 from .program import (
     ActN,
@@ -158,11 +158,13 @@ class SeqK:
     env: FrozenMap
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class LoopK:
     loop: LoopN
     env: FrozenMap
     remaining: int
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -170,10 +172,12 @@ class InjectK:
     home: frozenset
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class SpecK:
     spec: Any
     caps: Any
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(eq=False, slots=True)
@@ -185,6 +189,7 @@ class HideK:
 RUN, DONE, STUCK = "run", "done", "stuck"
 
 
+@hash_once
 @dataclass(slots=True)
 class Leaf:
     tid: int
@@ -196,16 +201,9 @@ class Leaf:
     result: Any = None  # a finished thread's value, or with no node the one awaiting kont
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.tid, self.node, self.env, self.kont, self.self_,
-                      self.status, self.result))
-            self._hash = h
-        return h
 
-
-@dataclass(unsafe_hash=True, slots=True)
+@hash_once
+@dataclass(slots=True)
 class Fork:
     """A fork waiting to be joined: the forking thread's id, which its left
     child kept, its right child's id, and the environment and continuation
@@ -215,6 +213,7 @@ class Fork:
     right: int
     env: FrozenMap
     kont: tuple
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(eq=False, slots=True)
@@ -269,12 +268,17 @@ def _with_leaf(cfg: Config, leaf: Leaf) -> Config:
 
 def leaf_view(cfg: Config, leaf: Leaf, others: Optional[dict] = None) -> SubjState:
     """The thread's view: its own self map, the joint map, and as ``other``
-    the root map joined with every sibling thread's self map.
+    the join of the root map and its siblings' self maps (``_other``)."""
+    return SubjState(leaf.self_, cfg.joint, _other(cfg, leaf.tid, others))
+
+
+def _other(cfg: Config, tid: int, others: Optional[dict]) -> FrozenMap:
+    """Thread ``tid``'s ``other``: the root map joined with every sibling
+    thread's self map.
 
     The join is a function of those operands alone, so with ``others`` it
     is remembered there, keyed on the root map and the siblings' self maps.
     """
-    tid = leaf.tid
     sibs = tuple([l2.self_ for l2 in cfg.threads if l2.tid != tid])
     key = (cfg.root_other, sibs)
     other = others.get(key) if others is not None else None
@@ -286,7 +290,7 @@ def leaf_view(cfg: Config, leaf: Leaf, others: Optional[dict] = None) -> SubjSta
                 raise SchedulerError("sibling self maps do not join")
         if others is not None:
             others[key] = other
-    return SubjState(leaf.self_, cfg.joint, other)
+    return other
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +494,7 @@ class _Ctx:
         # step_action
         self.checked: set = set()
         self.transitions_checked = 0  # _check_step runs
-        # (root other, sibling self maps) -> their join; see leaf_view
+        # (root other, sibling self maps) -> their join; see _other
         self.others: dict = {}
         # the thread moves that reported nothing, or None where none are
         # remembered: (leaf, joint, other, id(conc), next_loc) -> (stop leaf,
@@ -793,7 +797,7 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
                 return cfg
             cfg = collapsed
             continue
-        other = leaf_view(cfg, leaf, ctx.others).other
+        other = _other(cfg, leaf.tid, ctx.others)
         ctx.local_runs += 1
         stop = _drive(leaf, cfg.joint, other, ctx)
         if isinstance(stop.node, ActN):
@@ -882,15 +886,16 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     states) has not passed the checks before; a failed check runs again
     wherever it recurs.
     """
-    w = leaf_view(cfg, leaf, ctx.others)
+    other = _other(cfg, leaf.tid, ctx.others)
     moves = ctx.moves
-    key = (leaf, cfg.joint, w.other, id(cfg.conc), cfg.next_loc)
+    key = (leaf, cfg.joint, other, id(cfg.conc), cfg.next_loc)
     if moves is not None:
         hit = moves.get(key)
         if hit is not None:
             stop, joint2, next_loc, entry = hit
             ctx.path.append(entry)
             return (stop, joint2, next_loc), None
+    w = SubjState(leaf.self_, cfg.joint, other)
     action: AtomicAction = leaf.node.build(leaf.env)
     homes = _active_homes(leaf)
     ctx.steps_run += 1

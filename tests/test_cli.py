@@ -282,3 +282,42 @@ def test_a_fact_table_leaves_the_suite_reports_as_they_are(suite, capsys):
     remembered = capsys.readouterr().out
     assert json.loads(bare)["stats"]["checks"] > 50
     assert remembered == bare
+
+
+# builds 3,000 locations in shuffled order before running the CLI, so that
+# the order of their objects' addresses, which sets of locations iterate
+# in, is not the order of the addresses they stand for
+_SHUFFLED_LOCS = """
+import random, sys
+from histrio.cli import main
+from histrio.pcm import Loc
+addresses = list(range(1, 3001))
+random.Random(7).shuffle(addresses)
+built = [Loc(n) for n in addresses]
+sys.exit(main(sys.argv[1:]))
+"""
+
+_DETERMINISM_RUNS = [
+    ["--scenario", "concurroid-check", "--samples", "60"],
+    ["--scenario", "action-check", "--samples", "60"],
+    ["--scenario", "treiber", "--mode", "exhaustive"],
+    ["--scenario", "treiber", "--mode", "random", "--seed", "3", "--emit-trace"],
+]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_reports_do_not_depend_on_the_order_locations_were_built_in(hash_seed, tmp_path):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for i, args in enumerate(_DETERMINISM_RUNS):
+        args = args + ["--output", f"r{i}.json", "--no-meta"]
+        for side, cmd in (("plain", RUN), ("shuffled", [sys.executable, "-c", _SHUFFLED_LOCS])):
+            cwd = tmp_path / side
+            cwd.mkdir(exist_ok=True)
+            out = subprocess.run(cmd + args, cwd=cwd, env=env, capture_output=True, timeout=120)
+            assert out.returncode in (0, 3), out.stderr
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert plain == sorted(p.name for p in (tmp_path / "shuffled").iterdir())
+    assert "r3.json.trace.json" in plain
+    for name in plain:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "shuffled" / name).read_bytes()

@@ -9,11 +9,17 @@ instead of on every construction: under ``sealed()`` a store into a
 compared field of a built record is a breach, and a cache slot (``_hash``,
 ``_valid``, ``_flat``) may be filled once, from its default.  The shipped
 scenarios run sealed.
+
+A location is one object per address, so it hashes by identity; the
+records that keep their hash (``fmap.hash_once``) must equal and hash like
+a fresh equal record once their ``_hash`` is filled.
 """
 
 import contextlib
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 
@@ -21,9 +27,12 @@ from histrio import actions, pcm, scheduler, state
 from histrio.actions import check_action_properties
 from histrio.concurroid import check_concurroid
 from histrio.erasure import compare_erased_trace
-from histrio.fmap import EMPTY_MAP, FrozenMap
+from histrio.fmap import EMPTY_MAP, FrozenMap, hash_once
 from histrio.native import stress
-from histrio.pcm import NULL, OWN, SHIPPED_INSTANCES, Hist, IdSet, Loc, Triple, check_pcm_laws
+from histrio.pcm import (
+    NULL, OWN, SHIPPED_INSTANCES, Hist, IdSet, Loc, Req, Resp, Triple, check_pcm_laws,
+)
+from histrio.program import LoopN, Ret
 from histrio.scenarios import (
     flat_combiner_scenario,
     pair_snapshot_scenario,
@@ -31,7 +40,7 @@ from histrio.scenarios import (
     seq_recovery_scenario,
     treiber_scenario,
 )
-from histrio.scheduler import DONE, RUN, Leaf, explore, run_random, run_replay
+from histrio.scheduler import DONE, RUN, Fork, Leaf, LoopK, SpecK, explore, run_random, run_replay
 from histrio.state import SubjState, flatten, validate
 from histrio.structures import flatcombiner, private_heap, snapshot, spinlock, treiber
 
@@ -161,3 +170,85 @@ def test_loc_ordering():
     with pytest.raises(TypeError):
         Loc(1) < 2
     assert Loc(2) == Loc(2) and hash(Loc(2)) == hash(Loc(2)) and Loc(2) != 2
+
+
+def test_loc_is_one_object_per_address():
+    assert Loc(7) is Loc(7) and NULL is Loc(0)
+    assert Loc(10**12) is Loc(int("1" + "0" * 12))
+
+
+def test_threads_building_the_same_fresh_addresses_get_one_object_each():
+    fresh = range(10**9, 10**9 + 2000)  # addresses no other test builds
+    barrier = threading.Barrier(4)
+    built: list = [None] * 4
+
+    def build(i):
+        barrier.wait(timeout=30)
+        built[i] = [Loc(n) for n in fresh]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and None not in built
+    for k, n in enumerate(fresh):
+        assert all(locs[k] is Loc(n) for locs in built)
+
+
+_LOOP = LoopN(Ret(lambda env: ()))
+
+# every record that keeps its hash (fmap.hash_once), built fresh by each call
+CACHED_HASH_RECORDS = {
+    "Hist": lambda: Hist.of(pcm.STACK, {1: ((), ("a",))}),
+    "Hist._trusted": lambda: Hist._trusted(pcm.STACK, FrozenMap({1: ((), ("a",))})),
+    "Triple": lambda: Triple(IdSet.of(1), OWN, Hist(pcm.STACK)),
+    "IdSet": lambda: IdSet.of(1, 2),
+    "Req": lambda: Req("push", "a"),
+    "Resp": lambda: Resp(("Some", "a")),
+    "LoopK": lambda: LoopK(_LOOP, EMPTY_MAP, 2),
+    "SpecK": lambda: SpecK("spec", ("caps", 1)),
+    "Fork": lambda: Fork(0, 1, EMPTY_MAP, ()),
+    "Leaf": lambda: Leaf(1, None, EMPTY_MAP, (), EMPTY_MAP),
+}
+
+
+def _keeps_its_hash(cls) -> bool:
+    return getattr(cls.__hash__, "__qualname__", "") == "hash_once.<locals>.__hash__"
+
+
+def test_every_record_that_keeps_its_hash_is_tested():
+    tested = {type(build()) for build in CACHED_HASH_RECORDS.values()}
+    assert tested == {cls for cls in RECORDS if _keeps_its_hash(cls)}
+
+
+@pytest.mark.parametrize("build", CACHED_HASH_RECORDS.values(), ids=CACHED_HASH_RECORDS.keys())
+def test_a_record_with_a_filled_hash_equals_and_hashes_like_a_fresh_one(build):
+    record, fresh = build(), build()
+    assert record is not fresh and record._hash is None
+    h = hash(record)
+    assert record._hash == h and fresh._hash is None
+    assert record == fresh and not record != fresh
+    assert repr(record) == repr(fresh) and "_hash" not in repr(record)
+    assert {fresh: "seen"}[record] == "seen"
+    assert hash(fresh) == h == hash(record)
+
+
+def test_hash_once_refuses_a_class_without_a_non_compared_hash_field():
+    @dataclasses.dataclass(slots=True)
+    class NoCache:
+        x: int
+
+    @dataclasses.dataclass(slots=True)
+    class ComparedCache:
+        x: int
+        _hash: int = None
+
+    for cls in (NoCache, ComparedCache):
+        with pytest.raises(TypeError):
+            hash_once(cls)

@@ -22,7 +22,10 @@ No function in the package memoizes through ``functools.lru_cache`` or
 ``functools.cache``: such a cache outlives the run that filled it, so a
 later run, or a test that swaps out a function, would read another run's
 results.  What a run decides once lives in its fact table
-(``state.fact_table``) and goes with the run.
+(``state.fact_table``) and goes with the run.  The one process-wide table
+is ``pcm.Loc``'s, of one object per heap address: it stores no computed
+fact, only the location itself, so a swapped function cannot make it
+stale, and it grows only to the highest address built.
 
 A frozen dataclass's ``__init__`` stores each field through
 ``object.__setattr__``, which makes the explorer's states, histories and
