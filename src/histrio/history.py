@@ -4,8 +4,9 @@ A history maps natural timestamps to (pre, post) abstract-state pairs.
 Stack histories record list states; snapshot histories record
 (x-contents, y-contents, x-version) triples.  The predicates here are
 exactly the ones method specifications consume: freshness of stamps,
-continuity, completeness, stack-likeness, and the push/pop multiset
-extractors with their two combination lemmas.
+continuity, completeness, stack-likeness, the push event and the prefix
+below a stamp, and the push/pop multiset extractors with their two
+combination lemmas.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+from .fmap import FrozenMap
 from .pcm import Hist, join
 
 
@@ -46,6 +48,18 @@ def last_stamp(tau: Hist) -> Optional[int]:
     if not tau.entries:
         return None
     return max(tau.stamps())
+
+
+def below(tau: Hist, t: int) -> Hist:
+    """The prefix of ``τ`` under ``t``: its entries stamped below ``t``."""
+    return Hist(tau.kind, FrozenMap({s: p for s, p in tau.entries.items() if s < t}))
+
+
+def push_event(tau: Hist, e) -> Hist:
+    """The one-event history that pushes ``e`` onto the end of ``τ`` at
+    ``τ``'s fresh stamp; ``τ`` must not be empty."""
+    end = lookup_end(tau, last_stamp(tau))
+    return Hist.of(tau.kind, {fresh(tau): (end, (e,) + end)})
 
 
 def is_continuous(tau: Hist) -> bool:

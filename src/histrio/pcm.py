@@ -55,9 +55,10 @@ _LOCS: dict = {}  # address -> its one Loc
 class Loc:
     """An opaque heap location.  ``NULL`` is the distinguished location 0.
 
-    There is one object per address, so a location hashes as itself.  A new
-    one enters the table through ``dict.setdefault``, so threads that build
-    the same fresh address at once all get the object that went in first.
+    There is one object per address, so a location hashes as itself and
+    equals only itself.  A new one enters the table through
+    ``dict.setdefault``, so threads that build the same fresh address at
+    once all get the object that went in first.
     """
 
     n: int
@@ -71,6 +72,7 @@ class Loc:
         return loc
 
     __hash__ = object.__hash__
+    __eq__ = object.__eq__
 
     def __repr__(self) -> str:
         return "null" if self.n == 0 else f"l{self.n}"

@@ -11,6 +11,7 @@ its procedure framed.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Optional
 
 from .concurroid import entangle
@@ -40,7 +41,6 @@ from .scheduler import Config, PhiSpec, Scenario, leaf_view
 from .specs import (
     consume_spec,
     exchange_oracle,
-    flat_combine_spec,
     join_lemma_checks,
     pop_spec,
     produce_spec,
@@ -344,10 +344,11 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
     conc = entangle(pv.concurroid(), fc.concurroid(shape))
     root = _merge_roots(pv.initial_state(), fc.initial_state(shape))
     elems = tuple(f"e{i}" for i in range(threads))
-    programs = []
-    for i in range(threads):
-        spec = flat_combine_spec(shape, i, elems[i])
-        programs.append(fc.flat_combine_program(shape, i, elems[i], spec))
+    programs = [
+        fc.flat_combine_program(shape, i, e, push_spec(
+            e, mine=lambda s: s[fc.LB].aux, total=partial(fc.total_aux, shape)))
+        for i, e in enumerate(elems)
+    ]
     # each thread takes its slot id; the last carries the initialization event
     splits = []
     for i in range(threads - 1):

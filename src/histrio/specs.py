@@ -3,20 +3,26 @@
 A method spec captures its logical variables from the state at call
 entry (the combined history or cumulative contribution "now") and is
 evaluated against the state and result at the actual return point, on
-every explored path.  Because self components only shrink never and
-every recorded history only grows, the captured value is a lower bound
-of anything observed later, which is exactly what the postconditions
-consume.
+every explored path.  Because recorded histories and cumulative
+contributions only grow, the captured value is a lower bound of anything
+observed later, which is exactly what the postconditions consume.
+
+One push spec serves every granularity: the lock-free Treiber push and
+the flat combiner's helped push differ only in where the thread's own
+history and the combined history are read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from .fmap import FrozenMap
 from .history import (
+    below,
     lemma1_oracle,
     lemma2_oracle,
     is_complete,
@@ -24,12 +30,12 @@ from .history import (
     is_stacklike,
     lookup_end,
     popped,
+    push_event,
     pushed,
     strictly_before,
 )
-from .pcm import INIT, NONE, Hist, is_some, join, pcm_order, render, some_value, subtract
+from .pcm import NONE, Hist, is_some, join, pcm_order, render, some_value, subtract
 from .state import SubjState
-from .structures import flatcombiner as fc
 from .structures import private_heap as pv
 from .structures import snapshot as sp
 from .structures import treiber as tb
@@ -99,11 +105,18 @@ def _singleton_delta(before: Hist, after: Hist) -> Optional[tuple]:
     return t, pair
 
 
-def push_spec(e) -> MethodSpec:
+def push_spec(e, mine: Callable = itemgetter(tb.LB),
+              total: Callable = partial(combined_history, label=tb.LB)) -> MethodSpec:
+    """push(e) at any granularity.  ``mine`` reads the thread's own history
+    from its self map and ``total`` the combined history from its view; the
+    defaults read the Treiber stack's.  The push adds exactly one event to
+    the thread's history, stamped after the call entry, and that event is
+    ``push_event`` of the combined history below its stamp."""
+
     def capture(view, env):
         return FrozenMap({
-            "tau": combined_history(view, tb.LB),
-            "self0": view.self_[tb.LB],
+            "tau": total(view),
+            "self0": mine(view.self_),
             "pv0": view.self_[pv.LB],
         })
 
@@ -112,14 +125,16 @@ def push_spec(e) -> MethodSpec:
             return f"push returned {render(res)}"
         if view.self_[pv.LB] != caps["pv0"]:
             return "private heap not restored"
-        got = _singleton_delta(caps["self0"], view.self_[tb.LB])
+        got = _singleton_delta(caps["self0"], mine(view.self_))
         if got is None:
             return "self history did not grow by exactly one event"
-        t, (pre, post_) = got
-        if post_ != (e,) + pre:
-            return f"event at {t} is not a push of {render(e)}"
+        t, pair = got
         if not strictly_before(caps["tau"], t):
             return f"stamp {t} not fresh for the captured history"
+        prefix = below(total(view), t)
+        # push_event's one entry sits at the prefix's fresh stamp
+        if not prefix.entries or push_event(prefix, e).entries.get(t) != pair:
+            return f"event at {t} is not a push of {render(e)} onto the history below it"
         return None
 
     return MethodSpec(f"push({e!r})", capture, post)
@@ -227,63 +242,6 @@ def join_lemma_checks(c1: SubjState, c2: SubjState, joined: SubjState) -> list:
         elif not lemma2_oracle(total):
             out.append("balanced complete stacklike history with unequal multisets")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Flat combiner
-# ---------------------------------------------------------------------------
-
-def flat_combine_spec(shape: fc.FcShape, tid: int, arg) -> MethodSpec:
-    def capture(view, env):
-        return FrozenMap({
-            "g": fc.total_aux(shape, view),
-            "self0": view.self_[fc.LB],
-            "pv0": view.self_[pv.LB],
-        })
-
-    def post(caps, view, res):
-        if view.self_[pv.LB] != caps["pv0"]:
-            return "private heap changed"
-        s, s0 = view.self_[fc.LB], caps["self0"]
-        if (s.ids, s.mx) != (s0.ids, s0.mx):
-            return "thread ids or lock view changed"
-        _, slots, _, _ = fc.parse_fc(shape, view.joint[fc.LB])
-        if slots[tid] is not INIT:
-            return f"slot {tid} not back to Init"
-        delta = subtract(s.aux, s0.aux)
-        if delta is None:
-            return "self contribution did not grow"
-        total_now = fc.total_aux(shape, view)
-        g_prime = _witness(caps["g"], total_now, delta)
-        if g_prime is None:
-            return "no cumulative value validates the collected delta"
-        if not fc.f_spec_push(arg, res, g_prime, delta):
-            return (f"validity predicate rejects result {render(res)} with "
-                    f"delta {render(delta)}")
-        if delta.entries and not strictly_before(caps["g"], min(delta.stamps())):
-            return "collected event not stamped after the call-entry total"
-        return None
-
-    def _witness(g0: Hist, total: Hist, delta: Hist) -> Optional[Hist]:
-        """The cumulative value current when the help landed: the prefix of
-        the final history below the delta's stamp (deltas are stamped fresh,
-        so the prefix is the unique candidate)."""
-        if delta.entries:
-            t = min(delta.stamps())
-            cand = Hist(total.kind,
-                        FrozenMap({s: p for s, p in total.entries.items() if s < t}))
-            if pcm_order(g0, cand):
-                return cand
-            return None
-        for cut in sorted(total.stamps() | {max(total.stamps(), default=0) + 1}):
-            cand = Hist(total.kind,
-                        FrozenMap({s: p for s, p in total.entries.items() if s < cut}))
-            if cand.entries and pcm_order(g0, cand) and lookup_end(
-                    cand, max(cand.stamps())) == ():
-                return cand
-        return None
-
-    return MethodSpec(f"flatCombine(push,{arg!r})@{tid}", capture, post)
 
 
 # ---------------------------------------------------------------------------

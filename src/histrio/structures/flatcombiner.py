@@ -11,10 +11,9 @@ auxiliary state, routed through the array.
 The combiner protects a sequential stack (invariant ``seq_stack_inv``;
 ``seq_stack_carve`` cuts it out of the combiner's private heap at unlock)
 and helps one function, push.  A private-heap program computes its result
-(``_seq_push_program``), ``_push_delta`` is the history delta the run
-induces given the cumulative contribution, mirroring the lock-free
-stack's, and ``f_spec_push`` is the validity predicate tying argument,
-result, cumulative value and delta together.
+(``_seq_push_program``), and a help records ``history.push_event`` of the
+cumulative contribution, the same event a lock-free push records, so both
+stacks are checked against one push spec.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable, Optional
 from ..actions import ActionFamily, AtomicAction, Read, Rmw, Write, cas
 from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
-from ..history import fresh, is_complete, is_continuous, is_stacklike, last_stamp, lookup_end
+from ..history import is_complete, is_continuous, is_stacklike, last_stamp, lookup_end, push_event
 from ..pcm import (
     EMPTY_IDSET,
     INIT,
@@ -227,8 +226,8 @@ def _help_member(shape: FcShape):
         if not is_unit(gp1[i]):
             return False
         g_all = total_aux(shape, w, gp1)
-        return (g_all is not None and req.fn == "push"
-                and f_spec_push(req.arg, slots2[i].val, g_all, gp2[i]))
+        return (g_all is not None and req.fn == "push" and slots2[i].val == ()
+                and gp2[i] == push_event(g_all, req.arg))
 
     return member
 
@@ -367,15 +366,11 @@ def do_help(shape: FcShape, i: int, result, arg) -> AtomicAction:
         parsed = coherent_at(w, LB, shape.home)
         if parsed is None or w.self_[LB].mx is not OWN:
             return False
-        _, slots, _, gp = parsed
-        if slots[i] != Req("push", arg):
-            return False
-        g_all = total_aux(shape, w, gp)
-        return g_all is not None and f_spec_push(arg, result, g_all, _push_delta(g_all, arg))
+        return parsed[1][i] == Req("push", arg) and result == ()
 
     def step(w, ctx):
         jh, gp = w.joint[LB]
-        delta = _push_delta(total_aux(shape, w, gp), arg)
+        delta = push_event(total_aux(shape, w, gp), arg)
         gp2 = gp[:i] + (delta,) + gp[i + 1 :]
         jv = (Heap(jh.set(cell, Resp(result))), gp2)
         return SubjState(w.self_, w.joint.set(LB, jv), w.other), (), ctx
@@ -478,17 +473,6 @@ def seq_stack_carve(h: Heap) -> Optional[Heap]:
         return None
     p, _, cells, _ = parsed
     return Heap({SNT: p, **cells})
-
-
-def _push_delta(g_all: Hist, arg) -> Hist:
-    l = lookup_end(g_all, last_stamp(g_all))
-    return Hist.of(STACK, {fresh(g_all): (l, (arg,) + l)})
-
-
-def f_spec_push(arg, result, g_prime: Hist, delta: Hist) -> bool:
-    """Validity of a helped push: unit result and the singleton push event
-    stamped fresh against the cumulative history."""
-    return result == () and delta == _push_delta(g_prime, arg)
 
 
 def _seq_push_program(argkey: str):

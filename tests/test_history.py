@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from histrio.history import (
     AbsentTimestampError,
+    below,
     fresh,
     is_complete,
     is_continuous,
@@ -17,6 +18,7 @@ from histrio.history import (
     lemma2_oracle,
     lookup_end,
     popped,
+    push_event,
     pushed,
     strictly_before,
 )
@@ -39,6 +41,26 @@ def test_fresh_is_smallest_unused():
     assert fresh(H()) == 0
     assert fresh(H(t0=("a", "a"))) == 1
     assert fresh(H(t0=("a", "a"), t2=("a", "b"))) == 1
+
+
+def test_below_is_the_prefix_under_a_stamp():
+    tau = H(t0=((), ()), t1=((), ("a",)), t3=(("b", "a"), ("a",)))
+    assert below(tau, 0) == H()  # the empty prefix
+    assert below(tau, 1) == H(t0=((), ()))
+    assert below(tau, 2) == below(tau, 3) == H(t0=((), ()), t1=((), ("a",)))
+    assert below(tau, 4) == tau
+    assert below(H(), 5) == H()
+
+
+def test_push_event_pushes_onto_the_end_at_the_fresh_stamp():
+    tau = H(t0=((), ()), t1=((), ("a",)))
+    assert push_event(tau, "b") == H(t2=(("a",), ("b", "a")))
+    assert push_event(H(t0=(("q",), ("q",))), "b") == H(t1=(("q",), ("b", "q")))
+    # a prefix with a gap: the event takes the gap, onto the last entry's end
+    gap = H(t0=((), ()), t2=(("a",), ("c", "a")))
+    assert push_event(gap, "b") == H(t1=(("c", "a"), ("b", "c", "a")))
+    with pytest.raises(AbsentTimestampError):  # the empty history has no end
+        push_event(H(), "b")
 
 
 def test_is_continuous():

@@ -172,6 +172,13 @@ def test_loc_ordering():
     assert Loc(2) == Loc(2) and hash(Loc(2)) == hash(Loc(2)) and Loc(2) != 2
 
 
+def test_loc_equality_is_identity():
+    # one object per address: the C-level identity test decides equality
+    assert Loc.__eq__ is object.__eq__ and Loc.__hash__ is object.__hash__
+    assert Loc(2) == Loc(2) and Loc(2) != 2 and Loc(2) != Loc(3) and not Loc(2) == 2
+    assert sorted([Loc(9), Loc(4), NULL, Loc(6)]) == [NULL, Loc(4), Loc(6), Loc(9)]
+
+
 def test_loc_is_one_object_per_address():
     assert Loc(7) is Loc(7) and NULL is Loc(0)
     assert Loc(10**12) is Loc(int("1" + "0" * 12))

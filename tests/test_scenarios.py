@@ -253,22 +253,30 @@ def _lock_written_as_zero(w):
     return SubjState(w.self_, w.joint.set(fc.LB, (Heap(jh.set(fc.LK, 0)), gp)), w.other)
 
 
-def test_an_unparsable_flat_combiner_joint_is_reported_not_raised(monkeypatch):
+def _planted_fc_action(monkeypatch, name, plant):
+    """Replace the flat combiner's action builder ``name`` with one whose
+    step is the original's followed by ``plant(w, w2)``."""
     from histrio.actions import AtomicAction
     from histrio.structures import flatcombiner as fc
 
-    unlock = fc.fc_unlock
+    build = getattr(fc, name)
 
-    def planted(shape):
-        act = unlock(shape)
+    def planted(*args):
+        act = build(*args)
 
         def step(w, ctx):
             w2, res, ctx2 = act.step(w, ctx)
-            return _lock_written_as_zero(w2), res, ctx2
+            return plant(w, w2), res, ctx2
 
         return AtomicAction(act.name, act.home, act.safe, step, act.claimed, act.primitive)
 
-    monkeypatch.setattr(fc, "fc_unlock", planted)
+    monkeypatch.setattr(fc, name, planted)
+
+
+def test_an_unparsable_flat_combiner_joint_is_reported_not_raised(monkeypatch):
+    from histrio.structures import flatcombiner as fc
+
+    _planted_fc_action(monkeypatch, "fc_unlock", lambda w, w2: _lock_written_as_zero(w2))
     rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=1)
     assert rep.verdict == "violation"
     assert {"coherence", "invariant"} <= {v.check for v in rep.violations}
@@ -280,3 +288,38 @@ def test_an_unparsable_flat_combiner_joint_is_reported_not_raised(monkeypatch):
     w = _lock_written_as_zero(fc.sample_state(shape, random.Random(0)))
     assert fc.parse_fc(shape, w.joint[fc.LB]) is None
     assert fc.total_aux(shape, w) is None
+
+
+def test_an_unlock_that_keeps_the_lock_view_is_reported(monkeypatch):
+    """A frame fault of the flat combiner's push, its self lock view left at
+    ``OWN`` after unlocking, is caught by coherence and the transition check
+    before the push returns; the push spec needs no frame check for it."""
+    from histrio.pcm import OWN, Triple
+    from histrio.state import SubjState
+    from histrio.structures import flatcombiner as fc
+
+    def keep_own(w, w2):
+        s = w2.self_[fc.LB]
+        return SubjState(w2.self_.set(fc.LB, Triple(s.ids, OWN, s.aux)), w2.joint, w2.other)
+
+    _planted_fc_action(monkeypatch, "fc_unlock", keep_own)
+    rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=2)
+    assert rep.verdict == "violation"
+    assert {v.check for v in rep.violations} == {"coherence", "transition"}
+
+
+def test_a_collect_that_leaves_the_slot_answered_is_reported(monkeypatch):
+    """A collection that flushes the slot's history but leaves the slot at
+    ``Resp`` is caught by the transition check before the push returns."""
+    from histrio.state import SubjState
+    from histrio.structures import flatcombiner as fc
+
+    def keep_resp(w, w2):
+        # a collection writes only its slot cell: keep the heap from before it
+        jv = (w.joint[fc.LB][0], w2.joint[fc.LB][1])
+        return SubjState(w2.self_, w2.joint.set(fc.LB, jv), w2.other)
+
+    _planted_fc_action(monkeypatch, "try_collect", keep_resp)
+    rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=2)
+    assert rep.verdict == "violation"
+    assert {v.check for v in rep.violations} == {"transition"}

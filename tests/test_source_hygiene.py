@@ -1,7 +1,7 @@
 """Source hygiene: every dataclass field declared in the package is read,
 every top-level function and class is named, every defaulted parameter is
-passed somewhere, no function keeps a process-wide cache, and no record is
-frozen.
+passed somewhere, every import is read, no function keeps a process-wide
+cache, and no record is frozen.
 
 A field that no code reads is carried by every constructor call and every
 instance for nothing.  The scan is syntactic: a field counts as read when
@@ -17,6 +17,12 @@ A defaulted parameter of a top-level function counts as passed when some
 call in ``src/histrio``, ``perfbench/`` or ``tests/`` to a function of that
 name passes it, by position or by keyword.  One that no call passes is a
 knob with one value, which the body should state instead.
+
+Every name a module binds with a top-level import is read in that
+module: an import left behind by a deletion costs a load at start-up and
+misleads the reader about what the module depends on.  ``__init__.py``
+files, whose imports are re-exports, and ``from __future__`` imports are
+exempt.
 
 No function in the package memoizes through ``functools.lru_cache`` or
 ``functools.cache``: such a cache outlives the run that filled it, so a
@@ -169,6 +175,23 @@ def self_calls(trees: dict) -> list[tuple[str, int, str]]:
     return sorted(out)
 
 
+def unread_imports(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, name) for every name bound by a top-level import of a
+    module other than ``__init__.py`` that the module never loads."""
+    out = []
+    for path, tree in trees.items():
+        if pathlib.PurePath(path).name == "__init__.py":
+            continue
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) or (isinstance(stmt, ast.ImportFrom)
+                                                and stmt.module != "__future__"):
+                out += [(path, stmt.lineno, name) for a in stmt.names
+                        if (name := a.asname or a.name.partition(".")[0]) not in loaded]
+    return sorted(out)
+
+
 def attributes_read(trees: dict) -> set[str]:
     return {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
@@ -311,6 +334,25 @@ def test_the_scan_sees_a_default_no_call_passes():
         "h(**kw)\n")
     trees = {"m.py": tree}
     assert unpassed_defaults(trees, trees) == [("m.py", "f", "c"), ("m.py", "f", "d")]
+
+
+def test_every_import_is_read_by_its_module():
+    assert unread_imports(_package()) == []
+
+
+def test_the_scan_sees_an_unread_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from .pcm import Hist, join, render\n"
+        "from . import fmap\n"
+        "def f(h: Hist):\n"
+        "    join = None\n"
+        "    return render(h), fmap.FrozenMap()\n")
+    reexport = ast.parse("from .pcm import Hist\n")
+    assert unread_imports({"m.py": tree, "structures/__init__.py": reexport}) == [
+        ("m.py", 2, "os"), ("m.py", 3, "j"), ("m.py", 4, "join")]
 
 
 def test_no_dataclass_is_frozen_and_setattr_only_fills_caches():

@@ -3,7 +3,9 @@
 import random
 
 from histrio.fmap import FrozenMap
-from histrio.pcm import NONE, SOME, STACK, Heap, Hist
+from histrio.pcm import NONE, NOT_OWN, SOME, STACK, Heap, Hist, IdSet, Triple
+from histrio.program import Node, SpecedN
+from histrio.scenarios import flat_combiner_scenario, seq_recovery_scenario, treiber_scenario
 from histrio.scheduler import Scenario, explore
 from histrio.specs import (
     combined_history,
@@ -15,6 +17,7 @@ from histrio.specs import (
     stack_accounting,
 )
 from histrio.state import SubjState
+from histrio.structures import flatcombiner as fc
 from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
 from histrio.structures import treiber as tb
@@ -101,6 +104,63 @@ def test_push_spec_framed_with_prior_history():
     after[2] = (("q",), ("z", "q"))
     w1 = tb_view(after, {}, ("z", "q"))
     assert spec.post(caps, w1, ()) is None
+
+
+def specs_in(node) -> list:
+    """Every method spec wrapped around a node of the program ``node``."""
+    out = [node.spec] if isinstance(node, SpecedN) else []
+    for cls in type(node).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            child = getattr(node, slot, None)
+            if isinstance(child, Node):
+                out += specs_in(child)
+    return out
+
+
+def push_specs(scenario: Scenario) -> list:
+    return [spec for spec in specs_in(scenario.program) if spec.name.startswith("push(")]
+
+
+def test_every_push_is_checked_by_the_one_push_spec():
+    """The lock-free, the hidden sequential and the flat combiner's helped
+    push all get their spec from ``push_spec``."""
+    by_scenario = {sc.name: push_specs(sc) for sc in (
+        treiber_scenario(), seq_recovery_scenario(), flat_combiner_scenario(2))}
+    assert {name: len(specs) for name, specs in by_scenario.items()} == {
+        "treiber": 2, "seq-recovery": 1, "flat-combiner": 2}
+    assert {spec.post.__qualname__ for specs in by_scenario.values() for spec in specs} == {
+        "push_spec.<locals>.post"}
+
+
+def fc_view(self_entries, other_entries):
+    """A two-slot flat combiner whose thread 0 holds ``self_entries`` and
+    whose other thread holds ``other_entries``; both slots are empty."""
+    w = fc.initial_state(fc.stack_shape(2))
+    return SubjState(
+        FrozenMap({fc.LB: Triple(IdSet.of(0), NOT_OWN, Hist.of(STACK, self_entries)),
+                   pv.LB: Heap()}),
+        w.joint.set(pv.LB, Heap()),
+        FrozenMap({fc.LB: Triple(IdSet.of(1), NOT_OWN, Hist.of(STACK, other_entries)),
+                   pv.LB: Heap()}),
+    )
+
+
+def test_push_spec_rejects_a_stale_pre_state_or_a_skipped_stamp():
+    """The event must push onto the end of the combined history below its
+    stamp, at that prefix's fresh stamp: in the Treiber stack and in the
+    flat combiner alike, a push onto an older state, or one stamped past a
+    gap, is not a push at that point."""
+    init, q = {0: ((), ())}, {1: ((), ("q",))}
+    [fc_spec] = [spec for spec in push_specs(flat_combiner_scenario(2)) if "e0" in spec.name]
+    for spec, e, view in ((push_spec("a"), "a", lambda mine, other: tb_view(mine, other, ())),
+                          (fc_spec, "e0", fc_view)):
+        caps = spec.capture(view(init, q), FrozenMap())
+        good = {2: (("q",), (e, "q"))}
+        stale = {2: ((), (e,))}  # () is not the end of {0, 1}
+        skipped = {3: (("q",), (e, "q"))}  # the fresh stamp of {0, 1} is 2
+        assert spec.post(caps, view({**init, **good}, q), ()) is None
+        for bad in (stale, skipped):
+            assert spec.post(caps, view({**init, **bad}, q), ()) is not None, (spec.name, bad)
 
 
 def test_pop_spec_branches():

@@ -4,7 +4,7 @@ import random
 
 from histrio.actions import StepCtx, run_atomic
 from histrio.fmap import FrozenMap
-from histrio.history import lookup_end
+from histrio.history import lookup_end, push_event
 from histrio.pcm import (
     EMPTY_IDSET,
     INIT,
@@ -241,9 +241,9 @@ def test_fc_transitions_take_no_request_but_push():
 def test_fc_stack_instantiation_validity_predicates():
     g = Hist.of(STACK, {0: ((), ()), 1: ((), ("a",))})
     delta = Hist.of(STACK, {2: (("a",), ("b", "a"))})
-    assert fc.f_spec_push("b", (), g, delta)
-    assert not fc.f_spec_push("z", (), g, delta)
-    assert not fc.f_spec_push("b", (), g, Hist.of(STACK, {5: (("a",), ("b", "a"))}))
+    assert push_event(g, "b") == delta
+    assert push_event(g, "z") != delta
+    assert push_event(g, "b") != Hist.of(STACK, {5: (("a",), ("b", "a"))})
 
 
 def test_fc_sampled_states_are_hashable():
