@@ -315,11 +315,12 @@ def _idle(w: SubjState, w2: SubjState, idle_labels) -> bool:
 
 
 def _lift(t: Transition, side_labels, idle_labels) -> Transition:
-    """``t`` on ``side_labels``, ``idle_labels`` idle; ``h`` only if external."""
+    """``t`` on ``side_labels``, ``idle_labels`` idle; ``h`` only if external.
+    With the idle side framed, ``t`` judges the whole states, so it reads
+    only its own labels or whole-map equalities, which ``_idle`` reduces to
+    its side's."""
     def member(w, w2, *h):
-        if not _idle(w, w2, idle_labels):
-            return False
-        return t.member(w.restrict(side_labels), w2.restrict(side_labels), *h)
+        return _idle(w, w2, idle_labels) and t.member(w, w2, *h)
 
     return Transition(t.name, t.kind, member)
 
@@ -331,11 +332,10 @@ def _exchange(alpha: Transition, a_labels, rho: Transition, r_labels) -> Transit
         if not _idle(w, w2, ()):
             return False
         wa, wa2 = w.restrict(a_labels), w2.restrict(a_labels)
-        wr, wr2 = w.restrict(r_labels), w2.restrict(r_labels)
         h = transferred_heap(alpha, wa, wa2)
-        if h is None or not h:
+        if not h or not alpha.member(wa, wa2, h):
             return False
-        return alpha.member(wa, wa2, h) and rho.member(wr, wr2, h)
+        return rho.member(w.restrict(r_labels), w2.restrict(r_labels), h)
 
     return Transition(f"xchg:{alpha.name}|{rho.name}", "internal", member)
 

@@ -31,10 +31,12 @@ components; method specs are evaluated at their return points.
 
 The checks decide a property of the transition, not of the step: they
 read the concurroid, the claimed transition, the injected labels and the
-pre- and post-states.  Many steps make one transition, so a step is
-checked only if its transition has not passed the checks before; a
-transition that failed one is checked and reported again wherever it
-recurs, so that its reports carry that path's step index and schedule.
+pre- and post-states.  Many steps of an exploration make one transition,
+so ``explore`` checks a step only if its transition has not passed the
+checks before (``_Ctx.checked``); a transition that failed one is checked
+and reported again wherever it recurs, so that its reports carry that
+path's step index and schedule.  A random run or a replay checks every
+step: along one schedule few transitions recur.
 
 The reductions around a step are remembered too, each keyed on exactly
 the inputs it reads.  A thread's ``other`` is the join of the root map
@@ -57,14 +59,15 @@ join that reported a violation is taken again wherever it recurs, as a
 failed transition is checked again.
 
 Equal memo entries are kept as one object (hash-consing), through one
-table per run (``_Ctx.values``): each distinct self or joint map a step
-produced, each distinct leaf the move memo holds, in its keys and its
-values, and each distinct (summary, height) entry ``explore`` remembers.
-Equal maps and leaves then share one object, and an equal leaf one
-environment, continuation and cached hash, so memo hits mostly compare
-them by identity.  Thread tables and fork records are not interned: a
-step splices a new table, most of them transient, and the table of
-values would keep them alive.
+table per run of ``explore`` (``_Ctx.values``): each distinct self or
+joint map a checked step produced, each distinct leaf the move memo
+holds, in its keys and its values, and each distinct (summary, height)
+entry ``explore`` remembers.  Equal maps and leaves then share one
+object, and an equal leaf one environment, continuation and cached hash,
+so memo hits mostly compare them by identity.  Thread tables and fork
+records are not interned: a step splices a new table, most of them
+transient, and the table of values would keep them alive.  A random run
+or a replay interns nothing.
 
 The memos key on equality.  Map equality is type-exact, so a ``Heap``
 never stands in for a plain map, but cells compare with ``==``:
@@ -78,7 +81,7 @@ values over and over: an action's safety predicate, post-state coherence,
 transition membership and the step invariants all parse the same joint
 and decide the same coherence.  So each run of ``explore`` or
 ``_run_schedule`` also installs a fact table (``state.fact_table``),
-beside ``_Ctx.values``, that lives only for the run.  It holds the
+beside the context's memos, that lives only for the run.  It holds the
 coherence of each label a concurroid governs, keyed on the label's
 coherence body and its self, joint and other components, the
 flat-combiner and Treiber joint parses, keyed on the joint, and the flat
@@ -478,7 +481,7 @@ class ExplorationReport:
 
 class _Ctx:
     """Mutable exploration context: bounds, sinks, the current path, and the
-    memos of pure reductions."""
+    memos of pure reductions; without ``remember_moves``, none of steps."""
 
     def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50,
                  remember_moves: bool = True):
@@ -490,9 +493,9 @@ class _Ctx:
         self.path: list[tuple] = []  # (tid, action name, result), rendered on report
         self.steps_run = 0  # steps whose action ran
         # (id(conc), claimed transition, injected labels, pre-state maps,
-        # post-state maps) of each transition that passed every check; see
-        # step_action
-        self.checked: set = set()
+        # post-state maps) of each transition that passed every check, or
+        # None where every step is checked; see step_action
+        self.checked: Optional[set] = set() if remember_moves else None
         self.transitions_checked = 0  # _check_step runs
         # (root other, sibling self maps) -> their join; see _other
         self.others: dict = {}
@@ -501,11 +504,11 @@ class _Ctx:
         # joint, next_loc, path entry) for a step with the run after it (see
         # step_action)
         self.moves: Optional[dict] = {} if remember_moves else None
-        # one object per distinct self or joint map a step produced, leaf the
-        # move memo holds and (summary, height) entry explore remembers: equal
-        # memo entries share their parts, and memo hits compare them by
-        # identity
-        self.values: dict = {}
+        # one object per distinct self or joint map a checked step produced,
+        # leaf the move memo holds and (summary, height) entry explore
+        # remembers, or None without those memos: equal memo entries share
+        # their parts, and memo hits compare them by identity
+        self.values: Optional[dict] = {} if remember_moves else None
         self.local_runs = 0  # local runs driven through _drive
         # (fork, left, right, joint, left other, right other) -> the merged
         # leaf, for joins that reported nothing; see _try_collapse
@@ -532,70 +535,64 @@ class _Ctx:
 # Normalization: administrative reductions
 # ---------------------------------------------------------------------------
 
-def _advance(leaf: Leaf, joint, other, ctx: _Ctx) -> Optional[Leaf]:
-    """One thread-local reduction of a reducible leaf, or ``None`` when its
-    next reduction is structural (fork, hide, completion, loop exhaustion).
-
-    Local reductions change only the leaf's node, environment and
-    continuation, never its self map or any other part of the configuration;
-    so the thread's view is its self map, ``joint`` and ``other`` throughout
-    the run, with no need to splice the leaf into the table first.
-    """
-    node = leaf.node
-    if node is None:
-        if not leaf.kont:
-            return None
-        frame, rest, value = leaf.kont[-1], leaf.kont[:-1], leaf.result
-        if isinstance(frame, SeqK):
-            env = frame.env.set(frame.var, value) if frame.var else frame.env
-            return Leaf(leaf.tid, frame.rest, env, rest, leaf.self_)
-        if isinstance(frame, LoopK):
-            if value is not LOOP_RETRY:
-                return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, value)
-            if frame.remaining <= 0:
-                return None
-            return Leaf(leaf.tid, frame.loop.body, frame.env,
-                        rest + (LoopK(frame.loop, frame.env, frame.remaining - 1),),
-                        leaf.self_)
-        if isinstance(frame, InjectK):
-            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, value)
-        if isinstance(frame, SpecK):
-            msg = frame.spec.post(frame.caps, SubjState(leaf.self_, joint, other), value)
-            if msg is not None:
-                ctx.report(f"spec:{frame.spec.name}", frame.spec.name, msg, leaf.tid)
-            return Leaf(leaf.tid, None, leaf.env, rest, leaf.self_, RUN, value)
-        return None
-    if isinstance(node, Ret):
-        return Leaf(leaf.tid, None, leaf.env, leaf.kont, leaf.self_, RUN, node.fn(leaf.env))
-    if isinstance(node, Seq):
-        return Leaf(leaf.tid, node.first, leaf.env,
-                    leaf.kont + (SeqK(node.var, node.rest, leaf.env),), leaf.self_)
-    if isinstance(node, IfN):
-        return Leaf(leaf.tid, node.then if node.cond(leaf.env) else node.els,
-                    leaf.env, leaf.kont, leaf.self_)
-    if isinstance(node, LoopN):
-        return Leaf(leaf.tid, node.body, leaf.env,
-                    leaf.kont + (LoopK(node, leaf.env, ctx.loop_bound - 1),), leaf.self_)
-    if isinstance(node, InjectN):
-        return Leaf(leaf.tid, node.body, leaf.env,
-                    leaf.kont + (InjectK(node.home),), leaf.self_)
-    if isinstance(node, SpecedN):
-        caps = node.spec.capture(SubjState(leaf.self_, joint, other), leaf.env)
-        return Leaf(leaf.tid, node.body, leaf.env,
-                    leaf.kont + (SpecK(node.spec, caps),), leaf.self_)
-    return None
-
-
 def _drive(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
     """The leaf where the thread-local reductions of ``leaf`` stop: at an
-    action, or where the next reduction is structural."""
+    action, or where the next reduction is structural (fork, hide,
+    completion, loop exhaustion).
+
+    Local reductions change only the leaf's node, environment, continuation
+    and value (held only with no node), never its self map or any other part
+    of the configuration; so the thread's view is its self map, ``joint``
+    and ``other`` throughout the run, which builds one leaf where it stops.
+    """
+    tid, self_ = leaf.tid, leaf.self_
+    node, env, kont, value = leaf.node, leaf.env, leaf.kont, leaf.result
     while True:
-        nxt = _advance(leaf, joint, other, ctx)
-        if nxt is None:
-            return leaf
-        leaf = nxt
-        if isinstance(leaf.node, ActN):
-            return leaf
+        if node is None:
+            if not kont:
+                break
+            frame = kont[-1]
+            if isinstance(frame, SeqK):
+                env = frame.env.set(frame.var, value) if frame.var else frame.env
+                node, kont, value = frame.rest, kont[:-1], None
+            elif isinstance(frame, LoopK):
+                if value is LOOP_RETRY:
+                    if frame.remaining <= 0:
+                        break
+                    node, env, value = frame.loop.body, frame.env, None
+                    kont = kont[:-1] + (LoopK(frame.loop, frame.env, frame.remaining - 1),)
+                else:
+                    kont = kont[:-1]
+            elif isinstance(frame, InjectK):
+                kont = kont[:-1]
+            elif isinstance(frame, SpecK):
+                msg = frame.spec.post(frame.caps, SubjState(self_, joint, other), value)
+                if msg is not None:
+                    ctx.report(f"spec:{frame.spec.name}", frame.spec.name, msg, tid)
+                kont = kont[:-1]
+            else:
+                break
+        elif isinstance(node, Ret):
+            node, value = None, node.fn(env)
+        elif isinstance(node, Seq):
+            kont += (SeqK(node.var, node.rest, env),)
+            node = node.first
+        elif isinstance(node, IfN):
+            node = node.then if node.cond(env) else node.els
+        elif isinstance(node, LoopN):
+            kont += (LoopK(node, env, ctx.loop_bound - 1),)
+            node = node.body
+        elif isinstance(node, InjectN):
+            kont += (InjectK(node.home),)
+            node = node.body
+        elif isinstance(node, SpecedN):
+            kont += (SpecK(node.spec, node.spec.capture(SubjState(self_, joint, other), env)),)
+            node = node.body
+        else:
+            break
+        if isinstance(node, ActN):
+            break
+    return Leaf(tid, node, env, kont, self_, RUN, value)
 
 
 def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any:
@@ -609,7 +606,7 @@ def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any
     what ``execute`` returns is the step's result.  So the caller decides
     where the program's primitives run, for example on a concrete heap.
     """
-    ctx = _Ctx(None, loop_bound)
+    ctx = _Ctx(None, loop_bound, remember_moves=False)
     leaf = _drive(Leaf(0, node, EMPTY_MAP, (), EMPTY_MAP), None, None, ctx)
     while isinstance(leaf.node, ActN):
         res = execute(leaf.node.build(leaf.env).primitive)
@@ -622,7 +619,8 @@ def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any
 
 
 def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
-    """The structural reduction of a leaf that ``_advance`` cannot reduce."""
+    """The structural reduction of a leaf where ``_drive`` stopped short of
+    an action."""
     node = leaf.node
     if isinstance(node, ParN):
         return _fork(cfg, leaf, node, ctx)
@@ -881,15 +879,15 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     reported a violation is taken again wherever it recurs, so that its
     report carries that path's step index and schedule.
 
-    Otherwise the action runs, and its step is checked only if its
-    transition (concurroid, claimed transition, injected labels and both
-    states) has not passed the checks before; a failed check runs again
-    wherever it recurs.
+    Otherwise the action runs, and its step is checked unless ``ctx`` keeps
+    a transition memo where its transition (concurroid, claimed transition,
+    injected labels and both states) passed the checks before; a failed
+    check runs again wherever it recurs.
     """
     other = _other(cfg, leaf.tid, ctx.others)
-    moves = ctx.moves
-    key = (leaf, cfg.joint, other, id(cfg.conc), cfg.next_loc)
+    moves, memo = ctx.moves, ctx.checked
     if moves is not None:
+        key = (leaf, cfg.joint, other, id(cfg.conc), cfg.next_loc)
         hit = moves.get(key)
         if hit is not None:
             stop, joint2, next_loc, entry = hit
@@ -904,16 +902,18 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     except ActionSafetyError as exc:
         ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
         return None
-    canon = ctx.values
-    w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
-                   canon.setdefault(w2.joint, w2.joint), w2.other)
-    checked = (id(cfg.conc), action.claimed, homes, w.self_, w.joint, w.other,
-               w2.self_, w2.joint, w2.other)
-    if checked not in ctx.checked:
+    if memo is not None:
+        canon = ctx.values
+        w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
+                       canon.setdefault(w2.joint, w2.joint), w2.other)
+        checked = (id(cfg.conc), action.claimed, homes, w.self_, w.joint, w.other,
+                   w2.self_, w2.joint, w2.other)
+    if memo is None or checked not in memo:
         ctx.transitions_checked += 1
         if not _check_step(cfg.conc, leaf.tid, action, homes, w, w2, ctx):
             return None
-        ctx.checked.add(checked)
+        if memo is not None:
+            memo.add(checked)
     event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
                   action.primitive)
     entry = (leaf.tid, action.name, res)
@@ -923,7 +923,7 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
     stop = _drive(Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res),
                   w2.joint, w.other, ctx)
     if moves is not None and ctx.reported == before:
-        intern = canon.setdefault
+        intern = ctx.values.setdefault
         stop = intern(stop, stop)
         moves[(intern(leaf, leaf),) + key[1:]] = (stop, w2.joint, sctx.next_loc, entry)
     return (stop, w2.joint, sctx.next_loc), event

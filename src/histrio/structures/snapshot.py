@@ -74,7 +74,7 @@ def _coherent(w: SubjState) -> bool:
 
 def _write_member(which: str):
     def member(w: SubjState, w2: SubjState) -> bool:
-        if w.other != w2.other or set(w.labels()) != {LB} or set(w2.labels()) != {LB}:
+        if w.other != w2.other or w.labels() != w2.labels() or LB not in w.labels():
             return False
         p1, p2 = _parse_joint(w.joint[LB]), _parse_joint(w2.joint[LB])
         if p1 is None or p2 is None:

@@ -16,10 +16,11 @@ from histrio.concurroid import (
     empty_concurroid,
     entangle,
     step_in_transition,
+    transferred_heap,
 )
 from histrio.fmap import FrozenMap
 from histrio.pcm import EMPTY_IDSET, IdSet
-from histrio.scheduler import run_random
+from histrio.scheduler import explore, run_random
 from histrio.state import (
     EMPTY_STATE,
     StateError,
@@ -255,6 +256,90 @@ def test_lifted_and_exchange_steps_keep_their_label_set():
         grown = SubjState(w2.self_.set("zz", IdSet.of(7)), w2.joint.set("zz", EMPTY_IDSET),
                           w2.other.set("zz", IdSet.of(8)))
         assert not step_in_transition(t, e.before, grown), kind
+
+
+def _lifts(u, v) -> list:
+    """(lifted transition, side transition, side labels, idle labels) for
+    every transition that ``entangle(u, v)`` lifts."""
+    ent = entangle(u, v)
+    out = [(ent.internals[name], t, side.labels, idle.labels)
+           for side, idle in ((u, v), (v, u))
+           for name, t in side.internals.items() if name != "id"]
+    for lifted, pair in zip(ent.externals, u.externals):
+        out += [(lt, t, u.labels, v.labels) for lt, t in zip(lifted, pair) if t is not None]
+    return out
+
+
+def _lift_verdicts(lifts, w, w2, accepted: set) -> int:
+    """Check each lifted transition's membership of the step from ``w`` to
+    ``w2``, judged on the whole states, against the side transition judged on
+    the states restricted to its side, with the idle side framed; return how
+    many were compared, and add the names of those that hold to
+    ``accepted``."""
+    compared = 0
+    for lifted, t, side, idle in lifts:
+        h = ()
+        if t.kind != "internal":
+            heap = transferred_heap(lifted, w, w2)
+            if heap is None:
+                continue
+            h = (heap,)
+        framed = w.labels() == w2.labels() and w.restrict(idle) == w2.restrict(idle)
+        expected = framed and t.member(w.restrict(side), w2.restrict(side), *h)
+        assert lifted.member(w, w2, *h) == expected, (t.name, w.render(), w2.render())
+        compared += 1
+        if expected:
+            accepted.add(t.name)
+    return compared
+
+
+def test_lifted_membership_on_whole_states_is_the_sides_on_restricted_ones():
+    """A lifted transition judges the whole states once the idle side is
+    framed, so each side member must read only its own labels, or whole-map
+    equalities that the frame makes equal to their restrictions.  Compared
+    on every step the explorer checks in small runs under pv⋊tb and pv⋊fc,
+    and on side steps drawn as ``check_concurroid`` draws them under pv⋊tb,
+    pv⋊fc(3), pv⋊sp and pv⋊lk, framed by a state of the other side that the
+    step keeps or changes."""
+    lifts = {frozenset(u.labels | v.labels): _lifts(u, v)
+             for u, v in [(pv.concurroid(), tb.concurroid()),
+                          (pv.concurroid(), fc.concurroid(fc.stack_shape(2)))]}
+    runs = [(scenarios.treiber_scenario(), 60), (scenarios.seq_recovery_scenario(), 30),
+            (scenarios.producer_consumer_scenario(2), 60),
+            (scenarios.flat_combiner_scenario(2), 120)]
+    accepted, compared = set(), 0
+    for sc, step_bound in runs:
+        steps = []
+        sc.step_invariants.append(lambda w, w2: steps.append((w, w2)))
+        assert explore(sc, step_bound, 2).verdict == "pass"
+        lifted_steps = [(w, w2) for w, w2 in steps if frozenset(w.labels()) in lifts]
+        assert lifted_steps, sc.name
+        for w, w2 in lifted_steps:
+            compared += _lift_verdicts(lifts[frozenset(w.labels())], w, w2, accepted)
+    assert {"pv.write", "tb.pop", "fc.req", "fc.help", "fc.coll"} <= accepted
+
+    rng = random.Random(24)
+    drawn_accepted = set()
+    for u, v in [(pv.concurroid(), tb.concurroid()),
+                 (pv.concurroid(), fc.concurroid(fc.stack_shape(3))),
+                 (pv.concurroid(), sp.concurroid()), (pv.concurroid(), lk.concurroid())]:
+        ls = _lifts(u, v)
+        for _, t, side, _ in ls:
+            idle_side = v if side == u.labels else u
+            for _ in range(15):
+                drawn = t.sampler(rng)
+                if drawn is None:
+                    continue
+                frame = idle_side.sample_state(rng)
+                for post_frame in (frame, idle_side.sample_state(rng)):
+                    w = drawn[0].merge_disjoint(frame)
+                    w2 = drawn[1].merge_disjoint(post_frame)
+                    if w is None or w2 is None or flatten(w) is None or flatten(w2) is None:
+                        continue
+                    compared += _lift_verdicts(ls, w, w2, drawn_accepted)
+    assert compared > 1_000
+    assert {"pv.write", "pv.acquire", "pv.release", "tb.pop", "fc.req", "fc.help",
+            "fc.coll", "wr_x", "wr_y"} <= drawn_accepted
 
 
 def test_empty_concurroid_is_the_unit():

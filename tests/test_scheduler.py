@@ -567,6 +567,29 @@ def test_each_distinct_transition_is_checked_once(monkeypatch):
     assert len(rep.finals) == 6
 
 
+def test_random_runs_and_replays_check_every_step():
+    # seed 2's run of 14 steps makes 12 distinct transitions: with no
+    # transition memo, the two that recur are checked again, so a step
+    # invariant sees every event; explore still skips a transition that
+    # passed
+    def counted_scenario():
+        sc, calls = treiber_scenario(), []
+        sc.step_invariants.append(lambda w, w2: calls.append(None))
+        return sc, calls
+
+    sc, calls = counted_scenario()
+    t = run_random(sc, 2, 60, 3)
+    assert t.verdict == "pass" and len(t.events) == 14
+    assert len({(e.transition, e.before, e.after) for e in t.events}) == 12
+    assert len(calls) == 14
+    sc, calls = counted_scenario()
+    r = run_replay(sc, t.schedule, 3)
+    assert r.verdict == "pass" and len(calls) == len(r.events) == 14
+    sc, calls = counted_scenario()
+    rep = explore(sc, step_bound=60, loop_bound=3)
+    assert len(calls) == rep.transitions_checked < rep.steps_run
+
+
 def test_a_failing_transition_is_reported_on_every_path_that_takes_it():
     # thread 0's write makes the same transition before and after thread
     # 1's read, which changes no state, from two distinct configurations
