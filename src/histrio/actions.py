@@ -33,6 +33,7 @@ from .state import (
     StateError,
     SubjState,
     flatten,
+    has_labels,
     realign_acquire,
     realign_release,
     validate,
@@ -192,6 +193,38 @@ def _ctx_for(w: SubjState) -> StepCtx:
     f = flatten(w)
     top = max((loc.n for loc in f.keys()), default=0)
     return StepCtx(next_loc=top + 1)
+
+
+def step_sampler(draw, labels, tries: int = 64):
+    """A transition's sampler from an action family's ``draw``: the step
+    ``(w, w2)`` of the first of ``tries`` draws ``(a, w)`` whose step changes
+    ``w``, cut down to ``labels``, or ``None``.  A draw may be ``None``.  A
+    family draws safe states, so the step is taken without deciding safety."""
+    def sampler(rng):
+        for _ in range(tries):
+            drawn = draw(rng)
+            if drawn is None:
+                continue
+            a, w = drawn
+            w2 = a.step(w, _ctx_for(w))[0]
+            if w2 == w:
+                continue
+            if has_labels(w, labels):
+                return w, w2
+            return w.restrict(labels), w2.restrict(labels)
+        return None
+
+    return sampler
+
+
+def reverse_sampler(s):
+    """The steps of sampler ``s`` taken backwards: a release drawn from its
+    acquire, or an unlock from its lock."""
+    def sampler(rng):
+        drawn = s(rng)
+        return None if drawn is None else drawn[::-1]
+
+    return sampler
 
 
 def _moved_newest(sv, ov) -> Optional[tuple]:

@@ -43,8 +43,9 @@ class Transition:
     ``member`` decides membership: for internal transitions it takes
     ``(w, w')``; for acquire/release transitions it takes ``(w, w', h)``
     where ``h`` is the transferred heap.  ``sampler`` draws random
-    member pairs (or triples) for the property checks; transitions used
-    only through entanglement may omit it.
+    member pairs ``(w, w')`` for the property checks, or ``None``; an
+    external step's ``h`` is inferred (``transferred_heap``).  Transitions
+    used only through entanglement may omit it.
     """
 
     name: str
@@ -175,19 +176,22 @@ class CheckReport:
 
 
 def _draw(t: Transition, rng) -> Optional[tuple]:
+    """A drawn step ``(w, w', h)``, its heap ``h`` inferred as the explorer
+    infers it; ``None`` where ``t`` has no sampler or the sampler refuses."""
     if t.sampler is None:
         return None
     drawn = t.sampler(rng)
     if drawn is None:
         return None
-    if len(drawn) == 2:
-        return (drawn[0], drawn[1], None)
-    return drawn
+    w, w2 = drawn
+    return w, w2, transferred_heap(t, w, w2)
 
 
-def _footprint_fault(t: Transition, w, w2, h) -> Optional[str]:
+def _footprint_fault(t: Transition, w, w2) -> Optional[str]:
     """Internal steps keep the flattened heap domain; an acquire grows it
-    by ``dom h`` and a release shrinks it by ``dom h``."""
+    and a release shrinks it.  The cells gained or lost are the inferred
+    ``h``, so an acquire that keeps every cell grows the domain by exactly
+    ``dom h``, and a release that adds none shrinks it by ``dom h``."""
     f1, f2 = flatten(w), flatten(w2)
     if f1 is None or f2 is None:
         return f"{t.name}: state heaps overlap"
@@ -195,10 +199,10 @@ def _footprint_fault(t: Transition, w, w2, h) -> Optional[str]:
         if f1.keys() != f2.keys():
             return f"{t.name}: internal step changed heap domain"
     elif t.kind == "acquire":
-        if h is None or (f1.keys() | h.keys()) != f2.keys() or (f1.keys() & h.keys()):
+        if not f1.keys() <= f2.keys():
             return f"{t.name}: footprint not extended by dom(h)"
     elif t.kind == "release":
-        if h is None or (f2.keys() | h.keys()) != f1.keys() or (f2.keys() & h.keys()):
+        if not f2.keys() <= f1.keys():
             return f"{t.name}: footprint not reduced by dom(h)"
     return None
 
@@ -226,8 +230,9 @@ def check_fork_join_closure(c: Concurroid, n: int, rng: random.Random) -> CheckR
 def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckReport]:
     """Run the full obligation suite for one concurroid.
 
-    Each sampled transition draws ``n`` steps ``(w, w', h)``, and each
-    step is checked once against every per-step obligation:
+    Each sampled transition draws ``n`` steps ``(w, w')``, with an external
+    step's transferred heap ``h`` inferred from them, and each step is
+    checked once against every per-step obligation:
 
     * guarantee: the step leaves ``other`` alone;
     * rely: the transposed step, the environment's view, leaves ``self``
@@ -265,7 +270,7 @@ def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckRep
             if w.other != w2.other:
                 guarantee.add(f"{t.name}: other changed: {w.render()} -> {w2.render()}")
                 rely.add(f"{t.name}: transposed step changed self")
-            fault = _footprint_fault(t, w, w2, h)
+            fault = _footprint_fault(t, w, w2)
             if fault is not None:
                 footprints.add(fault)
             if not (validate(w2) and c.coherent(w2)):

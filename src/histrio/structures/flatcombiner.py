@@ -24,7 +24,7 @@ from functools import partial
 from operator import ne
 from typing import Callable, Optional
 
-from ..actions import ActionFamily, AtomicAction, Read, Rmw, Write, cas
+from ..actions import ActionFamily, AtomicAction, Read, Rmw, Write, cas, reverse_sampler, step_sampler
 from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
 from ..history import is_complete, is_continuous, is_stacklike, last_stamp, lookup_end, push_event
@@ -612,18 +612,40 @@ def _draw_coll(shape: FcShape, rng: random.Random) -> Optional[tuple]:
     return try_collect(shape, rng.choice(ready)), w
 
 
-def _step_sampler(shape: FcShape, draw, tries: int):
-    """A transition's sampler: the states before and after the step of the
-    first of ``tries`` draws that finds one, or ``None``."""
-    def sampler(rng):
-        for _ in range(tries):
-            drawn = draw(shape, rng)
-            if drawn is not None:
-                a, w = drawn
-                return w, a.step(w, None)[0]
-        return None
+def _entangled(shape: FcShape, rng: random.Random, want_locked: bool) -> Optional[SubjState]:
+    """A flat-combiner state with a private heap alongside, locked by self
+    or free as ``want_locked`` says; a held lock's resource stack sits in
+    the private heap.  ``None`` if 256 tries find no such state."""
+    for _ in range(256):
+        w = sample_state(shape, rng)
+        locked = parse_fc(shape, w.joint[LB])[0]
+        if locked != want_locked or (want_locked and w.self_[LB].mx is not OWN):
+            continue
+        hp = pv.sample_state(rng)
+        hs = hp.self_[pv.LB]
+        if locked and w.self_[LB].mx is OWN:
+            g_all = total_aux(shape, w)
+            l = lookup_end(g_all, last_stamp(g_all))
+            hs = Heap({**hs, **tb.layout(l, NODE_BASE, SNT)})
+        return SubjState(
+            w.self_.set(pv.LB, hs),
+            w.joint.set(pv.LB, Heap()),
+            w.other.set(pv.LB, hp.other[pv.LB]),
+        )
+    return None
 
-    return sampler
+
+def _draw_trylock(shape: FcShape, rng: random.Random) -> tuple:
+    return fc_trylock(shape), _entangled(shape, rng, False)
+
+
+def _draw_unlock(shape: FcShape, rng: random.Random) -> tuple:
+    while True:
+        w = _entangled(shape, rng, True)
+        if w is not None:
+            a = fc_unlock(shape)
+            if a.safe(w):
+                return a, w
 
 
 def _until(shape: FcShape, draw):
@@ -641,38 +663,15 @@ def concurroid(shape: FcShape) -> Concurroid:
     def state_sampler(rng):
         return sample_state(shape, rng)
 
-    def lock_sampler(rng):
-        for _ in range(64):
-            w = sample_state(shape, rng)
-            locked, _, hr, gp = parse_fc(shape, w.joint[LB])
-            if locked or w.self_[LB].mx is not NOT_OWN:
-                continue
-            jh, _ = w.joint[LB]
-            jh2 = Heap({loc: v for loc, v in jh.items() if loc not in hr}).set(LK, True)
-            s = w.self_[LB]
-            w2 = SubjState(
-                w.self_.set(LB, Triple(s.ids, OWN, s.aux)),
-                w.joint.set(LB, (Heap(jh2), gp)),
-                w.other,
-            )
-            return (w, w2, hr)
-        return None
-
-    def unlock_sampler(rng):
-        drawn = lock_sampler(rng)
-        if drawn is None:
-            return None
-        w, w2, h = drawn
-        return (w2, w, h)
-
+    lock = step_sampler(partial(_draw_trylock, shape), HOME)
     req_t = Transition("fc.req", "internal", _req_member(shape),
-                       _step_sampler(shape, _draw_req, 64))
+                       step_sampler(partial(_draw_req, shape), HOME))
     help_t = Transition("fc.help", "internal", _help_member(shape),
-                        _step_sampler(shape, _draw_help, 128))
+                        step_sampler(partial(_draw_help, shape), HOME, 128))
     coll_t = Transition("fc.coll", "internal", _coll_member(shape),
-                        _step_sampler(shape, _draw_coll, 64))
-    alpha = Transition("fc.unlock", "acquire", _unlock_member(shape), unlock_sampler)
-    rho = Transition("fc.lock", "release", _lock_member(shape), lock_sampler)
+                        step_sampler(partial(_draw_coll, shape), HOME))
+    alpha = Transition("fc.unlock", "acquire", _unlock_member(shape), reverse_sampler(lock))
+    rho = Transition("fc.lock", "release", _lock_member(shape), lock)
     return Concurroid(
         name="flat-combiner",
         homes={LB: shape.home},
@@ -740,25 +739,6 @@ def action_families() -> list[ActionFamily]:
     conc = concurroid(shape)
     ent = entangle(pv.concurroid(), conc)
 
-    def entangled(rng, want_locked: bool):
-        for _ in range(256):
-            w = sample_state(shape, rng)
-            locked = parse_fc(shape, w.joint[LB])[0]
-            if locked != want_locked or (want_locked and w.self_[LB].mx is not OWN):
-                continue
-            hp = pv.sample_state(rng)
-            hs = hp.self_[pv.LB]
-            if locked and w.self_[LB].mx is OWN:
-                g_all = total_aux(shape, w)
-                l = lookup_end(g_all, last_stamp(g_all))
-                hs = Heap({**hs, **tb.layout(l, NODE_BASE, SNT)})
-            return SubjState(
-                w.self_.set(pv.LB, hs),
-                w.joint.set(pv.LB, Heap()),
-                w.other.set(pv.LB, hp.other[pv.LB]),
-            )
-        return None
-
     def bad_req(rng):
         while True:
             w = sample_state(shape, rng)
@@ -769,10 +749,6 @@ def action_families() -> list[ActionFamily]:
 
     def sample_read_req(rng):
         return read_req(shape, rng.randrange(shape.n)), sample_state(shape, rng)
-
-    def sample_trylock(rng):
-        w = entangled(rng, False)
-        return fc_trylock(shape), w
 
     def bad_do_help(rng):
         while True:
@@ -785,17 +761,9 @@ def action_families() -> list[ActionFamily]:
                 i = rng.choice(reqs)
                 return do_help(shape, i, (), slots[i].arg), w
 
-    def sample_unlock(rng):
-        while True:
-            w = entangled(rng, True)
-            if w is not None:
-                a = fc_unlock(shape)
-                if a.safe(w):
-                    return a, w
-
     def bad_unlock(rng):
         while True:
-            w = entangled(rng, False)
+            w = _entangled(shape, rng, False)
             if w is not None:
                 return fc_unlock(shape), w
 
@@ -810,8 +778,8 @@ def action_families() -> list[ActionFamily]:
     return [
         ActionFamily("fc.reqHelp", conc, _until(shape, _draw_req), bad_req),
         ActionFamily("fc.readReq", conc, sample_read_req),
-        ActionFamily("fc.tryLock", ent, sample_trylock),
+        ActionFamily("fc.tryLock", ent, partial(_draw_trylock, shape)),
         ActionFamily("fc.doHelp", conc, _until(shape, _draw_help), bad_do_help),
-        ActionFamily("fc.unlock", ent, sample_unlock, bad_unlock),
+        ActionFamily("fc.unlock", ent, partial(_draw_unlock, shape), bad_unlock),
         ActionFamily("fc.tryCollect", conc, sample_collect),
     ]

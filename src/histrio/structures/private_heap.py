@@ -20,6 +20,8 @@ from ..actions import (
     Read,
     StepCtx,
     Write,
+    reverse_sampler,
+    step_sampler,
 )
 from ..concurroid import Concurroid, Transition, identity_transition
 from ..fmap import FrozenMap
@@ -154,37 +156,33 @@ def sample_frame(rng: random.Random) -> FrozenMap:
     return FrozenMap({LB: Heap(cells)})
 
 
-def _fresh_heap(rng, w) -> Heap:
-    used = {loc.n for loc in w.self_[LB]} | {loc.n for loc in w.other[LB]}
-    loc = next(n for n in range(200, 400) if n not in used)
-    return Heap({Loc(loc): rng.randint(0, 9)})
+def _draw_alloc(rng):
+    return alloc(), sample_state(rng)
+
+
+def _with_owned(mk):
+    """A draw of ``mk(rng, loc)`` at a location that the drawn state's self
+    owns."""
+    def draw(rng):
+        while True:
+            w = sample_state(rng)
+            if w.self_[LB]:
+                loc = rng.choice(sorted(w.self_[LB].keys()))
+                return mk(rng, loc), w
+
+    return draw
+
+
+def _mk_write(rng, loc):
+    return write(loc, rng.randint(20, 29))
 
 
 def concurroid() -> Concurroid:
-    def write_sampler(rng):
-        w = sample_state(rng)
-        hs = w.self_[LB]
-        if not hs:
-            return None
-        loc = rng.choice(sorted(hs.keys()))
-        w2, _, _ = write(loc, rng.randint(10, 19)).step(w, StepCtx(0))
-        return (w, w2)
-
-    def acq_sampler(rng):
-        w = sample_state(rng)
-        h = _fresh_heap(rng, w)
-        w2 = SubjState(
-            w.self_.set(LB, Heap(w.self_[LB].merge_disjoint(h))), w.joint, w.other
-        )
-        return (w, w2, h)
-
-    def rel_sampler(rng):
-        w, w2, h = acq_sampler(rng)
-        return (w2, w, h)
-
-    wr = Transition("pv.write", "internal", _write_member, write_sampler)
-    acq = Transition("pv.acquire", "acquire", _acquire_member, acq_sampler)
-    rel = Transition("pv.release", "release", _release_member, rel_sampler)
+    acquire = step_sampler(_draw_alloc, HOME)
+    wr = Transition("pv.write", "internal", _write_member,
+                    step_sampler(_with_owned(_mk_write), HOME))
+    acq = Transition("pv.acquire", "acquire", _acquire_member, acquire)
+    rel = Transition("pv.release", "release", _release_member, reverse_sampler(acquire))
     return Concurroid(
         name="private-heaps",
         homes={LB: _coherent},
@@ -198,19 +196,6 @@ def concurroid() -> Concurroid:
 def action_families() -> list[ActionFamily]:
     conc = concurroid()
 
-    def sample_alloc(rng):
-        return alloc(), sample_state(rng)
-
-    def with_owned(mk):
-        def sampler(rng):
-            while True:
-                w = sample_state(rng)
-                if w.self_[LB]:
-                    loc = rng.choice(sorted(w.self_[LB].keys()))
-                    return mk(rng, loc), w
-
-        return sampler
-
     def with_foreign(mk):
         """Target a location owned by the environment: a fault."""
 
@@ -223,12 +208,11 @@ def action_families() -> list[ActionFamily]:
 
         return sampler
 
-    mk_write = lambda rng, loc: write(loc, rng.randint(20, 29))  # noqa: E731
     mk_read = lambda rng, loc: read(loc)  # noqa: E731
     mk_dealloc = lambda rng, loc: dealloc(loc)  # noqa: E731
     return [
-        ActionFamily("alloc", conc, sample_alloc),
-        ActionFamily("pv.write", conc, with_owned(mk_write), with_foreign(mk_write)),
-        ActionFamily("pv.read", conc, with_owned(mk_read), with_foreign(mk_read)),
-        ActionFamily("pv.dealloc", conc, with_owned(mk_dealloc), with_foreign(mk_dealloc)),
+        ActionFamily("alloc", conc, _draw_alloc),
+        ActionFamily("pv.write", conc, _with_owned(_mk_write), with_foreign(_mk_write)),
+        ActionFamily("pv.read", conc, _with_owned(mk_read), with_foreign(mk_read)),
+        ActionFamily("pv.dealloc", conc, _with_owned(mk_dealloc), with_foreign(mk_dealloc)),
     ]

@@ -13,8 +13,9 @@ the histories.
 from __future__ import annotations
 
 import random
+from functools import partial
 
-from ..actions import ActionFamily, AtomicAction, Read, Rmw, StepCtx
+from ..actions import ActionFamily, AtomicAction, Read, Rmw, step_sampler
 from ..concurroid import Concurroid, Transition, identity_transition
 from ..fmap import FrozenMap
 from ..history import fresh, is_continuous, last_stamp, lookup_end
@@ -219,20 +220,16 @@ def sample_frame(rng: random.Random) -> FrozenMap:
     return FrozenMap({LB: Hist.of(SNAPSHOT, {t: entry})})
 
 
-def _write_sampler(which: str):
-    def sampler(rng):
-        w = sample_state(rng)
-        v = rng.choice(_XVALS if which == "x" else _YVALS)
-        a = _write_action(which, v)
-        w2, _, _ = a.step(w, StepCtx(0))
-        return (w, w2)
-
-    return sampler
+def _draw_write(which: str, rng):
+    v = rng.choice(_XVALS if which == "x" else _YVALS)
+    return _write_action(which, v), sample_state(rng)
 
 
 def concurroid() -> Concurroid:
-    wr_x = Transition("wr_x", "internal", _write_member("x"), _write_sampler("x"))
-    wr_y = Transition("wr_y", "internal", _write_member("y"), _write_sampler("y"))
+    wr_x = Transition("wr_x", "internal", _write_member("x"),
+                      step_sampler(partial(_draw_write, "x"), HOME))
+    wr_y = Transition("wr_y", "internal", _write_member("y"),
+                      step_sampler(partial(_draw_write, "y"), HOME))
     return Concurroid(
         name="pair-snapshot",
         homes={LB: _coherent},
@@ -285,13 +282,6 @@ def action_families() -> list[ActionFamily]:
 
         return sampler
 
-    def sample_write(which):
-        def sampler(rng):
-            v = rng.choice(_XVALS if which == "x" else _YVALS)
-            return _write_action(which, v), sample_state(rng)
-
-        return sampler
-
     def bad_state(rng):
         """Joint cell inconsistent with the last history entry."""
         w = sample_state(rng)
@@ -304,6 +294,6 @@ def action_families() -> list[ActionFamily]:
     return [
         ActionFamily("readX", conc, sample_read(read_x), bad_state),
         ActionFamily("readY", conc, sample_read(read_y), bad_state),
-        ActionFamily("writeX", conc, sample_write("x"), bad_state),
-        ActionFamily("writeY", conc, sample_write("y"), bad_state),
+        ActionFamily("writeX", conc, partial(_draw_write, "x"), bad_state),
+        ActionFamily("writeY", conc, partial(_draw_write, "y"), bad_state),
     ]

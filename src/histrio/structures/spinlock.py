@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..actions import ActionFamily, AtomicAction, Write, cas
+from ..actions import ActionFamily, AtomicAction, Write, cas, reverse_sampler, step_sampler
 from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
 from ..pcm import (
@@ -38,6 +38,7 @@ from . import private_heap as pv
 LB = "lk"
 LK = Loc(4001)
 REG = Loc(4002)
+HOME = frozenset([LB])
 LOCK_HOME = frozenset([LB, pv.LB])
 
 
@@ -210,30 +211,51 @@ def sample_frame(rng: random.Random) -> FrozenMap:
     return FrozenMap({LB: Triple(IdSet.of(rng.randint(10, 14)), NOT_OWN, EMPTY_IDSET)})
 
 
+def _entangled(rng, locked: bool):
+    """A spin-lock state with a private heap alongside, locked (by self) or
+    free as ``locked`` says; a held lock's register sits in the private heap.
+    ``None`` if 64 tries find no such state."""
+    for _ in range(64):
+        w = sample_state(rng)
+        if w.joint[LB][LK] != locked:
+            continue
+        if locked and w.self_[LB].mx is not OWN:
+            continue
+        hp = pv.sample_state(rng)
+        hs = hp.self_[pv.LB]
+        if locked:
+            g = join(w.self_[LB].aux, w.other[LB].aux)
+            hs = Heap(hs.set(REG, tuple(sorted(g.ids))))
+        return SubjState(
+            w.self_.set(pv.LB, hs),
+            w.joint.set(pv.LB, EMPTY_HEAP),
+            w.other.set(pv.LB, hp.other[pv.LB]),
+        )
+    return None
+
+
+def _draw_trylock(rng):
+    w = _entangled(rng, locked=rng.random() < 0.3)
+    while w is None:
+        w = _entangled(rng, locked=False)
+    return trylock(), w
+
+
+def _draw_unlock(rng):
+    while True:
+        w = _entangled(rng, locked=True)
+        if w is not None:
+            g2 = w.self_[LB].aux
+            total = join(g2, w.other[LB].aux)
+            hs = Heap(w.self_[pv.LB].set(REG, tuple(sorted(total.ids))))
+            w = SubjState(w.self_.set(pv.LB, hs), w.joint, w.other)
+            return unlock(g2), w
+
+
 def concurroid() -> Concurroid:
-    def take_sampler(rng):
-        for _ in range(16):
-            w = sample_state(rng)
-            if not w.joint[LB][LK] and w.self_[LB].mx is NOT_OWN:
-                h = Heap(w.joint[LB].remove(LK))
-                s = w.self_[LB]
-                w2 = SubjState(
-                    w.self_.set(LB, Triple(s.ids, OWN, s.aux)),
-                    w.joint.set(LB, Heap({LK: True})),
-                    w.other,
-                )
-                return (w, w2, h)
-        return None
-
-    def back_sampler(rng):
-        drawn = take_sampler(rng)
-        if drawn is None:
-            return None
-        w, w2, h = drawn
-        return (w2, w, h)
-
-    give_back = Transition("lk.unlock", "acquire", _give_back_member, back_sampler)
-    take = Transition("lk.lock", "release", _take_member, take_sampler)
+    lock = step_sampler(_draw_trylock, HOME)
+    give_back = Transition("lk.unlock", "acquire", _give_back_member, reverse_sampler(lock))
+    take = Transition("lk.lock", "release", _take_member, lock)
     return Concurroid(
         name="spin-lock",
         homes={LB: _coherent},
@@ -247,48 +269,13 @@ def concurroid() -> Concurroid:
 def action_families() -> list[ActionFamily]:
     ent = entangle(pv.concurroid(), concurroid())
 
-    def entangled(rng, locked: bool):
-        for _ in range(64):
-            w = sample_state(rng)
-            if w.joint[LB][LK] != locked:
-                continue
-            if locked and w.self_[LB].mx is not OWN:
-                continue
-            hp = pv.sample_state(rng)
-            hs = hp.self_[pv.LB]
-            if locked:
-                g = join(w.self_[LB].aux, w.other[LB].aux)
-                hs = Heap(hs.set(REG, tuple(sorted(g.ids))))
-            return SubjState(
-                w.self_.set(pv.LB, hs),
-                w.joint.set(pv.LB, EMPTY_HEAP),
-                w.other.set(pv.LB, hp.other[pv.LB]),
-            )
-        return None
-
-    def sample_trylock(rng):
-        w = entangled(rng, locked=rng.random() < 0.3)
-        while w is None:
-            w = entangled(rng, locked=False)
-        return trylock(), w
-
-    def sample_unlock(rng):
-        while True:
-            w = entangled(rng, locked=True)
-            if w is not None:
-                g2 = w.self_[LB].aux
-                total = join(g2, w.other[LB].aux)
-                hs = Heap(w.self_[pv.LB].set(REG, tuple(sorted(total.ids))))
-                w = SubjState(w.self_.set(pv.LB, hs), w.joint, w.other)
-                return unlock(g2), w
-
     def bad_unlock(rng):
         while True:
-            w = entangled(rng, locked=False)
+            w = _entangled(rng, locked=False)
             if w is not None:
                 return unlock(EMPTY_IDSET), w
 
     return [
-        ActionFamily("trylock", ent, sample_trylock),
-        ActionFamily("unlock", ent, sample_unlock, bad_unlock),
+        ActionFamily("trylock", ent, _draw_trylock),
+        ActionFamily("unlock", ent, _draw_unlock, bad_unlock),
     ]

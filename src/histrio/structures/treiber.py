@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..actions import ActionFamily, AtomicAction, Read, StepCtx, cas
+from ..actions import ActionFamily, AtomicAction, Read, cas, step_sampler
 from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
 from ..history import fresh, is_complete, is_continuous, is_stacklike, last_stamp, lookup_end
@@ -289,37 +289,51 @@ def sample_frame(rng: random.Random) -> FrozenMap:
     return FrozenMap({LB: Hist.of(STACK, {t: (pre, ((rng.choice(_ELEMS)),) + pre)})})
 
 
-def _pop_sampler(rng):
-    for _ in range(32):
+def _entangled_state(rng):
+    """A treiber state with a private heap alongside."""
+    w = sample_state(rng)
+    hp = pv.sample_state(rng)
+    return SubjState(
+        w.self_.set(pv.LB, hp.self_[pv.LB]),
+        w.joint.set(pv.LB, hp.joint[pv.LB]),
+        w.other.set(pv.LB, hp.other[pv.LB]),
+    )
+
+
+def _draw_try_push(rng):
+    """A push of a node linked to the head, from the private heap; its
+    expected head is stale in three draws of ten."""
+    w = _entangled_state(rng)
+    jh = w.joint[LB]
+    p_old, _, _, _ = parse_stack(jh)
+    loc = Loc(500 + rng.randint(0, 40))
+    while loc in w.self_[pv.LB] or loc in w.other[pv.LB]:
+        loc = Loc(loc.n + 1)
+    e = rng.choice(_ELEMS)
+    hp = Heap(w.self_[pv.LB].set(loc, (e, p_old)))
+    w = SubjState(w.self_.set(pv.LB, hp), w.joint, w.other)
+    p1 = p_old if rng.random() < 0.7 else Loc(7777)
+    return try_push(p1, loc), w
+
+
+def _draw_try_pop(rng):
+    """A pop of a non-empty stack; its expected head is stale in three draws
+    of ten."""
+    while True:
         w = sample_state(rng)
         p, contents, _, _ = parse_stack(w.joint[LB])
-        if not contents:
-            continue
-        p1 = w.joint[LB][p][1]
-        w2, ok, _ = try_pop(p, p1).step(w, StepCtx(0))
-        if ok:
-            return (w, w2)
-    return None
-
-
-def _push_sampler(rng):
-    w = sample_state(rng)
-    jh = w.joint[LB]
-    p_old, contents, _, _ = parse_stack(jh)
-    loc = Loc(max((l.n for l in jh.keys()), default=NODE_BASE) + 1)
-    e = rng.choice(_ELEMS)
-    h = Heap({loc: (e, p_old)})
-    hs = w.self_[LB]
-    t = fresh(join(hs, w.other[LB]))
-    hs2 = Hist(STACK, hs.entries.set(t, (contents, (e,) + contents)))
-    jh2 = Heap(jh.set(loc, (e, p_old)).set(SNT, loc))
-    w2 = SubjState(w.self_.set(LB, hs2), w.joint.set(LB, jh2), w.other)
-    return (w, w2, h)
+        if contents:
+            if rng.random() < 0.7:
+                return try_pop(p, w.joint[LB][p][1]), w
+            # stale head: the CAS must fail and leave the state alone
+            stale = Loc(900)
+            return try_pop(stale, NULL), w
 
 
 def concurroid() -> Concurroid:
-    pop_t = Transition("tb.pop", "internal", _pop_member, _pop_sampler)
-    push_t = Transition("tb.push", "acquire", _push_member, _push_sampler)
+    pop_t = Transition("tb.pop", "internal", _pop_member, step_sampler(_draw_try_pop, HOME))
+    push_t = Transition("tb.push", "acquire", _push_member,
+                        step_sampler(_draw_try_push, HOME))
     return Concurroid(
         name="treiber",
         homes={LB: _coherent},
@@ -384,15 +398,6 @@ def action_families() -> list[ActionFamily]:
     conc = concurroid()
     ent = entangle(pv.concurroid(), conc)
 
-    def entangled_state(rng):
-        w = sample_state(rng)
-        hp = pv.sample_state(rng)
-        return SubjState(
-            w.self_.set(pv.LB, hp.self_[pv.LB]),
-            w.joint.set(pv.LB, hp.joint[pv.LB]),
-            w.other.set(pv.LB, hp.other[pv.LB]),
-        )
-
     def sample_read_sentinel(rng):
         return read_sentinel(), sample_state(rng)
 
@@ -407,33 +412,9 @@ def action_families() -> list[ActionFamily]:
         w = sample_state(rng)
         return read_node(Loc(7777)), w
 
-    def sample_try_push(rng):
-        w = entangled_state(rng)
-        jh = w.joint[LB]
-        p_old, _, _, _ = parse_stack(jh)
-        loc = Loc(500 + rng.randint(0, 40))
-        while loc in w.self_[pv.LB] or loc in w.other[pv.LB]:
-            loc = Loc(loc.n + 1)
-        e = rng.choice(_ELEMS)
-        hp = Heap(w.self_[pv.LB].set(loc, (e, p_old)))
-        w = SubjState(w.self_.set(pv.LB, hp), w.joint, w.other)
-        p1 = p_old if rng.random() < 0.7 else Loc(7777)
-        return try_push(p1, loc), w
-
     def bad_try_push(rng):
-        w = entangled_state(rng)
+        w = _entangled_state(rng)
         return try_push(NULL, Loc(7777)), w
-
-    def sample_try_pop(rng):
-        while True:
-            w = sample_state(rng)
-            p, contents, _, _ = parse_stack(w.joint[LB])
-            if contents:
-                if rng.random() < 0.7:
-                    return try_pop(p, w.joint[LB][p][1]), w
-                # stale head: the CAS must fail and leave the state alone
-                stale = Loc(900)
-                return try_pop(stale, NULL), w
 
     def pv_frames_only(f):
         tb_part = f.get(LB)
@@ -442,7 +423,7 @@ def action_families() -> list[ActionFamily]:
     return [
         ActionFamily("readSentinel", conc, sample_read_sentinel),
         ActionFamily("readNode", conc, sample_read_node, bad_read_node),
-        ActionFamily("tryPush", ent, sample_try_push, bad_try_push,
+        ActionFamily("tryPush", ent, _draw_try_push, bad_try_push,
                      frame_filter=pv_frames_only),
-        ActionFamily("tryPop", conc, sample_try_pop),
+        ActionFamily("tryPop", conc, _draw_try_pop),
     ]

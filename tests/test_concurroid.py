@@ -124,6 +124,40 @@ def test_locality_catches_an_absolute_self_reading_transition():
     assert ("guarantee", "absolute") not in failing
 
 
+@pytest.mark.parametrize("conc", ALL, ids=lambda c: c.name)
+def test_every_transition_samples_steps_of_its_actions(conc):
+    """Each non-identity transition draws a step every time, and the step
+    is a member of the transition, its heap inferred as the explorer
+    infers it."""
+    rng = random.Random(11)
+    for t in conc.all_transitions():
+        if t.name == "id":
+            continue
+        for _ in range(50):
+            drawn = t.sampler(rng)
+            assert drawn is not None, t.name
+            assert step_in_transition(t, *drawn), (t.name, drawn[0].render())
+
+
+def test_a_push_that_drops_its_history_entry_fails_post_coherence(monkeypatch):
+    """The push transition is sampled from ``try_push`` itself, so a fault
+    in the action's step reaches the concurroid's obligations."""
+    try_push = tb.try_push
+
+    def dropping(p1, p):
+        a = try_push(p1, p)
+
+        def step(w, ctx):
+            w2, res, ctx2 = a.step(w, ctx)
+            kept = SubjState(w2.self_.set(tb.LB, w.self_[tb.LB]), w2.joint, w2.other)
+            return kept, res, ctx2
+
+        return dataclasses.replace(a, step=step)
+
+    monkeypatch.setattr(tb, "try_push", dropping)
+    assert ("post-coherence", "treiber") in _failing_rows(tb.concurroid(), 20, 0)
+
+
 def test_footprints_catch_a_leaking_internal_transition():
     def sampler(rng):
         w = pv.sample_state(rng)
