@@ -195,24 +195,19 @@ def _ctx_for(w: SubjState) -> StepCtx:
     return StepCtx(next_loc=top + 1)
 
 
-def step_sampler(draw, labels, tries: int = 64):
+def step_sampler(draw, labels):
     """A transition's sampler from an action family's ``draw``: the step
-    ``(w, w2)`` of the first of ``tries`` draws ``(a, w)`` whose step changes
-    ``w``, cut down to ``labels``, or ``None``.  A draw may be ``None``.  A
-    family draws safe states, so the step is taken without deciding safety."""
+    ``(w, w2)`` of one draw ``(a, w)``, cut down to ``labels``, or ``None``
+    where the step leaves ``w`` alone.  The draw builds a safe state whose
+    step moves, so safety is not decided again and no draw is retried."""
     def sampler(rng):
-        for _ in range(tries):
-            drawn = draw(rng)
-            if drawn is None:
-                continue
-            a, w = drawn
-            w2 = a.step(w, _ctx_for(w))[0]
-            if w2 == w:
-                continue
-            if has_labels(w, labels):
-                return w, w2
-            return w.restrict(labels), w2.restrict(labels)
-        return None
+        a, w = draw(rng)
+        w2 = a.step(w, _ctx_for(w))[0]
+        if w2 == w:
+            return None
+        if has_labels(w, labels):
+            return w, w2
+        return w.restrict(labels), w2.restrict(labels)
 
     return sampler
 

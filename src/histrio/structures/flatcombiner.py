@@ -510,9 +510,15 @@ def initial_state(shape: FcShape) -> SubjState:
 _ELEMS = "uvwxyz"
 
 
-def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
+def sample_state(shape: FcShape, rng: random.Random, lock: Optional[str] = None,
+                 slot: Optional[int] = None, status=None, owned: bool = False) -> SubjState:
     """Random admissible state: evolve a stack history, scatter its events
-    over the slot cells and the two contributions, pick slot statuses."""
+    over the slot cells and the two contributions, pick slot statuses.
+
+    A caller takes the branches it needs rather than drawing them: ``lock``
+    is ``"free"``, or held by ``"self"`` or ``"other"``; slot ``slot`` is
+    in ``status`` (``INIT``, ``Req`` or ``Resp``) when one is given, and is
+    self's when ``owned``."""
     contents: tuple = ()
     entries = {0: ((), ())}
     for t in range(1, rng.randint(1, 6)):
@@ -527,11 +533,11 @@ def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
     rng.shuffle(stamps)
     slots, gp = [], []
     for i in range(shape.n):
-        r = rng.random()
-        if r < 0.4:
+        got = status if i == slot and status is not None else _draw_status(rng)
+        if got is INIT:
             slots.append(INIT)
             gp.append(NO_AUX)
-        elif r < 0.7:
+        elif got is Req:
             slots.append(Req("push", rng.choice(_ELEMS)))
             gp.append(NO_AUX)
         else:
@@ -546,15 +552,16 @@ def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
     mine = {t: entries[t] for t in remaining if rng.random() < 0.5}
     rest = {t: entries[t] for t in remaining if t not in mine}
     ids = frozenset(range(shape.n)) | set(rng.sample(range(shape.n, shape.n + 3), rng.randint(0, 2)))
-    mine_ids = frozenset(i for i in ids if rng.random() < 0.6)
-    locked = rng.random() < 0.35
-    cells = {LK: locked, **dict(zip(shape.slots, slots))}
-    if not locked:
+    mine_ids = frozenset(i for i in ids if (owned and i == slot) or rng.random() < 0.6)
+    if lock is None:
+        lock = "free" if rng.random() >= 0.35 else "self" if rng.random() < 0.6 else "other"
+    cells = {LK: lock != "free", **dict(zip(shape.slots, slots))}
+    if lock == "free":
         cells.update(tb.layout(contents, NODE_BASE, SNT))
         mx_s = NOT_OWN
         mx_o = NOT_OWN
     else:
-        own_self = rng.random() < 0.6
+        own_self = lock == "self"
         mx_s = OWN if own_self else NOT_OWN
         mx_o = NOT_OWN if own_self else OWN
     return SubjState(
@@ -562,6 +569,11 @@ def sample_state(shape: FcShape, rng: random.Random) -> SubjState:
         FrozenMap({LB: (Heap(cells), tuple(gp))}),
         FrozenMap({LB: Triple(IdSet(ids - mine_ids), mx_o, Hist.of(STACK, rest))}),
     )
+
+
+def _draw_status(rng: random.Random):
+    r = rng.random()
+    return INIT if r < 0.4 else Req if r < 0.7 else Resp
 
 
 def sample_frame(shape: FcShape, rng: random.Random) -> FrozenMap:
@@ -573,101 +585,67 @@ def sample_frame(shape: FcShape, rng: random.Random) -> FrozenMap:
     )
 
 
-def _draw_req(shape: FcShape, rng: random.Random) -> Optional[tuple]:
-    """One draw of a request: ``(reqHelp, w)`` for a sampled ``w`` and one of
-    its open slots that ``w``'s self owns, or ``None`` if it has none."""
-    w = sample_state(shape, rng)
-    _, slots, _, _ = parse_fc(shape, w.joint[LB])
-    open_slots = [i for i in range(shape.n) if slots[i] is INIT and i in w.self_[LB].ids.ids]
-    if not open_slots:
-        return None
-    i = rng.choice(open_slots)
+def _draw_req(shape: FcShape, rng: random.Random) -> tuple:
+    """A request: ``(reqHelp, w)`` at an open slot that ``w``'s self owns."""
+    i = rng.randrange(shape.n)
+    w = sample_state(shape, rng, slot=i, status=INIT, owned=True)
     return req_help(shape, i, rng.choice(_ELEMS)), w
 
 
-def _draw_help(shape: FcShape, rng: random.Random) -> Optional[tuple]:
-    """One draw of a help: ``(doHelp, w)`` for a sampled ``w`` whose self
-    holds the lock and one of its requests, or ``None`` unless that help is
-    safe."""
-    w = sample_state(shape, rng)
-    locked, slots, _, _ = parse_fc(shape, w.joint[LB])
-    if not locked or w.self_[LB].mx is not OWN:
-        return None
-    reqs = [i for i in range(shape.n) if isinstance(slots[i], Req)]
-    if not reqs:
-        return None
-    i = rng.choice(reqs)
-    a = do_help(shape, i, (), slots[i].arg)
-    return (a, w) if a.safe(w) else None
+def _draw_help(shape: FcShape, rng: random.Random, lock: str = "self") -> tuple:
+    """A help: ``(doHelp, w)`` at a slot that holds a request, with ``w``'s
+    lock as ``lock`` says; the help is safe where self holds it."""
+    i = rng.randrange(shape.n)
+    w = sample_state(shape, rng, lock, slot=i, status=Req)
+    return do_help(shape, i, (), w.joint[LB][0][shape.slots[i]].arg), w
 
 
-def _draw_coll(shape: FcShape, rng: random.Random) -> Optional[tuple]:
-    """One draw of a collection: ``(tryCollect, w)`` for a sampled ``w`` and
-    one of its answered slots that ``w``'s self owns, or ``None``."""
-    w = sample_state(shape, rng)
-    _, slots, _, _ = parse_fc(shape, w.joint[LB])
-    ready = [i for i in range(shape.n) if isinstance(slots[i], Resp) and i in w.self_[LB].ids.ids]
-    if not ready:
-        return None
-    return try_collect(shape, rng.choice(ready)), w
+def _draw_coll(shape: FcShape, rng: random.Random) -> tuple:
+    """A collection: ``(tryCollect, w)`` at an answered slot that ``w``'s
+    self owns."""
+    i = rng.randrange(shape.n)
+    w = sample_state(shape, rng, slot=i, status=Resp, owned=True)
+    return try_collect(shape, i), w
 
 
-def _entangled(shape: FcShape, rng: random.Random, want_locked: bool) -> Optional[SubjState]:
-    """A flat-combiner state with a private heap alongside, locked by self
-    or free as ``want_locked`` says; a held lock's resource stack sits in
-    the private heap.  ``None`` if 256 tries find no such state."""
-    for _ in range(256):
-        w = sample_state(shape, rng)
-        locked = parse_fc(shape, w.joint[LB])[0]
-        if locked != want_locked or (want_locked and w.self_[LB].mx is not OWN):
-            continue
-        hp = pv.sample_state(rng)
-        hs = hp.self_[pv.LB]
-        if locked and w.self_[LB].mx is OWN:
-            g_all = total_aux(shape, w)
-            l = lookup_end(g_all, last_stamp(g_all))
-            hs = Heap({**hs, **tb.layout(l, NODE_BASE, SNT)})
-        return SubjState(
-            w.self_.set(pv.LB, hs),
-            w.joint.set(pv.LB, Heap()),
-            w.other.set(pv.LB, hp.other[pv.LB]),
-        )
-    return None
+def _entangled(shape: FcShape, rng: random.Random, locked: bool) -> SubjState:
+    """A flat-combiner state with a private heap alongside, held by self or
+    free as ``locked`` says; a held lock's resource stack sits in the
+    private heap."""
+    w = sample_state(shape, rng, "self" if locked else "free")
+    hp = pv.sample_state(rng)
+    hs = hp.self_[pv.LB]
+    if locked:
+        g_all = total_aux(shape, w)
+        l = lookup_end(g_all, last_stamp(g_all))
+        hs = Heap({**hs, **tb.layout(l, NODE_BASE, SNT)})
+    return SubjState(
+        w.self_.set(pv.LB, hs),
+        w.joint.set(pv.LB, Heap()),
+        w.other.set(pv.LB, hp.other[pv.LB]),
+    )
 
 
-def _draw_trylock(shape: FcShape, rng: random.Random) -> tuple:
-    return fc_trylock(shape), _entangled(shape, rng, False)
+def _draw_trylock(shape: FcShape, rng: random.Random, held: float) -> tuple:
+    """A tryLock of a lock that self holds in a share ``held`` of the draws,
+    where the CAS fails and the step leaves the state alone, and free
+    otherwise."""
+    return fc_trylock(shape), _entangled(shape, rng, rng.random() < held)
 
 
 def _draw_unlock(shape: FcShape, rng: random.Random) -> tuple:
-    while True:
-        w = _entangled(shape, rng, True)
-        if w is not None:
-            a = fc_unlock(shape)
-            if a.safe(w):
-                return a, w
-
-
-def _until(shape: FcShape, draw):
-    """An action family's sampler: the first draw that finds one."""
-    def sample(rng):
-        while True:
-            drawn = draw(shape, rng)
-            if drawn is not None:
-                return drawn
-
-    return sample
+    return fc_unlock(shape), _entangled(shape, rng, True)
 
 
 def concurroid(shape: FcShape) -> Concurroid:
     def state_sampler(rng):
         return sample_state(shape, rng)
 
-    lock = step_sampler(partial(_draw_trylock, shape), HOME)
+    lock = step_sampler(partial(_draw_trylock, shape, held=0), HOME)
     req_t = Transition("fc.req", "internal", _req_member(shape),
                        step_sampler(partial(_draw_req, shape), HOME))
     help_t = Transition("fc.help", "internal", _help_member(shape),
-                        step_sampler(partial(_draw_help, shape), HOME, 128))
+                        step_sampler(partial(_draw_help, shape), HOME))
     coll_t = Transition("fc.coll", "internal", _coll_member(shape),
                         step_sampler(partial(_draw_coll, shape), HOME))
     alpha = Transition("fc.unlock", "acquire", _unlock_member(shape), reverse_sampler(lock))
@@ -740,46 +718,28 @@ def action_families() -> list[ActionFamily]:
     ent = entangle(pv.concurroid(), conc)
 
     def bad_req(rng):
-        while True:
-            w = sample_state(shape, rng)
-            _, slots, _, _ = parse_fc(shape, w.joint[LB])
-            busy = [i for i in range(shape.n) if slots[i] is not INIT]
-            if busy:
-                return req_help(shape, rng.choice(busy), "u"), w
+        i = rng.randrange(shape.n)
+        w = sample_state(shape, rng, slot=i, status=rng.choice((Req, Resp)))
+        return req_help(shape, i, "u"), w
 
     def sample_read_req(rng):
         return read_req(shape, rng.randrange(shape.n)), sample_state(shape, rng)
 
     def bad_do_help(rng):
-        while True:
-            w = sample_state(shape, rng)
-            locked, slots, _, _ = parse_fc(shape, w.joint[LB])
-            if w.self_[LB].mx is OWN:
-                continue
-            reqs = [i for i in range(shape.n) if isinstance(slots[i], Req)]
-            if reqs:
-                i = rng.choice(reqs)
-                return do_help(shape, i, (), slots[i].arg), w
+        return _draw_help(shape, rng, rng.choice(("free", "other")))
 
     def bad_unlock(rng):
-        while True:
-            w = _entangled(shape, rng, False)
-            if w is not None:
-                return fc_unlock(shape), w
+        return fc_unlock(shape), _entangled(shape, rng, False)
 
     def sample_collect(rng):
-        while True:
-            w = sample_state(shape, rng)
-            ids = w.self_[LB].ids.ids
-            mine = [i for i in range(shape.n) if i in ids]
-            if mine:
-                return try_collect(shape, rng.choice(mine)), w
+        i = rng.randrange(shape.n)
+        return try_collect(shape, i), sample_state(shape, rng, slot=i, owned=True)
 
     return [
-        ActionFamily("fc.reqHelp", conc, _until(shape, _draw_req), bad_req),
+        ActionFamily("fc.reqHelp", conc, partial(_draw_req, shape), bad_req),
         ActionFamily("fc.readReq", conc, sample_read_req),
-        ActionFamily("fc.tryLock", ent, partial(_draw_trylock, shape)),
-        ActionFamily("fc.doHelp", conc, _until(shape, _draw_help), bad_do_help),
+        ActionFamily("fc.tryLock", ent, partial(_draw_trylock, shape, held=0.3)),
+        ActionFamily("fc.doHelp", conc, partial(_draw_help, shape), bad_do_help),
         ActionFamily("fc.unlock", ent, partial(_draw_unlock, shape), bad_unlock),
         ActionFamily("fc.tryCollect", conc, sample_collect),
     ]

@@ -11,6 +11,7 @@ use to exchange heap ownership with a thread.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from ..actions import (
     ActionFamily,
@@ -141,9 +142,11 @@ def initial_state(self_heap: Heap = EMPTY_HEAP, other_heap: Heap = EMPTY_HEAP) -
     )
 
 
-def sample_state(rng: random.Random) -> SubjState:
-    locs = rng.sample(range(1, 12), rng.randint(0, 5))
-    k = rng.randint(0, len(locs))
+def sample_state(rng: random.Random, owner: Optional[str] = None) -> SubjState:
+    """A random state; ``owner`` (``"self"`` or ``"other"``), when given,
+    owns at least one cell."""
+    locs = rng.sample(range(1, 12), rng.randint(int(owner is not None), 5))
+    k = rng.randint(int(owner == "self"), len(locs) - (owner == "other"))
     hs = Heap({Loc(l): rng.randint(0, 9) for l in locs[:k]})
     ho = Heap({Loc(l): rng.randint(0, 9) for l in locs[k:]})
     return initial_state(hs, ho)
@@ -160,15 +163,14 @@ def _draw_alloc(rng):
     return alloc(), sample_state(rng)
 
 
-def _with_owned(mk):
-    """A draw of ``mk(rng, loc)`` at a location that the drawn state's self
-    owns."""
+def _with_owned(mk, owner: str = "self"):
+    """A draw of ``mk(rng, loc)`` at a location that the drawn state's
+    ``owner`` owns: ``"self"``, or ``"other"``, where touching it is a
+    fault."""
     def draw(rng):
-        while True:
-            w = sample_state(rng)
-            if w.self_[LB]:
-                loc = rng.choice(sorted(w.self_[LB].keys()))
-                return mk(rng, loc), w
+        w = sample_state(rng, owner)
+        heap = w.self_[LB] if owner == "self" else w.other[LB]
+        return mk(rng, rng.choice(sorted(heap.keys()))), w
 
     return draw
 
@@ -196,23 +198,11 @@ def concurroid() -> Concurroid:
 def action_families() -> list[ActionFamily]:
     conc = concurroid()
 
-    def with_foreign(mk):
-        """Target a location owned by the environment: a fault."""
-
-        def sampler(rng):
-            while True:
-                w = sample_state(rng)
-                if w.other[LB]:
-                    loc = rng.choice(sorted(w.other[LB].keys()))
-                    return mk(rng, loc), w
-
-        return sampler
-
     mk_read = lambda rng, loc: read(loc)  # noqa: E731
     mk_dealloc = lambda rng, loc: dealloc(loc)  # noqa: E731
     return [
         ActionFamily("alloc", conc, _draw_alloc),
-        ActionFamily("pv.write", conc, _with_owned(_mk_write), with_foreign(_mk_write)),
-        ActionFamily("pv.read", conc, _with_owned(mk_read), with_foreign(mk_read)),
-        ActionFamily("pv.dealloc", conc, _with_owned(mk_dealloc), with_foreign(mk_dealloc)),
+        ActionFamily("pv.write", conc, _with_owned(_mk_write), _with_owned(_mk_write, "other")),
+        ActionFamily("pv.read", conc, _with_owned(mk_read), _with_owned(mk_read, "other")),
+        ActionFamily("pv.dealloc", conc, _with_owned(mk_dealloc), _with_owned(mk_dealloc, "other")),
     ]

@@ -16,6 +16,7 @@ instance guards a single register cell mirroring a set of ids.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from ..actions import ActionFamily, AtomicAction, Write, cas, reverse_sampler, step_sampler
@@ -188,12 +189,15 @@ def unlock(g2) -> AtomicAction:
 # Construction and sampling
 # ---------------------------------------------------------------------------
 
-def sample_state(rng: random.Random) -> SubjState:
+def sample_state(rng: random.Random, lock: Optional[str] = None) -> SubjState:
+    """A random coherent state.  ``lock`` takes that branch of the lock
+    rather than drawing it: ``"free"``, or held by ``"self"`` or ``"other"``."""
     ids = frozenset(rng.sample(range(6), rng.randint(0, 3)))
     mine = frozenset(i for i in ids if rng.random() < 0.5)
-    locked = rng.random() < 0.4
-    if locked:
-        own_self = rng.random() < 0.5
+    if lock is None:
+        lock = "free" if rng.random() >= 0.4 else "self" if rng.random() < 0.5 else "other"
+    if lock != "free":
+        own_self = lock == "self"
         s = Triple(EMPTY_IDSET, OWN if own_self else NOT_OWN, IdSet(mine))
         o = Triple(EMPTY_IDSET, NOT_OWN if own_self else OWN, IdSet(ids - mine))
         jh = Heap({LK: True})
@@ -212,48 +216,35 @@ def sample_frame(rng: random.Random) -> FrozenMap:
 
 
 def _entangled(rng, locked: bool):
-    """A spin-lock state with a private heap alongside, locked (by self) or
-    free as ``locked`` says; a held lock's register sits in the private heap.
-    ``None`` if 64 tries find no such state."""
-    for _ in range(64):
-        w = sample_state(rng)
-        if w.joint[LB][LK] != locked:
-            continue
-        if locked and w.self_[LB].mx is not OWN:
-            continue
-        hp = pv.sample_state(rng)
-        hs = hp.self_[pv.LB]
-        if locked:
-            g = join(w.self_[LB].aux, w.other[LB].aux)
-            hs = Heap(hs.set(REG, tuple(sorted(g.ids))))
-        return SubjState(
-            w.self_.set(pv.LB, hs),
-            w.joint.set(pv.LB, EMPTY_HEAP),
-            w.other.set(pv.LB, hp.other[pv.LB]),
-        )
-    return None
+    """A spin-lock state with a private heap alongside, held by self or free
+    as ``locked`` says; a held lock's register sits in the private heap."""
+    w = sample_state(rng, "self" if locked else "free")
+    hp = pv.sample_state(rng)
+    hs = hp.self_[pv.LB]
+    if locked:
+        g = join(w.self_[LB].aux, w.other[LB].aux)
+        hs = Heap(hs.set(REG, tuple(sorted(g.ids))))
+    return SubjState(
+        w.self_.set(pv.LB, hs),
+        w.joint.set(pv.LB, EMPTY_HEAP),
+        w.other.set(pv.LB, hp.other[pv.LB]),
+    )
 
 
-def _draw_trylock(rng):
-    w = _entangled(rng, locked=rng.random() < 0.3)
-    while w is None:
-        w = _entangled(rng, locked=False)
-    return trylock(), w
+def _draw_trylock(rng, held: float):
+    """A trylock of a lock that self holds in a share ``held`` of the draws,
+    where the CAS fails and the step leaves the state alone, and free
+    otherwise."""
+    return trylock(), _entangled(rng, rng.random() < held)
 
 
 def _draw_unlock(rng):
-    while True:
-        w = _entangled(rng, locked=True)
-        if w is not None:
-            g2 = w.self_[LB].aux
-            total = join(g2, w.other[LB].aux)
-            hs = Heap(w.self_[pv.LB].set(REG, tuple(sorted(total.ids))))
-            w = SubjState(w.self_.set(pv.LB, hs), w.joint, w.other)
-            return unlock(g2), w
+    w = _entangled(rng, locked=True)
+    return unlock(w.self_[LB].aux), w
 
 
 def concurroid() -> Concurroid:
-    lock = step_sampler(_draw_trylock, HOME)
+    lock = step_sampler(partial(_draw_trylock, held=0), HOME)
     give_back = Transition("lk.unlock", "acquire", _give_back_member, reverse_sampler(lock))
     take = Transition("lk.lock", "release", _take_member, lock)
     return Concurroid(
@@ -270,12 +261,9 @@ def action_families() -> list[ActionFamily]:
     ent = entangle(pv.concurroid(), concurroid())
 
     def bad_unlock(rng):
-        while True:
-            w = _entangled(rng, locked=False)
-            if w is not None:
-                return unlock(EMPTY_IDSET), w
+        return unlock(EMPTY_IDSET), _entangled(rng, locked=False)
 
     return [
-        ActionFamily("trylock", ent, _draw_trylock),
+        ActionFamily("trylock", ent, partial(_draw_trylock, held=0.3)),
         ActionFamily("unlock", ent, _draw_unlock, bad_unlock),
     ]

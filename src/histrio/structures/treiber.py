@@ -15,6 +15,7 @@ re-files the old head under garbage.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from ..actions import ActionFamily, AtomicAction, Read, cas, step_sampler
@@ -244,8 +245,9 @@ def initial_state(contents: tuple = ()) -> SubjState:
 _ELEMS = "abcdef"
 
 
-def sample_state(rng: random.Random) -> SubjState:
-    """Random coherent state: replay a random push/pop mix, keep garbage."""
+def sample_state(rng: random.Random, nonempty: bool = False) -> SubjState:
+    """Random coherent state: replay a random push/pop mix, keep garbage.
+    A ``nonempty`` stack ends in a push where the mix would empty it."""
     contents = tuple(rng.sample(_ELEMS, rng.randint(0, 2)))
     entries = {0: (contents, contents)}
     cells = {}
@@ -256,7 +258,8 @@ def sample_state(rng: random.Random) -> SubjState:
         cells[loc] = (e, stack_locs[0] if stack_locs else NULL)
         stack_locs.insert(0, loc)
     garbage = {}
-    for t in range(1, rng.randint(1, 6)):
+    stop, t = rng.randint(1, 6), 1
+    while t < stop or (nonempty and not contents):
         if contents and rng.random() < 0.4:
             head = stack_locs.pop(0)
             garbage[head] = cells.pop(head)
@@ -269,6 +272,7 @@ def sample_state(rng: random.Random) -> SubjState:
             stack_locs.insert(0, loc)
             entries[t] = (contents, (e,) + contents)
             contents = (e,) + contents
+        t += 1
     jh = dict(cells)
     jh.update(garbage)
     jh[SNT] = stack_locs[0] if stack_locs else NULL
@@ -300,9 +304,10 @@ def _entangled_state(rng):
     )
 
 
-def _draw_try_push(rng):
+def _draw_try_push(rng, stale: float):
     """A push of a node linked to the head, from the private heap; its
-    expected head is stale in three draws of ten."""
+    expected head is stale, so the CAS fails and the step leaves the state
+    alone, in a share ``stale`` of the draws."""
     w = _entangled_state(rng)
     jh = w.joint[LB]
     p_old, _, _, _ = parse_stack(jh)
@@ -312,28 +317,26 @@ def _draw_try_push(rng):
     e = rng.choice(_ELEMS)
     hp = Heap(w.self_[pv.LB].set(loc, (e, p_old)))
     w = SubjState(w.self_.set(pv.LB, hp), w.joint, w.other)
-    p1 = p_old if rng.random() < 0.7 else Loc(7777)
+    p1 = Loc(7777) if rng.random() < stale else p_old
     return try_push(p1, loc), w
 
 
-def _draw_try_pop(rng):
-    """A pop of a non-empty stack; its expected head is stale in three draws
-    of ten."""
-    while True:
-        w = sample_state(rng)
-        p, contents, _, _ = parse_stack(w.joint[LB])
-        if contents:
-            if rng.random() < 0.7:
-                return try_pop(p, w.joint[LB][p][1]), w
-            # stale head: the CAS must fail and leave the state alone
-            stale = Loc(900)
-            return try_pop(stale, NULL), w
+def _draw_try_pop(rng, stale: float):
+    """A pop of a non-empty stack; its expected head is stale, so the CAS
+    fails and the step leaves the state alone, in a share ``stale`` of the
+    draws."""
+    w = sample_state(rng, nonempty=True)
+    p = w.joint[LB][SNT]
+    if rng.random() < stale:
+        return try_pop(Loc(900), NULL), w
+    return try_pop(p, w.joint[LB][p][1]), w
 
 
 def concurroid() -> Concurroid:
-    pop_t = Transition("tb.pop", "internal", _pop_member, step_sampler(_draw_try_pop, HOME))
+    pop_t = Transition("tb.pop", "internal", _pop_member,
+                       step_sampler(partial(_draw_try_pop, stale=0), HOME))
     push_t = Transition("tb.push", "acquire", _push_member,
-                        step_sampler(_draw_try_push, HOME))
+                        step_sampler(partial(_draw_try_push, stale=0), HOME))
     return Concurroid(
         name="treiber",
         homes={LB: _coherent},
@@ -402,11 +405,8 @@ def action_families() -> list[ActionFamily]:
         return read_sentinel(), sample_state(rng)
 
     def sample_read_node(rng):
-        while True:
-            w = sample_state(rng)
-            nodes = [l for l in w.joint[LB] if l != SNT]
-            if nodes:
-                return read_node(rng.choice(sorted(nodes))), w
+        w = sample_state(rng, nonempty=True)
+        return read_node(rng.choice(sorted(l for l in w.joint[LB] if l != SNT))), w
 
     def bad_read_node(rng):
         w = sample_state(rng)
@@ -423,7 +423,7 @@ def action_families() -> list[ActionFamily]:
     return [
         ActionFamily("readSentinel", conc, sample_read_sentinel),
         ActionFamily("readNode", conc, sample_read_node, bad_read_node),
-        ActionFamily("tryPush", ent, _draw_try_push, bad_try_push,
+        ActionFamily("tryPush", ent, partial(_draw_try_push, stale=0.3), bad_try_push,
                      frame_filter=pv_frames_only),
-        ActionFamily("tryPop", conc, _draw_try_pop),
+        ActionFamily("tryPop", conc, partial(_draw_try_pop, stale=0.3)),
     ]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import signal
 
 import pytest
 
@@ -189,6 +190,45 @@ def test_each_state_is_decided_safe_once(fam):
     fam = dataclasses.replace(fam, sample=recounted(fam.sample), sample_unsafe=unsafe)
     assert all(rep.ok for rep in check_action_properties(fam, 40, random.Random(5)))
     assert decided and max(n for _, n in decided.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["trylock", "fc.tryLock", "tryPush", "tryPop"])
+def test_the_cas_families_draw_failing_and_moving_steps(name):
+    """Totality, framing and erasure must see a CAS fail on a held lock or a
+    stale head as well as succeed, though the transitions draw only steps
+    that move."""
+    [fam] = [f for f in ALL_FAMILIES if f.name == name]
+    rng = random.Random(7)
+    moved = []
+    for _ in range(100):
+        a, w = fam.sample(rng)
+        moved.append(run_atomic(a, w, StepCtx(1))[0] != w)
+    assert any(moved) and not all(moved), sum(moved)
+
+
+@pytest.mark.parametrize("name, builder", [("fc.doHelp", "do_help"), ("fc.unlock", "fc_unlock")])
+def test_a_planted_refusal_fails_totality_and_does_not_hang(monkeypatch, name, builder):
+    """An action that refuses every state fails its totality row: the
+    family's draws build the states the action needs and never consult its
+    own safety, so they cannot wait forever for a state it accepts."""
+    build = getattr(fc, builder)
+    monkeypatch.setattr(fc, builder, lambda *args: dataclasses.replace(
+        build(*args), safe=lambda w: False))
+    [fam] = [f for f in fc.action_families() if f.name == name]
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"{name}: the obligation suite did not finish in 10s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        reports = {r.check: r for r in check_action_properties(fam, 20, random.Random(3))}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    totality = reports["totality"]
+    assert totality.violations and all(m.endswith("refused a safe state")
+                                       for m in totality.violations)
 
 
 def test_non_monotone_safety_is_caught():

@@ -139,6 +139,33 @@ def test_every_transition_samples_steps_of_its_actions(conc):
             assert step_in_transition(t, *drawn), (t.name, drawn[0].render())
 
 
+@pytest.mark.parametrize("module, conc, names", [
+    (lk, lk.concurroid(), ["lk.lock"]),
+    (tb, tb.concurroid(), ["tb.push", "tb.pop"]),
+    (fc, fc.concurroid(fc.stack_shape(3)), ["fc.lock", "fc.req", "fc.help", "fc.coll"]),
+    (pv, pv.concurroid(), ["pv.write"]),
+], ids=["spin-lock", "treiber", "flat-combiner", "private-heaps"])
+def test_each_sampled_step_takes_one_state_draw(monkeypatch, module, conc, names):
+    """A transition's sampler builds the lock, head, slot or owned cell its
+    step needs, so one draw of the structure's state gives a step that
+    moves: no draw is rejected and none is retried."""
+    draws = []
+    sample_state = module.sample_state
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return sample_state(*args, **kwargs)
+
+    monkeypatch.setattr(module, "sample_state", counted)
+    transitions = {t.name: t for t in conc.all_transitions()}
+    for name in names:
+        for seed in range(50):
+            draws.clear()
+            drawn = transitions[name].sampler(random.Random(seed))
+            assert drawn is not None and drawn[0] != drawn[1], (name, seed)
+            assert len(draws) == 1, (name, seed, len(draws))
+
+
 def test_a_push_that_drops_its_history_entry_fails_post_coherence(monkeypatch):
     """The push transition is sampled from ``try_push`` itself, so a fault
     in the action's step reaches the concurroid's obligations."""
