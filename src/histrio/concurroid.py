@@ -4,12 +4,12 @@ A concurroid is a quadruple of labels, a coherence predicate (the set of
 admissible states), internal transitions, and paired acquire/release
 external transitions used for heap ownership transfer.  Its labels and
 coherence come from one map, ``homes``, from each label to the coherence
-of a state over that label alone: a state is coherent when it carries
-exactly those labels, each label's part is coherent, and its heaps are
-disjoint.  So entangling two concurroids merges their maps.  The
-metatheory obligations — guarantee, rely as the transposed guarantee,
-locality, footprint discipline, post-state coherence and fork-join
-closure — are implemented here as sampled property checks
+of the label's self, joint and other components: a state is coherent when
+it carries exactly those labels, each label's components are coherent,
+and its heaps are disjoint.  So entangling two concurroids merges their
+maps.  The metatheory obligations — guarantee, rely as the transposed
+guarantee, locality, footprint discipline, post-state coherence and
+fork-join closure — are implemented here as sampled property checks
 (``check_concurroid``, which draws each sampled step once and checks it
 against every per-step obligation), and ``entangle`` builds the
 composite systems the scenarios run under.
@@ -70,12 +70,12 @@ def identity_transition(sample_state=None) -> Transition:
 
 @dataclass
 class Concurroid:
-    """``homes`` maps each label to its coherence body, which judges a valid
-    state over exactly that label (see ``state.coherent_at``); ``labels``
-    are its keys."""
+    """``homes`` maps each label to its coherence body, which judges the
+    label's self, joint and other components when they are a valid part
+    (see ``state.coherent_at``); ``labels`` are its keys."""
 
     name: str
-    homes: dict[str, Callable[[SubjState], Any]]
+    homes: dict[str, Callable[[Any, Any, Any], Any]]
     internals: dict[str, Transition]
     externals: list[tuple[Optional[Transition], Optional[Transition]]]
     sample_state: Optional[Callable[[random.Random], SubjState]] = None

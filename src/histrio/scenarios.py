@@ -369,7 +369,7 @@ def flat_combiner_scenario(threads: int = 3) -> Scenario:
     def final_oracle(cfg: Config, result) -> list:
         out = []
         view = leaf_view(cfg, cfg.threads[0])
-        total = fc.total_aux(shape, view.restrict(fc.HOME))
+        total = fc.total_aux(shape, view)
         if not (is_complete(total) and is_continuous(total) and is_stacklike(total)):
             out.append("final combined history not complete/continuous/stacklike")
         if pushed(total) != Counter(elems):

@@ -23,12 +23,13 @@ So each run of the explorer installs a fact table (``fact_table``) that
 lives only as long as the run: ``recall`` and ``coherent_at`` decide a
 fact once per run and key it on the function that decides it and exactly
 the values it reads, for a coherence its body and the label's self, joint
-and other components.  Outside a run there is no table, and they compute
-every time.  The table keys on equality, and map classes compare exactly,
-but cells compare with ``==``: ``Heap({LK: 1}) == Heap({LK: True})``, yet
-a lock's coherence accepts only the second.  So the table, like the
-explorer's memos, relies on no action storing such a twin; no shipped
-action does, since every lock write is ``True`` or ``False``.
+and other components, which are the body's arguments.  Outside a run
+there is no table, and they compute every time.  The table keys on
+equality, and map classes compare exactly, but cells compare with ``==``:
+``Heap({LK: 1}) == Heap({LK: True})``, yet a lock's coherence accepts only
+the second.  So the table, like the explorer's memos, relies on no action
+storing such a twin; no shipped action does, since every lock write is
+``True`` or ``False``.
 """
 
 from __future__ import annotations
@@ -106,13 +107,19 @@ EMPTY_STATE = SubjState(EMPTY_MAP, EMPTY_MAP, EMPTY_MAP)
 
 
 def flatten(w: SubjState) -> Optional[Heap]:
-    """Disjoint union of every heap in ``w``, found in the components and,
+    """Disjoint union of every heap in ``w``'s components (``_union``);
+    ``None`` on overlap."""
+    if w._flat is _UNSET:
+        w._flat = _union([*w.self_.values(), *w.joint.values(), *w.other.values()])
+    return w._flat
+
+
+def _union(values: list) -> Optional[Heap]:
+    """Disjoint union of every heap in ``values``, found in the values and,
     depth first, inside their tuples and triples' aux; ``None`` on overlap."""
-    if w._flat is not _UNSET:
-        return w._flat
     cells: dict = {}
     size = 0
-    todo = [*w.self_.values(), *w.joint.values(), *w.other.values()][::-1]
+    todo = values[::-1]
     while todo:
         v = todo.pop()
         if isinstance(v, Heap):
@@ -124,22 +131,26 @@ def flatten(w: SubjState) -> Optional[Heap]:
             todo += v[::-1]
         elif isinstance(v, Triple):
             todo.append(v.aux)
-    flat = Heap(cells) if len(cells) == size else None
-    w._flat = flat
-    return flat
+    return Heap(cells) if len(cells) == size else None
+
+
+def _defined(s, o) -> bool:
+    """``s ∘ o`` is defined, decided from keys by ``joinable``; elements of
+    different carriers (a ``TypeError``) have no join."""
+    try:
+        return joinable(s, o)
+    except TypeError:
+        return False
 
 
 def validate(w: SubjState) -> bool:
-    """Equal label domains, ``self ∘ other`` defined, heaps disjoint.  The
-    join is not built: ``joinable`` decides each label's from its keys."""
+    """Equal label domains, each label's ``self ∘ other`` defined, heaps
+    disjoint.  No join is built."""
     if w._valid:
         return True
     if not (w.self_.keys() == w.joint.keys() == w.other.keys()):
         return False
-    try:
-        if not all(joinable(s, w.other[lbl]) for lbl, s in w.self_.items()):
-            return False
-    except TypeError:
+    if not all(_defined(s, w.other[lbl]) for lbl, s in w.self_.items()):
         return False
     if flatten(w) is None:
         return False
@@ -180,29 +191,23 @@ def recall(key, compute, *args):
 
 
 def coherent_at(w: SubjState, label, body):
-    """``body(w')``, where ``w'`` is ``w`` cut down to ``label`` and valid: a
-    fact of the label's self, joint and other components alone, or ``None``
-    when ``w`` has no ``label`` or ``w'`` is not valid.  The run's fact
-    table keeps it under ``body`` and those three components, so a state
-    that repeats them is not cut down again."""
+    """``body(s, j, o)`` of ``label``'s self, joint and other components,
+    or ``None`` when ``w`` lacks one of them or they are not a valid part:
+    ``s ∘ o`` undefined or heaps overlapping, by ``validate``'s rule.  The
+    run's fact table keeps it under ``body`` and the three components, so
+    the key holds exactly the body's arguments."""
     s = w.self_.get(label, _UNSET)
-    if s is _UNSET:
+    j = w.joint.get(label, _UNSET)
+    o = w.other.get(label, _UNSET)
+    if s is _UNSET or j is _UNSET or o is _UNSET:
         return None
-    table = _FACTS.get()
-    if table is None:
-        return _decide(w, label, body)
-    key = (body, s, w.joint.get(label, _UNSET), w.other.get(label, _UNSET))
-    value = table.get(key, _UNSET)
-    if value is _UNSET:
-        value = table[key] = _decide(w, label, body)
-    return value
+    return recall((body, s, j, o), _decide, body, s, j, o)
 
 
-def _decide(w: SubjState, label, body):
-    home = {label}
-    if not has_labels(w, home):
-        w = w.restrict(home)
-    return body(w) if validate(w) else None
+def _decide(body, s, j, o):
+    if _defined(s, o) and _union([s, j, o]) is not None:
+        return body(s, j, o)
+    return None
 
 
 def has_labels(w: SubjState, labels) -> bool:

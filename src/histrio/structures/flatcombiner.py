@@ -119,7 +119,11 @@ def total_aux(shape: FcShape, w: SubjState, gp: Optional[tuple] = None) -> Optio
     ``gp`` is the slot array of ``w``'s joint when the caller has already
     parsed it; otherwise the joint is parsed here.
     """
-    s, jv, o = w.self_[LB].aux, w.joint[LB], w.other[LB].aux
+    return _joined_aux(shape, w.self_[LB].aux, w.joint[LB], w.other[LB].aux, gp)
+
+
+def _joined_aux(shape: FcShape, s: Hist, jv, o: Hist, gp: Optional[tuple]) -> Optional[Hist]:
+    """``total_aux`` of the self aux ``s``, joint ``jv`` and other aux ``o``."""
     return recall((total_aux, shape.n, s, jv, o), _total_aux, shape, s, jv, o, gp)
 
 
@@ -136,13 +140,12 @@ def _total_aux(shape: FcShape, s: Hist, jv, o: Hist, gp: Optional[tuple]) -> Opt
     return s
 
 
-def _coherent_parse(w: SubjState, shape: FcShape) -> Optional[tuple]:
-    """``parse_fc`` of the joint when ``w``, a valid state over exactly
-    ``{LB}``, is coherent, else ``None``."""
-    s, o = w.self_[LB], w.other[LB]
+def _coherent_parse(s, jv, o, shape: FcShape) -> Optional[tuple]:
+    """``parse_fc`` of the joint ``jv`` when ``LB``'s valid self, joint and
+    other components are coherent, else ``None``."""
     if not (isinstance(s, Triple) and isinstance(o, Triple)):
         return None
-    parsed = parse_fc(shape, w.joint[LB])
+    parsed = parse_fc(shape, jv)
     if parsed is None:
         return None
     locked, slots, hr, gp = parsed
@@ -152,7 +155,7 @@ def _coherent_parse(w: SubjState, shape: FcShape) -> Optional[tuple]:
     mx = join(s.mx, o.mx)
     if mx is None:
         return None
-    g_all = total_aux(shape, w, gp)
+    g_all = _joined_aux(shape, s.aux, jv, o.aux, gp)
     if g_all is None:
         return None
     if locked:

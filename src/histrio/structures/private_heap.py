@@ -33,13 +33,9 @@ LB = "pv"
 HOME = frozenset([LB])
 
 
-def _coherent(w: SubjState) -> bool:
-    """Coherence of a valid state over exactly ``{LB}``."""
-    return (
-        isinstance(w.self_[LB], Heap)
-        and isinstance(w.other[LB], Heap)
-        and w.joint[LB] == EMPTY_HEAP
-    )
+def _coherent(s, j, o) -> bool:
+    """Coherence of ``LB``'s valid self, joint and other components."""
+    return isinstance(s, Heap) and isinstance(o, Heap) and j == EMPTY_HEAP
 
 
 def _write_member(w: SubjState, w2: SubjState) -> bool:

@@ -55,13 +55,12 @@ def versions_ok(total: Hist) -> bool:
     return True
 
 
-def _coherent(w: SubjState) -> bool:
-    """Coherence of a valid state over exactly ``{LB}``."""
-    parsed = _parse_joint(w.joint[LB])
+def _coherent(hs, jh, ho) -> bool:
+    """Coherence of ``LB``'s valid self, joint and other components."""
+    parsed = _parse_joint(jh)
     if parsed is None:
         return False
     cx, vx, cy, _vy = parsed
-    hs, ho = w.self_[LB], w.other[LB]
     if not (isinstance(hs, Hist) and hs.kind == SNAPSHOT and isinstance(ho, Hist)):
         return False
     total = join(hs, ho)

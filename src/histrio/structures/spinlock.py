@@ -61,13 +61,10 @@ def _views(w: SubjState):
     return s, o
 
 
-def _coherent(w: SubjState) -> bool:
-    """Coherence of a valid state over exactly ``{LB}``."""
-    vs = _views(w)
-    if vs is None:
+def _coherent(s, jh, o) -> bool:
+    """Coherence of ``LB``'s valid self, joint and other components."""
+    if not (isinstance(s, Triple) and isinstance(o, Triple)):
         return False
-    s, o = vs
-    jh = w.joint[LB]
     if not isinstance(jh, Heap) or LK not in jh or not isinstance(jh[LK], bool):
         return False
     h = Heap(jh.remove(LK))

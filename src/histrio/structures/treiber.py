@@ -62,13 +62,12 @@ def _parse_stack(jh: Heap, snt: Loc) -> Optional[tuple]:
     return p, tuple(contents), Heap(cells), Heap(grb)
 
 
-def _coherent(w: SubjState) -> bool:
-    """Coherence of a valid state over exactly ``{LB}``."""
-    parsed = parse_stack(w.joint[LB])
+def _coherent(hs, jh, ho) -> bool:
+    """Coherence of ``LB``'s valid self, joint and other components."""
+    parsed = parse_stack(jh)
     if parsed is None:
         return False
     _, contents, _, _ = parsed
-    hs, ho = w.self_[LB], w.other[LB]
     if not (isinstance(hs, Hist) and hs.kind == STACK and isinstance(ho, Hist)):
         return False
     total = join(hs, ho)

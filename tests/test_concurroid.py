@@ -18,13 +18,14 @@ from histrio.concurroid import (
     step_in_transition,
     transferred_heap,
 )
-from histrio.fmap import FrozenMap
-from histrio.pcm import EMPTY_IDSET, IdSet
+from histrio.fmap import EMPTY_MAP, FrozenMap
+from histrio.pcm import EMPTY_IDSET, OWN, IdSet, Triple
 from histrio.scheduler import explore, run_random
 from histrio.state import (
     EMPTY_STATE,
     StateError,
     SubjState,
+    coherent_at,
     fact_table,
     flatten,
     realign_acquire,
@@ -204,7 +205,7 @@ def test_closure_fails_for_a_self_only_coherence():
     body = conc.homes[pv.LB]
     broken = type(conc)(
         name="broken",
-        homes={pv.LB: lambda w: body(w) and len(w.self_[pv.LB]) == 0},
+        homes={pv.LB: lambda s, j, o: body(s, j, o) and len(s) == 0},
         internals=conc.internals,
         externals=conc.externals,
         sample_state=lambda rng: pv.initial_state(),
@@ -276,6 +277,75 @@ def test_entangle_labels_and_coherence():
                     assert verdict == _entangled_coherence(u, v, w), (ent.name, w.render())
                     verdicts.append(verdict)
         assert True in verdicts and False in verdicts, ent.name
+
+
+def test_coherence_builds_no_restricted_copy(monkeypatch):
+    """A label's coherence reads that label's components out of the whole
+    state: with ``SubjState.restrict`` refusing, coherence and the home
+    safety predicates give on sampled and perturbed multi-label states the
+    verdicts they give with it intact, with and without a fact table."""
+    shape = fc.stack_shape(3)
+    cases = [
+        (tb.concurroid(), tb._safe_home),
+        (lk.concurroid(), lk._safe_home),
+        (fc.concurroid(shape), lambda w: coherent_at(w, fc.LB, shape.home)),
+    ]
+    rng = random.Random(27)
+    runs = []
+    for v, safe in cases:
+        ent = entangle(pv.concurroid(), v)
+        states = [w for _ in range(20) for w in _perturbed(ent, ent.sample_state(rng), rng)]
+        runs.append((ent, safe, states))
+
+    def verdicts() -> list:
+        out = []
+        for facts in (nullcontext, fact_table):
+            with facts():
+                for ent, safe, states in runs:
+                    out += [(ent.coherent(w), pv.safe_home(w), safe(w)) for w in states]
+        return out
+
+    expected = verdicts()
+    assert {c for c, _, _ in expected} == {True, False}
+
+    def refuse(self, labels):
+        raise AssertionError(f"restricted copy to {sorted(labels)}")
+
+    monkeypatch.setattr(SubjState, "restrict", refuse)
+    assert verdicts() == expected
+
+
+def _invalid_parts() -> list:
+    """``(concurroid, label, state)`` where the label's part is not valid."""
+    lock = Triple(EMPTY_IDSET, OWN, EMPTY_IDSET)
+    held_twice = SubjState(FrozenMap({lk.LB: lock}), FrozenMap({lk.LB: lk.Heap({lk.LK: True})}),
+                           FrozenMap({lk.LB: lock}))
+    cell = FrozenMap({pv.LB: pv.Heap({pv.Loc(1): 0})})
+    empty = FrozenMap({pv.LB: pv.EMPTY_HEAP})
+    no_joint = tb.sample_state(random.Random(3))
+    return [
+        (lk.concurroid(), lk.LB, held_twice),  # OWN ∘ OWN is undefined
+        (pv.concurroid(), pv.LB, SubjState(cell, empty, cell)),  # self ∘ other undefined
+        (pv.concurroid(), pv.LB, SubjState(cell, cell, empty)),  # self and joint overlap
+        (tb.concurroid(), tb.LB, SubjState(no_joint.self_, EMPTY_MAP, no_joint.other)),
+    ]
+
+
+@pytest.mark.parametrize("facts", [nullcontext, fact_table], ids=["no-table", "table"])
+def test_coherence_refuses_invalid_parts_without_running_the_body(facts):
+    for conc, label, w in _invalid_parts():
+        calls = []
+        body = conc.homes[label]
+
+        def counted(s, j, o, body=body):
+            calls.append((s, j, o))
+            return body(s, j, o)
+
+        counting = dataclasses.replace(conc, homes={label: counted})
+        with facts():
+            assert coherent_at(w, label, counted) is None, w.render()
+            assert counting.coherent(w) is False, w.render()
+        assert calls == [], w.render()
 
 
 def test_entangle_lifts_transitions_with_idle_frames():
@@ -411,7 +481,7 @@ def test_empty_concurroid_is_the_unit():
     rng = random.Random(7)
     ent = entangle(tb.concurroid(), e)
     assert behaviorally_equal("unit-law", ent, tb.concurroid(), 40, rng).ok
-    never = dataclasses.replace(tb.concurroid(), homes={tb.LB: lambda w: False})
+    never = dataclasses.replace(tb.concurroid(), homes={tb.LB: lambda s, j, o: False})
     rep = behaviorally_equal("unit-law", ent, never, 10, rng)
     assert not rep.ok and rep.violations[0].startswith("coherence differs")
 

@@ -484,9 +484,9 @@ def _count_fact_bodies(monkeypatch) -> dict:
         calls["tables"].add(state._FACTS.get() is not None)
         return parse_fc(shape, jv)
 
-    def counted_coherent_parse(w, shape):
-        calls["coherent_parse"].append((shape.n, w.self_, w.joint, w.other))
-        return coherent_parse(w, shape)
+    def counted_coherent_parse(s, jv, o, shape):
+        calls["coherent_parse"].append((shape.n, s, jv, o))
+        return coherent_parse(s, jv, o, shape)
 
     def counted_total_aux(shape, s, jv, o, gp):
         calls["total_aux"].append((shape.n, s, jv, o))
