@@ -91,7 +91,8 @@ class Concurroid:
         for label, body in self.homes.items():
             if not coherent_at(w, label, body):
                 return False
-        return flatten(w) is not None
+        # a validated state's heaps are already known to be disjoint
+        return w._valid or flatten(w) is not None
 
     def find(self, name: str) -> Optional[Transition]:
         t = self.internals.get(name)

@@ -3,15 +3,17 @@
 Every piece of program state in this package (heaps, histories, label
 maps, environments) is a finite map that must be hashable, comparable,
 and renderable in a deterministic order.  ``FrozenMap`` provides exactly
-that; all mutators return fresh maps.  ``hash_once`` gives the value
-records that are hashed many times over the same cached hash.
+that as a ``dict`` that refuses to change: its reads are dict's own, and
+its updates (``set``, ``remove``, ...) return fresh maps.  ``hash_once``
+gives the value records that are hashed many times over the same cached
+hash.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 
 def hash_once(cls):
@@ -37,16 +39,30 @@ def hash_once(cls):
     return cls
 
 
-class FrozenMap:
+# dict's own methods, which FrozenMap's overrides do not reach: comparison,
+# and the writes that fill a fresh map before anyone else holds it
+_dict_eq = dict.__eq__
+_dict_ne = dict.__ne__
+_dict_set = dict.__setitem__
+_dict_del = dict.__delitem__
+_dict_update = dict.update
+
+
+def _refuse(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} is immutable")
+
+
+class FrozenMap(dict):
     """A hashable finite map.  Keys must be mutually orderable.
 
-    The read-only mapping surface is ``m[k]``, ``k in m``, ``len(m)``,
-    iteration over keys, ``get``, ``keys``, ``items`` and ``values``;
-    the last three return the underlying dict's own (read-only) views,
-    so ``dict(m)`` and view set operations work as for a dict.  It is
-    deliberately not a ``collections.abc.Mapping``: the ABC routes every
-    ``isinstance`` test on the map classes through ``ABCMeta`` and its
-    views through Python-level code, both on the explorer's hot path.
+    It is a ``dict``, so every read (``m[k]``, ``k in m``, ``len(m)``,
+    iteration, ``get``, ``keys``, ``items``, ``values``) and every
+    construction, from a dict, a map or pairs, is dict's own C code.
+    Subclassing ``dict`` is safe for three reasons.  Every dict mutator
+    raises ``TypeError``; only this module writes, through ``dict``'s own
+    methods, and only into a map it has just built.  Equality is
+    class-sensitive (below), not dict's.  And since no map changes once
+    built, its hash is computed on first use and kept in ``_hash``.
 
     Two maps are equal when they are of the same class and their contents
     are equal, whatever the insertion order: a ``Heap`` never equals a
@@ -56,89 +72,62 @@ class FrozenMap:
     returns a plain map.
     """
 
-    __slots__ = ("_d", "_hash")
+    __slots__ = ("_hash",)
 
-    def __init__(self, items: FrozenMap | dict | Iterable[tuple[Any, Any]] = ()):
-        if isinstance(items, FrozenMap):
-            self._d = items._d
-            self._hash = items._hash
-            return
-        self._d = dict(items)
-        self._hash = None
-
-    def __getitem__(self, key):
-        return self._d[key]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._d)
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def __contains__(self, key) -> bool:
-        return key in self._d
-
-    def get(self, key, default=None):
-        return self._d.get(key, default)
-
-    def keys(self):
-        return self._d.keys()
-
-    def items(self):
-        return self._d.items()
-
-    def values(self):
-        return self._d.values()
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = pop = popitem = setdefault = clear = _refuse
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, FrozenMap):
-            return type(self) is type(other) and self._d == other._d
-        return NotImplemented
+        if type(self) is type(other):
+            return _dict_eq(self, other)
+        return False if isinstance(other, dict) else NotImplemented
 
     def __ne__(self, other) -> bool:
-        if isinstance(other, FrozenMap):
-            return type(self) is not type(other) or self._d != other._d
-        return NotImplemented
+        if type(self) is type(other):
+            return _dict_ne(self, other)
+        return True if isinstance(other, dict) else NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(frozenset(self.items()))
+            return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self.sorted_items())
         return "{" + inner + "}"
 
     def sorted_items(self) -> list[tuple[Any, Any]]:
-        return sorted(self._d.items(), key=lambda kv: kv[0])
+        return sorted(self.items(), key=lambda kv: kv[0])
 
     def set(self, key, value) -> "FrozenMap":
-        d = dict(self._d)
-        d[key] = value
-        return type(self)(d)
+        m = type(self)(self)
+        _dict_set(m, key, value)
+        return m
 
     def remove(self, key) -> "FrozenMap":
-        d = dict(self._d)
-        del d[key]
-        return type(self)(d)
+        m = type(self)(self)
+        _dict_del(m, key)
+        return m
 
     def merge_disjoint(self, other: "FrozenMap") -> Optional["FrozenMap"]:
         """Union of two maps, or ``None`` when their key sets overlap."""
-        a, b = self._d, other._d
-        if not b:
+        if not other:
             return self if type(self) is FrozenMap else FrozenMap(self)
-        if not a:
+        if not self:
             return other if type(other) is FrozenMap else FrozenMap(other)
-        d = {**a, **b}
-        if len(d) != len(a) + len(b):
+        m = FrozenMap(self)
+        _dict_update(m, other)
+        if len(m) != len(self) + len(other):
             return None
-        return FrozenMap(d)
+        return m
 
     def restrict(self, keys) -> "FrozenMap":
-        return type(self)({k: v for k, v in self._d.items() if k in keys})
+        return type(self)({k: v for k, v in self.items() if k in keys})
 
     def without(self, keys) -> "FrozenMap":
-        return type(self)({k: v for k, v in self._d.items() if k not in keys})
+        return type(self)({k: v for k, v in self.items() if k not in keys})
 
 
 EMPTY_MAP = FrozenMap()

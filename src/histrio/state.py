@@ -123,10 +123,9 @@ def _union(values: list) -> Optional[Heap]:
     while todo:
         v = todo.pop()
         if isinstance(v, Heap):
-            # merging the heap's own dict reuses its keys' stored hashes
-            d = v._d
-            cells.update(d)
-            size += len(d)
+            # a heap is a dict, so merging it reuses its keys' stored hashes
+            cells.update(v)
+            size += len(v)
         elif isinstance(v, tuple):
             todo += v[::-1]
         elif isinstance(v, Triple):
@@ -195,12 +194,15 @@ def coherent_at(w: SubjState, label, body):
     or ``None`` when ``w`` lacks one of them or they are not a valid part:
     ``s ∘ o`` undefined or heaps overlapping, by ``validate``'s rule.  The
     run's fact table keeps it under ``body`` and the three components, so
-    the key holds exactly the body's arguments."""
+    the key holds exactly the body's arguments.  A part of a validated
+    state is a valid part, so there the body is called without the check."""
     s = w.self_.get(label, _UNSET)
     j = w.joint.get(label, _UNSET)
     o = w.other.get(label, _UNSET)
     if s is _UNSET or j is _UNSET or o is _UNSET:
         return None
+    if w._valid:
+        return recall((body, s, j, o), body, s, j, o)
     return recall((body, s, j, o), _decide, body, s, j, o)
 
 

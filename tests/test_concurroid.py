@@ -7,7 +7,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from histrio import scenarios
+from histrio import scenarios, state
 from histrio.concurroid import (
     Transition,
     behaviorally_equal,
@@ -30,6 +30,7 @@ from histrio.state import (
     flatten,
     realign_acquire,
     realign_release,
+    validate,
 )
 from histrio.structures import flatcombiner as fc
 from histrio.structures import private_heap as pv
@@ -313,6 +314,70 @@ def test_coherence_builds_no_restricted_copy(monkeypatch):
 
     monkeypatch.setattr(SubjState, "restrict", refuse)
     assert verdicts() == expected
+
+
+def _entangled_samples(seed: int) -> list:
+    """``(concurroid, states)`` of pv⋊tb, pv⋊lk and pv⋊fc(3): sampled and
+    perturbed states, so valid and invalid ones, none validated yet."""
+    rng = random.Random(seed)
+    out = []
+    for v in (tb.concurroid(), lk.concurroid(), fc.concurroid(fc.stack_shape(3))):
+        ent = entangle(pv.concurroid(), v)
+        out.append((ent, [w for _ in range(20)
+                          for w in _perturbed(ent, ent.sample_state(rng), rng)]))
+    return out
+
+
+def _fresh(w: SubjState) -> SubjState:
+    """An equal state on which neither ``validate`` nor ``flatten`` ran."""
+    return SubjState(w.self_, w.joint, w.other)
+
+
+@pytest.mark.parametrize("facts", [nullcontext, fact_table], ids=["no-table", "table"])
+def test_a_validated_state_is_judged_as_its_parts_are(facts):
+    """On a validated state each label's body is called without the part
+    check, and gives what the checked path (``state._decide``) gives; the
+    concurroid's verdict is the one it gives on an unvalidated copy."""
+    seen = set()
+    for ent, states in _entangled_samples(28):
+        with facts():
+            for w in states:
+                valid = validate(w)
+                assert w._valid == valid
+                for label, body in ent.homes.items():
+                    parts = [m.get(label) for m in (w.self_, w.joint, w.other)]
+                    expected = None if None in parts else state._decide(body, *parts)
+                    assert coherent_at(w, label, body) == expected, (ent.name, label, w.render())
+                verdict = ent.coherent(w)
+                assert verdict == ent.coherent(_fresh(w)), (ent.name, w.render())
+                seen.add((valid, verdict))
+    assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_coherence_of_a_validated_state_unions_its_heaps_once(monkeypatch):
+    """``validate`` unions the state's heaps; coherence neither checks the
+    parts again nor flattens the state again."""
+    calls = []
+    union = state._union
+
+    def counted(values):
+        calls.append(len(values))
+        return union(values)
+
+    monkeypatch.setattr(state, "_union", counted)
+    for ent, states in _entangled_samples(29):
+        valid = [w for w in states if validate(_fresh(w))]
+        assert valid, ent.name
+        for w in valid:
+            w = _fresh(w)
+            calls.clear()
+            assert validate(w)
+            ent.coherent(w)
+            assert len(calls) == 1, (ent.name, w.render())
+        # an unvalidated state is checked label by label, then flattened
+        calls.clear()
+        ent.coherent(_fresh(valid[0]))
+        assert len(calls) == len(ent.labels) + 1
 
 
 def _invalid_parts() -> list:

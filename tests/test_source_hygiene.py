@@ -50,6 +50,13 @@ No function in ``scheduler.py`` calls itself, by its name or as a method
 of ``self``: the explorer walks its search and its threads with loops and
 explicit stacks, so the depth of a run is not limited by Python's
 recursion limit.
+
+``fmap.FrozenMap`` is a ``dict`` whose mutators raise, so the one way
+to change a map is to call ``dict``'s own mutator on it, as
+``dict.__setitem__(m, k, v)``.  Only ``fmap.py`` does, and only on a map
+it has just built.  Since every map is now a ``dict``, an
+``isinstance(..., dict)`` test also accepts one; each such test in the
+package and the tests is listed here with why no map reaches it.
 """
 
 import ast
@@ -153,6 +160,39 @@ def built_then_tested(trees: dict) -> list[tuple[str, int, str]]:
                     name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                     if name in BUILDERS:
                         out.append((path, cmp.lineno, name))
+    return sorted(out)
+
+
+DICT_MUTATORS = {"__setitem__", "__delitem__", "__init__", "__ior__", "update", "pop",
+                 "popitem", "setdefault", "clear"}
+
+
+def dict_writes(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, method) for every mention of one of ``dict``'s own
+    mutators, called or bound to a name, outside ``fmap.py``."""
+    return sorted((path, node.lineno, node.attr) for path, tree in trees.items()
+                  if path != "fmap.py" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in DICT_MUTATORS
+                  and isinstance(node.value, ast.Name) and node.value.id == "dict")
+
+
+def dict_type_tests(trees: dict) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) for every ``isinstance`` call
+    whose class argument names ``dict``."""
+    out = []
+
+    def visit(node, path, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                    and len(child.args) == 2 and "dict" in names_in(child.args[1])):
+                out.append((path, fn))
+            visit(child, path, fn)
+
+    for path, tree in trees.items():
+        visit(tree, path, "<module>")
     return sorted(out)
 
 
@@ -445,3 +485,46 @@ def test_the_scan_sees_a_function_and_a_method_that_call_themselves():
     assert self_calls({"m.py": tree}) == [
         ("m.py", 4, "leaves"), ("m.py", 4, "leaves"), ("m.py", 7, "walk"),
         ("m.py", 11, "size")]
+
+
+def test_only_fmap_writes_through_dicts_own_mutators():
+    assert dict_writes({**_package(), **_benchmark()}) == []
+
+
+def test_the_scan_sees_dict_mutators_called_and_bound():
+    tree = ast.parse(
+        "put = dict.__setitem__\n"
+        "def f(m, d):\n"
+        "    dict.update(m, d)\n"
+        "    dict.__delitem__(m, 1)\n"
+        "    d.update(m)\n"
+        "    return dict.get(m, 1), dict(m)\n")
+    assert dict_writes({"m.py": tree, "fmap.py": tree}) == [
+        ("m.py", 1, "__setitem__"), ("m.py", 3, "update"), ("m.py", 4, "__delitem__")]
+
+
+# each isinstance(..., dict) test, and why no FrozenMap reaches it
+AUDITED_DICT_TESTS = [
+    # a violation record read back by json.load, which builds plain dicts
+    ("cli.py", "_do_replay"),
+    # the map's own equality: any dict but one of its class is unequal
+    ("fmap.py", "__eq__"),
+    ("fmap.py", "__ne__"),
+    # the attributes of a scheduler._Ctx: counters, lists, sets and plain
+    # dict memos, never a map
+    ("tests/test_scheduler.py", "walk"),
+]
+
+
+def test_every_dict_type_test_is_audited():
+    assert dict_type_tests({**_package(), **_tests()}) == AUDITED_DICT_TESTS
+
+
+def test_the_scan_sees_dict_type_tests():
+    tree = ast.parse(
+        "def f(v):\n"
+        "    def g(w):\n"
+        "        return isinstance(w, (dict, set))\n"
+        "    return isinstance(v, dict) or isinstance(v, list) or g(v)\n"
+        "x = isinstance(1, dict)\n")
+    assert dict_type_tests({"m.py": tree}) == [("m.py", "<module>"), ("m.py", "f"), ("m.py", "g")]
