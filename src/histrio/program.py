@@ -113,21 +113,6 @@ class ParN(Node):
         self.split = split
 
 
-class InjectN(Node):
-    """Run ``body`` (verified against a sub-structure) inside a larger one.
-
-    Steps of ``body`` may only touch the ``home`` labels; the scheduler
-    asserts the rest of the state is left alone.
-    """
-
-    __slots__ = ("body", "home")
-
-    def __init__(self, body: Node, home: frozenset):
-        super().__init__()
-        self.body = body
-        self.home = frozenset(home)
-
-
 class HideN(Node):
     """Scoped installation of a structure inside the private heap."""
 

@@ -36,7 +36,7 @@ from .pcm import (
     some_value,
     unit_map_like,
 )
-from .program import ActN, HideN, IfN, LoopN, ParN, Ret, RETRY, SpecedN, const, do, InjectN
+from .program import ActN, HideN, IfN, LoopN, ParN, Ret, RETRY, SpecedN, const, do
 from .scheduler import Config, PhiSpec, Scenario, leaf_view
 from .specs import (
     consume_spec,
@@ -263,10 +263,8 @@ def consume_program(n: int, ac_base: int):
             ret=IfN(
                 lambda env: env["r"] != NONE,
                 do(
-                    (None, InjectN(
-                        ActN(lambda env, i=i: pv.write(Loc(ac_base + i), env["r"][1]),
-                             f"ac[{i}]"),
-                        frozenset([pv.LB]))),
+                    (None, ActN(lambda env, i=i: pv.write(Loc(ac_base + i), env["r"][1]),
+                                f"ac[{i}]")),
                     ret=Ret(lambda env: env["r"][1]),
                 ),
                 RETRY,
@@ -296,9 +294,6 @@ def producer_consumer_scenario(n: int = 3) -> Scenario:
     split = split_take({pv.LB: h_p, tb.LB: init_hist})
     program = HideN(phi, ParN(producer, consumer, split))
 
-    def on_join(c1, c2, joined):
-        return join_lemma_checks(c1, c2, joined)
-
     def final_oracle(cfg: Config, result) -> list:
         out = []
         heap = cfg.threads[0].self_[pv.LB]
@@ -315,7 +310,7 @@ def producer_consumer_scenario(n: int = 3) -> Scenario:
         conc=conc,
         root=root,
         program=program,
-        on_join=on_join,
+        on_join=join_lemma_checks,
         final_oracle=final_oracle,
     )
 
@@ -324,8 +319,7 @@ def _produce_body(n: int):
     node = const(())
     for i in reversed(range(n)):
         node = do(
-            (f"e{i}", InjectN(ActN(lambda env, i=i: pv.read(Loc(AP_BASE + i)), f"ap[{i}]"),
-                              frozenset([pv.LB]))),
+            (f"e{i}", ActN(lambda env, i=i: pv.read(Loc(AP_BASE + i)), f"ap[{i}]")),
             (None, tb.push_program(lambda env, v=f"e{i}": env[v])),
             ret=node,
         )

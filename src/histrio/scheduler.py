@@ -26,12 +26,13 @@ Random mode draws one schedule from a seeded generator.
 
 Every step checks post-state coherence, claimed-transition membership,
 the guarantee (the stepping thread never touches its environment's
-state), injection scoping, and monotone growth of history-valued self
-components; method specs are evaluated at their return points.
+state), injection scoping (the step changes no self or joint component
+outside its action's home labels), and monotone growth of history-valued
+self components; method specs are evaluated at their return points.
 
 The checks decide a property of the transition, not of the step: they
-read the concurroid, the claimed transition, the injected labels and the
-pre- and post-states.  Many steps of an exploration make one transition,
+read the concurroid, the claimed transition, the action's home labels and
+the pre- and post-states.  Many steps of an exploration make one transition,
 so ``explore`` checks a step only if its transition has not passed the
 checks before (``_Ctx.checked``); a transition that failed one is checked
 and reported again wherever it recurs, so that its reports carry that
@@ -129,7 +130,6 @@ from .program import (
     Ret,
     Seq,
     SpecedN,
-    InjectN,
 )
 from .state import (
     StateError,
@@ -168,11 +168,6 @@ class LoopK:
     env: FrozenMap
     remaining: int
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class InjectK:
-    home: frozenset
 
 
 @hash_once
@@ -492,8 +487,8 @@ class _Ctx:
         self.reported = 0  # every violation, recorded or not
         self.path: list[tuple] = []  # (tid, action name, result), rendered on report
         self.steps_run = 0  # steps whose action ran
-        # (id(conc), claimed transition, injected labels, pre-state maps,
-        # post-state maps) of each transition that passed every check, or
+        # (id(conc), claimed transition, the action's home labels, pre-state
+        # maps, post-state maps) of each transition that passed every check, or
         # None where every step is checked; see step_action
         self.checked: Optional[set] = set() if remember_moves else None
         self.transitions_checked = 0  # _check_step runs
@@ -563,8 +558,6 @@ def _drive(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
                     kont = kont[:-1] + (LoopK(frame.loop, frame.env, frame.remaining - 1),)
                 else:
                     kont = kont[:-1]
-            elif isinstance(frame, InjectK):
-                kont = kont[:-1]
             elif isinstance(frame, SpecK):
                 msg = frame.spec.post(frame.caps, SubjState(self_, joint, other), value)
                 if msg is not None:
@@ -581,9 +574,6 @@ def _drive(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
             node = node.then if node.cond(env) else node.els
         elif isinstance(node, LoopN):
             kont += (LoopK(node, env, ctx.loop_bound - 1),)
-            node = node.body
-        elif isinstance(node, InjectN):
-            kont += (InjectK(node.home),)
             node = node.body
         elif isinstance(node, SpecedN):
             kont += (SpecK(node.spec, node.spec.capture(SubjState(self_, joint, other), env)),)
@@ -808,19 +798,11 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
 # Action stepping
 # ---------------------------------------------------------------------------
 
-def _active_homes(leaf: Leaf) -> Optional[frozenset]:
-    homes = None
-    for frame in leaf.kont:
-        if isinstance(frame, InjectK):
-            homes = frame.home if homes is None else (homes & frame.home)
-    return homes
-
-
-def _check_step(conc: Concurroid, tid: int, action: AtomicAction, homes: Optional[frozenset],
+def _check_step(conc: Concurroid, tid: int, action: AtomicAction,
                 w: SubjState, w2: SubjState, ctx: _Ctx) -> bool:
     """Every check of the step from ``w`` to ``w2``.  What they decide reads
-    only the concurroid, the claimed transition, the injected labels, the
-    two states and the scenario's step invariants; the action's name and
+    only the concurroid, the claimed transition, the action's home labels,
+    the two states and the scenario's step invariants; the action's name and
     ``tid`` appear in reports only."""
     ok = True
     if w2.other != w.other:
@@ -835,12 +817,11 @@ def _check_step(conc: Concurroid, tid: int, action: AtomicAction, homes: Optiona
     if msg is not None:
         ctx.report("transition", action.claimed, msg, tid)
         ok = False
-    if homes is not None:
-        for lbl in sorted(w.labels() - homes):
-            if w2.self_.get(lbl) != w.self_.get(lbl) or w2.joint.get(lbl) != w.joint.get(lbl):
-                ctx.report("inject", f"labels {sorted(homes)} only",
-                           f"{action.name} touched {lbl}", tid)
-                ok = False
+    for lbl in sorted(w.labels() - action.home):
+        if w2.self_.get(lbl) != w.self_.get(lbl) or w2.joint.get(lbl) != w.joint.get(lbl):
+            ctx.report("inject", f"labels {sorted(action.home)} only",
+                       f"{action.name} touched {lbl}", tid)
+            ok = False
     for lbl in w.labels():
         old, new = w.self_[lbl], w2.self_[lbl]
         old_h = old.aux if isinstance(old, Triple) else old
@@ -881,8 +862,8 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
 
     Otherwise the action runs, and its step is checked unless ``ctx`` keeps
     a transition memo where its transition (concurroid, claimed transition,
-    injected labels and both states) passed the checks before; a failed
-    check runs again wherever it recurs.
+    the action's home labels and both states) passed the checks before; a
+    failed check runs again wherever it recurs.
     """
     other = _other(cfg, leaf.tid, ctx.others)
     moves, memo = ctx.moves, ctx.checked
@@ -895,7 +876,6 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
             return (stop, joint2, next_loc), None
     w = SubjState(leaf.self_, cfg.joint, other)
     action: AtomicAction = leaf.node.build(leaf.env)
-    homes = _active_homes(leaf)
     ctx.steps_run += 1
     try:
         w2, res, sctx = run_atomic(action, w, StepCtx(cfg.next_loc))
@@ -906,11 +886,11 @@ def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
         canon = ctx.values
         w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
                        canon.setdefault(w2.joint, w2.joint), w2.other)
-        checked = (id(cfg.conc), action.claimed, homes, w.self_, w.joint, w.other,
+        checked = (id(cfg.conc), action.claimed, action.home, w.self_, w.joint, w.other,
                    w2.self_, w2.joint, w2.other)
     if memo is None or checked not in memo:
         ctx.transitions_checked += 1
-        if not _check_step(cfg.conc, leaf.tid, action, homes, w, w2, ctx):
+        if not _check_step(cfg.conc, leaf.tid, action, w, w2, ctx):
             return None
         if memo is not None:
             memo.add(checked)

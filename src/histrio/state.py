@@ -114,23 +114,36 @@ def flatten(w: SubjState) -> Optional[Heap]:
     return w._flat
 
 
+def _heaps(values, out: list) -> list:
+    """``out`` with every heap in ``values`` appended, found in the values
+    and, depth first, inside their tuples and triples' aux."""
+    for v in values:
+        if isinstance(v, Heap):
+            out.append(v)
+        elif isinstance(v, tuple):
+            _heaps(v, out)
+        elif isinstance(v, Triple):
+            _heaps((v.aux,), out)
+    return out
+
+
 def _union(values: list) -> Optional[Heap]:
-    """Disjoint union of every heap in ``values``, found in the values and,
-    depth first, inside their tuples and triples' aux; ``None`` on overlap."""
+    """Disjoint union of every heap in ``values`` (``_heaps``); ``None`` on
+    overlap."""
     cells: dict = {}
     size = 0
-    todo = values[::-1]
-    while todo:
-        v = todo.pop()
-        if isinstance(v, Heap):
-            # a heap is a dict, so merging it reuses its keys' stored hashes
-            cells.update(v)
-            size += len(v)
-        elif isinstance(v, tuple):
-            todo += v[::-1]
-        elif isinstance(v, Triple):
-            todo.append(v.aux)
+    for h in _heaps(values, []):
+        # a heap is a dict, so merging it reuses its keys' stored hashes
+        cells.update(h)
+        size += len(h)
     return Heap(cells) if len(cells) == size else None
+
+
+def _disjoint(values: list) -> bool:
+    """No two heaps in ``values`` (``_heaps``) share a cell; no heap is
+    built."""
+    heaps = _heaps(values, [])
+    return len(heaps) < 2 or len(set().union(*heaps)) == sum(map(len, heaps))
 
 
 def _defined(s, o) -> bool:
@@ -207,7 +220,7 @@ def coherent_at(w: SubjState, label, body):
 
 
 def _decide(body, s, j, o):
-    if _defined(s, o) and _union([s, j, o]) is not None:
+    if _defined(s, o) and _disjoint([s, j, o]):
         return body(s, j, o)
     return None
 

@@ -48,7 +48,7 @@ from ..pcm import (
     join,
     unit_like,
 )
-from ..program import ActN, IfN, InjectN, LoopN, Ret, RETRY, SpecedN, const, do
+from ..program import ActN, IfN, LoopN, Ret, RETRY, SpecedN, const, do
 from ..state import SubjState, coherent_at, recall
 from . import private_heap as pv
 from . import treiber as tb
@@ -479,12 +479,11 @@ def seq_stack_carve(h: Heap) -> Optional[Heap]:
 
 
 def _seq_push_program(argkey: str):
-    inj = lambda n: InjectN(n, frozenset([pv.LB]))  # noqa: E731
     return do(
-        ("_p", inj(ActN(lambda env: pv.alloc(), "alloc"))),
-        ("_p1", inj(ActN(lambda env: pv.read(SNT), "readTop"))),
-        (None, inj(ActN(lambda env, k=argkey: pv.write(env["_p"], (env[k], env["_p1"])), "fillNode"))),
-        (None, inj(ActN(lambda env: pv.write(SNT, env["_p"]), "setTop"))),
+        ("_p", ActN(lambda env: pv.alloc(), "alloc")),
+        ("_p1", ActN(lambda env: pv.read(SNT), "readTop")),
+        (None, ActN(lambda env, k=argkey: pv.write(env["_p"], (env[k], env["_p1"])), "fillNode")),
+        (None, ActN(lambda env: pv.write(SNT, env["_p"]), "setTop")),
         ret=const(()),
     )
 
@@ -616,17 +615,10 @@ def _entangled(shape: FcShape, rng: random.Random, locked: bool) -> SubjState:
     free as ``locked`` says; a held lock's resource stack sits in the
     private heap."""
     w = sample_state(shape, rng, "self" if locked else "free")
-    hp = pv.sample_state(rng)
-    hs = hp.self_[pv.LB]
-    if locked:
-        g_all = total_aux(shape, w)
-        l = lookup_end(g_all, last_stamp(g_all))
-        hs = Heap({**hs, **tb.layout(l, NODE_BASE, SNT)})
-    return SubjState(
-        w.self_.set(pv.LB, hs),
-        w.joint.set(pv.LB, Heap()),
-        w.other.set(pv.LB, hp.other[pv.LB]),
-    )
+    if not locked:
+        return pv.alongside(w, rng)
+    g_all = total_aux(shape, w)
+    return pv.alongside(w, rng, tb.layout(lookup_end(g_all, last_stamp(g_all)), NODE_BASE, SNT))
 
 
 def _draw_trylock(shape: FcShape, rng: random.Random, held: float) -> tuple:
@@ -668,16 +660,12 @@ def concurroid(shape: FcShape) -> Concurroid:
     )
 
 
-def _inj_fc(node) -> InjectN:
-    return InjectN(node, HOME)
-
-
 def flat_combine_program(shape: FcShape, tid: int, arg, spec):
     """flatCombine(push, x) for a fixed thread id: publish, loop trying to
     combine, collect the result."""
 
     collect = do(
-        ("rc", _inj_fc(ActN(lambda env: try_collect(shape, tid), "tryCollect"))),
+        ("rc", ActN(lambda env: try_collect(shape, tid), "tryCollect")),
         ret=IfN(
             lambda env: env["rc"] != NONE,
             Ret(lambda env: env["rc"][1]),
@@ -692,14 +680,14 @@ def flat_combine_program(shape: FcShape, tid: int, arg, spec):
         serve = do(
             (arg_var, Ret(lambda env, q=req_var: env[q].arg)),
             (res_var, _seq_push_program(arg_var)),
-            (None, _inj_fc(ActN(
+            (None, ActN(
                 lambda env, i=i, a=arg_var, r=res_var: do_help(shape, i, env[r], env[a]),
                 f"doHelp({i})",
-            ))),
+            )),
             ret=combine,
         )
         combine = do(
-            (req_var, _inj_fc(ActN(lambda env, i=i: read_req(shape, i), f"readReq({i})"))),
+            (req_var, ActN(lambda env, i=i: read_req(shape, i), f"readReq({i})")),
             ret=IfN(lambda env, q=req_var: isinstance(env[q], Req) and env[q].fn == "push",
                     serve, combine),
         )
@@ -709,7 +697,7 @@ def flat_combine_program(shape: FcShape, tid: int, arg, spec):
         ret=IfN(lambda env: env["locked"], combine, collect),
     )
     prog = do(
-        (None, _inj_fc(ActN(lambda env: req_help(shape, tid, arg), "reqHelp"))),
+        (None, ActN(lambda env: req_help(shape, tid, arg), "reqHelp")),
         ret=LoopN(body),
     )
     return SpecedN(spec, prog)

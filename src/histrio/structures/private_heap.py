@@ -148,6 +148,15 @@ def sample_state(rng: random.Random, owner: Optional[str] = None) -> SubjState:
     return initial_state(hs, ho)
 
 
+def alongside(w: SubjState, rng: random.Random, held: Heap = EMPTY_HEAP) -> SubjState:
+    """``w``, a drawn state of another structure, with a private-heap state
+    drawn after it alongside; the cells ``held`` (a held lock's resource)
+    join self's heap."""
+    hp = sample_state(rng)
+    return SubjState(w.self_.set(LB, Heap({**hp.self_[LB], **held})),
+                     w.joint.set(LB, hp.joint[LB]), w.other.set(LB, hp.other[LB]))
+
+
 def sample_frame(rng: random.Random) -> FrozenMap:
     if rng.random() < 0.4:
         return FrozenMap({LB: EMPTY_HEAP})

@@ -216,16 +216,10 @@ def _entangled(rng, locked: bool):
     """A spin-lock state with a private heap alongside, held by self or free
     as ``locked`` says; a held lock's register sits in the private heap."""
     w = sample_state(rng, "self" if locked else "free")
-    hp = pv.sample_state(rng)
-    hs = hp.self_[pv.LB]
-    if locked:
-        g = join(w.self_[LB].aux, w.other[LB].aux)
-        hs = Heap(hs.set(REG, tuple(sorted(g.ids))))
-    return SubjState(
-        w.self_.set(pv.LB, hs),
-        w.joint.set(pv.LB, EMPTY_HEAP),
-        w.other.set(pv.LB, hp.other[pv.LB]),
-    )
+    if not locked:
+        return pv.alongside(w, rng)
+    g = join(w.self_[LB].aux, w.other[LB].aux)
+    return pv.alongside(w, rng, Heap({REG: tuple(sorted(g.ids))}))
 
 
 def _draw_trylock(rng, held: float):

@@ -23,7 +23,7 @@ from ..concurroid import Concurroid, Transition, entangle, identity_transition
 from ..fmap import FrozenMap
 from ..history import fresh, is_complete, is_continuous, is_stacklike, last_stamp, lookup_end
 from ..pcm import NONE, NULL, SOME, STACK, Heap, Hist, Loc, join
-from ..program import ActN, IfN, LoopN, Ret, RETRY, SpecedN, const, do, InjectN
+from ..program import ActN, IfN, LoopN, Ret, RETRY, SpecedN, const, do
 from ..state import SubjState, coherent_at, recall
 from . import private_heap as pv
 
@@ -292,22 +292,11 @@ def sample_frame(rng: random.Random) -> FrozenMap:
     return FrozenMap({LB: Hist.of(STACK, {t: (pre, ((rng.choice(_ELEMS)),) + pre)})})
 
 
-def _entangled_state(rng):
-    """A treiber state with a private heap alongside."""
-    w = sample_state(rng)
-    hp = pv.sample_state(rng)
-    return SubjState(
-        w.self_.set(pv.LB, hp.self_[pv.LB]),
-        w.joint.set(pv.LB, hp.joint[pv.LB]),
-        w.other.set(pv.LB, hp.other[pv.LB]),
-    )
-
-
 def _draw_try_push(rng, stale: float):
     """A push of a node linked to the head, from the private heap; its
     expected head is stale, so the CAS fails and the step leaves the state
     alone, in a share ``stale`` of the draws."""
-    w = _entangled_state(rng)
+    w = pv.alongside(sample_state(rng), rng)
     jh = w.joint[LB]
     p_old, _, _, _ = parse_stack(jh)
     loc = Loc(500 + rng.randint(0, 40))
@@ -350,25 +339,17 @@ def concurroid() -> Concurroid:
 # Procedures
 # ---------------------------------------------------------------------------
 
-def _inj_t(node: ActN) -> InjectN:
-    return InjectN(node, HOME)
-
-
-def _inj_pv(node: ActN) -> InjectN:
-    return InjectN(node, frozenset([pv.LB]))
-
-
 def push_program(elem, spec=None):
     """push(e) with ``e = elem(env)``: allocate a node, then loop
     read-sentinel / link / CAS."""
     body = do(
-        ("p1", _inj_t(ActN(lambda env: read_sentinel(), "readSentinel"))),
-        (None, _inj_pv(ActN(lambda env: pv.write(env["p"], (elem(env), env["p1"])), "linkNode"))),
+        ("p1", ActN(lambda env: read_sentinel(), "readSentinel")),
+        (None, ActN(lambda env: pv.write(env["p"], (elem(env), env["p1"])), "linkNode")),
         ("ok", ActN(lambda env: try_push(env["p1"], env["p"]), "tryPush")),
         ret=IfN(lambda env: env["ok"], const(()), RETRY),
     )
     prog = do(
-        ("p", _inj_pv(ActN(lambda env: pv.alloc(), "alloc"))),
+        ("p", ActN(lambda env: pv.alloc(), "alloc")),
         ret=LoopN(body),
     )
     return SpecedN(spec, prog) if spec is not None else prog
@@ -377,13 +358,13 @@ def push_program(elem, spec=None):
 def pop_program(spec=None):
     """pop(): read the head, then try to de-link it; None on empty."""
     body = do(
-        ("p", _inj_t(ActN(lambda env: read_sentinel(), "readSentinel"))),
+        ("p", ActN(lambda env: read_sentinel(), "readSentinel")),
         ret=IfN(
             lambda env: env["p"] == NULL,
             const(NONE),
             do(
-                ("ep1", _inj_t(ActN(lambda env: read_node(env["p"]), "readNode"))),
-                ("ok", _inj_t(ActN(lambda env: try_pop(env["p"], env["ep1"][1]), "tryPop"))),
+                ("ep1", ActN(lambda env: read_node(env["p"]), "readNode")),
+                ("ok", ActN(lambda env: try_pop(env["p"], env["ep1"][1]), "tryPop")),
                 ret=IfN(
                     lambda env: env["ok"],
                     Ret(lambda env: SOME(env["ep1"][0])),
@@ -412,8 +393,7 @@ def action_families() -> list[ActionFamily]:
         return read_node(Loc(7777)), w
 
     def bad_try_push(rng):
-        w = _entangled_state(rng)
-        return try_push(NULL, Loc(7777)), w
+        return try_push(NULL, Loc(7777)), pv.alongside(sample_state(rng), rng)
 
     def pv_frames_only(f):
         tb_part = f.get(LB)

@@ -358,13 +358,18 @@ def test_coherence_of_a_validated_state_unions_its_heaps_once(monkeypatch):
     """``validate`` unions the state's heaps; coherence neither checks the
     parts again nor flattens the state again."""
     calls = []
-    union = state._union
+    union, disjoint = state._union, state._disjoint
 
     def counted(values):
-        calls.append(len(values))
+        calls.append("union")
         return union(values)
 
+    def counted_disjoint(values):
+        calls.append("disjoint")
+        return disjoint(values)
+
     monkeypatch.setattr(state, "_union", counted)
+    monkeypatch.setattr(state, "_disjoint", counted_disjoint)
     for ent, states in _entangled_samples(29):
         valid = [w for w in states if validate(_fresh(w))]
         assert valid, ent.name
@@ -373,11 +378,12 @@ def test_coherence_of_a_validated_state_unions_its_heaps_once(monkeypatch):
             calls.clear()
             assert validate(w)
             ent.coherent(w)
-            assert len(calls) == 1, (ent.name, w.render())
-        # an unvalidated state is checked label by label, then flattened
+            assert calls == ["union"], (ent.name, w.render())
+        # an unvalidated state is checked label by label, with no union
+        # built, then flattened
         calls.clear()
         ent.coherent(_fresh(valid[0]))
-        assert len(calls) == len(ent.labels) + 1
+        assert calls == ["disjoint"] * len(ent.labels) + ["union"]
 
 
 def _invalid_parts() -> list:

@@ -46,7 +46,7 @@ from histrio.structures import flatcombiner, private_heap, snapshot, spinlock, t
 
 RECORDS = [
     scheduler.Leaf, scheduler.Fork, scheduler.Config, scheduler.SeqK, scheduler.LoopK,
-    scheduler.InjectK, scheduler.SpecK, scheduler.HideK, scheduler._Summary,
+    scheduler.SpecK, scheduler.HideK, scheduler._Summary,
     state.SubjState,
     pcm.Loc, pcm.Req, pcm.Resp, pcm.IdSet, pcm.Hist, pcm.Triple,
     actions.Read, actions.Write, actions.Skip, actions.Rmw, actions.Alloc,

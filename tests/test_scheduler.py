@@ -1,5 +1,6 @@
 """Explorer behavior: counting, determinism, faults, injection, hiding."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -15,7 +16,7 @@ from histrio.actions import AtomicAction, Skip, Write, check_action_properties
 from histrio.concurroid import check_concurroid
 from histrio.fmap import FrozenMap
 from histrio.pcm import Heap, Hist, Loc, render
-from histrio.program import ActN, InjectN, LoopN, Node, ParN, RETRY, SpecedN, const, do
+from histrio.program import ActN, LoopN, Node, ParN, RETRY, SpecedN, const, do
 from histrio.scheduler import (
     DONE,
     RUN,
@@ -166,46 +167,54 @@ def test_transition_mismatch_is_caught():
     assert "transition" in checks or "coherence" in checks
 
 
-def test_inject_scoping_catches_label_escapes():
-    """A private-heap write wrapped as a snapshot-only program must fault."""
+def _pv_sp_scenario(name: str, *bindings) -> Scenario:
+    """The private heap entangled with the snapshot, with private cell 7 at 0,
+    running the bare actions ``bindings``."""
     from histrio.concurroid import entangle
 
     conc = entangle(pv.concurroid(), sp.concurroid())
     root = pv.initial_state(Heap({Loc(7): 0})).merge_disjoint(sp.initial_state())
-    prog = do(
-        (None, InjectN(ActN(lambda env: pv.write(Loc(7), 1), "w"),
-                       frozenset([sp.LB]))),
-        ret=const(()),
-    )
-    sc = Scenario("escape", conc, root, prog)
+    return Scenario(name, conc, root, do(*bindings, ret=const(())))
+
+
+def _homed_in_sp(env):
+    """A private-heap write whose action declares the snapshot as its home."""
+    return dataclasses.replace(pv.write(Loc(7), 1), home=frozenset([sp.LB]))
+
+
+def test_inject_scoping_catches_label_escapes():
+    """A private-heap write declared snapshot-only must fault."""
+    sc = _pv_sp_scenario("escape", (None, ActN(_homed_in_sp, "w")))
     rep = explore(sc, step_bound=5, loop_bound=3)
     assert rep.verdict == "violation"
     assert any(v.check == "inject" for v in rep.violations)
 
 
-def test_inject_respected_programs_pass():
-    from histrio.concurroid import entangle
+def test_every_step_is_scoped_to_its_actions_home():
+    # a bare action, in no wrapper, is checked against the home it declares,
+    # by the explorer and by a random run alike
+    sc = _pv_sp_scenario("escape", (None, ActN(_homed_in_sp, "w")))
+    expected = [("inject", "labels ['sp'] only", "write(l7) touched pv")]
+    rep = explore(sc, step_bound=5, loop_bound=3)
+    assert [(v.check, v.expected, v.actual) for v in rep.violations] == expected
+    trace = run_random(sc, 0, 5, 3)
+    assert [(v.check, v.expected, v.actual) for v in trace.violations] == expected
 
-    conc = entangle(pv.concurroid(), sp.concurroid())
-    root = pv.initial_state(Heap({Loc(7): 0})).merge_disjoint(sp.initial_state())
-    prog = do(
-        (None, InjectN(ActN(lambda env: pv.write(Loc(7), 1), "w"),
-                       frozenset([pv.LB]))),
-        ("r", InjectN(ActN(lambda env: sp.read_x(), "rx"),
-                      frozenset([sp.LB]))),
-        ret=const(()),
-    )
-    rep = explore(Scenario("scoped", conc, root, prog), step_bound=5, loop_bound=3)
+
+def test_inject_respected_programs_pass():
+    sc = _pv_sp_scenario("scoped", (None, ActN(lambda env: pv.write(Loc(7), 1), "w")),
+                         ("r", ActN(lambda env: sp.read_x(), "rx")))
+    rep = explore(sc, step_bound=5, loop_bound=3)
     assert rep.verdict == "pass"
 
 
-# one action that writes both a private cell and the snapshot's x, injected
-# with no home label: it escapes into pv and sp at once
+# one action that writes both a private cell and the snapshot's x, with no
+# home label: it escapes into pv and sp at once
 _TWO_LABEL_ESCAPE = """
 from histrio.actions import AtomicAction, Skip
 from histrio.concurroid import entangle
 from histrio.pcm import Heap, Loc
-from histrio.program import ActN, InjectN, const, do
+from histrio.program import ActN, const, do
 from histrio.scheduler import Scenario, explore
 from histrio.structures import private_heap as pv
 from histrio.structures import snapshot as sp
@@ -217,11 +226,11 @@ def both(env):
         w, _, ctx = a.step(w, ctx)
         return b.step(w, ctx)
 
-    return AtomicAction("both", a.home | b.home, lambda w: True, step, "id", Skip())
+    return AtomicAction("both", frozenset(), lambda w: True, step, "id", Skip())
 
 conc = entangle(pv.concurroid(), sp.concurroid())
 root = pv.initial_state(Heap({Loc(7): 0})).merge_disjoint(sp.initial_state())
-prog = do((None, InjectN(ActN(both, "both"), frozenset())), ret=const(()))
+prog = do((None, ActN(both, "both")), ret=const(()))
 rep = explore(Scenario("escape", conc, root, prog), step_bound=5, loop_bound=3)
 print([v.actual for v in rep.violations if v.check == "inject"])
 """
@@ -229,7 +238,7 @@ print([v.actual for v in rep.violations if v.check == "inject"])
 
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
 def test_escaped_labels_are_reported_in_label_order_under_any_hash_seed(hash_seed):
-    # the labels outside the injected home form a set of strings, whose
+    # the labels outside the action's home form a set of strings, whose
     # iteration order follows the interpreter's string hash seed
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -142,7 +142,7 @@ def process_caches(trees: dict) -> list[tuple[str, int, str]]:
     return sorted(out)
 
 
-BUILDERS = {"join", "map_pointwise_join", "subtract", "map_subtract"}
+BUILDERS = {"join", "map_pointwise_join", "subtract", "map_subtract", "_union"}
 
 
 def built_then_tested(trees: dict) -> list[tuple[str, int, str]]:
