@@ -43,32 +43,36 @@ The reductions around a step are remembered too, each keyed on exactly
 the inputs it reads.  A thread's ``other`` is the join of the root map
 and its siblings' self maps (``_other``).  A thread-local run
 of administrative reductions, spec captures and posts included, reads
-only its leaf, the leaf's view and the loop bound, and stops at the leaf
-that ``normalize`` splices into the table, or forks, joins or hides.  A
-step leaves its own thread's ``other`` as it was, so the run after a step
-takes it from the step's view.  A move, a step with the run after it,
-then reads only the leaf, the joint map, the thread's ``other``, the
-concurroid and the next fresh location.  ``step_action`` takes the
-whole move, and ``explore`` remembers it (``_Ctx.moves``): where one
-recurs, its stop leaf is spliced in with no action, state, event or leaf
-built.  A run after a fork, join or hide is not remembered: ``normalize``
-drives it each time.  Only ``explore`` remembers moves: a random run or
-a replay follows one schedule, along which an equal one does not recur.
-A step that is not part of a remembered move runs its action.  A join of
-two finished threads reads only their fork and their views.  A move or
-join that reported a violation is taken again wherever it recurs, as a
-failed transition is checked again.
+only its leaf, the leaf's view and the loop bound, and stops where the
+thread next needs the scheduler: at an action, finished, stuck, or at a
+fork or hide.  A move is a step or a join, each with the run after it.
+A step leaves its own thread's ``other`` as it was, so the run after a
+step takes it from the step's view, and the move reads only the leaf,
+the joint map, the thread's ``other``, the concurroid and the next fresh
+location.  ``step_action`` takes the whole move, and ``explore``
+remembers it (``_Ctx.moves``): where one recurs, its stop leaf is spliced
+in with no action, state, event or leaf built.  Only ``explore``
+remembers steps: a random run or a replay follows one schedule, along
+which an equal one does not recur.  A step that is not part of a
+remembered move runs its action.  A join of two finished threads, with
+the run after it, reads only their fork, their views and the joined
+thread's ``other``; ``_try_collapse`` takes it, and every run remembers
+it (``_Ctx.joins``), so that where one recurs its stop leaf is spliced in
+and nothing is driven again.  Only a run after a fork or hide is not
+remembered: ``normalize`` drives it each time.  A move that reported a
+violation is taken again wherever it recurs, as a failed transition is
+checked again.
 
 Equal memo entries are kept as one object (hash-consing), through one
 table per run of ``explore`` (``_Ctx.values``): each distinct self or
 joint map a checked step produced, each distinct leaf the move memo
-holds, in its keys and its values, and each distinct (summary, height)
-entry ``explore`` remembers.  Equal maps and leaves then share one
-object, and an equal leaf one environment, continuation and cached hash,
-so memo hits mostly compare them by identity.  Thread tables and fork
-records are not interned: a step splices a new table, most of them
-transient, and the table of values would keep them alive.  A random run
-or a replay interns nothing.
+holds, in its keys and its values, each distinct stop leaf the join memo
+holds, and each distinct (summary, height) entry ``explore`` remembers.
+Equal maps and leaves then share one object, and an equal leaf one
+environment, continuation and cached hash, so memo hits mostly compare
+them by identity.  Thread tables and fork records are not interned: a
+step splices a new table, most of them transient, and the table of
+values would keep them alive.  A random run or a replay interns nothing.
 
 The memos key on equality.  Map equality is type-exact, so a ``Heap``
 never stands in for a plain map, but cells compare with ``==``:
@@ -102,10 +106,10 @@ that runs the shipped scenarios with every other store refused
 Every configuration a driver holds is normal: no thread but those at an
 action can reduce, and no two finished threads wait to be joined.  So
 after a step only the stepped thread can reduce: ``step_action`` drives
-its run, and when the run stops at the next action, ``normalize`` splices
-the leaf into its slot of the table, with no scan of the threads.  Only a
-fork, completion, loop exhaustion or hiding sends it on to scan the
-threads, fork, join and hide.
+its run, and when the run stops at the next action or stuck,
+``normalize`` splices the leaf into its slot of the table, with no scan
+of the threads.  Only a fork, hiding or completion sends it on to fork,
+hide or join, and to scan the threads for the leaves those made.
 """
 
 from __future__ import annotations
@@ -439,7 +443,7 @@ class ExplorationReport:
     edges: int = 0
     steps_run: int = 0  # edges whose action ran, not remembered
     transitions_checked: int = 0  # steps whose checks ran, not remembered
-    local_runs: int = 0  # thread-local runs driven, not remembered
+    local_runs: int = 0  # runs after steps, joins, forks and hides driven, not remembered
 
     @property
     def inconclusive(self) -> int:
@@ -505,8 +509,9 @@ class _Ctx:
         # their parts, and memo hits compare them by identity
         self.values: Optional[dict] = {} if remember_moves else None
         self.local_runs = 0  # local runs driven through _drive
-        # (fork, left, right, joint, left other, right other) -> the merged
-        # leaf, for joins that reported nothing; see _try_collapse
+        # (fork, left, right, joint, left other, right other, joined other)
+        # -> the leaf where the run after the join stopped, for joins that
+        # reported nothing; see _try_collapse
         self.joins: dict = {}
 
     def report(self, check: str, expected: str, actual: str, tid: int):
@@ -532,8 +537,9 @@ class _Ctx:
 
 def _drive(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
     """The leaf where the thread-local reductions of ``leaf`` stop: at an
-    action, or where the next reduction is structural (fork, hide,
-    completion, loop exhaustion).
+    action, finished (``DONE``, with its value), out of loop iterations
+    (``STUCK``), or where the next reduction is structural (a fork, or
+    entering or leaving a hide).
 
     Local reductions change only the leaf's node, environment, continuation
     and value (held only with no node), never its self map or any other part
@@ -545,7 +551,7 @@ def _drive(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
     while True:
         if node is None:
             if not kont:
-                break
+                return Leaf(tid, None, env, (), self_, DONE, value)
             frame = kont[-1]
             if isinstance(frame, SeqK):
                 env = frame.env.set(frame.var, value) if frame.var else frame.env
@@ -553,7 +559,7 @@ def _drive(leaf: Leaf, joint, other, ctx: _Ctx) -> Leaf:
             elif isinstance(frame, LoopK):
                 if value is LOOP_RETRY:
                     if frame.remaining <= 0:
-                        break
+                        return Leaf(tid, None, env, kont, self_, STUCK)
                     node, env, value = frame.loop.body, frame.env, None
                     kont = kont[:-1] + (LoopK(frame.loop, frame.env, frame.remaining - 1),)
                 else:
@@ -608,9 +614,19 @@ def run_local(node: Node, loop_bound: int, execute: Callable[[Any], Any]) -> Any
                          else "a retry loop ran out of iterations")
 
 
+def _settle(cfg: Config, stop: Leaf, ctx: _Ctx) -> Config:
+    """``cfg`` with the leaf where a run stopped put in its thread's slot,
+    or, when it stopped at a fork or hide, with that reduction taken."""
+    if stop.status != RUN or isinstance(stop.node, ActN):
+        return _with_leaf(cfg, stop)
+    return _restructure(cfg, stop, ctx)
+
+
 def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
-    """The structural reduction of a leaf where ``_drive`` stopped short of
-    an action."""
+    """The structural reduction of a leaf where ``_drive`` stopped at a fork
+    or at entering or leaving a hide.  The leaves it makes are driven by
+    ``normalize`` on each visit: a run after a fork or hide is not
+    remembered."""
     node = leaf.node
     if isinstance(node, ParN):
         return _fork(cfg, leaf, node, ctx)
@@ -618,11 +634,7 @@ def _restructure(cfg: Config, leaf: Leaf, ctx: _Ctx) -> Config:
         return _hide_enter(cfg, leaf, node, ctx)
     if node is not None:
         raise SchedulerError(f"cannot reduce node {node!r}")
-    if not leaf.kont:
-        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, (), leaf.self_, DONE, leaf.result))
     frame = leaf.kont[-1]
-    if isinstance(frame, LoopK):  # a retry with no iterations left
-        return _with_leaf(cfg, Leaf(leaf.tid, None, leaf.env, leaf.kont, leaf.self_, STUCK))
     if isinstance(frame, HideK):
         return _hide_exit(cfg, leaf, frame, leaf.kont[:-1], leaf.result, ctx)
     raise SchedulerError(f"unknown frame {frame!r}")
@@ -716,22 +728,36 @@ def _done_pair(cfg: Config) -> Optional[tuple[int, int]]:
 
 
 def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
-    """Merge the leftmost two threads that have finished and that one fork
-    joins.  The merged leaf is a function of the fork and its two threads
-    with their views, so a join that reported nothing is remembered by
-    exactly those."""
+    """Join the leftmost two threads that have finished and that one fork
+    joins, and drive the joined thread's run; its ``other`` is ``_other``
+    of the table with the two threads merged.
+
+    The merged leaf is a function of the fork and its two threads with
+    their views, and its run reads only that leaf, the joint map and its
+    ``other``.  So a join that reported nothing, in the join or in the run,
+    is remembered by exactly those, with the leaf where its run stopped,
+    interned; where it recurs, that leaf is spliced in and nothing is
+    driven again."""
     pair = _done_pair(cfg)
     if pair is None:
         return None
     i, k = pair
     fork = cfg.forks[k]
     left, right = cfg.threads[i], cfg.threads[i + 1]
-    c1 = leaf_view(cfg, left, ctx.others)
-    c2 = leaf_view(cfg, right, ctx.others)
-    key = (fork, left, right, cfg.joint, c1.other, c2.other)
-    merged = ctx.joins.get(key)
-    if merged is None:
+    # the table after the join, the left thread (which has the fork's id)
+    # still standing in the merged one's slot
+    merged_cfg = Config(cfg.threads[:i + 1] + cfg.threads[i + 2:],
+                        cfg.forks[:k] + cfg.forks[k + 1:], cfg.joint, cfg.root_other,
+                        cfg.conc, cfg.next_loc, cfg.next_tid)
+    other1 = _other(cfg, left.tid, ctx.others)
+    other2 = _other(cfg, right.tid, ctx.others)
+    other = _other(merged_cfg, fork.tid, ctx.others)
+    key = (fork, left, right, cfg.joint, other1, other2, other)
+    stop = ctx.joins.get(key)
+    if stop is None:
         before = ctx.reported
+        c1 = SubjState(left.self_, cfg.joint, other1)
+        c2 = SubjState(right.self_, cfg.joint, other2)
         try:
             joined = subjective_join(c1, c2)
         except StateError as exc:
@@ -744,12 +770,14 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
             for msg in ctx.scenario.on_join(c1, c2, joined):
                 ctx.report("join:check", ctx.scenario.name, msg, fork.tid)
         value = (left.result, right.result)
-        merged = Leaf(fork.tid, None, fork.env, fork.kont, joined.self_, RUN, value)
+        ctx.local_runs += 1
+        stop = _drive(Leaf(fork.tid, None, fork.env, fork.kont, joined.self_, RUN, value),
+                      cfg.joint, other, ctx)
         if ctx.reported == before:
-            ctx.joins[key] = merged
-    return Config(cfg.threads[:i] + (merged,) + cfg.threads[i + 2:],
-                  cfg.forks[:k] + cfg.forks[k + 1:], cfg.joint, cfg.root_other,
-                  cfg.conc, cfg.next_loc, cfg.next_tid)
+            if ctx.values is not None:
+                stop = ctx.values.setdefault(stop, stop)
+            ctx.joins[key] = stop
+    return _settle(merged_cfg, stop, ctx)
 
 
 def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config:
@@ -757,24 +785,26 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
 
     The first reducible leaf, left to right, is driven through its
     thread-local reductions on its own (``_drive``) and spliced into the
-    table once, when it reaches an action or a structural reduction; then
-    the threads are scanned again.  Joins wait until no leaf can reduce.
+    table once, where it stops; a fork or hide it stopped at is taken at
+    once (``_settle``), and the threads are scanned again.  Joins wait until
+    no leaf can reduce, and each drives its own run.
 
     With ``stepped``, ``(stop, joint, next_loc)`` from ``step_action``,
     ``cfg`` is the normal configuration the step was taken in, and the
     result is the one after the step.  ``step_action`` has already driven
     the stepped thread's run, and no other leaf of a normal configuration
     can reduce, so ``stop`` is spliced in by its thread id; when it stopped
-    at an action, that one splice finishes the step with no scan of the
-    threads.
+    at an action or stuck, no join can follow, and that one splice finishes
+    the step with no scan of the threads.
     """
     if stepped is not None:
         stop, joint, next_loc = stepped
         cfg = Config(_splice(cfg.threads, stop.tid, (stop,)), cfg.forks, joint,
                      cfg.root_other, cfg.conc, next_loc, cfg.next_tid)
-        if isinstance(stop.node, ActN):
+        if stop.status == STUCK or isinstance(stop.node, ActN):
             return cfg
-        cfg = _restructure(cfg, stop, ctx)
+        if stop.status == RUN:
+            cfg = _restructure(cfg, stop, ctx)
     while True:
         for leaf in cfg.threads:  # the first reducible leaf
             if leaf.status == RUN and not isinstance(leaf.node, ActN):
@@ -787,11 +817,7 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
             continue
         other = _other(cfg, leaf.tid, ctx.others)
         ctx.local_runs += 1
-        stop = _drive(leaf, cfg.joint, other, ctx)
-        if isinstance(stop.node, ActN):
-            cfg = _with_leaf(cfg, stop)
-        else:
-            cfg = _restructure(cfg, stop, ctx)
+        cfg = _settle(cfg, _drive(leaf, cfg.joint, other, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------

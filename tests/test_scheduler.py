@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,12 @@ from histrio.actions import AtomicAction, Skip, Write, check_action_properties
 from histrio.concurroid import check_concurroid
 from histrio.fmap import FrozenMap
 from histrio.pcm import Heap, Hist, Loc, render
-from histrio.program import ActN, LoopN, Node, ParN, RETRY, SpecedN, const, do
+from histrio.program import ActN, HideN, LoopN, Node, ParN, RETRY, SpecedN, const, do
 from histrio.scheduler import (
     DONE,
     RUN,
     Config,
+    HideK,
     Leaf,
     Scenario,
     SchedulerError,
@@ -661,10 +663,11 @@ def _count_spec_posts(node, calls, seen=None):
 
 
 def test_each_move_is_driven_once(monkeypatch):
-    # 5,144 local runs from 14,135 edges: the run after a step, with its
-    # spec captures and posts, is driven once per move, a run after a fork,
-    # join or hide on each visit, and a join once per fork and views;
-    # re-running them every time takes 4,691 posts and 1,406 joins
+    # 4,122 local runs from 14,135 edges: the run after a step, with its
+    # spec captures and posts, is driven once per move, a join with the run
+    # after it once per fork, threads and views, and only a run after a fork
+    # or hide on each visit; re-running every move and join takes 4,691
+    # posts and 1,406 joins
     joins = []
     subjective_join = scheduler.subjective_join
 
@@ -677,11 +680,86 @@ def test_each_move_is_driven_once(monkeypatch):
     posts = []
     _count_spec_posts(sc.program, posts)
     rep = explore(sc, step_bound=120, loop_bound=1)
-    assert rep.as_dict()["stats"]["local_runs"] == 5_144
+    assert rep.as_dict()["stats"]["local_runs"] == 4_122
     assert (len(posts), len(joins)) == (1_126, 384)
     assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
     assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
     assert len(rep.finals) == 6
+
+
+def test_a_join_drives_its_run_once_per_join_computed(monkeypatch):
+    # of 1,406 joins taken, 384 are computed: each computed join drives the
+    # run after it, and a remembered one splices the leaf where that run
+    # stopped, driving nothing
+    taken, computed, runs = [], [], []
+    joining = []
+    try_collapse, drive = scheduler._try_collapse, scheduler._drive
+    subjective_join = scheduler.subjective_join
+
+    def counted_collapse(cfg, ctx):
+        joining.append(None)
+        try:
+            out = try_collapse(cfg, ctx)
+        finally:
+            joining.pop()
+        if out is not None:
+            taken.append(None)
+        return out
+
+    def counted_drive(*args):
+        if joining:
+            runs.append(None)
+        return drive(*args)
+
+    def counted_join(*args):
+        computed.append(None)
+        return subjective_join(*args)
+
+    monkeypatch.setattr(scheduler, "_try_collapse", counted_collapse)
+    monkeypatch.setattr(scheduler, "_drive", counted_drive)
+    monkeypatch.setattr(scheduler, "subjective_join", counted_join)
+    rep = explore(flat_combiner_scenario(3), step_bound=120, loop_bound=1)
+    assert (len(taken), len(computed), len(runs)) == (1_406, 384, 384)
+    assert (rep.nodes, rep.edges, rep.local_runs) == (7_371, 14_135, 4_122)
+
+
+def _shipped_explorations():
+    from test_golden_reports import naive_reader_scenario
+
+    return [(pair_snapshot_scenario(2), 40, 3), (treiber_scenario(2), 60, 3),
+            (producer_consumer_scenario(3), 60, 3), (flat_combiner_scenario(3), 120, 1),
+            (seq_recovery_scenario(), 30, 3), (naive_reader_scenario(), 40, 3)]
+
+
+def _structural_kind(leaf) -> str:
+    if isinstance(leaf.node, ParN):
+        return "fork"
+    if isinstance(leaf.node, HideN):
+        return "hide"
+    if leaf.node is not None:
+        return type(leaf.node).__name__
+    if not leaf.kont:
+        return "finished"
+    return "hide exit" if isinstance(leaf.kont[-1], HideK) else type(leaf.kont[-1]).__name__
+
+
+def test_only_forks_and_hides_are_restructured(monkeypatch):
+    # a run marks a thread finished or stuck where it stops, so the
+    # structural step is handed only a fork, a hide or the end of a hide
+    handed = []
+    restructure = scheduler._restructure
+
+    def recorded(cfg, leaf, ctx):
+        handed.append(leaf)
+        return restructure(cfg, leaf, ctx)
+
+    monkeypatch.setattr(scheduler, "_restructure", recorded)
+    for sc, step_bound, loop_bound in _shipped_explorations():
+        handed.clear()
+        explore(sc, step_bound, loop_bound)
+        kinds = Counter(_structural_kind(leaf) for leaf in handed)
+        assert set(kinds) <= {"fork", "hide", "hide exit"}, (sc.name, kinds)
+        assert kinds, sc.name
 
 
 def test_the_move_memo_holds_one_object_per_distinct_leaf(monkeypatch):

@@ -4,8 +4,11 @@ passed somewhere, every import is read, no function keeps a process-wide
 cache, and no record is frozen.
 
 A field that no code reads is carried by every constructor call and every
-instance for nothing.  The scan is syntactic: a field counts as read when
-some attribute of that name is loaded anywhere in ``src/histrio``.
+instance for nothing.  The scan is syntactic, and credits a read to a
+class only where it can tell the receiver's class (``FieldReads``): a
+read of ``home`` on one class does not count for another class's
+``home``.  The fields read only through receivers it cannot type are
+listed by name, each with where it is read (``UNTYPED_FIELD_READS``).
 
 A top-level function or class counts as named when code in
 ``src/histrio`` or ``perfbench/`` names it outside its own definition: a
@@ -63,6 +66,7 @@ import ast
 import math
 import pathlib
 from collections import Counter, defaultdict
+from typing import Optional
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "histrio"
@@ -232,9 +236,236 @@ def unread_imports(trees: dict) -> list[tuple[str, int, str]]:
     return sorted(out)
 
 
-def attributes_read(trees: dict) -> set[str]:
-    return {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+def _class_named(ann: ast.expr, classes: set) -> Optional[str]:
+    """The package class an annotation names, as ``C``, ``"C"``, ``m.C`` or
+    ``Optional[C]``; None for any other annotation."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        try:
+            ann = ast.parse(ann.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(ann, ast.Subscript) and ast.unparse(ann.value).endswith("Optional"):
+        ann = ann.slice
+    name = ann.attr if isinstance(ann, ast.Attribute) else getattr(ann, "id", None)
+    return name if name in classes else None
+
+
+class _Classes:
+    """The package's classes: their bases, the class each field, property
+    and ``__init__``-set attribute is annotated with, the class each method
+    and each top-level function is annotated to return."""
+
+    def __init__(self, trees: dict):
+        defs = [c for t in trees.values() for c in ast.walk(t) if isinstance(c, ast.ClassDef)]
+        self.names = {c.name for c in defs}
+        self.bases = {c.name: [ast.unparse(b).rpartition(".")[2] for b in c.bases] for c in defs}
+        self.members: dict = defaultdict(dict)  # class -> attribute -> class
+        self.methods: dict = defaultdict(dict)  # class -> method -> returned class
+        for c in defs:
+            for stmt in c.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    self.members[c.name][stmt.target.id] = self.named(stmt.annotation)
+                elif isinstance(stmt, ast.FunctionDef):
+                    if stmt.name == "__init__":
+                        self._init_members(c.name, stmt)
+                    property_ = "property" in map(ast.unparse, stmt.decorator_list)
+                    table = self.members if property_ else self.methods
+                    table[c.name][stmt.name] = self.named(stmt.returns)
+        returns = defaultdict(set)
+        for t in trees.values():
+            for fn in t.body:
+                if isinstance(fn, ast.FunctionDef):
+                    returns[fn.name].add(self.named(fn.returns))
+        self.functions = {f: r.pop() for f, r in returns.items() if len(r) == 1}
+
+    def _init_members(self, cls: str, init: ast.FunctionDef):
+        """``self.a = p`` in ``__init__``, ``p`` a parameter annotated with a
+        package class."""
+        params = {p.arg: self.named(p.annotation) for p in init.args.args}
+        for node in ast.walk(init):
+            if isinstance(node, ast.Assign) and params.get(getattr(node.value, "id", None)):
+                for tgt in node.targets:
+                    if (isinstance(tgt, ast.Attribute)
+                            and getattr(tgt.value, "id", None) == init.args.args[0].arg):
+                        self.members[cls].setdefault(tgt.attr, params[node.value.id])
+
+    def named(self, ann: Optional[ast.expr]) -> Optional[str]:
+        return None if ann is None else _class_named(ann, self.names)
+
+    def lineage(self, cls: str) -> list:
+        """The class and its bases in the package."""
+        out, todo = [], [cls]
+        while todo:
+            c = todo.pop()
+            if c in self.bases and c not in out:
+                out.append(c)
+                todo += self.bases[c]
+        return out
+
+    def lookup(self, cls: str, attr: str, table: dict) -> Optional[str]:
+        return next((table[c][attr] for c in self.lineage(cls) if attr in table[c]), None)
+
+
+def _bound_names(target: ast.expr) -> list:
+    """The names an assignment target binds, not those it stores into."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for e in target.elts for n in _bound_names(e)]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    return []
+
+
+def _local_nodes(stmts: list):
+    """The nodes of a body, nested definitions included but not their
+    insides."""
+    todo = list(stmts)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            todo += ast.iter_child_nodes(node)
+
+
+class FieldReads:
+    """Every attribute load in ``trees``, as a read of a known class where
+    the scan can tell the receiver's class, else by attribute name alone.
+
+    A receiver's class is known where it is ``self`` in a method, a name
+    every binding of which in its function has one class (a parameter's
+    annotation, a constructor call, a call of a function or method
+    annotated to return the class), a name inside an ``if`` or ``and`` that
+    tests ``isinstance(name, C)``, or an attribute of a receiver of known
+    class, annotated with a class."""
+
+    def __init__(self, trees: dict):
+        self.classes = _Classes(trees)
+        self.typed: set = set()  # (class, attribute)
+        self.untyped: set = set()  # attribute
+        for tree in trees.values():
+            for stmt in tree.body:
+                self._visit(stmt, {}, None)
+
+    def _class_of(self, e: ast.expr, env: dict) -> Optional[str]:
+        c = self.classes
+        if isinstance(e, ast.Name):
+            return env.get(e.id)
+        if isinstance(e, ast.Attribute):
+            recv = self._class_of(e.value, env)
+            return recv and c.lookup(recv, e.attr, c.members)
+        if not isinstance(e, ast.Call):
+            return None
+        f = e.func
+        if isinstance(f, ast.Name):
+            return f.id if f.id in c.names else c.functions.get(f.id)
+        if not isinstance(f, ast.Attribute):
+            return None
+        recv = self._class_of(f.value, env)
+        if recv is not None:
+            return c.lookup(recv, f.attr, c.methods)
+        if f.attr in c.names:
+            return f.attr
+        if isinstance(f.value, ast.Name) and f.value.id not in env:
+            return c.functions.get(f.attr)  # a function called through its module
+        return None
+
+    def _narrowed(self, test: ast.expr, env: dict) -> dict:
+        """``env`` with each ``isinstance(name, C)`` conjunct of ``test``."""
+        env = dict(env)
+        conjuncts = test.values if isinstance(test, ast.BoolOp) and isinstance(
+            test.op, ast.And) else [test]
+        for t in conjuncts:
+            if (isinstance(t, ast.Call) and getattr(t.func, "id", None) == "isinstance"
+                    and isinstance(t.args[0], ast.Name)):
+                cls = self.classes.named(t.args[1])
+                if cls is not None:
+                    env[t.args[0].id] = cls
+        return env
+
+    def _function(self, fn, env: dict, owner: Optional[str]):
+        a = fn.args
+        params = [p for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn, ast.FunctionDef) else [ast.Expr(fn.body)]
+        # name -> the expressions it is bound to; a class name stands for a
+        # parameter's annotation, None for a binding of no known class
+        binds = defaultdict(list)
+        for p in params:
+            binds[p.arg].append(self.classes.named(p.annotation))
+        decorators = [ast.unparse(d) for d in getattr(fn, "decorator_list", ())]
+        if owner is not None and params and "staticmethod" not in decorators:
+            binds[params[0].arg] = [None if "classmethod" in decorators else owner]
+        for node in _local_nodes(body):
+            if isinstance(node, ast.Assign):
+                for tgt in node.targets:
+                    if isinstance(tgt, ast.Name):
+                        binds[tgt.id].append(node.value)
+                    else:
+                        for name in _bound_names(tgt):
+                            binds[name].append(None)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                binds[node.target.id].append(self.classes.named(node.annotation))
+            elif isinstance(node, (ast.AugAssign, ast.For, ast.comprehension,
+                                   ast.NamedExpr, ast.withitem, ast.ExceptHandler,
+                                   ast.FunctionDef, ast.ClassDef)):
+                tgt = getattr(node, "optional_vars", None) or getattr(node, "target", None)
+                name = getattr(node, "name", None)
+                for n in _bound_names(tgt) if tgt is not None else [name] if name else []:
+                    binds[n].append(None)
+        local = {name: None for name in binds}
+        for _ in range(2):  # a binding may read another local's class
+            scope = {**env, **local}
+            local = {}
+            for name, values in binds.items():
+                found = {v if v is None or isinstance(v, str) else self._class_of(v, scope)
+                         for v in values}
+                local[name] = found.pop() if len(found) == 1 else None
+        for stmt in body:
+            self._visit(stmt, {**env, **local}, None)
+
+    def _visit(self, node: ast.AST, env: dict, owner: Optional[str]):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            for e in (*getattr(node, "decorator_list", ()), *a.defaults, *a.kw_defaults):
+                if e is not None:
+                    self._visit(e, env, None)
+            self._function(node, env, owner)
+        elif isinstance(node, ast.ClassDef):
+            for e in (*node.decorator_list, *node.bases, *node.keywords):
+                self._visit(e, env, None)
+            for stmt in node.body:
+                self._visit(stmt, env, node.name)
+        elif isinstance(node, (ast.If, ast.IfExp)):
+            self._visit(node.test, env, None)
+            narrowed = self._narrowed(node.test, env)
+            for branch, scope in ((node.body, narrowed), (node.orelse, env)):
+                for stmt in branch if isinstance(branch, list) else [branch]:
+                    self._visit(stmt, scope, owner)
+        elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            for v in node.values:
+                self._visit(v, env, None)
+                env = self._narrowed(v, env)
+        else:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                recv = self._class_of(node.value, env)
+                if recv is None:
+                    self.untyped.add(node.attr)
+                else:
+                    self.typed.update((c, node.attr) for c in self.classes.lineage(recv))
+            for child in ast.iter_child_nodes(node):
+                self._visit(child, env, None)
+
+
+def unattributed_fields(trees: dict) -> tuple[list, list]:
+    """``Class.field`` for each dataclass field of ``trees`` with no read the
+    scan attributes to its class: those whose name no attribute load has
+    at all, and those read, if at all, only through receivers of unknown
+    class."""
+    reads = FieldReads(trees)
+    fields = [(cls, name) for _, cls, name in dataclass_fields(trees)
+              if (cls, name) not in reads.typed]
+    return ([f"{c}.{n}" for c, n in fields if n not in reads.untyped],
+            [f"{c}.{n}" for c, n in fields if n in reads.untyped])
 
 
 def names_in(node: ast.AST) -> set[str]:
@@ -313,12 +544,42 @@ def _tests() -> dict:
             for p in sorted((ROOT / "tests").glob("*.py"))}
 
 
+_HASH_ONCE = "read by the __hash__ that fmap.hash_once gives every class it decorates"
+_FORKS = "fork records are read out of Config.forks, a plain tuple"
+_PHI = "read through HideN.phi and HideK.phi, which are not annotated"
+_SPEC = "read through SpecedN.spec and SpecK.spec, which are not annotated"
+
+# the fields read only through receivers whose class the scan cannot tell,
+# with where they are read
+UNTYPED_FIELD_READS = {
+    "Req._hash": _HASH_ONCE,
+    "Resp._hash": _HASH_ONCE,
+    "IdSet._hash": _HASH_ONCE,
+    "Hist._hash": _HASH_ONCE,
+    "Triple._hash": _HASH_ONCE,
+    "LoopK._hash": _HASH_ONCE,
+    "SpecK._hash": _HASH_ONCE,
+    "Leaf._hash": _HASH_ONCE,
+    "Fork._hash": _HASH_ONCE,
+    "Fork.tid": _FORKS,
+    "Fork.right": _FORKS,
+    "Fork.env": _FORKS,
+    "Fork.kont": _FORKS,
+    "PhiSpec.g0": _PHI,
+    "PhiSpec.erase": _PHI,
+    "PhiSpec.install": _PHI,
+    "PhiSpec.recover": _PHI,
+    "Event.primitive": "erasure.compare_erased reads it from Trace.events, a plain list",
+    "MethodSpec.name": _SPEC,
+    "MethodSpec.capture": _SPEC,
+    "MethodSpec.post": _SPEC,
+}
+
+
 def test_every_dataclass_field_is_read_somewhere():
-    trees = _package()
-    read = attributes_read(trees)
-    unread = [f"{path}: {cls}.{name}" for path, cls, name in dataclass_fields(trees)
-              if name not in read]
+    unread, untyped = unattributed_fields(_package())
     assert unread == []
+    assert sorted(untyped) == sorted(UNTYPED_FIELD_READS)
 
 
 def test_the_scan_sees_an_unread_field():
@@ -330,9 +591,33 @@ def test_the_scan_sees_an_unread_field():
         "    y: int\n"
         "def f(p):\n"
         "    return p.x\n")
-    trees = {"m.py": tree}
-    read = attributes_read(trees)
-    assert [f for f in dataclass_fields(trees) if f[2] not in read] == [("m.py", "P", "y")]
+    assert unattributed_fields({"m.py": tree}) == (["P.y"], ["P.x"])
+
+
+def test_the_scan_credits_a_read_only_to_its_receivers_class():
+    # B.home is read through receivers of known class, so A.home is unread;
+    # B.tid is read only through a receiver the scan cannot type
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    home: int\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    home: int\n"
+        "    tid: int\n"
+        "    def own(self):\n"
+        "        return self.home\n"
+        "def make() -> B:\n"
+        "    return B(0, 1)\n"
+        "def f(b: B, x, y):\n"
+        "    c = make()\n"
+        "    if isinstance(y, B):\n"
+        "        y.home\n"
+        "    return b.home, c.home, x.tid\n")
+    reads = FieldReads({"m.py": tree})
+    assert ("B", "home") in reads.typed and ("A", "home") not in reads.typed
+    assert unattributed_fields({"m.py": tree}) == (["A.home"], ["B.tid"])
 
 
 def test_every_top_level_definition_is_named_by_the_package_or_the_benchmark():
