@@ -55,10 +55,13 @@ in with no action, state, event or leaf built.  Only ``explore``
 remembers steps: a random run or a replay follows one schedule, along
 which an equal one does not recur.  A step that is not part of a
 remembered move runs its action.  A join of two finished threads, with
-the run after it, reads only their fork, their views and the joined
-thread's ``other``; ``_try_collapse`` takes it, and every run remembers
-it (``_Ctx.joins``), so that where one recurs its stop leaf is spliced in
-and nothing is driven again.  Only a run after a fork or hide is not
+the run after it, reads only their fork, their self maps and results,
+the joint map and the joined thread's ``other``: each thread's view is
+that ``other`` joined with its sibling's self map, and by cancellativity
+the join finds that ``other`` as their common environment part.
+``_try_collapse`` takes it, and every run remembers it (``_Ctx.joins``),
+so that where one recurs its stop leaf is spliced in and nothing is
+computed or driven again.  Only a run after a fork or hide is not
 remembered: ``normalize`` drives it each time.  A move that reported a
 violation is taken again wherever it recurs, as a failed transition is
 checked again.
@@ -444,6 +447,7 @@ class ExplorationReport:
     steps_run: int = 0  # edges whose action ran, not remembered
     transitions_checked: int = 0  # steps whose checks ran, not remembered
     local_runs: int = 0  # runs after steps, joins, forks and hides driven, not remembered
+    joins_computed: int = 0  # joins of finished threads computed, not remembered
 
     @property
     def inconclusive(self) -> int:
@@ -472,6 +476,7 @@ class ExplorationReport:
                 "steps_run": self.steps_run,
                 "transitions_checked": self.transitions_checked,
                 "local_runs": self.local_runs,
+                "joins_computed": self.joins_computed,
                 "inconclusive_step_bound": self.inconclusive_step_bound,
                 "inconclusive_loop_bound": self.inconclusive_loop_bound,
             },
@@ -509,10 +514,12 @@ class _Ctx:
         # their parts, and memo hits compare them by identity
         self.values: Optional[dict] = {} if remember_moves else None
         self.local_runs = 0  # local runs driven through _drive
-        # (fork, left, right, joint, left other, right other, joined other)
-        # -> the leaf where the run after the join stopped, for joins that
-        # reported nothing; see _try_collapse
+        # (fork, left self, left result, right self, right result, joint,
+        # joined other) -> the leaf where the run after the join stopped, for
+        # joins that reported nothing: the siblings' views are the joined
+        # other joined with the other sibling's self map; see _try_collapse
         self.joins: dict = {}
+        self.joins_computed = 0  # joins whose views, join and run were computed
 
     def report(self, check: str, expected: str, actual: str, tid: int):
         self.reported += 1
@@ -732,12 +739,18 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
     joins, and drive the joined thread's run; its ``other`` is ``_other``
     of the table with the two threads merged.
 
-    The merged leaf is a function of the fork and its two threads with
-    their views, and its run reads only that leaf, the joint map and its
-    ``other``.  So a join that reported nothing, in the join or in the run,
-    is remembered by exactly those, with the leaf where its run stopped,
-    interned; where it recurs, that leaf is spliced in and nothing is
-    driven again."""
+    A join reads only the fork, the two threads' self maps and results,
+    the joint map and the joined thread's ``other``: the merged leaf takes
+    the fork's environment and continuation, never a finished thread's.
+    Those fix both siblings' views, since each sibling's ``other`` is the
+    other's self map joined with the joined thread's ``other``, and by
+    cancellativity that ``other`` is the one common environment part the
+    join finds.  The run after the join reads only the merged leaf, the
+    joint map and that ``other``.  So a join that reported nothing, in the
+    join or in the run, is remembered by exactly those inputs, with the
+    leaf where its run stopped, interned; where it recurs, that leaf is
+    spliced in, and neither the siblings' views, the join, the scenario's
+    join check nor the run is computed again."""
     pair = _done_pair(cfg)
     if pair is None:
         return None
@@ -749,28 +762,26 @@ def _try_collapse(cfg: Config, ctx: _Ctx) -> Optional[Config]:
     merged_cfg = Config(cfg.threads[:i + 1] + cfg.threads[i + 2:],
                         cfg.forks[:k] + cfg.forks[k + 1:], cfg.joint, cfg.root_other,
                         cfg.conc, cfg.next_loc, cfg.next_tid)
-    other1 = _other(cfg, left.tid, ctx.others)
-    other2 = _other(cfg, right.tid, ctx.others)
     other = _other(merged_cfg, fork.tid, ctx.others)
-    key = (fork, left, right, cfg.joint, other1, other2, other)
+    key = (fork, left.self_, left.result, right.self_, right.result, cfg.joint, other)
     stop = ctx.joins.get(key)
     if stop is None:
         before = ctx.reported
-        c1 = SubjState(left.self_, cfg.joint, other1)
-        c2 = SubjState(right.self_, cfg.joint, other2)
+        c1 = SubjState(left.self_, cfg.joint, _other(cfg, left.tid, ctx.others))
+        c2 = SubjState(right.self_, cfg.joint, _other(cfg, right.tid, ctx.others))
         try:
             joined = subjective_join(c1, c2)
         except StateError as exc:
             ctx.report("join", "sibling views with a common environment part",
                        str(exc), fork.tid)
             joined = SubjState(
-                map_pointwise_join(c1.self_, c2.self_) or c1.self_, cfg.joint,
-                cfg.root_other)
+                map_pointwise_join(c1.self_, c2.self_) or c1.self_, cfg.joint, other)
         if ctx.scenario.on_join is not None:
             for msg in ctx.scenario.on_join(c1, c2, joined):
                 ctx.report("join:check", ctx.scenario.name, msg, fork.tid)
         value = (left.result, right.result)
         ctx.local_runs += 1
+        ctx.joins_computed += 1
         stop = _drive(Leaf(fork.tid, None, fork.env, fork.kont, joined.self_, RUN, value),
                       cfg.joint, other, ctx)
         if ctx.reported == before:
@@ -1099,6 +1110,7 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
     report.steps_run = ctx.steps_run
     report.transitions_checked = ctx.transitions_checked
     report.local_runs = ctx.local_runs
+    report.joins_computed = ctx.joins_computed
     return report
 
 

@@ -7,10 +7,11 @@ step bound that cuts some paths and one that cuts none; the naive pair
 reader of the benchmark's explore-bug workload at violation caps 1, 50 and
 10^6; a counting scenario whose step invariant fails on some paths; and
 seeded random runs of every shipped scenario; and the command line's reports
-of the three sampled obligation suites, without their timing.  Work counters
-(``steps_run``, ``local_runs``, ``transitions_checked``) are left out: they
-say how much the explorer ran, not what it found.  Final states are
-written with ``pcm.render``, since ``repr`` embeds addresses.
+of the three sampled obligation suites, without their timing.  Work
+counters (``steps_run``, ``local_runs``, ``joins_computed``,
+``transitions_checked``) are left out: they say how much the explorer ran,
+not what it found.  Final states are written with ``pcm.render``, since
+``repr`` embeds addresses.
 
 After a deliberate change of the reports, record new digests with
 ``PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json``.

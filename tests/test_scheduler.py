@@ -16,7 +16,7 @@ from histrio import scheduler, state
 from histrio.actions import AtomicAction, Skip, Write, check_action_properties
 from histrio.concurroid import check_concurroid
 from histrio.fmap import FrozenMap
-from histrio.pcm import Heap, Hist, Loc, render
+from histrio.pcm import Heap, Hist, Loc, map_pointwise_join, map_subtract, render
 from histrio.program import ActN, HideN, LoopN, Node, ParN, RETRY, SpecedN, const, do
 from histrio.scheduler import (
     DONE,
@@ -663,11 +663,12 @@ def _count_spec_posts(node, calls, seen=None):
 
 
 def test_each_move_is_driven_once(monkeypatch):
-    # 4,122 local runs from 14,135 edges: the run after a step, with its
+    # 3,774 local runs from 14,135 edges: the run after a step, with its
     # spec captures and posts, is driven once per move, a join with the run
-    # after it once per fork, threads and views, and only a run after a fork
-    # or hide on each visit; re-running every move and join takes 4,691
-    # posts and 1,406 joins
+    # after it once per fork, self maps and results, joint map and joined
+    # environment (36 of them), and only a run after a fork or hide on each
+    # visit; re-running every move and join takes 4,691 posts and 1,406
+    # joins
     joins = []
     subjective_join = scheduler.subjective_join
 
@@ -680,17 +681,18 @@ def test_each_move_is_driven_once(monkeypatch):
     posts = []
     _count_spec_posts(sc.program, posts)
     rep = explore(sc, step_bound=120, loop_bound=1)
-    assert rep.as_dict()["stats"]["local_runs"] == 4_122
-    assert (len(posts), len(joins)) == (1_126, 384)
+    assert rep.as_dict()["stats"]["local_runs"] == 3_774
+    assert (len(posts), len(joins)) == (1_126, 36)
     assert (rep.nodes, rep.edges, rep.steps_run) == (7_371, 14_135, 3_733)
     assert (rep.complete, rep.inconclusive, rep.violating) == (5_615_517, 9_132_415, 0)
     assert len(rep.finals) == 6
 
 
 def test_a_join_drives_its_run_once_per_join_computed(monkeypatch):
-    # of 1,406 joins taken, 384 are computed: each computed join drives the
-    # run after it, and a remembered one splices the leaf where that run
-    # stopped, driving nothing
+    # of 1,406 joins taken, 36 are computed, one per distinct fork, pair
+    # of self maps and results, joint map and joined environment: each
+    # computed join drives the run after it, and a remembered one splices
+    # the leaf where that run stopped, driving nothing
     taken, computed, runs = [], [], []
     joining = []
     try_collapse, drive = scheduler._try_collapse, scheduler._drive
@@ -719,8 +721,9 @@ def test_a_join_drives_its_run_once_per_join_computed(monkeypatch):
     monkeypatch.setattr(scheduler, "_drive", counted_drive)
     monkeypatch.setattr(scheduler, "subjective_join", counted_join)
     rep = explore(flat_combiner_scenario(3), step_bound=120, loop_bound=1)
-    assert (len(taken), len(computed), len(runs)) == (1_406, 384, 384)
-    assert (rep.nodes, rep.edges, rep.local_runs) == (7_371, 14_135, 4_122)
+    assert (len(taken), len(computed), len(runs)) == (1_406, 36, 36)
+    assert (rep.nodes, rep.edges, rep.local_runs) == (7_371, 14_135, 3_774)
+    assert rep.as_dict()["stats"]["joins_computed"] == 36
 
 
 def _shipped_explorations():
@@ -760,6 +763,104 @@ def test_only_forks_and_hides_are_restructured(monkeypatch):
         kinds = Counter(_structural_kind(leaf) for leaf in handed)
         assert set(kinds) <= {"fork", "hide", "hide exit"}, (sc.name, kinds)
         assert kinds, sc.name
+
+
+def _join_inputs(cfg):
+    """What a join of ``cfg``'s next pair of finished threads reads: their
+    fork, self maps and results, the joint map and the joined thread's
+    environment, the root map joined with every other thread's self map."""
+    i, k = scheduler._done_pair(cfg)
+    left, right = cfg.threads[i], cfg.threads[i + 1]
+    other = cfg.root_other
+    for leaf in cfg.threads[:i] + cfg.threads[i + 2:]:
+        other = map_pointwise_join(leaf.self_, other)
+    return (cfg.forks[k], left.self_, left.result, right.self_, right.result,
+            cfg.joint, other)
+
+
+def test_each_join_is_computed_once_per_distinct_input(monkeypatch):
+    # a join reads its fork, both threads' self maps and results, the joint
+    # map and the joined thread's environment; a memo keyed on the whole
+    # finished threads and their views computes 384 joins of these 36
+    # distinct inputs in flat-combiner with 3 threads
+    inputs, computed = [], []
+    try_collapse, subjective_join = scheduler._try_collapse, scheduler.subjective_join
+
+    def recorded_collapse(cfg, ctx):
+        if scheduler._done_pair(cfg) is not None:
+            inputs.append(_join_inputs(cfg))
+        return try_collapse(cfg, ctx)
+
+    def counted_join(*args):
+        computed.append(None)
+        return subjective_join(*args)
+
+    monkeypatch.setattr(scheduler, "_try_collapse", recorded_collapse)
+    monkeypatch.setattr(scheduler, "subjective_join", counted_join)
+    for sc, step_bound, loop_bound in _shipped_explorations():
+        inputs.clear()
+        computed.clear()
+        rep = explore(sc, step_bound, loop_bound)
+        assert len(computed) == rep.joins_computed == len(set(inputs)), sc.name
+        if sc.name == "flat-combiner":
+            assert (len(inputs), len(computed)) == (1_406, 36)
+
+
+class _Forgetful:
+    """A join memo that remembers nothing."""
+
+    def get(self, key):
+        return None
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _found(rep):
+    from test_golden_reports import render_config
+
+    return (rep.verdict, rep.complete, rep.inconclusive_step_bound,
+            rep.inconclusive_loop_bound, rep.violating, rep.nodes, rep.edges,
+            [v.as_dict() for v in rep.violations],
+            sorted(render_config(c) for c in rep.finals))
+
+
+def test_remembered_joins_find_what_computed_ones_find(monkeypatch):
+    # with every join computed again, each exploration finds the same
+    # verdict, path counts, nodes, edges, violations and final states
+    remembered = [_found(explore(*args)) for args in _shipped_explorations()]
+    init = _Ctx.__init__
+
+    def forgetful_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.joins = _Forgetful()
+
+    monkeypatch.setattr(_Ctx, "__init__", forgetful_init)
+    reps = [explore(*args) for args in _shipped_explorations()]
+    assert [_found(rep) for rep in reps] == remembered
+    assert reps[3].scenario == "flat-combiner" and reps[3].joins_computed == 1_406
+
+
+def test_a_failed_join_hands_its_check_the_joined_threads_environment(monkeypatch):
+    # where two sibling views do not join, the view the scenario's join
+    # check is handed has the joined thread's environment, the first
+    # sibling's minus the second's self map, not the root's
+    from test_golden_reports import naive_reader_scenario
+
+    def refused(c1, c2):
+        raise state.StateError("join refused")
+
+    seen = []
+    sc = naive_reader_scenario()
+    sc.on_join = lambda c1, c2, joined: seen.append((c1, c2, joined)) or []
+    monkeypatch.setattr(scheduler, "subjective_join", refused)
+    rep = explore(sc, step_bound=40, loop_bound=3)
+    assert rep.verdict == "violation" and {v.check for v in rep.violations} == {"join"}
+    c1, c2, joined = seen[0]
+    assert joined.other == map_subtract(c1.other, c2.self_) != sc.root.other
+    for c1, c2, joined in seen:
+        assert joined.other == map_subtract(c1.other, c2.self_)
+        assert joined.other == map_subtract(c2.other, c1.self_)
 
 
 def test_the_move_memo_holds_one_object_per_distinct_leaf(monkeypatch):
