@@ -106,6 +106,12 @@ pays an ``object.__setattr__`` per field), and the rule is kept by a test
 that runs the shipped scenarios with every other store refused
 (``tests/test_records.py``), not on each construction.
 
+``step_action`` is the one successor function, called once per edge by
+``explore`` and by ``_run_schedule`` (random runs and replays).  It keeps
+the path (``_Ctx.path``): a move's entry goes on before its step is
+checked and comes off if the move reports, so every violation's schedule
+ends with the move that reported it, and replays to it.
+
 Every configuration a driver holds is normal: no thread but those at an
 action can reduce, and no two finished threads wait to be joined.  So
 after a step only the stepped thread can reduce: ``step_action`` drives
@@ -367,6 +373,10 @@ class Scenario:
 
 @dataclass
 class Violation:
+    """A failed check.  ``schedule`` lists the thread of each move on its
+    path, the reporting move included, so ``step == len(schedule)`` for
+    every check and ``run_replay`` of the schedule reports it again."""
+
     step: int
     thread: int
     check: str
@@ -800,13 +810,12 @@ def normalize(cfg: Config, ctx: _Ctx, stepped: Optional[tuple] = None) -> Config
     once (``_settle``), and the threads are scanned again.  Joins wait until
     no leaf can reduce, and each drives its own run.
 
-    With ``stepped``, ``(stop, joint, next_loc)`` from ``step_action``,
-    ``cfg`` is the normal configuration the step was taken in, and the
-    result is the one after the step.  ``step_action`` has already driven
-    the stepped thread's run, and no other leaf of a normal configuration
-    can reduce, so ``stop`` is spliced in by its thread id; when it stopped
-    at an action or stuck, no join can follow, and that one splice finishes
-    the step with no scan of the threads.
+    ``step_action`` finishes each move here, with ``stepped``, ``(stop,
+    joint, next_loc)`` after the step, and ``cfg`` the normal configuration
+    the step was taken in.  No other leaf of a normal configuration can
+    reduce, so ``stop``, where the stepped thread's run stopped, is spliced
+    in by its thread id; when it stopped at an action or stuck, no join can
+    follow, and that one splice finishes the move with no scan.
     """
     if stepped is not None:
         stop, joint, next_loc = stepped
@@ -877,73 +886,78 @@ def _check_step(conc: Concurroid, tid: int, action: AtomicAction,
 
 
 def step_action(cfg: Config, leaf: Leaf, ctx: _Ctx):
-    """Take the leaf's move: fire its pending action and drive the
-    thread-local run after it.  Returns ``(stepped, event)``, or None on a
-    violating step; a step that passed its checks is put on ``ctx.path`` as
-    ``(tid, action name, result)`` before its run is driven, so that a
-    report in the run carries it.  ``stepped`` is ``(stop, joint,
-    next_loc)``: the leaf where the thread's run stopped, and the joint map
-    and next fresh location after the step, which ``normalize`` takes to
-    finish the move in ``cfg``.  A step changes no sibling's self map and
-    not the root map, so the run takes the thread's ``other`` from the
-    step's view.
+    """Take the leaf's move in ``cfg``: fire its pending action, check the
+    step, drive the thread-local run after it, and finish the move with
+    ``normalize``.  Returns ``(cfg2, event)``, the configuration after the
+    move and the step's event, or None when the move reported a violation,
+    in the step, its run or a join.  The move's entry ``(tid, action name,
+    result)`` goes on ``ctx.path`` as the action fires, its result None until
+    the action returns, so that every report of the move carries it; it
+    comes off again when the move reported.  The run takes the thread's
+    ``other`` from the step's view: a step changes no sibling's self map
+    and not the root map.
 
     A move reads only the leaf, the joint map, the thread's ``other``, the
     concurroid and the next fresh location, its key.  Where ``ctx`` keeps a
-    move memo, one that reported nothing is remembered whole, with its key
-    and stop leaf interned, and where it recurs ``stepped`` brings the
-    remembered stop leaf, with ``event`` None: no action, state, event or
-    leaf is built, and neither the action nor the run runs.  A move that
-    reported a violation is taken again wherever it recurs, so that its
-    report carries that path's step index and schedule.
+    move memo, a step with its run that reported nothing is remembered,
+    with its key and stop leaf interned; where it recurs, its stop leaf is
+    finished in ``cfg`` with ``event`` None, and no action, state, event or
+    leaf is built.  A move that reported is taken again wherever it recurs,
+    so that its report carries that path's step index and schedule.
 
     Otherwise the action runs, and its step is checked unless ``ctx`` keeps
     a transition memo where its transition (concurroid, claimed transition,
-    the action's home labels and both states) passed the checks before; a
-    failed check runs again wherever it recurs.
+    the action's home labels and both states) passed the checks before.
     """
+    before = ctx.reported
     other = _other(cfg, leaf.tid, ctx.others)
     moves, memo = ctx.moves, ctx.checked
-    if moves is not None:
-        key = (leaf, cfg.joint, other, id(cfg.conc), cfg.next_loc)
-        hit = moves.get(key)
-        if hit is not None:
-            stop, joint2, next_loc, entry = hit
-            ctx.path.append(entry)
-            return (stop, joint2, next_loc), None
-    w = SubjState(leaf.self_, cfg.joint, other)
-    action: AtomicAction = leaf.node.build(leaf.env)
-    ctx.steps_run += 1
-    try:
-        w2, res, sctx = run_atomic(action, w, StepCtx(cfg.next_loc))
-    except ActionSafetyError as exc:
-        ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
-        return None
-    if memo is not None:
-        canon = ctx.values
-        w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
-                       canon.setdefault(w2.joint, w2.joint), w2.other)
-        checked = (id(cfg.conc), action.claimed, action.home, w.self_, w.joint, w.other,
-                   w2.self_, w2.joint, w2.other)
-    if memo is None or checked not in memo:
-        ctx.transitions_checked += 1
-        if not _check_step(cfg.conc, leaf.tid, action, w, w2, ctx):
+    key = (leaf, cfg.joint, other, id(cfg.conc), cfg.next_loc)
+    hit = moves.get(key) if moves is not None else None
+    if hit is not None:
+        stop, joint2, next_loc, entry = hit
+        ctx.path.append(entry)
+        event = None
+    else:
+        w = SubjState(leaf.self_, cfg.joint, other)
+        action: AtomicAction = leaf.node.build(leaf.env)
+        ctx.steps_run += 1
+        ctx.path.append((leaf.tid, action.name, None))
+        try:
+            w2, res, sctx = run_atomic(action, w, StepCtx(cfg.next_loc))
+        except ActionSafetyError as exc:
+            ctx.report("safety", f"{action.name} precondition", str(exc), leaf.tid)
+            ctx.path.pop()
             return None
+        entry = ctx.path[-1] = (leaf.tid, action.name, res)
         if memo is not None:
-            memo.add(checked)
-    event = Event(len(ctx.path), leaf.tid, action.name, action.claimed, res, w, w2,
-                  action.primitive)
-    entry = (leaf.tid, action.name, res)
-    ctx.path.append(entry)
-    before = ctx.reported
-    ctx.local_runs += 1
-    stop = _drive(Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res),
-                  w2.joint, w.other, ctx)
-    if moves is not None and ctx.reported == before:
-        intern = ctx.values.setdefault
-        stop = intern(stop, stop)
-        moves[(intern(leaf, leaf),) + key[1:]] = (stop, w2.joint, sctx.next_loc, entry)
-    return (stop, w2.joint, sctx.next_loc), event
+            canon = ctx.values
+            w2 = SubjState(canon.setdefault(w2.self_, w2.self_),
+                           canon.setdefault(w2.joint, w2.joint), w2.other)
+            checked = (id(cfg.conc), action.claimed, action.home, w.self_, w.joint,
+                       w.other, w2.self_, w2.joint, w2.other)
+        if memo is None or checked not in memo:
+            ctx.transitions_checked += 1
+            if not _check_step(cfg.conc, leaf.tid, action, w, w2, ctx):
+                ctx.path.pop()
+                return None
+            if memo is not None:
+                memo.add(checked)
+        event = Event(len(ctx.path) - 1, leaf.tid, action.name, action.claimed, res, w,
+                      w2, action.primitive)
+        ctx.local_runs += 1
+        stop = _drive(Leaf(leaf.tid, None, leaf.env, leaf.kont, w2.self_, RUN, res),
+                      w2.joint, w.other, ctx)
+        joint2, next_loc = w2.joint, sctx.next_loc
+        if moves is not None and ctx.reported == before:
+            intern = ctx.values.setdefault
+            stop = intern(stop, stop)
+            moves[(intern(leaf, leaf),) + key[1:]] = (stop, joint2, next_loc, entry)
+    cfg2 = normalize(cfg, ctx, (stop, joint2, next_loc))
+    if ctx.reported > before:
+        ctx.path.pop()
+        return None
+    return cfg2, event
 
 
 def ready_leaves(cfg: Config) -> list[Leaf]:
@@ -966,11 +980,11 @@ def _finish_path(cfg: Config, ctx: _Ctx) -> str:
     distinct final configuration."""
     if len(cfg.threads) != 1 or cfg.threads[0].status != DONE:
         return "inconclusive"
-    before = ctx.reported
-    if ctx.scenario.final_oracle is not None:
-        for msg in ctx.scenario.final_oracle(cfg, cfg.threads[0].result):
-            ctx.report("final", ctx.scenario.name, msg, 0)
-    return "violation" if ctx.reported > before else "complete"
+    oracle = ctx.scenario.final_oracle
+    msgs = list(oracle(cfg, cfg.threads[0].result)) if oracle is not None else []
+    for msg in msgs:
+        ctx.report("final", ctx.scenario.name, msg, 0)
+    return "violation" if msgs else "complete"
 
 
 # ---------------------------------------------------------------------------
@@ -1084,18 +1098,12 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
                 continue
             leaf = f.ready[f.next]
             f.next += 1
-            before = ctx.reported
             outcome = step_action(f.cfg, leaf, ctx)
             report.edges += 1
             if outcome is None:
                 f.add(_FINISHED["violation"], 0)
                 continue
-            cfg2 = normalize(f.cfg, ctx, outcome[0])
-            if ctx.reported > before:
-                f.add(_FINISHED["violation"], 0)
-                ctx.path.pop()
-                continue
-            sub = visit(cfg2, f.used + 1)
+            sub = visit(outcome[0], f.used + 1)
             if isinstance(sub, _Frame):
                 stack.append(sub)
             else:
@@ -1120,8 +1128,7 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
     events: list[Event] = []
     with fact_table():
         cfg = normalize(initial_config(scenario), ctx)
-        used = 0
-        while used < budget:
+        while len(events) < budget:
             ready = ready_leaves(cfg)
             if not ready:
                 break
@@ -1131,10 +1138,8 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
             outcome = step_action(cfg, leaf, ctx)
             if outcome is None:
                 break
-            stepped, event = outcome
+            cfg, event = outcome
             events.append(event)
-            cfg = normalize(cfg, ctx, stepped)
-            used += 1
         end = "violation" if ctx.reported else _finish_path(cfg, ctx)
     verdict = "pass" if end == "complete" else end
     results = cfg.threads[0].result if len(cfg.threads) == 1 else None
@@ -1143,12 +1148,7 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
 
 
 def run_random(scenario: Scenario, seed: int, budget: int, loop_bound: int) -> Trace:
-    rng = random.Random(seed)
-
-    def pick(ready):
-        return rng.choice(ready)
-
-    return _run_schedule(scenario, pick, budget, loop_bound)
+    return _run_schedule(scenario, random.Random(seed).choice, budget, loop_bound)
 
 
 def run_replay(scenario: Scenario, schedule, loop_bound: int) -> Trace:

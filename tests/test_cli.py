@@ -202,7 +202,13 @@ def test_violation_exits_1(monkeypatch, tmp_path):
     report = json.loads(out.read_text())
     assert report["verdict"] == "violation"
     assert report["violations"][0]["check"] == "guarantee"
-    assert "schedule" in report["violations"][0]
+    assert report["violations"][0]["schedule"] == [0]
+    # the escaping step is on its schedule, so a replay reports it again
+    again = tmp_path / "again.json"
+    assert cli.main(["--replay", str(out), "--output", str(again), "--no-meta"]) == 1
+    replay = json.loads(again.read_text())
+    assert replay["violations"][0]["check"] == "guarantee"
+    assert replay["violations"][0]["schedule"] == [0]
 
 
 def test_budget_starved_run_exits_3(tmp_path):

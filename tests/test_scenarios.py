@@ -5,6 +5,7 @@ import random
 import pytest
 
 from histrio.erasure import compare_erased
+from histrio.program import ActN
 from histrio.scheduler import check_phi, explore, run_random, run_replay
 from histrio.scenarios import (
     flat_combiner_scenario,
@@ -16,6 +17,7 @@ from histrio.scenarios import (
     treiber_scenario,
 )
 from histrio.structures import treiber as tb
+import test_scheduler as ts
 
 
 def test_pair_snapshot_single_writer():
@@ -230,6 +232,26 @@ def test_every_explored_violation_replays_to_its_check_at_its_step():
             (r.check, r.step, r.schedule) for r in replay.violations], v.schedule
 
 
+def test_a_random_run_ends_at_its_first_violating_move():
+    """A random run stops at the move that reported, as an explored path
+    does: its events are the moves that passed, and its first violation's
+    schedule is theirs with the violating move after them."""
+    violating = 0
+    for seed in range(200):
+        sc = _naive_read_pair_scenario(writers=3)
+        t = run_random(sc, seed, 40, 3)
+        if t.verdict != "violation":
+            continue
+        violating += 1
+        first = t.violations[0]
+        assert t.schedule == first.schedule[:-1] and len(t.events) == first.step - 1, seed
+        replay = run_replay(_naive_read_pair_scenario(writers=3), first.schedule, 3)
+        assert (first.check, first.step, first.schedule) == (
+            replay.violations[0].check, replay.violations[0].step,
+            replay.violations[0].schedule), seed
+    assert violating == 67
+
+
 def test_violation_cap_does_not_change_path_counts():
     """The cap bounds the recorded violations only: a path that fails a
     spec post during normalization stays violating after the cap is hit."""
@@ -290,19 +312,31 @@ def test_an_unparsable_flat_combiner_joint_is_reported_not_raised(monkeypatch):
     assert fc.total_aux(shape, w) is None
 
 
-def test_an_unlock_that_keeps_the_lock_view_is_reported(monkeypatch):
-    """A frame fault of the flat combiner's push, its self lock view left at
-    ``OWN`` after unlocking, is caught by coherence and the transition check
-    before the push returns; the push spec needs no frame check for it."""
+def _keep_own(w, w2):
+    """``w2`` with the flat combiner's self lock view left at ``OWN``."""
     from histrio.pcm import OWN, Triple
     from histrio.state import SubjState
     from histrio.structures import flatcombiner as fc
 
-    def keep_own(w, w2):
-        s = w2.self_[fc.LB]
-        return SubjState(w2.self_.set(fc.LB, Triple(s.ids, OWN, s.aux)), w2.joint, w2.other)
+    s = w2.self_[fc.LB]
+    return SubjState(w2.self_.set(fc.LB, Triple(s.ids, OWN, s.aux)), w2.joint, w2.other)
 
-    _planted_fc_action(monkeypatch, "fc_unlock", keep_own)
+
+def _keep_resp(w, w2):
+    """``w2`` with the flat combiner's heap as in ``w``: a collection writes
+    only its slot cell, so the slot stays answered."""
+    from histrio.state import SubjState
+    from histrio.structures import flatcombiner as fc
+
+    jv = (w.joint[fc.LB][0], w2.joint[fc.LB][1])
+    return SubjState(w2.self_, w2.joint.set(fc.LB, jv), w2.other)
+
+
+def test_an_unlock_that_keeps_the_lock_view_is_reported(monkeypatch):
+    """A frame fault of the flat combiner's push, its self lock view left at
+    ``OWN`` after unlocking, is caught by coherence and the transition check
+    before the push returns; the push spec needs no frame check for it."""
+    _planted_fc_action(monkeypatch, "fc_unlock", _keep_own)
     rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=2)
     assert rep.verdict == "violation"
     assert {v.check for v in rep.violations} == {"coherence", "transition"}
@@ -311,15 +345,60 @@ def test_an_unlock_that_keeps_the_lock_view_is_reported(monkeypatch):
 def test_a_collect_that_leaves_the_slot_answered_is_reported(monkeypatch):
     """A collection that flushes the slot's history but leaves the slot at
     ``Resp`` is caught by the transition check before the push returns."""
-    from histrio.state import SubjState
-    from histrio.structures import flatcombiner as fc
-
-    def keep_resp(w, w2):
-        # a collection writes only its slot cell: keep the heap from before it
-        jv = (w.joint[fc.LB][0], w2.joint[fc.LB][1])
-        return SubjState(w2.self_, w2.joint.set(fc.LB, jv), w2.other)
-
-    _planted_fc_action(monkeypatch, "try_collect", keep_resp)
+    _planted_fc_action(monkeypatch, "try_collect", _keep_resp)
     rep = explore(flat_combiner_scenario(2), step_bound=120, loop_bound=2)
     assert rep.verdict == "violation"
     assert {v.check for v in rep.violations} == {"transition"}
+
+
+def _plant(scenario):
+    return lambda monkeypatch: scenario
+
+
+def _fc_plant(name, plant):
+    def build(monkeypatch):
+        _planted_fc_action(monkeypatch, name, plant)
+        return lambda: flat_combiner_scenario(2)
+
+    return build
+
+
+# a planted fault of every step check: (the scenario's builder, given the
+# test's monkeypatch, step bound, loop bound, the checks it fails)
+PLANTED = {
+    "guarantee": (_plant(ts._escape_scenario), 5, 3, {"guarantee", "transition"}),
+    "guarantee-after-a-step": (_plant(lambda: ts._escape_scenario(after_a_step=True)),
+                               5, 3, {"guarantee", "transition"}),
+    "safety": (_plant(ts._refusing_scenario), 5, 3, {"safety"}),
+    "invariant": (_plant(ts._racing_counters), 40, 3, {"invariant"}),
+    "invariant-written": (_plant(ts._written_scenario), 5, 3, {"invariant"}),
+    "inject": (_plant(lambda: ts._pv_sp_scenario("escape", (None, ActN(ts._homed_in_sp, "w")))),
+               5, 3, {"inject"}),
+    "coherence-unparsable": (
+        _fc_plant("fc_unlock", lambda w, w2: _lock_written_as_zero(w2)), 120, 1,
+        {"coherence", "invariant", "transition"}),
+    "coherence-keep-own": (_fc_plant("fc_unlock", _keep_own), 120, 2,
+                           {"coherence", "transition"}),
+    "transition-keep-resp": (_fc_plant("try_collect", _keep_resp), 120, 2, {"transition"}),
+    "transition-sneaky": (_plant(ts._sneaky_scenario), 5, 3, {"transition", "coherence"}),
+    "history-growth": (_plant(ts._shrink_scenario), 5, 3, {"history-growth", "transition"}),
+}
+
+
+@pytest.mark.parametrize("plant", list(PLANTED))
+def test_every_step_check_violation_replays_to_its_check_at_its_step(monkeypatch, plant):
+    """Each violation a planted fault's exploration records, and the first
+    of each violating random run, replays to the same check at the same
+    step: the step that failed its check is the last of its schedule."""
+    build, step_bound, loop_bound, checks = PLANTED[plant]
+    build = build(monkeypatch)
+    rep = explore(build(), step_bound, loop_bound)
+    assert {v.check for v in rep.violations} == checks
+    firsts = [t.violations[0] for t in (run_random(build(), seed, step_bound, loop_bound)
+                                        for seed in range(5)) if t.violations]
+    assert firsts
+    for v in rep.violations + firsts:
+        assert v.step == len(v.schedule) > 0 and v.schedule[-1] == v.thread
+        replay = run_replay(build(), v.schedule, loop_bound)
+        assert (v.check, v.step, v.schedule) in [
+            (r.check, r.step, r.schedule) for r in replay.violations], v.schedule

@@ -127,26 +127,62 @@ def test_run_local_runs_a_program_on_the_callers_heap():
         run_local(LoopN(RETRY), 3, execute)
 
 
+def _evil_build(env):
+    """A step that grows its environment's private heap."""
+    def step(w, ctx):
+        grown = Heap(w.other[pv.LB].set(Loc(50), 1))
+        return SubjState(w.self_, w.joint, w.other.set(pv.LB, grown)), (), ctx
+
+    return AtomicAction("evil", pv.HOME, lambda w: True, step, "id", Skip())
+
+
+def _escape_scenario(after_a_step=False):
+    """The ``evil`` step, alone or after a harmless write of a private cell."""
+    if not after_a_step:
+        return Scenario("evil", pv.concurroid(), pv.initial_state(),
+                        do((None, ActN(_evil_build, "evil")), ret=const(())))
+    return Scenario("evil", pv.concurroid(), pv.initial_state(Heap({Loc(7): 0})),
+                    do((None, ActN(lambda env: pv.write(Loc(7), 1), "w")),
+                       (None, ActN(_evil_build, "evil")), ret=const(())))
+
+
 def test_guarantee_violation_is_caught_with_a_counterexample():
-    def evil_build(env):
-        def step(w, ctx):
-            grown = Heap(w.other[pv.LB].set(Loc(50), 1))
-            return SubjState(w.self_, w.joint, w.other.set(pv.LB, grown)), (), ctx
-
-        return AtomicAction("evil", pv.HOME, lambda w: True, step, "id", Skip())
-
-    sc = Scenario("evil", pv.concurroid(), pv.initial_state(),
-                  do((None, ActN(evil_build, "evil")), ret=const(())))
-    rep = explore(sc, step_bound=5, loop_bound=3)
+    rep = explore(_escape_scenario(), step_bound=5, loop_bound=3)
     assert rep.verdict == "violation"
     v = rep.violations[0]
     assert v.check == "guarantee"
     assert isinstance(v.schedule, tuple)
 
 
-def test_transition_mismatch_is_caught():
-    """A write that skips the version bump breaks the snapshot transition."""
+def _refusing_scenario():
+    """Thread 0 writes its cell 100, with a safety predicate that refuses
+    once thread 1 has written its cell 200."""
+    def guarded(env):
+        write = pv.write(Loc(100), 1)
+        return dataclasses.replace(
+            write, safe=lambda w: write.safe(w) and w.other[pv.LB][Loc(200)] == 0)
 
+    root = pv.initial_state(Heap({Loc(100): 0, Loc(200): 0}))
+    prog = par_chain([ActN(guarded, "guarded"),
+                      ActN(lambda env: pv.write(Loc(200), 1), "w")],
+                     [split_take({pv.LB: Heap({Loc(100): 0})})])
+    return Scenario("refusing", pv.concurroid(), root, prog)
+
+
+def test_a_refused_step_is_reported_with_its_schedule():
+    rep = explore(_refusing_scenario(), step_bound=5, loop_bound=3)
+    assert [(v.check, v.thread, v.step, v.schedule) for v in rep.violations] == [
+        ("safety", 0, 2, (1, 0))]
+    [v] = rep.violations
+    assert v.trace == ((1, "write(l200)", "()"), (0, "write(l100)", "None"))
+    replay = run_replay(_refusing_scenario(), v.schedule, 3)
+    assert [(r.check, r.step, r.schedule) for r in replay.violations] == [
+        ("safety", 2, (1, 0))]
+    assert (rep.violating, rep.complete) == (1, 1)
+
+
+def _sneaky_scenario():
+    """A write that skips the version bump breaks the snapshot transition."""
     def sneaky_build(env):
         def step(w, ctx):
             jh = w.joint[sp.LB]
@@ -161,9 +197,12 @@ def test_transition_mismatch_is_caught():
         return AtomicAction("sneakyWrite", sp.HOME, lambda w: True, step, "wr_x",
                             Write(sp.X, "Z"))
 
-    sc = Scenario("sneaky", sp.concurroid(), sp.initial_state(),
-                  do((None, ActN(sneaky_build, "sneaky")), ret=const(())))
-    rep = explore(sc, step_bound=5, loop_bound=3)
+    return Scenario("sneaky", sp.concurroid(), sp.initial_state(),
+                    do((None, ActN(sneaky_build, "sneaky")), ret=const(())))
+
+
+def test_transition_mismatch_is_caught():
+    rep = explore(_sneaky_scenario(), step_bound=5, loop_bound=3)
     assert rep.verdict == "violation"
     checks = {v.check for v in rep.violations}
     assert "transition" in checks or "coherence" in checks
@@ -307,7 +346,8 @@ def test_seq_recovery_runs_alone():
     assert rep.complete == 1
 
 
-def test_history_growth_check_catches_shrinking_histories():
+def _shrink_scenario():
+    """A step that resets its self history to the initial one."""
     def shrink_build(env):
         def step(w, ctx):
             return (
@@ -318,9 +358,12 @@ def test_history_growth_check_catches_shrinking_histories():
 
         return AtomicAction("shrink", sp.HOME, lambda w: True, step, "id", Skip())
 
-    sc = Scenario("shrink", sp.concurroid(), sp.initial_state(),
-                  do((None, ActN(shrink_build, "shrink")), ret=const(())))
-    rep = explore(sc, step_bound=5, loop_bound=3)
+    return Scenario("shrink", sp.concurroid(), sp.initial_state(),
+                    do((None, ActN(shrink_build, "shrink")), ret=const(())))
+
+
+def test_history_growth_check_catches_shrinking_histories():
+    rep = explore(_shrink_scenario(), step_bound=5, loop_bound=3)
     assert rep.verdict == "violation"
     assert any(v.check == "history-growth" for v in rep.violations)
 
@@ -359,6 +402,15 @@ def reference_explore(scenario, step_bound, loop_bound):
     counts = {"complete": 0, "inconclusive": 0, "violating": 0}
     finals = set()
 
+    def scanned(cfg, ctx, stepped=None):
+        # the stop leaf spliced into its slot, and every thread scanned
+        if stepped is not None:
+            stop, joint, next_loc = stepped
+            threads = tuple(stop if l.tid == stop.tid else l for l in cfg.threads)
+            cfg = Config(threads, cfg.forks, joint, cfg.root_other, cfg.conc,
+                         next_loc, cfg.next_tid)
+        return normalize(cfg, ctx)
+
     def walk(cfg, used):
         ready = ready_leaves(cfg)
         if not ready:
@@ -376,7 +428,6 @@ def reference_explore(scenario, step_bound, loop_bound):
             counts["inconclusive"] += 1
             return
         for leaf in ready:
-            before = ctx.reported
             for memo in vars(ctx).values():
                 if isinstance(memo, (dict, set)):
                     memo.clear()
@@ -384,18 +435,14 @@ def reference_explore(scenario, step_bound, loop_bound):
             if outcome is None:
                 counts["violating"] += 1
                 continue
-            (stop, joint, next_loc), event = outcome
+            nxt, event = outcome
             assert event is not None  # with no memo, every step runs its action
-            threads = tuple(stop if l.tid == leaf.tid else l for l in cfg.threads)
-            nxt = normalize(Config(threads, cfg.forks, joint, cfg.root_other, cfg.conc,
-                                   next_loc, cfg.next_tid), ctx)
-            if ctx.reported > before:
-                counts["violating"] += 1
-            else:
-                walk(nxt, used + 1)
+            walk(nxt, used + 1)
             ctx.path.pop()
 
-    walk(normalize(initial_config(scenario), ctx), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "normalize", scanned)
+        walk(normalize(initial_config(scenario), ctx), 0)
     return counts, finals
 
 
@@ -601,9 +648,9 @@ def test_random_runs_and_replays_check_every_step():
     assert len(calls) == rep.transitions_checked < rep.steps_run
 
 
-def test_a_failing_transition_is_reported_on_every_path_that_takes_it():
-    # thread 0's write makes the same transition before and after thread
-    # 1's read, which changes no state, from two distinct configurations
+def _written_scenario():
+    """Thread 0 writes cell 100, which a step invariant forbids, and thread
+    1 reads cell 200."""
     root = pv.initial_state(Heap({Loc(100): 0, Loc(200): 0}))
     prog = par_chain([ActN(lambda env: pv.write(Loc(100), 1), "w"),
                       ActN(lambda env: pv.read(Loc(200)), "r")],
@@ -612,10 +659,15 @@ def test_a_failing_transition_is_reported_on_every_path_that_takes_it():
     def unwritten(w, w2):
         return "first cell written" if flatten(w2)[Loc(100)] == 1 else None
 
-    sc = Scenario("written", pv.concurroid(), root, prog, step_invariants=[unwritten])
-    rep = explore(sc, step_bound=5, loop_bound=3)
+    return Scenario("written", pv.concurroid(), root, prog, step_invariants=[unwritten])
+
+
+def test_a_failing_transition_is_reported_on_every_path_that_takes_it():
+    # thread 0's write makes the same transition before and after thread
+    # 1's read, which changes no state, from two distinct configurations
+    rep = explore(_written_scenario(), step_bound=5, loop_bound=3)
     assert [(v.check, v.thread, v.schedule) for v in rep.violations] == [
-        ("invariant", 0, ()), ("invariant", 0, (1,))]
+        ("invariant", 0, (0,)), ("invariant", 0, (1, 0))]
     assert (rep.violating, rep.complete) == (2, 0)
     assert (rep.steps_run, rep.transitions_checked) == (3, 3)
 
@@ -941,14 +993,15 @@ def _nested_forks(late: bool) -> Scenario:
 NESTED_FORKS = {
     False: (
         (72, 195, 2100, 0, 71),
-        [(1, 1, 2, 2, 3), (1, 1, 2, 3), (1, 1, 3), (1, 2, 2, 3), (1, 2, 3), (1, 3),
-         (2, 2, 3), (2, 3), (3,)],
+        [(1, 1, 2, 2, 3, 3), (1, 1, 2, 3, 3), (1, 1, 3, 3), (1, 2, 2, 3, 3), (1, 2, 3, 3),
+         (1, 3, 3), (2, 2, 3, 3), (2, 3, 3), (3, 3)],
         (0, 0, 1, 2, 1, 3), [(0, DONE), (2, RUN), (1, DONE), (3, RUN)],
     ),
     True: (
         (78, 211, 3420, 0, 155),
-        [(0, 1, 1, 2), (0, 1, 1, 2, 3), (0, 1, 1, 2, 3, 3), (0, 1, 2), (0, 1, 2, 3),
-         (0, 1, 2, 3, 3), (0, 2), (0, 2, 3), (0, 2, 3, 3), (1, 1, 2), (1, 2), (2,)],
+        [(0, 1, 1, 2, 2), (0, 1, 1, 2, 3, 2), (0, 1, 1, 2, 3, 3, 2), (0, 1, 2, 2),
+         (0, 1, 2, 3, 2), (0, 1, 2, 3, 3, 2), (0, 2, 2), (0, 2, 3, 2), (0, 2, 3, 3, 2),
+         (1, 1, 2, 2), (1, 2, 2), (2, 2)],
         (0, 0, 0, 2, 1, 3), [(0, DONE), (3, RUN), (1, RUN), (2, RUN)],
     ),
 }
