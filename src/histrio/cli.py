@@ -250,12 +250,13 @@ def _do_replay(args) -> int:
         return _usage_error("replay file does not name a runnable scenario")
     schedule = None
     for v in old.get("violations", []):
-        if isinstance(v, dict) and v.get("schedule"):
+        # an empty schedule is a violation before the first move
+        if isinstance(v, dict) and "schedule" in v:
             schedule = v["schedule"]
             break
     if schedule is None:
         schedule = old.get("schedule")
-    if not schedule:
+    if schedule is None:
         return _usage_error("replay file carries no schedule")
     if not (isinstance(schedule, list) and all(type(t) is int for t in schedule)):
         return _usage_error("replay schedule is not a list of thread ids")

@@ -27,7 +27,7 @@ from .state import (
     EMPTY_STATE,
     StateError,
     SubjState,
-    coherent_at,
+    coherent_parts,
     flatten,
     has_labels,
     realign_acquire,
@@ -86,13 +86,11 @@ class Concurroid:
         self.labels = frozenset(self.homes)
 
     def coherent(self, w: SubjState) -> bool:
-        if not has_labels(w, self.labels):
-            return False
-        for label, body in self.homes.items():
-            if not coherent_at(w, label, body):
-                return False
-        # a validated state's heaps are already known to be disjoint
-        return w._valid or flatten(w) is not None
+        """``w`` carries exactly this concurroid's labels, each label's
+        part is coherent by its body, and ``w`` is valid: on a state not
+        yet validated, ``validate(w)`` is decided with the coherence in one
+        pass over the labels (``state.coherent_parts``)."""
+        return has_labels(w, self.labels) and coherent_parts(w, self.homes)
 
     def find(self, name: str) -> Optional[Transition]:
         t = self.internals.get(name)

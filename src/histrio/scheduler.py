@@ -24,11 +24,16 @@ budget too.  Inconclusive paths are counted by cause: cut
 by the step bound, or ended with a thread out of loop iterations.
 Random mode draws one schedule from a seeded generator.
 
-Every step checks post-state coherence, claimed-transition membership,
-the guarantee (the stepping thread never touches its environment's
-state), injection scoping (the step changes no self or joint component
-outside its action's home labels), and monotone growth of history-valued
-self components; method specs are evaluated at their return points.
+Every step is checked, and its reports are made, in this order: the
+guarantee (the stepping thread never touches its environment's state),
+the post-state's validity and coherence, decided together in one pass
+over its labels (``Concurroid.coherent``), claimed-transition
+membership, injection scoping (the step changes no self or joint
+component outside its action's home labels), monotone growth of
+history-valued self components, and the scenario's step invariants.  The
+guarantee, injection and growth checks pass over a component the step
+handed back as the same object, which equals and extends itself.
+Method specs are evaluated at their return points.
 
 The checks decide a property of the transition, not of the step: they
 read the concurroid, the claimed transition, the action's home labels and
@@ -90,13 +95,15 @@ transition membership and the step invariants all parse the same joint
 and decide the same coherence.  So each run of ``explore`` or
 ``_run_schedule`` also installs a fact table (``state.fact_table``),
 beside the context's memos, that lives only for the run.  It holds the
-coherence of each label a concurroid governs, keyed on the label's
-coherence body and its self, joint and other components, the
-flat-combiner and Treiber joint parses, keyed on the joint, and the flat
-combiner's cumulative contribution, keyed on its self, joint and other
-parts.  No fact outlives its run, so a later run, or a test that swaps a
-structure's function, decides every fact afresh; outside a run nothing is
-remembered.
+coherence of each label a concurroid governs, with the part's cells,
+keyed on the label's coherence body and its self, joint and other
+components, the flat-combiner and Treiber joint parses, keyed on the
+joint, and the flat combiner's cumulative contribution, keyed on its
+self, joint and other parts.  A step hands the components it did not
+touch back as the same objects, so the post-state's untouched parts are
+judged from their facts, cells included.  No fact outlives its run, so a
+later run, or a test that swaps a structure's function, decides every
+fact afresh; outside a run nothing is remembered.
 
 Configurations, leaves, fork records and continuation frames are values,
 so the memos may hold them as keys: nothing changes one once it is built,
@@ -151,7 +158,6 @@ from .state import (
     flatten,
     subjective_join,
     subjective_split,
-    validate,
 )
 
 
@@ -851,11 +857,11 @@ def _check_step(conc: Concurroid, tid: int, action: AtomicAction,
     the two states and the scenario's step invariants; the action's name and
     ``tid`` appear in reports only."""
     ok = True
-    if w2.other != w.other:
+    if w2.other is not w.other and w2.other != w.other:
         ctx.report("guarantee", "environment component untouched",
                    f"{action.name} changed other", tid)
         ok = False
-    if not validate(w2) or not conc.coherent(w2):
+    if not conc.coherent(w2):
         ctx.report("coherence", f"post-state in {conc.name}",
                    f"{action.name} -> {w2.render()}", tid)
         ok = False
@@ -864,12 +870,15 @@ def _check_step(conc: Concurroid, tid: int, action: AtomicAction,
         ctx.report("transition", action.claimed, msg, tid)
         ok = False
     for lbl in sorted(w.labels() - action.home):
-        if w2.self_.get(lbl) != w.self_.get(lbl) or w2.joint.get(lbl) != w.joint.get(lbl):
+        s, s2, j, j2 = w.self_.get(lbl), w2.self_.get(lbl), w.joint.get(lbl), w2.joint.get(lbl)
+        if (s2 is not s and s2 != s) or (j2 is not j and j2 != j):
             ctx.report("inject", f"labels {sorted(action.home)} only",
                        f"{action.name} touched {lbl}", tid)
             ok = False
     for lbl in w.labels():
         old, new = w.self_[lbl], w2.self_[lbl]
+        if old is new:
+            continue
         old_h = old.aux if isinstance(old, Triple) else old
         new_h = new.aux if isinstance(new, Triple) else new
         if isinstance(old_h, Hist) and isinstance(new_h, Hist):
@@ -1082,7 +1091,9 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
         return remember(cfg, left, s, 0)
 
     with fact_table():
-        root = visit(normalize(initial_config(scenario), ctx), 0)
+        cfg = normalize(initial_config(scenario), ctx)
+        # a violation before the first move ends the one empty path
+        root = (_FINISHED["violation"], 0) if ctx.reported else visit(cfg, 0)
         stack = [root] if isinstance(root, _Frame) else []
         total = root
         while stack:
@@ -1128,7 +1139,8 @@ def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Tra
     events: list[Event] = []
     with fact_table():
         cfg = normalize(initial_config(scenario), ctx)
-        while len(events) < budget:
+        # a violation before the first move ends the run there
+        while not ctx.reported and len(events) < budget:
             ready = ready_leaves(cfg)
             if not ready:
                 break

@@ -13,9 +13,10 @@ environment part.  Framing moves a PCM-map between the two sides
 (``◁`` into self, ``▷`` into other).
 
 A ``SubjState`` is a value: nothing changes one once it is built, except
-that ``validate`` and ``flatten`` fill its ``_valid`` and ``_flat`` caches
-once.  It is a slotted, unfrozen dataclass, since a frozen one pays an
-``object.__setattr__`` per field; ``tests/test_records.py`` keeps the rule.
+that ``validate``, ``flatten`` and ``coherent_parts`` fill its ``_valid``
+and ``_flat`` caches once.  It is a slotted, unfrozen dataclass, since a
+frozen one pays an ``object.__setattr__`` per field;
+``tests/test_records.py`` keeps the rule.
 
 A structure's coherence and the parse of its joint are pure facts of a
 few component values, and one run decides the same ones over and over.
@@ -23,13 +24,18 @@ So each run of the explorer installs a fact table (``fact_table``) that
 lives only as long as the run: ``recall`` and ``coherent_at`` decide a
 fact once per run and key it on the function that decides it and exactly
 the values it reads, for a coherence its body and the label's self, joint
-and other components, which are the body's arguments.  Outside a run
-there is no table, and they compute every time.  The table keys on
-equality, and map classes compare exactly, but cells compare with ``==``:
-``Heap({LK: 1}) == Heap({LK: True})``, yet a lock's coherence accepts only
-the second.  So the table, like the explorer's memos, relies on no action
-storing such a twin; no shipped action does, since every lock write is
-``True`` or ``False``.
+and other components, which are the body's arguments.  A coherence fact
+is the body's verdict with the part's cells, the disjoint union of its
+heaps, so that ``coherent_parts`` judges a whole state's validity and
+coherence in one pass over its labels and builds its flattening from
+its parts' cells.  Outside a run there is no table, and they compute
+every time.  The table keys on equality, and map classes compare
+exactly, but cells compare with ``==``: ``Heap({LK: 1}) == Heap({LK:
+True})``, yet a lock's coherence accepts only the second, and a
+flattening built from the fact of one would hold the other's cell.  So
+the table, like the explorer's memos, relies on no action storing such a
+twin; no shipped action does, since every lock write is ``True`` or
+``False``.
 """
 
 from __future__ import annotations
@@ -63,10 +69,10 @@ class SubjState:
     joint: FrozenMap  # label -> arbitrary (heap, or (heap, aux-array))
     other: FrozenMap  # label -> PCM element
 
-    # What ``validate`` and ``flatten`` found for this very object (a state
-    # is never changed, so neither can change).  Kept on the object, not in
-    # a table keyed on equal states, so it costs no lookup and lives no
-    # longer than the state.
+    # What ``validate``, ``flatten`` or ``coherent_parts`` found for this
+    # very object (a state is never changed, so neither can change).  Kept
+    # on the object, not in a table keyed on equal states, so it costs no
+    # lookup and lives no longer than the state.
     _valid: bool = field(default=False, init=False, repr=False, compare=False)
     _flat: Any = field(default=_UNSET, init=False, repr=False, compare=False)
 
@@ -129,21 +135,21 @@ def _heaps(values, out: list) -> list:
 
 def _union(values: list) -> Optional[Heap]:
     """Disjoint union of every heap in ``values`` (``_heaps``); ``None`` on
-    overlap."""
+    overlap.  Where one heap holds every cell, the union is that heap, so
+    the facts and flattenings that keep it keep no copy."""
+    heaps = _heaps(values, [])
     cells: dict = {}
     size = 0
-    for h in _heaps(values, []):
+    for h in heaps:
         # a heap is a dict, so merging it reuses its keys' stored hashes
         cells.update(h)
         size += len(h)
-    return Heap(cells) if len(cells) == size else None
-
-
-def _disjoint(values: list) -> bool:
-    """No two heaps in ``values`` (``_heaps``) share a cell; no heap is
-    built."""
-    heaps = _heaps(values, [])
-    return len(heaps) < 2 or len(set().union(*heaps)) == sum(map(len, heaps))
+    if len(cells) != size:
+        return None
+    for h in heaps:
+        if len(h) == size:
+            return h
+    return Heap(cells)
 
 
 def _defined(s, o) -> bool:
@@ -206,23 +212,73 @@ def coherent_at(w: SubjState, label, body):
     """``body(s, j, o)`` of ``label``'s self, joint and other components,
     or ``None`` when ``w`` lacks one of them or they are not a valid part:
     ``s ∘ o`` undefined or heaps overlapping, by ``validate``'s rule.  The
-    run's fact table keeps it under ``body`` and the three components, so
-    the key holds exactly the body's arguments.  A part of a validated
-    state is a valid part, so there the body is called without the check."""
+    run's fact table keeps it, with the part's cells, under ``body`` and
+    the three components, so the key holds exactly the body's arguments.
+    A part of a validated state is a valid part, so there the body is
+    called without the check, and its fact carries no cells."""
     s = w.self_.get(label, _UNSET)
     j = w.joint.get(label, _UNSET)
     o = w.other.get(label, _UNSET)
     if s is _UNSET or j is _UNSET or o is _UNSET:
         return None
     if w._valid:
-        return recall((body, s, j, o), body, s, j, o)
-    return recall((body, s, j, o), _decide, body, s, j, o)
+        return recall((body, s, j, o), _judge, body, s, j, o)[0]
+    return recall((body, s, j, o), _decide, body, s, j, o)[0]
+
+
+def _judge(body, s, j, o):
+    """The fact of a part known to be valid: the verdict, no cells."""
+    return body(s, j, o), None
 
 
 def _decide(body, s, j, o):
-    if _defined(s, o) and _disjoint([s, j, o]):
-        return body(s, j, o)
-    return None
+    """The fact of a part: the verdict with the part's cells, or ``(None,
+    None)`` when the part is not valid."""
+    if _defined(s, o):
+        cells = _union([s, j, o])
+        if cells is not None:
+            return body(s, j, o), cells
+    return None, None
+
+
+def coherent_parts(w: SubjState, homes: dict) -> bool:
+    """Each label's part of ``w`` is coherent by its body in ``homes``
+    (``coherent_at``), and ``w`` is valid; ``w`` carries exactly the labels
+    of ``homes`` (``has_labels``).
+
+    On an unvalidated state this decides ``validate(w)`` in the same pass:
+    given equal label domains, ``w`` is valid iff each part is valid and
+    the parts' cells, taken from their facts (computed here for a fact
+    judged on a validated state), are disjoint, their sizes summing to the
+    size of their union.  On success ``w`` is marked valid and its
+    flattening is that union."""
+    if w._valid:
+        for label, body in homes.items():
+            if not coherent_at(w, label, body):
+                return False
+        return True
+    flat: dict = {}
+    size = 0
+    for label, body in homes.items():
+        s, j, o = w.self_[label], w.joint[label], w.other[label]
+        key = (body, s, j, o)
+        verdict, cells = recall(key, _decide, body, s, j, o)
+        if not verdict:
+            return False
+        if cells is None:
+            cells = _union([s, j, o])
+            table = _FACTS.get()
+            if table is not None:
+                table[key] = (verdict, cells)
+        # a heap is a dict, so merging it reuses its keys' stored hashes
+        flat.update(cells)
+        size += len(cells)
+    if len(flat) != size:
+        return False
+    w._valid = True
+    if w._flat is _UNSET:  # a state flattened before holds an equal union
+        w._flat = Heap(flat)
+    return True
 
 
 def has_labels(w: SubjState, labels) -> bool:

@@ -211,6 +211,34 @@ def test_violation_exits_1(monkeypatch, tmp_path):
     assert replay["violations"][0]["schedule"] == [0]
 
 
+def test_a_violation_before_the_first_move_replays(monkeypatch, tmp_path):
+    """A spec that fails before any action leaves an empty schedule, which a
+    replay takes and reports again."""
+    import histrio.cli as cli
+    from histrio.fmap import FrozenMap
+    from histrio.pcm import Heap, Loc
+    from histrio.program import ActN, SpecedN, const, do
+    from histrio.scheduler import Scenario
+    from histrio.specs import MethodSpec
+    from histrio.structures import private_heap as pv
+
+    def fake_build(name, args):
+        never = MethodSpec("never", lambda w, env: FrozenMap(), lambda caps, w, r: "never holds")
+        prog = do((None, SpecedN(never, const(1))),
+                  ret=ActN(lambda env: pv.write(Loc(100), 1), "w"))
+        return Scenario("treiber", pv.concurroid(), pv.initial_state(Heap({Loc(100): 0})), prog)
+
+    monkeypatch.setattr(cli, "_build_scenario", fake_build)
+    out = tmp_path / "bad.json"
+    assert cli.main(["--scenario", "treiber", "--output", str(out), "--no-meta"]) == 1
+    report = json.loads(out.read_text())
+    assert [(v["check"], v["schedule"]) for v in report["violations"]] == [("spec:never", [])]
+    again = tmp_path / "again.json"
+    assert cli.main(["--replay", str(out), "--output", str(again), "--no-meta"]) == 1
+    replay = json.loads(again.read_text())
+    assert [(v["check"], v["schedule"]) for v in replay["violations"]] == [("spec:never", [])]
+
+
 def test_budget_starved_run_exits_3(tmp_path):
     code = main(["--scenario", "treiber", "--mode", "random", "--seed", "4",
                  "--step-bound", "2", "--output", str(tmp_path / "r.json"),

@@ -336,8 +336,9 @@ def _fresh(w: SubjState) -> SubjState:
 @pytest.mark.parametrize("facts", [nullcontext, fact_table], ids=["no-table", "table"])
 def test_a_validated_state_is_judged_as_its_parts_are(facts):
     """On a validated state each label's body is called without the part
-    check, and gives what the checked path (``state._decide``) gives; the
-    concurroid's verdict is the one it gives on an unvalidated copy."""
+    check, and gives the verdict the checked path (``state._decide``)
+    gives; the concurroid's verdict is the one it gives on an unvalidated
+    copy, which under a table reads the facts judged here, with no cells."""
     seen = set()
     for ent, states in _entangled_samples(28):
         with facts():
@@ -346,7 +347,7 @@ def test_a_validated_state_is_judged_as_its_parts_are(facts):
                 assert w._valid == valid
                 for label, body in ent.homes.items():
                     parts = [m.get(label) for m in (w.self_, w.joint, w.other)]
-                    expected = None if None in parts else state._decide(body, *parts)
+                    expected = None if None in parts else state._decide(body, *parts)[0]
                     assert coherent_at(w, label, body) == expected, (ent.name, label, w.render())
                 verdict = ent.coherent(w)
                 assert verdict == ent.coherent(_fresh(w)), (ent.name, w.render())
@@ -356,20 +357,16 @@ def test_a_validated_state_is_judged_as_its_parts_are(facts):
 
 def test_coherence_of_a_validated_state_unions_its_heaps_once(monkeypatch):
     """``validate`` unions the state's heaps; coherence neither checks the
-    parts again nor flattens the state again."""
+    parts again nor flattens the state again.  An unvalidated state's parts
+    are unioned once each, and its flattening is built from them."""
     calls = []
-    union, disjoint = state._union, state._disjoint
+    union = state._union
 
     def counted(values):
         calls.append("union")
         return union(values)
 
-    def counted_disjoint(values):
-        calls.append("disjoint")
-        return disjoint(values)
-
     monkeypatch.setattr(state, "_union", counted)
-    monkeypatch.setattr(state, "_disjoint", counted_disjoint)
     for ent, states in _entangled_samples(29):
         valid = [w for w in states if validate(_fresh(w))]
         assert valid, ent.name
@@ -379,11 +376,79 @@ def test_coherence_of_a_validated_state_unions_its_heaps_once(monkeypatch):
             assert validate(w)
             ent.coherent(w)
             assert calls == ["union"], (ent.name, w.render())
-        # an unvalidated state is checked label by label, with no union
-        # built, then flattened
+        # an unvalidated state is checked label by label, each part's cells
+        # unioned, and flattened from the parts with no union of its own
         calls.clear()
-        ent.coherent(_fresh(valid[0]))
-        assert calls == ["disjoint"] * len(ent.labels) + ["union"]
+        w = _fresh(valid[0])
+        assert ent.coherent(w) and w._valid
+        assert flatten(w) is not None
+        assert calls == ["union"] * len(ent.labels)
+
+
+def _reference_judgment(conc, w) -> bool:
+    """``validate(w) and conc.coherent(w)`` as decided before the one-pass
+    judgment, on an equal copy: ``validate`` (equal label domains, each
+    label's ``self ∘ other`` defined, heaps disjoint), the concurroid's
+    labels, and each label's body on its part, valid once the state is."""
+    v = _fresh(w)
+    return (validate(v) and set(v.labels()) == conc.labels
+            and all(body(v.self_[lbl], v.joint[lbl], v.other[lbl])
+                    for lbl, body in conc.homes.items()))
+
+
+def _judged_samples(seed: int) -> list:
+    """``(concurroid, states)`` of the five base concurroids, pv⋊tb, pv⋊lk,
+    pv⋊fc(3) and (pv⋊sp)⋊tb: sampled states, realigned with a sampled
+    frame, with ``self`` put in place of ``other`` (``s ∘ o`` undefined
+    unless ``s`` is a unit), and without their labels; the entangled ones
+    also perturbed by ``_perturbed``."""
+    rng = random.Random(seed)
+    composites = [entangle(pv.concurroid(), v) for v in
+                  (tb.concurroid(), lk.concurroid(), fc.concurroid(fc.stack_shape(3)))]
+    composites.append(entangle(entangle(pv.concurroid(), sp.concurroid()), tb.concurroid()))
+    out = []
+    for conc in ALL + composites:
+        states = []
+        for _ in range(15):
+            w = conc.sample_state(rng)
+            states += _perturbed(conc, w, rng) if pv.LB in conc.labels else [w]
+            f = conc.sample_frame(rng)
+            for realign in (realign_acquire, realign_release):
+                try:
+                    states.append(realign(w, f))
+                except StateError:
+                    pass
+            states += [SubjState(w.self_, w.joint, w.self_), w.restrict(set())]
+        out.append((conc, states))
+    return out
+
+
+@pytest.mark.parametrize("facts", [nullcontext, fact_table], ids=["no-table", "table"])
+def test_coherence_of_an_unvalidated_state_is_its_validity_and_coherence(facts):
+    """On a state not yet validated, ``Concurroid.coherent`` gives
+    ``validate(w) and coherent(w)``, marks the state valid when it holds
+    and leaves it the flattening of all its components.  Under a table,
+    every other state's facts are first judged on a validated copy, so that
+    they carry no cells, and each state is judged twice, the second time
+    from its facts."""
+    for conc, states in _judged_samples(34):
+        verdicts = set()
+        with facts():
+            for i, w in enumerate(states):
+                expected = _reference_judgment(conc, w)
+                if i % 2:
+                    v = _fresh(w)
+                    assert (validate(v) and conc.coherent(v)) == expected
+                for _ in range(2):
+                    f = _fresh(w)
+                    verdict = conc.coherent(f)
+                    assert verdict == expected, (conc.name, w.render())
+                    assert f._valid == verdict, (conc.name, w.render())
+                    if verdict:
+                        assert f._flat == state._union(
+                            [*w.self_.values(), *w.joint.values(), *w.other.values()])
+                verdicts.add(verdict)
+        assert verdicts == {True, False}, conc.name
 
 
 def _invalid_parts() -> list:

@@ -8,13 +8,14 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from histrio import scheduler, state
+from histrio import actions, concurroid, scheduler, state
 from histrio.actions import AtomicAction, Skip, Write, check_action_properties
-from histrio.concurroid import check_concurroid
+from histrio.concurroid import Concurroid, check_concurroid
 from histrio.fmap import FrozenMap
 from histrio.pcm import Heap, Hist, Loc, map_pointwise_join, map_subtract, render
 from histrio.program import ActN, HideN, LoopN, Node, ParN, RETRY, SpecedN, const, do
@@ -179,6 +180,31 @@ def test_a_refused_step_is_reported_with_its_schedule():
     assert [(r.check, r.step, r.schedule) for r in replay.violations] == [
         ("safety", 2, (1, 0))]
     assert (rep.violating, rep.complete) == (1, 1)
+
+
+def _failed_before_the_first_move() -> Scenario:
+    """A method whose post never holds returns before the first action, a
+    private write: its spec fails in the initial normalization."""
+    never = MethodSpec("never", lambda w, env: FrozenMap(), lambda caps, w, r: "never holds")
+    prog = do((None, SpecedN(never, const(1))),
+              ret=ActN(lambda env: pv.write(Loc(100), 1), "w"))
+    return Scenario("never", pv.concurroid(), pv.initial_state(Heap({Loc(100): 0})), prog)
+
+
+def test_a_violation_before_the_first_move_ends_the_empty_path():
+    rep = explore(_failed_before_the_first_move(), step_bound=5, loop_bound=3)
+    assert [(v.check, v.step, v.schedule) for v in rep.violations] == [("spec:never", 0, ())]
+    assert (rep.verdict, rep.violating, rep.complete, rep.inconclusive) == ("violation", 1, 0, 0)
+    assert (rep.nodes, rep.edges, rep.steps_run, rep.finals) == (0, 0, 0, set())
+
+
+def test_a_violation_before_the_first_move_ends_a_random_run():
+    # the run takes no step, and its empty schedule replays to the violation
+    for trace in (run_random(_failed_before_the_first_move(), 0, 10, 3),
+                  run_replay(_failed_before_the_first_move(), (), 3)):
+        assert (trace.verdict, trace.schedule, trace.events) == ("violation", (), [])
+        assert [(v.check, v.step, v.schedule) for v in trace.violations] == [
+            ("spec:never", 0, ())]
 
 
 def _sneaky_scenario():
@@ -891,6 +917,109 @@ def test_remembered_joins_find_what_computed_ones_find(monkeypatch):
     reps = [explore(*args) for args in _shipped_explorations()]
     assert [_found(rep) for rep in reps] == remembered
     assert reps[3].scenario == "flat-combiner" and reps[3].joins_computed == 1_406
+
+
+class _ForgetfulFacts(dict):
+    """A fact table that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _seeded_outcomes() -> list:
+    """The random runs at seeds 0-19 of the five scenarios of the benchmark's
+    seeded runs, each with its replay: verdicts, schedules, events (results
+    and states included), violation reports and final configurations."""
+    from test_golden_reports import render_config
+
+    out = []
+    for sc in (pair_snapshot_scenario(2), treiber_scenario(), producer_consumer_scenario(3),
+               flat_combiner_scenario(3), seq_recovery_scenario()):
+        for seed in range(20):
+            trace = run_random(sc, seed, 250, 3)
+            replay = run_replay(sc, trace.schedule, 3)
+            out.append((trace.as_dict(), render_config(trace.final), replay.as_dict()))
+    return out
+
+
+def test_facts_change_no_outcome(monkeypatch):
+    # with a fact table that keeps nothing, every coherence and parse is
+    # decided afresh and every post-state is flattened from its own cells:
+    # runs, replays and explorations find what they find with facts, so
+    # no cells taken from a fact stand in for different cells
+    runs = _seeded_outcomes()
+    explored = [_found(explore(*args)) for args in _shipped_explorations()]
+
+    @contextmanager
+    def forgetful_table():
+        token = state._FACTS.set(_ForgetfulFacts())
+        try:
+            yield
+        finally:
+            state._FACTS.reset(token)
+
+    monkeypatch.setattr(scheduler, "fact_table", forgetful_table)
+    assert _seeded_outcomes() == runs
+    assert [_found(explore(*args)) for args in _shipped_explorations()] == explored
+
+
+def test_a_checked_step_validates_nothing_and_walks_only_the_parts_the_table_missed(
+        monkeypatch):
+    # the post-state's validity is decided with its coherence in one pass
+    # over its labels: a checked step calls no validate, and its coherence
+    # walks a part's heaps only where the run's table holds no cells for the
+    # part, and keeps them there, so no part is walked twice in a run
+    counts = Counter()
+    walked = []
+    scope = []
+    check_step, coherent = scheduler._check_step, Concurroid.coherent
+    union, recall = state._union, state.recall
+
+    def scoped(name, f):
+        def wrapped(*args):
+            scope.append(name)
+            try:
+                return f(*args)
+            finally:
+                scope.pop()
+        return wrapped
+
+    def in_step_coherence() -> bool:
+        return scope[-1:] == ["coherence"] and "step" in scope
+
+    def counted_check(*args):
+        counts["checked"] += 1
+        return scoped("step", check_step)(*args)
+
+    def counted_validate(validate):
+        def wrapped(w):
+            counts["validate in step"] += "step" in scope
+            return validate(w)
+        return wrapped
+
+    def counted_union(values):
+        if in_step_coherence():
+            walked.append(tuple(values))
+        return union(values)
+
+    def counted_recall(key, compute, *args):
+        counts["parts judged"] += in_step_coherence() and compute is state._decide
+        return recall(key, compute, *args)
+
+    monkeypatch.setattr(scheduler, "_check_step", counted_check)
+    monkeypatch.setattr(Concurroid, "coherent", scoped("coherence", coherent))
+    monkeypatch.setattr(state, "_union", counted_union)
+    monkeypatch.setattr(state, "recall", counted_recall)
+    for module in (scheduler, state, concurroid, actions):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counted_validate(module.validate))
+    rep = explore(pair_snapshot_scenario(2), step_bound=40, loop_bound=3)
+    walks = len(walked)
+    trace = run_random(flat_combiner_scenario(3), 0, 250, 3)
+    assert counts["checked"] == rep.transitions_checked + len(trace.events) > 0
+    assert counts["validate in step"] == 0
+    assert 0 < walks < len(walked) < counts["parts judged"]
+    assert len(set(walked[:walks])) == walks and len(set(walked[walks:])) == len(walked) - walks
 
 
 def test_a_failed_join_hands_its_check_the_joined_threads_environment(monkeypatch):
