@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .concurroid import CheckReport, Concurroid, step_in_transition
+from .concurroid import CheckReport, Concurroid, transferred_heap
 from .fmap import FrozenMap
 from .pcm import UNDEF, Hist, IdSet, Loc, Triple, map_pointwise_join
 from .state import (
@@ -161,10 +161,10 @@ def step_matches_claim(conc: Concurroid, a: AtomicAction, w, w2) -> Optional[str
     """
     if w == w2:
         return None
-    t = conc.find(a.claimed)
+    t = conc.transitions.get(a.claimed)
     if t is None:
         return f"{a.name}: claimed transition {a.claimed!r} not in {conc.name}"
-    if not step_in_transition(t, w, w2):
+    if not t.holds(w, w2, transferred_heap(t, w, w2)):
         return f"{a.name}: step not a member of transition {a.claimed!r}"
     return None
 
@@ -277,7 +277,7 @@ def check_action_properties(
 
         # Coherence: safe states are coherent states.
         coher.samples += 1
-        if safe and not (validate(w) and conc.coherent(w)):
+        if safe and not conc.coherent(w):
             coher.add(f"{a.name}: safe but incoherent: {w.render()}")
 
         # Totality: safe states always step, producing a sane result.

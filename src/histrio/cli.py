@@ -187,7 +187,10 @@ def _main(argv: Optional[list]) -> int:
         if env_seed is None:
             return _usage_error(f"mode {args.mode!r} requires --seed "
                                 "(or HISTRIO_SEED)")
-        args.seed = int(env_seed)
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            return _usage_error(f"HISTRIO_SEED must be an integer, not {env_seed!r}")
 
     config = {
         "scenario": args.scenario,
@@ -242,14 +245,19 @@ def _do_replay(args) -> int:
     try:
         with open(args.replay) as fh:
             old = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
         return _usage_error(f"cannot read replay file: {exc}")
-    cfg = old.get("config", {})
+    cfg = old.get("config", {}) if isinstance(old, dict) else None
+    if not isinstance(cfg, dict):
+        return _usage_error("replay file and its config must be JSON objects")
     name = cfg.get("scenario")
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         return _usage_error("replay file does not name a runnable scenario")
+    violations = old.get("violations", [])
+    if not isinstance(violations, list):
+        return _usage_error("replay file's violations must be a JSON list")
     schedule = None
-    for v in old.get("violations", []):
+    for v in violations:
         # an empty schedule is a violation before the first move
         if isinstance(v, dict) and "schedule" in v:
             schedule = v["schedule"]

@@ -1,18 +1,20 @@
 """Concurroids: labeled transition systems governing concurrent structures.
 
 A concurroid is a quadruple of labels, a coherence predicate (the set of
-admissible states), internal transitions, and paired acquire/release
-external transitions used for heap ownership transfer.  Its labels and
-coherence come from one map, ``homes``, from each label to the coherence
-of the label's self, joint and other components: a state is coherent when
-it carries exactly those labels, each label's components are coherent,
-and its heaps are disjoint.  So entangling two concurroids merges their
-maps.  The metatheory obligations — guarantee, rely as the transposed
-guarantee, locality, footprint discipline, post-state coherence and
-fork-join closure — are implemented here as sampled property checks
+admissible states), internal transitions, and acquire/release external
+transitions used for heap ownership transfer.  Its labels and coherence
+come from one map, ``homes``, from each label to the coherence of the
+label's self, joint and other components: a state is coherent when it
+carries exactly those labels, each label's components are coherent, and
+its heaps are disjoint.  Its transitions sit in one table, ``transitions``,
+keyed by name; each transition's ``kind`` says whether it is internal, an
+acquire or a release.  So entangling two concurroids merges their maps and
+their tables.  The metatheory obligations — guarantee, rely as the
+transposed guarantee, locality, footprint discipline, post-state coherence
+and fork-join closure — are implemented here as sampled property checks
 (``check_concurroid``, which draws each sampled step once and checks it
-against every per-step obligation), and ``entangle`` builds the
-composite systems the scenarios run under.
+against every per-step obligation), and ``entangle`` builds the composite
+systems the scenarios run under.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .state import (
     has_labels,
     realign_acquire,
     realign_release,
-    validate,
 )
 
 
 @dataclass
 class Transition:
-    """One transition of a concurroid.
+    """One transition of a concurroid; ``kind`` is the only record of
+    whether it is internal, an acquire or a release.
 
     ``member`` decides membership: for internal transitions it takes
     ``(w, w')``; for acquire/release transitions it takes ``(w, w', h)``
@@ -54,9 +56,11 @@ class Transition:
     sampler: Optional[Callable[[random.Random], tuple]] = None
 
     def holds(self, w, w2, h=None) -> bool:
+        """The step is a member; an internal step ignores ``h``, and an
+        external step with no heap ``h`` holds nothing."""
         if self.kind == "internal":
             return self.member(w, w2)
-        return self.member(w, w2, h)
+        return h is not None and self.member(w, w2, h)
 
 
 def identity_transition(sample_state=None) -> Transition:
@@ -72,12 +76,13 @@ def identity_transition(sample_state=None) -> Transition:
 class Concurroid:
     """``homes`` maps each label to its coherence body, which judges the
     label's self, joint and other components when they are a valid part
-    (see ``state.coherent_at``); ``labels`` are its keys."""
+    (see ``state.coherent_at``); ``labels`` are its keys.  ``transitions``
+    maps each transition's name to it, internal and external alike; the
+    property checks draw the sampled ones in table order."""
 
     name: str
     homes: dict[str, Callable[[Any, Any, Any], Any]]
-    internals: dict[str, Transition]
-    externals: list[tuple[Optional[Transition], Optional[Transition]]]
+    transitions: dict[str, Transition]
     sample_state: Optional[Callable[[random.Random], SubjState]] = None
     sample_frame: Optional[Callable[[random.Random], FrozenMap]] = None
     labels: frozenset = field(init=False)
@@ -92,26 +97,6 @@ class Concurroid:
         pass over the labels (``state.coherent_parts``)."""
         return has_labels(w, self.labels) and coherent_parts(w, self.homes)
 
-    def find(self, name: str) -> Optional[Transition]:
-        t = self.internals.get(name)
-        if t is not None:
-            return t
-        for alpha, rho in self.externals:
-            if alpha is not None and alpha.name == name:
-                return alpha
-            if rho is not None and rho.name == name:
-                return rho
-        return None
-
-    def all_transitions(self) -> list[Transition]:
-        out = list(self.internals.values())
-        for alpha, rho in self.externals:
-            if alpha is not None:
-                out.append(alpha)
-            if rho is not None:
-                out.append(rho)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Heap transfer inference
@@ -123,24 +108,16 @@ def transferred_heap(t: Transition, w: SubjState, w2: SubjState) -> Optional:
     Acquire transitions grow the flattened footprint by ``dom h`` (the
     acquired cells appear with their post-state contents); release
     transitions shrink it (the released cells leave with their
-    pre-state contents).
+    pre-state contents).  An internal transition moves none: ``None``.
     """
+    if t.kind == "internal":
+        return None
     f1, f2 = flatten(w), flatten(w2)
     if f1 is None or f2 is None:
         return None
     if t.kind == "acquire":
         return Heap({loc: f2[loc] for loc in f2 if loc not in f1})
-    if t.kind == "release":
-        return Heap({loc: f1[loc] for loc in f1 if loc not in f2})
-    return None
-
-
-def step_in_transition(t: Transition, w: SubjState, w2: SubjState) -> bool:
-    """Membership test covering both internal and external transitions."""
-    if t.kind == "internal":
-        return t.member(w, w2)
-    h = transferred_heap(t, w, w2)
-    return h is not None and t.member(w, w2, h)
+    return Heap({loc: f1[loc] for loc in f1 if loc not in f2})
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +227,7 @@ def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckRep
     reports = []
     footprints = CheckReport("footprints", c.name)
     post = CheckReport("post-coherence", c.name)
-    for t in c.all_transitions():
+    for t in c.transitions.values():
         if t.sampler is None:
             continue
         guarantee = CheckReport("guarantee", t.name)
@@ -272,7 +249,7 @@ def check_concurroid(c: Concurroid, n: int, rng: random.Random) -> list[CheckRep
             fault = _footprint_fault(t, w, w2)
             if fault is not None:
                 footprints.add(fault)
-            if not (validate(w2) and c.coherent(w2)):
+            if not c.coherent(w2):
                 post.add(f"{t.name}: post-state incoherent")
 
             f = c.sample_frame(rng)
@@ -347,31 +324,26 @@ def _exchange(alpha: Transition, a_labels, rho: Transition, r_labels) -> Transit
 def entangle(u: Concurroid, v: Concurroid) -> Concurroid:
     """``u ⋊ v``: compose two concurroids over disjoint labels.
 
-    Each side's coherence governs its own labels.  Internal transitions
-    let either side step while the other is idle, plus every heap-exchange
-    interconnection between an acquire of one side and a release of the
-    other.  The externals of ``u`` stay open; those of ``v`` are shut down.
+    Each side's coherence governs its own labels.  Every transition of
+    ``u`` is lifted with ``v`` idle, and every internal transition of ``v``
+    with ``u`` idle; each acquire of one side and release of the other
+    interconnect in one heap exchange.  So the acquires and releases of
+    ``u`` stay open, and those of ``v`` are shut down.
     """
     if u.labels & v.labels:
         raise ValueError(f"label overlap: {u.labels & v.labels}")
-    internals: dict[str, Transition] = {}
-    for name, t in u.internals.items():
-        internals[name] = _lift(t, u.labels, v.labels)
-    for name, t in v.internals.items():
-        if name == "id":
-            continue
-        internals[name] = _lift(t, v.labels, u.labels)
-    internals["id"] = identity_transition()
+    transitions = {name: _lift(t, u.labels, v.labels) for name, t in u.transitions.items()}
+    for name, t in v.transitions.items():
+        if t.kind == "internal" and name != "id":
+            transitions[name] = _lift(t, v.labels, u.labels)
+    transitions["id"] = identity_transition()
 
     for acq, rel in ((u, v), (v, u)):
-        for alpha, _ in acq.externals:
-            for _, rho in rel.externals:
-                if alpha is not None and rho is not None:
+        for alpha in acq.transitions.values():
+            for rho in rel.transitions.values():
+                if alpha.kind == "acquire" and rho.kind == "release":
                     t = _exchange(alpha, acq.labels, rho, rel.labels)
-                    internals[t.name] = t
-
-    externals = [tuple(_lift(t, u.labels, v.labels) if t else None for t in pair)
-                 for pair in u.externals]
+                    transitions[t.name] = t
 
     sample_state = None
     if u.sample_state and v.sample_state:
@@ -391,8 +363,7 @@ def entangle(u: Concurroid, v: Concurroid) -> Concurroid:
     return Concurroid(
         name=f"{u.name}><{v.name}",
         homes={**u.homes, **v.homes},
-        internals=internals,
-        externals=externals,
+        transitions=transitions,
         sample_state=sample_state,
         sample_frame=sample_frame,
     )
@@ -403,12 +374,10 @@ def empty_concurroid() -> Concurroid:
     def sample_state(rng):
         return EMPTY_STATE
 
-    ident = identity_transition(sample_state)
     return Concurroid(
         name="empty",
         homes={},
-        internals={"id": ident},
-        externals=[],
+        transitions={"id": identity_transition(sample_state)},
         sample_state=sample_state,
     )
 
@@ -420,8 +389,7 @@ def behaviorally_equal(check: str, c1: Concurroid, c2: Concurroid, n: int,
     transition with no sampler counts ``n`` vacuous draws: none of its
     steps was compared."""
     rep = CheckReport(check, f"{c1.name} = {c2.name}")
-    names1 = {t.name for t in c1.all_transitions()}
-    names2 = {t.name for t in c2.all_transitions()}
+    names1, names2 = c1.transitions.keys(), c2.transitions.keys()
     if (c1.labels, names1) != (c2.labels, names2):
         rep.add(f"labels or transitions differ: {sorted(c1.labels ^ c2.labels)}, "
                 f"{sorted(names1 ^ names2)}")
@@ -435,11 +403,11 @@ def behaviorally_equal(check: str, c1: Concurroid, c2: Concurroid, n: int,
             if c1.coherent(w) != c2.coherent(w):
                 rep.add(f"coherence differs on {w.render()}")
     for src, dst in ((c1, c2), (c2, c1)):
-        for t in src.all_transitions():
+        for t in src.transitions.values():
             if t.sampler is None:
                 rep.vacuous += n
                 continue
-            t_dst = dst.find(t.name)
+            t_dst = dst.transitions[t.name]
             for _ in range(n):
                 drawn = _draw(t, rng)
                 if drawn is None:

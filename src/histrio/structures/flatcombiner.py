@@ -648,13 +648,8 @@ def concurroid(shape: FcShape) -> Concurroid:
     return Concurroid(
         name="flat-combiner",
         homes={LB: shape.home},
-        internals={
-            "id": identity_transition(state_sampler),
-            "fc.req": req_t,
-            "fc.help": help_t,
-            "fc.coll": coll_t,
-        },
-        externals=[(alpha, rho)],
+        transitions={t.name: t for t in (identity_transition(state_sampler),
+                                         req_t, help_t, coll_t, alpha, rho)},
         sample_state=state_sampler,
         sample_frame=lambda rng: sample_frame(shape, rng),
     )

@@ -193,8 +193,7 @@ def concurroid() -> Concurroid:
     return Concurroid(
         name="private-heaps",
         homes={LB: _coherent},
-        internals={"id": identity_transition(sample_state), "pv.write": wr},
-        externals=[(acq, rel)],
+        transitions={t.name: t for t in (identity_transition(sample_state), wr, acq, rel)},
         sample_state=sample_state,
         sample_frame=sample_frame,
     )

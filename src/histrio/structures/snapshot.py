@@ -232,8 +232,7 @@ def concurroid() -> Concurroid:
     return Concurroid(
         name="pair-snapshot",
         homes={LB: _coherent},
-        internals={"id": identity_transition(sample_state), "wr_x": wr_x, "wr_y": wr_y},
-        externals=[],
+        transitions={t.name: t for t in (identity_transition(sample_state), wr_x, wr_y)},
         sample_state=sample_state,
         sample_frame=sample_frame,
     )

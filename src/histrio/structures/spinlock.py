@@ -241,8 +241,7 @@ def concurroid() -> Concurroid:
     return Concurroid(
         name="spin-lock",
         homes={LB: _coherent},
-        internals={"id": identity_transition(sample_state)},
-        externals=[(give_back, take)],
+        transitions={t.name: t for t in (identity_transition(sample_state), give_back, take)},
         sample_state=sample_state,
         sample_frame=sample_frame,
     )

@@ -328,8 +328,7 @@ def concurroid() -> Concurroid:
     return Concurroid(
         name="treiber",
         homes={LB: _coherent},
-        internals={"id": identity_transition(sample_state), "tb.pop": pop_t},
-        externals=[(push_t, None)],
+        transitions={t.name: t for t in (identity_transition(sample_state), pop_t, push_t)},
         sample_state=sample_state,
         sample_frame=sample_frame,
     )

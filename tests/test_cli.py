@@ -36,6 +36,12 @@ def test_random_mode_requires_a_seed(monkeypatch):
     assert main(["--scenario", "treiber", "--mode", "random"]) == 2
 
 
+def test_a_seed_from_the_environment_that_is_no_integer_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HISTRIO_SEED", "abc")
+    assert main(["--scenario", "treiber", "--mode", "random"]) == 2
+    assert "HISTRIO_SEED" in capsys.readouterr().err
+
+
 def test_env_seed_fallback(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("HISTRIO_SEED", "17")
     out = tmp_path / "r.json"
@@ -170,6 +176,19 @@ def test_reports_carry_peak_memory_unless_meta_is_omitted(scenario, tmp_path):
 def test_a_replay_file_that_cannot_run_is_a_usage_error(config, schedule, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"config": config, "schedule": schedule}))
+    assert main(["--replay", str(path), "--no-meta"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "not json {",
+    json.dumps([{"config": {"scenario": "treiber"}, "schedule": [1]}]),
+    json.dumps({"config": ["treiber"], "schedule": [1]}),
+    json.dumps({"config": {"scenario": "treiber"}, "violations": 5, "schedule": [1]}),
+], ids=["not-json", "top-level-list", "config-list", "violations-not-a-list"])
+def test_a_replay_file_that_is_no_report_is_a_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
     assert main(["--replay", str(path), "--no-meta"]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -15,7 +15,6 @@ from histrio.concurroid import (
     check_fork_join_closure,
     empty_concurroid,
     entangle,
-    step_in_transition,
     transferred_heap,
 )
 from histrio.fmap import EMPTY_MAP, FrozenMap
@@ -54,14 +53,38 @@ def test_all_obligations_pass(conc):
         assert rep.ok, (rep.check, rep.subject, rep.violations[:3])
 
 
+def _named(c, *kinds) -> set:
+    return {t.name for t in c.transitions.values() if t.kind in kinds}
+
+
 def test_identity_transition_always_present():
-    for conc in ALL:
-        assert "id" in conc.internals
+    """Every table is keyed by its transitions' names and holds ``id``.
+    ``u ⋊ v`` holds all of ``u``, the internal transitions of ``v`` but
+    none of its acquires or releases, and one exchange per acquire and
+    release of opposite sides."""
+    entangled = [(pv.concurroid(), tb.concurroid()), (pv.concurroid(), lk.concurroid()),
+                 (pv.concurroid(), fc.concurroid(fc.stack_shape(3))),
+                 (entangle(pv.concurroid(), sp.concurroid()), tb.concurroid())]
+    for conc in ALL + [entangle(u, v) for u, v in entangled]:
+        assert "id" in conc.transitions, conc.name
+        assert all(name == t.name for name, t in conc.transitions.items()), conc.name
+        assert _named(conc, "internal", "acquire", "release") == conc.transitions.keys()
+    for u, v in entangled:
+        ent = entangle(u, v)
+        assert all(ent.transitions[name].kind == t.kind for name, t in u.transitions.items())
+        assert _named(v, "internal") <= _named(ent, "internal")
+        assert not _named(v, "acquire", "release") & ent.transitions.keys()
+        pairs = [f"xchg:{a}|{r}" for acq, rel in ((u, v), (v, u))
+                 for a in _named(acq, "acquire") for r in _named(rel, "release")]
+        exchanges = [name for name in ent.transitions
+                     if name.startswith("xchg:") and name not in u.transitions]
+        assert pairs and sorted(exchanges) == sorted(pairs), ent.name
+        assert _named(ent, "internal") >= set(pairs)
 
 
 def _carrying(t: Transition):
     """The private-heap concurroid with ``t`` as its one transition."""
-    return dataclasses.replace(pv.concurroid(), internals={t.name: t}, externals=[])
+    return dataclasses.replace(pv.concurroid(), transitions={t.name: t})
 
 
 def _failing_rows(conc, n, seed) -> set:
@@ -74,7 +97,7 @@ def _failing_rows(conc, n, seed) -> set:
 def test_every_row_counts_each_draw_once(conc):
     n = 30
     reports = check_concurroid(conc, n, random.Random(3))
-    sampled = [t.name for t in conc.all_transitions() if t.sampler is not None]
+    sampled = [t.name for t in conc.transitions.values() if t.sampler is not None]
     per_transition = [rep for rep in reports if rep.check in ("guarantee", "rely", "locality")]
     assert sorted(rep.subject for rep in per_transition) == sorted(sampled * 3)
     assert all(rep.samples + rep.vacuous == n for rep in per_transition)
@@ -132,13 +155,13 @@ def test_every_transition_samples_steps_of_its_actions(conc):
     is a member of the transition, its heap inferred as the explorer
     infers it."""
     rng = random.Random(11)
-    for t in conc.all_transitions():
+    for t in conc.transitions.values():
         if t.name == "id":
             continue
         for _ in range(50):
             drawn = t.sampler(rng)
             assert drawn is not None, t.name
-            assert step_in_transition(t, *drawn), (t.name, drawn[0].render())
+            assert t.holds(*drawn, transferred_heap(t, *drawn)), (t.name, drawn[0].render())
 
 
 @pytest.mark.parametrize("module, conc, names", [
@@ -159,11 +182,10 @@ def test_each_sampled_step_takes_one_state_draw(monkeypatch, module, conc, names
         return sample_state(*args, **kwargs)
 
     monkeypatch.setattr(module, "sample_state", counted)
-    transitions = {t.name: t for t in conc.all_transitions()}
     for name in names:
         for seed in range(50):
             draws.clear()
-            drawn = transitions[name].sampler(random.Random(seed))
+            drawn = conc.transitions[name].sampler(random.Random(seed))
             assert drawn is not None and drawn[0] != drawn[1], (name, seed)
             assert len(draws) == 1, (name, seed, len(draws))
 
@@ -207,8 +229,7 @@ def test_closure_fails_for_a_self_only_coherence():
     broken = type(conc)(
         name="broken",
         homes={pv.LB: lambda s, j, o: body(s, j, o) and len(s) == 0},
-        internals=conc.internals,
-        externals=conc.externals,
+        transitions=conc.transitions,
         sample_state=lambda rng: pv.initial_state(),
         sample_frame=pv.sample_frame,
     )
@@ -487,8 +508,8 @@ def test_coherence_refuses_invalid_parts_without_running_the_body(facts):
 def test_entangle_lifts_transitions_with_idle_frames():
     ent = entangle(pv.concurroid(), sp.concurroid())
     rng = random.Random(6)
-    wr = ent.internals["wr_x"]
-    base = sp.concurroid().internals["wr_x"]
+    wr = ent.transitions["wr_x"]
+    base = sp.concurroid().transitions["wr_x"]
     for _ in range(40):
         drawn = base.sampler(rng)
         w_sp, w2_sp = drawn
@@ -517,24 +538,22 @@ def test_lifted_and_exchange_steps_keep_their_label_set():
     assert {"xchg", "pv.acquire", "pv.write"} <= steps.keys()
     for kind in ("xchg", "pv.acquire", "pv.write"):
         e = steps[kind]
-        t = sc.conc.find(e.transition)
-        assert step_in_transition(t, e.before, e.after), kind
+        t = sc.conc.transitions[e.transition]
+        assert t.holds(e.before, e.after, transferred_heap(t, e.before, e.after)), kind
         w2 = e.after
         grown = SubjState(w2.self_.set("zz", IdSet.of(7)), w2.joint.set("zz", EMPTY_IDSET),
                           w2.other.set("zz", IdSet.of(8)))
-        assert not step_in_transition(t, e.before, grown), kind
+        assert not t.holds(e.before, grown, transferred_heap(t, e.before, grown)), kind
 
 
 def _lifts(u, v) -> list:
     """(lifted transition, side transition, side labels, idle labels) for
     every transition that ``entangle(u, v)`` lifts."""
     ent = entangle(u, v)
-    out = [(ent.internals[name], t, side.labels, idle.labels)
-           for side, idle in ((u, v), (v, u))
-           for name, t in side.internals.items() if name != "id"]
-    for lifted, pair in zip(ent.externals, u.externals):
-        out += [(lt, t, u.labels, v.labels) for lt, t in zip(lifted, pair) if t is not None]
-    return out
+    return [(ent.transitions[name], t, side.labels, idle.labels)
+            for side, idle in ((u, v), (v, u))
+            for name, t in side.transitions.items()
+            if name != "id" and (side is u or t.kind == "internal")]
 
 
 def _lift_verdicts(lifts, w, w2, accepted: set) -> int:
@@ -631,5 +650,5 @@ def test_exchange_law():
     assert rep.ok
     # no entangled transition has a sampler: each counts 30 vacuous draws,
     # and only the 60 coherence draws are samples
-    unsampled = [t for c in (left, right) for t in c.all_transitions() if t.sampler is None]
+    unsampled = [t for c in (left, right) for t in c.transitions.values() if t.sampler is None]
     assert unsampled and (rep.samples, rep.vacuous) == (60, 30 * len(unsampled))

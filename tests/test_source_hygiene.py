@@ -790,7 +790,10 @@ def test_the_scan_sees_dict_mutators_called_and_bound():
 
 # each isinstance(..., dict) test, and why no FrozenMap reaches it
 AUDITED_DICT_TESTS = [
-    # a violation record read back by json.load, which builds plain dicts
+    # a replay file's top level, its config and a violation record, read
+    # back by json.load, which builds plain dicts
+    ("cli.py", "_do_replay"),
+    ("cli.py", "_do_replay"),
     ("cli.py", "_do_replay"),
     # the map's own equality: any dict but one of its class is unequal
     ("fmap.py", "__eq__"),

@@ -217,7 +217,7 @@ def test_fc_request_help_and_collect_cycle():
 def test_fc_transitions_take_no_request_but_push():
     shape = fc.stack_shape(2)
     conc = fc.concurroid(shape)
-    req, help_ = conc.internals["fc.req"].member, conc.internals["fc.help"].member
+    req, help_ = conc.transitions["fc.req"].member, conc.transitions["fc.help"].member
 
     def publish(w, request):
         jh, gp = w.joint[fc.LB]
