@@ -103,7 +103,14 @@ self, joint and other parts.  A step hands the components it did not
 touch back as the same objects, so the post-state's untouched parts are
 judged from their facts, cells included.  No fact outlives its run, so a
 later run, or a test that swaps a structure's function, decides every
-fact afresh; outside a run nothing is remembered.
+fact afresh, but those of a scenario's start.  Outside a run only that
+start is remembered: a random run or a replay begins from the scenario's
+normal start configuration at its loop bound (``Scenario.starts``), kept
+by the first run whose normalizing it reported nothing.  Configurations
+are values, and a random run keeps no memo keyed on them, so runs may
+share it.  ``explore`` normalizes its own start: its stats count the
+start's local runs and joins, which must not depend on what ran before,
+and one start per exploration costs nothing worth saving.
 
 Configurations, leaves, fork records and continuation frames are values,
 so the memos may hold them as keys: nothing changes one once it is built,
@@ -367,6 +374,12 @@ def check_phi(phi: PhiSpec, n: int, rng: random.Random) -> CheckReport:
 
 @dataclass(eq=False)
 class Scenario:
+    """A program to check, with its initial state and checks.  Random runs
+    and replays remember its normal start per loop bound (``starts``), so
+    after the first run its program, root, concurroid, ``on_join`` and
+    ``on_hide_exit`` must not change, nor may the functions its start calls:
+    split directives, spec captures and ``phi.install``."""
+
     name: str
     conc: Concurroid
     root: SubjState
@@ -375,6 +388,7 @@ class Scenario:
     on_join: Optional[Callable[[SubjState, SubjState, SubjState], list]] = None
     on_hide_exit: Optional[Callable[[PhiSpec, Any, SubjState], list]] = None
     final_oracle: Optional[Callable[[Config, Any], list]] = None
+    starts: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass
@@ -505,6 +519,8 @@ class _Ctx:
 
     def __init__(self, scenario: Scenario, loop_bound: int, max_violations: int = 50,
                  remember_moves: bool = True):
+        if loop_bound is not None and loop_bound < 1:
+            raise ValueError("loop bound must be >= 1")
         self.scenario = scenario
         self.loop_bound = loop_bound
         self.max_violations = max_violations
@@ -1134,11 +1150,16 @@ def explore(scenario: Scenario, step_bound: int, loop_bound: int,
 
 
 def _run_schedule(scenario: Scenario, pick, budget: int, loop_bound: int) -> Trace:
-    # one schedule does not revisit a move, so none is remembered
+    # one schedule does not revisit a move, so none is remembered; the start
+    # is normalized once per scenario and loop bound, unless that reported
     ctx = _Ctx(scenario, loop_bound, remember_moves=False)
     events: list[Event] = []
     with fact_table():
-        cfg = normalize(initial_config(scenario), ctx)
+        cfg = scenario.starts.get(loop_bound)
+        if cfg is None:
+            cfg = normalize(initial_config(scenario), ctx)
+            if not ctx.reported:
+                scenario.starts[loop_bound] = cfg
         # a violation before the first move ends the run there
         while not ctx.reported and len(events) < budget:
             ready = ready_leaves(cfg)

@@ -16,6 +16,7 @@ import pytest
 from histrio import actions, concurroid, scheduler, state
 from histrio.actions import AtomicAction, Skip, Write, check_action_properties
 from histrio.concurroid import Concurroid, check_concurroid
+from histrio.erasure import compare_erased_trace
 from histrio.fmap import FrozenMap
 from histrio.pcm import Heap, Hist, Loc, map_pointwise_join, map_subtract, render
 from histrio.program import ActN, HideN, LoopN, Node, ParN, RETRY, SpecedN, const, do
@@ -199,12 +200,16 @@ def test_a_violation_before_the_first_move_ends_the_empty_path():
 
 
 def test_a_violation_before_the_first_move_ends_a_random_run():
-    # the run takes no step, and its empty schedule replays to the violation
-    for trace in (run_random(_failed_before_the_first_move(), 0, 10, 3),
-                  run_replay(_failed_before_the_first_move(), (), 3)):
+    # the run takes no step, and its empty schedule replays to the violation;
+    # a start that reported is not remembered, so every run reports it again
+    sc = _failed_before_the_first_move()
+    first = run_random(sc, 0, 10, 3)
+    for trace in (first, run_random(sc, 1, 10, 3), run_replay(sc, first.schedule, 3),
+                  run_replay(sc, first.schedule, 3)):
         assert (trace.verdict, trace.schedule, trace.events) == ("violation", (), [])
         assert [(v.check, v.step, v.schedule) for v in trace.violations] == [
             ("spec:never", 0, ())]
+    assert sc.starts == {}
 
 
 def _sneaky_scenario():
@@ -617,11 +622,17 @@ def test_no_fact_outlives_its_run(monkeypatch):
     again = explore(sc, step_bound=120, loop_bound=1)
     assert taken() == once and min(once) > 0
     assert again.as_dict() == first.as_dict()
-    # a replay of a random run's schedule decides its own facts
+    # the first random run normalizes the start and remembers it; a later
+    # run and a replay of its schedule decide the same facts, each its own
+    run_random(sc, 3, 120, 1)
+    cold = taken()
     trace = run_random(sc, 3, 120, 1)
     drawn = taken()
     assert run_replay(sc, trace.schedule, 1).verdict == trace.verdict
     assert taken() == drawn and min(drawn) > 0
+    # a fresh scenario object decides its start's facts again
+    assert run_random(flat_combiner_scenario(2), 3, 120, 1).schedule == trace.schedule
+    assert taken() == cold != drawn
     # the obligation suites run outside any run: no table, every call computes
     rng = random.Random(0)
     conc = fc.concurroid(fc.stack_shape(3))
@@ -630,6 +641,79 @@ def test_no_fact_outlives_its_run(monkeypatch):
         assert all(rep.ok for rep in check_action_properties(fam, 5, rng))
     assert calls["parse_fc"] and calls["tables"] == {False}
     assert state._FACTS.get() is None
+
+
+# the scenarios of the benchmark's seeded runs, each with a step bound
+# that cuts no path of its exploration at loop bound 1
+SEEDED = {
+    "pair-snapshot": (lambda: pair_snapshot_scenario(2), 40),
+    "treiber": (treiber_scenario, 60),
+    "producer-consumer": (lambda: producer_consumer_scenario(3), 60),
+    "flat-combiner": (lambda: flat_combiner_scenario(3), 120),
+    "seq-recovery": (seq_recovery_scenario, 20),
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED)[:4])  # seq-recovery only hides
+def test_random_runs_fork_the_start_once_per_loop_bound(name, monkeypatch):
+    forks = []
+    fork = scheduler._fork
+
+    def counted(*args):
+        forks.append(None)
+        return fork(*args)
+
+    monkeypatch.setattr(scheduler, "_fork", counted)
+    sc = SEEDED[name][0]()
+    first = run_random(sc, 0, 250, 3)
+    assert forks
+    at_start = len(forks)
+    forks.clear()
+    for seed in (0, 1, 2):
+        run_replay(sc, run_random(sc, seed, 250, 3).schedule, 3)
+    run_replay(sc, first.schedule, 3)
+    assert forks == []
+    run_random(sc, 0, 250, 2)
+    assert len(forks) == at_start
+    assert sorted(sc.starts) == [2, 3]
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_a_reused_scenario_runs_as_a_fresh_one(name):
+    build = SEEDED[name][0]
+    reused = build()
+    for seed in range(20):
+        fresh = build()
+        runs = []
+        for sc in (reused, fresh):
+            trace = run_random(sc, seed, 250, 3)
+            replay = run_replay(sc, trace.schedule, 3)
+            assert compare_erased_trace(sc, trace) is None
+            assert compare_erased_trace(sc, replay) is None
+            runs.append((trace.as_dict(), replay.as_dict()))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_explore_normalizes_its_own_start(name):
+    # its stats count the start's local runs and joins, whatever ran before
+    build, step_bound = SEEDED[name]
+    sc = build()
+    before = explore(sc, step_bound, 1).as_dict()
+    for seed in range(3):
+        run_replay(sc, run_random(sc, seed, 250, 1).schedule, 1)
+    assert explore(sc, step_bound, 1).as_dict() == before
+
+
+@pytest.mark.parametrize("loop_bound", [0, -3])
+def test_a_loop_bound_below_one_is_refused(loop_bound):
+    sc = treiber_scenario()
+    with pytest.raises(ValueError, match="loop bound"):
+        explore(sc, 60, loop_bound)
+    with pytest.raises(ValueError, match="loop bound"):
+        run_random(sc, 1, 60, loop_bound)
+    with pytest.raises(ValueError, match="loop bound"):
+        run_replay(sc, (), loop_bound)
 
 
 def test_each_distinct_transition_is_checked_once(monkeypatch):
